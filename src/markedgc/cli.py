@@ -2,8 +2,10 @@
 stable multiplicities, genus-1 checks, and aggregated verification.
 
 Exit codes: 0 on success, 1 when a verification finds a violation, 2 on
-usage errors.  Output is JSON (machine-readable, schema version 1) or
-aligned text tables; both are deterministic for a fixed invocation.
+usage errors, 3 when an internal invariant check (d^2 = 0, Euler
+characteristic, character dimension, cross-check) fails.  Output is
+JSON (machine-readable, schema version 1) or aligned text tables; both
+are deterministic for a fixed invocation.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .homology import homology_decomposition
 from .partitions import parse_partition
 from .stability import (
     check_consistent_sequence,
-    predicted_sharp_bound,
     stable_multiplicity,
     verify_core_bounds,
     verify_edge_cut_rows,
@@ -30,6 +31,7 @@ JSON_SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _emit(payload: dict, fmt: str, table_lines) -> None:
@@ -52,8 +54,8 @@ def _aligned(rows: list[list[str]]) -> list[str]:
     ]
 
 
-def _stable_notation(dec, n: int, bound: int) -> str:
-    """Paper-style table notation with explicit 1^{n-N} padding."""
+def _stable_notation(dec) -> str:
+    """Paper-style table notation with explicit 1^k padding."""
     if dec.is_zero():
         return "0"
     terms = []
@@ -122,7 +124,6 @@ def _cmd_homology(args) -> int:
         "r": args.r,
         "homology": profile.to_json(),
     }
-    bound = predicted_sharp_bound(args.g, args.n - args.r)
     rows = [["degree", "dim", "decomposition"]]
     for i in sorted(profile.dims):
         if not profile.dims[i]:
@@ -131,7 +132,7 @@ def _cmd_homology(args) -> int:
             [
                 str(i),
                 str(profile.dims[i]),
-                _stable_notation(profile.decompositions[i], args.n, bound),
+                _stable_notation(profile.decompositions[i]),
             ]
         )
     _emit(payload, args.format, _aligned(rows))
@@ -332,6 +333,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
@@ -432,7 +433,15 @@ def save_enumeration(
     }
     path = cache_path(cache_dir, g, n, r)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(header) + "\n" + body)
+    # write a sibling temp file and rename it over the cache, so an
+    # interrupted write never leaves a partial file under the cache name
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(header) + "\n" + body)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -446,6 +455,8 @@ def load_enumeration(
     try:
         head, _, body = path.read_text().partition("\n")
         header = json.loads(head)
+        if not isinstance(header, dict):
+            return None
         if header.get("format") != CACHE_FORMAT or (
             header.get("g"), header.get("n"), header.get("r")
         ) != (g, n, r):

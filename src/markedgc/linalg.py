@@ -1,9 +1,10 @@
 """Exact sparse linear algebra over the rationals.
 
 Matrices are stored column-sparse: a list with one {row: value} dict per
-column.  Everything here is exact — integer cross-multiplication with gcd
-normalization for ranks, Fraction arithmetic for factorizations.  No
-floating point.
+column.  Everything here is exact: ranks, column factorizations and
+span solves all eliminate over the integers by cross-multiplication
+with gcd normalization, and rationals (``Fraction``) appear only in the
+returned coordinates.  No floating point, no modular arithmetic.
 """
 
 from __future__ import annotations
@@ -76,6 +77,75 @@ def rank(cols: SparseColumns) -> int:
     return result
 
 
+# An echelon entry (pivot_row, vector, coords) holds an integer vector with
+# vector[pivot_row] > 0 together with its integer coordinates in the
+# pivot columns: vector = sum coords[l] * col_l.
+Echelon = list[tuple[int, dict[int, int], dict[int, int]]]
+
+
+def _reduce(
+    echelon: Echelon, col: dict[int, int]
+) -> tuple[dict[int, int], dict[int, int], int]:
+    """Reduce an integer column against the echelon, fraction-free.
+
+    Returns (w, acc, s) with s > 0 and s * col = w + sum acc[l] * col_l.
+    ``w`` is zero in every pivot row; it is empty exactly when ``col``
+    lies in the span of the echelon.  Each step cross-multiplies by the
+    gcd-reduced pivot and then divides out the common content of
+    (w, acc, s), so all intermediate values stay integral and coprime.
+    """
+    w = {i: v for i, v in col.items() if v}
+    acc: dict[int, int] = {}
+    s = 1
+    for pivot_row, vec, coord in echelon:
+        t = w.get(pivot_row)
+        if not t:
+            continue
+        a = vec[pivot_row]
+        g = gcd(a, t)
+        if g > 1:
+            a //= g
+            t //= g
+        if a != 1:
+            for i in w:
+                w[i] *= a
+            for l in acc:
+                acc[l] *= a
+            s *= a
+        for i, v in vec.items():
+            new = w.get(i, 0) - t * v
+            if new:
+                w[i] = new
+            else:
+                del w[i]
+        for l, v in coord.items():
+            new = acc.get(l, 0) + t * v
+            if new:
+                acc[l] = new
+            else:
+                del acc[l]
+        if s > 1:  # the content divides s, so s == 1 means none
+            g = gcd(s, *w.values(), *acc.values())
+            if g > 1:
+                s //= g
+                for i in w:
+                    w[i] //= g
+                for l in acc:
+                    acc[l] //= g
+    return w, acc, s
+
+
+def _push(
+    echelon: Echelon, j: int, w: dict[int, int], acc: dict[int, int], s: int
+) -> None:
+    """Append the reduced column j (from ``_reduce``) as a new pivot."""
+    pivot_row = min(w, key=lambda i: (abs(w[i]), i))
+    sign = 1 if w[pivot_row] > 0 else -1
+    coord = {l: -sign * v for l, v in acc.items()}
+    coord[j] = sign * s
+    echelon.append((pivot_row, {i: sign * v for i, v in w.items()}, coord))
+
+
 def column_factorization(
     cols: SparseColumns,
 ) -> tuple[list[int], list[dict[int, Fraction]]]:
@@ -87,39 +157,16 @@ def column_factorization(
     cols[j] = sum coeffs[j][l] * cols[l] over l in pivots.
     """
     pivots: list[int] = []
-    # echelon entries: (pivot_row, vector, coords) with vector[pivot_row]=1
-    echelon: list[tuple[int, dict[int, Fraction], dict[int, Fraction]]] = []
+    echelon: Echelon = []
     coeffs: list[dict[int, Fraction]] = []
     for j, col in enumerate(cols):
-        w = {i: Fraction(v) for i, v in col.items() if v}
-        acc: dict[int, Fraction] = {}
-        for pivot_row, vec, coord in echelon:
-            t = w.get(pivot_row)
-            if not t:
-                continue
-            for i, v in vec.items():
-                new = w.get(i, Fraction(0)) - t * v
-                if new:
-                    w[i] = new
-                elif i in w:
-                    del w[i]
-            for l, v in coord.items():
-                new = acc.get(l, Fraction(0)) + t * v
-                if new:
-                    acc[l] = new
-                elif l in acc:
-                    del acc[l]
+        w, acc, s = _reduce(echelon, col)
         if w:
-            pivot_row = min(w, key=lambda i: (len(str(w[i])), i))
-            scale = w[pivot_row]
-            vec = {i: v / scale for i, v in w.items()}
-            coord = {l: -v / scale for l, v in acc.items()}
-            coord[j] = 1 / scale
-            echelon.append((pivot_row, vec, coord))
+            _push(echelon, j, w, acc, s)
             pivots.append(j)
             coeffs.append({j: Fraction(1)})
         else:
-            coeffs.append(acc)
+            coeffs.append({l: Fraction(v, s) for l, v in acc.items()})
     return pivots, coeffs
 
 
@@ -150,57 +197,17 @@ def span_solver(basis: SparseColumns):
     maps a sparse target vector to its coordinate dict, or None when the
     target lies outside the span.
     """
-    echelon: list[tuple[int, dict[int, Fraction], dict[int, Fraction]]] = []
+    echelon: Echelon = []
     for j, col in enumerate(basis):
-        w = {i: Fraction(v) for i, v in col.items() if v}
-        acc: dict[int, Fraction] = {j: Fraction(1)}
-        for pivot_row, vec, coord in echelon:
-            t = w.get(pivot_row)
-            if not t:
-                continue
-            for i, v in vec.items():
-                new = w.get(i, Fraction(0)) - t * v
-                if new:
-                    w[i] = new
-                elif i in w:
-                    del w[i]
-            for l, v in coord.items():
-                new = acc.get(l, Fraction(0)) - t * v
-                if new:
-                    acc[l] = new
-                elif l in acc:
-                    del acc[l]
+        w, acc, s = _reduce(echelon, col)
         if not w:
             raise ValueError("span_solver requires independent columns")
-        pivot_row = next(iter(w))
-        scale = w[pivot_row]
-        echelon.append(
-            (
-                pivot_row,
-                {i: v / scale for i, v in w.items()},
-                {l: v / scale for l, v in acc.items()},
-            )
-        )
+        _push(echelon, j, w, acc, s)
 
     def solve(target) -> dict[int, Fraction] | None:
-        w = {i: Fraction(v) for i, v in target.items() if v}
-        acc: dict[int, Fraction] = {}
-        for pivot_row, vec, coord in echelon:
-            t = w.get(pivot_row)
-            if not t:
-                continue
-            for i, v in vec.items():
-                new = w.get(i, Fraction(0)) - t * v
-                if new:
-                    w[i] = new
-                elif i in w:
-                    del w[i]
-            for l, v in coord.items():
-                new = acc.get(l, Fraction(0)) + t * v
-                if new:
-                    acc[l] = new
-                elif l in acc:
-                    del acc[l]
-        return None if w else acc
+        w, acc, s = _reduce(echelon, target)
+        if w:
+            return None
+        return {l: Fraction(v, s) for l, v in acc.items()}
 
     return solve

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from markedgc.cli import EXIT_OK, EXIT_USAGE, main
+from markedgc.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 
 
 def run(capsys, *argv):
@@ -111,3 +111,40 @@ def test_cache_dir_roundtrip(capsys, tmp_path):
     )
     assert code1 == code2 == EXIT_OK
     assert payload1 == payload2
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_homology_negative_excess(capsys, fmt):
+    code, out = run(
+        capsys, "homology", "--g", "2", "--n", "1", "--r", "3", "--format", fmt
+    )
+    assert code == EXIT_OK
+    if fmt == "json":
+        assert json.loads(out)["homology"] == []
+    else:
+        assert out.splitlines() == ["degree  dim  decomposition"]
+
+
+def test_corrupt_cache_header_recomputes(capsys, tmp_path):
+    args = (
+        "complex", "--g", "1", "--n", "3", "--r", "2",
+        "--cache-dir", str(tmp_path),
+    )
+    code, first = run_json(capsys, *args)
+    path = tmp_path / "basis-1-3-2.txt"
+    _, _, body = path.read_text().partition("\n")
+    path.write_text("[1,2]\n" + body)
+    code2, second = run_json(capsys, *args)
+    assert code == code2 == EXIT_OK
+    assert first == second
+
+
+def test_internal_invariant_failure_exits_3(capsys, monkeypatch):
+    def broken(c):
+        raise AssertionError("d^2 != 0 on a test complex")
+
+    monkeypatch.setattr("markedgc.complexes._check_d_squared", broken)
+    code = main(["complex", "--g", "1", "--n", "3", "--r", "2"])
+    err = capsys.readouterr().err
+    assert code == EXIT_INTERNAL
+    assert err == "internal error: d^2 != 0 on a test complex\n"

@@ -196,3 +196,38 @@ def test_cache_version_bump_recomputes(tmp_path):
     header["format"] = 999
     path.write_text(json.dumps(header) + "\n" + body)
     assert load_enumeration(tmp_path, 1, 3, 2) is None
+
+
+def test_cache_header_not_an_object_recomputes(tmp_path):
+    enumerate_marked_graphs(1, 3, 2, cache_dir=tmp_path)
+    path = cache_path(tmp_path, 1, 3, 2)
+    _, _, body = path.read_text().partition("\n")
+    path.write_text("[1,2]\n" + body)
+    assert load_enumeration(tmp_path, 1, 3, 2) is None
+    classes = enumerate_marked_graphs(1, 3, 2, cache_dir=tmp_path)
+    assert len(classes) == 7
+    assert load_enumeration(tmp_path, 1, 3, 2) is not None
+
+
+def test_partial_temp_file_is_never_read(tmp_path, monkeypatch):
+    classes = enumerate_marked_graphs(1, 3, 2)
+    path = cache_path(tmp_path, 1, 3, 2)
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("markedgc.complexes.os.replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        save_enumeration(tmp_path, 1, 3, 2, classes)
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == []
+    # a partial write left behind by a killed process is ignored
+    save_enumeration(tmp_path, 1, 3, 2, classes)
+    text = path.read_text()
+    path.unlink()
+    leftover = tmp_path / f"{path.name}.99999.tmp"
+    leftover.write_text(text[: len(text) // 2])
+    assert load_enumeration(tmp_path, 1, 3, 2) is None
+    again = enumerate_marked_graphs(1, 3, 2, cache_dir=tmp_path)
+    assert [c.key for c in again] == [c.key for c in classes]
+    assert path.read_text() == text

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from markedgc.complexes import build_complex
 from markedgc.linalg import (
     column_factorization,
     rank,
@@ -28,6 +30,63 @@ def dense_rank(cols, nrows):
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
         r += 1
     return r
+
+
+def fraction_column_factorization(cols):
+    """Reference greedy column echelon in Fraction arithmetic.
+
+    Same contract as ``column_factorization``: the greedy pivot columns
+    and the (unique) coordinates of every column in them.
+    """
+    pivots = []
+    echelon = []
+    coeffs = []
+    for j, col in enumerate(cols):
+        w = {i: Fraction(v) for i, v in col.items() if v}
+        acc = {}
+        for pivot_row, vec, coord in echelon:
+            t = w.get(pivot_row)
+            if not t:
+                continue
+            for i, v in vec.items():
+                new = w.get(i, Fraction(0)) - t * v
+                if new:
+                    w[i] = new
+                elif i in w:
+                    del w[i]
+            for l, v in coord.items():
+                new = acc.get(l, Fraction(0)) + t * v
+                if new:
+                    acc[l] = new
+                elif l in acc:
+                    del acc[l]
+        if w:
+            pivot_row = min(w, key=lambda i: (len(str(w[i])), i))
+            scale = w[pivot_row]
+            vec = {i: v / scale for i, v in w.items()}
+            coord = {l: -v / scale for l, v in acc.items()}
+            coord[j] = 1 / scale
+            echelon.append((pivot_row, vec, coord))
+            pivots.append(j)
+            coeffs.append({j: Fraction(1)})
+        else:
+            coeffs.append(acc)
+    return pivots, coeffs
+
+
+def assert_matches_oracle(cols):
+    """The integer kernel returns exactly the Fraction oracle's output, and
+    span solves against the pivot columns return the same coordinates."""
+    pivots, coeffs = column_factorization(cols)
+    assert (pivots, coeffs) == fraction_column_factorization(cols)
+    if pivots:
+        solve = span_solver([cols[l] for l in pivots])
+        for j, col in enumerate(cols):
+            assert solve(col) == {
+                pos: coeffs[j][l]
+                for pos, l in enumerate(pivots)
+                if l in coeffs[j]
+            }
 
 
 def random_cols(rng, nrows, ncols, density=0.4, lo=-5, hi=5):
@@ -74,6 +133,60 @@ def test_column_factorization_reconstructs_columns(seed):
         assert {i: v for i, v in rebuilt.items() if v} == {
             i: Fraction(v) for i, v in col.items() if v
         }
+
+
+def combine(rng, cols, lo, hi):
+    """A random integer combination of some of ``cols``."""
+    out = {}
+    for col in rng.sample(cols, rng.randint(1, len(cols))):
+        c = rng.randint(lo, hi) or 1
+        for i, v in col.items():
+            out[i] = out.get(i, 0) + c * v
+    return {i: v for i, v in out.items() if v}
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_column_factorization_matches_fraction_oracle(seed):
+    """Large entries, zero columns, repeated columns and dependent columns
+    all give the oracle's pivots and coordinates exactly."""
+    rng = random.Random(seed)
+    bound = rng.choice([5, 1000, 10**6])
+    nrows = rng.randint(1, 14)
+    cols = random_cols(
+        rng, nrows, rng.randint(1, 10), rng.uniform(0.2, 0.9), -bound, bound
+    )
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.choice(["zero", "repeat", "dependent"])
+        if kind == "zero":
+            col = {}
+        elif kind == "repeat":
+            col = dict(rng.choice(cols))
+        else:
+            col = combine(rng, cols, -bound, bound)
+        cols.insert(rng.randint(0, len(cols)), col)
+    assert_matches_oracle(cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.dictionaries(
+            st.integers(0, 7), st.integers(-(10**6), 10**6), max_size=8
+        ),
+        max_size=10,
+    )
+)
+def test_column_factorization_oracle_property(cols):
+    assert_matches_oracle(cols)
+
+
+@pytest.mark.parametrize("key", [(2, 5, 5), (2, 6, 6)])
+def test_column_factorization_oracle_on_differentials(key):
+    c = build_complex(*key)
+    for i in c.degrees():
+        cols = c.diff.get(i, [])
+        expected = fraction_column_factorization(cols)
+        assert column_factorization(cols) == expected
 
 
 @pytest.mark.parametrize("seed", range(20))
