@@ -262,7 +262,6 @@ def _cmd_verify(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "table"], default="table")
     p.add_argument("--cache-dir", default=None)
-    p.add_argument("--jobs", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,8 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
+    for flag in ("g", "n"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            print(f"error: --{flag} must be nonnegative, got {value}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
     except ValueError as exc:

@@ -7,6 +7,15 @@ edges (the contracted edge is dropped from the last wedge position) and
 marks flags (the new flag enters first in the marked order, with a global
 (-1)^{|E|} factor).  d^2 = 0 is verified at build time and any failure
 aborts with the offending basis pair.
+
+The S_n action is coset arithmetic.  C_i is the sum over unlabeled classes
+xi of Ind from Aut(xi) to S_n of the det-sign character, so each labeled
+basis element is t·[xi, rho]: xi's canonical graph with leg k labeled
+rho[k] + 1, rho the least element of its coset under xi's leg group (the
+image of Aut(xi) on the legs, kept as a stabilizer chain).  Relabeling by
+sigma sends rho to sigma∘rho; the chain reduces that to its coset minimum
+and sign, and a per-degree table names the basis element, with no graph
+search.  Enumeration picks one labeling per coset by the same test.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from pathlib import Path
@@ -22,7 +31,6 @@ from pathlib import Path
 from .graphs import (
     MarkedGraph,
     OrientedClass,
-    automorphisms,
     canonical_form,
     contract_edge,
     add_marked_leg,
@@ -30,8 +38,8 @@ from .graphs import (
     degree,
     encode_graph,
     label_legs,
+    leg_symmetry_group,
     mark_flag,
-    relabel_legs,
     validate,
 )
 from .partitions import Partition, cycle_types
@@ -154,19 +162,66 @@ def enumerate_unlabeled_classes(g: int, n: int, r: int) -> list[OrientedClass]:
     return [seen[k] for k in sorted(seen)]
 
 
-def _labelings_up_to_symmetry(g: MarkedGraph, n: int):
-    """Leg-label assignments modulo the leg action of Aut(g) (unlabeled)."""
+class LegGroup:
+    """The leg group of an unlabeled class xi: the image of Aut(xi) on its
+    legs (numbered in flag order), each element with its det-sign.
+
+    Stored as a stabilizer chain: level j keeps, for each point b in the
+    orbit of j under H_j = {h : h fixes 0..j-1}, one element of H_j sending
+    j to b (the identity for b = j).  Levels where H_j fixes j are left out.
+    """
+
+    def __init__(self, elements: dict[Permutation, int]):
+        self.levels: list[tuple[int, dict[int, tuple[Permutation, int]]]] = []
+        identity = tuple(range(len(next(iter(elements)))))
+        stabilizer = list(elements.items())
+        for j in identity:
+            level = {j: (identity, 1)}
+            for h, sign in stabilizer:
+                level.setdefault(h[j], (h, sign))
+            if len(level) > 1:
+                self.levels.append((j, level))
+                stabilizer = [(h, sign) for h, sign in stabilizer if h[j] == j]
+
+    @classmethod
+    def of(cls, graph: MarkedGraph) -> "LegGroup | None":
+        """The leg group of an unlabeled graph, or None when an odd
+        automorphism fixes every leg (then every labeling vanishes)."""
+        try:
+            return cls(leg_symmetry_group(label_legs(graph)))
+        except ValueError:
+            return None
+
+    def coset_min(self, rho: Permutation) -> tuple[Permutation, int]:
+        """The lex-least element rho∘h of the coset rho·H, with chi(h).
+
+        Greedy down the chain: at level j pick the element that puts the
+        least value of ``rho`` at position j, then keep positions < j fixed.
+        """
+        sign = 1
+        for j, level in self.levels:
+            b = min(level, key=rho.__getitem__)
+            if b != j:
+                h, s = level[b]
+                rho = tuple([rho[x] for x in h])
+                sign *= s
+        return rho, sign
+
+    def is_coset_min(self, rho: Permutation) -> bool:
+        """Whether rho is the least element of rho·H: `coset_min` leaves rho
+        unchanged exactly when, at each level j, rho[j] is the least value
+        of rho over the level's orbit."""
+        return all(rho[j] <= rho[b] for j, level in self.levels for b in level)
+
+
+def _labelings_up_to_symmetry(g: MarkedGraph, group: LegGroup):
+    """Leg-label assignments of the unlabeled ``g``, one per orbit of its
+    leg group: those whose labels, read in leg order, are their coset's
+    minimum."""
     legs = g.legs
-    index = {f: i for i, f in enumerate(legs)}
-    leg_perms = {
-        tuple(index[phi[f]] for f in legs) for phi in automorphisms(g)
-    }
-    for assignment in permutations(range(1, n + 1)):
-        if all(
-            assignment <= tuple(assignment[p[i]] for i in range(n))
-            for p in leg_perms
-        ):
-            yield {legs[i]: assignment[i] for i in range(n)}
+    for rho in permutations(range(len(legs))):
+        if group.is_coset_min(rho):
+            yield {f: rho[k] + 1 for k, f in enumerate(legs)}
 
 
 def enumerate_marked_graphs(
@@ -180,11 +235,17 @@ def enumerate_marked_graphs(
             return cached
     out: dict[tuple, OrientedClass] = {}
     for unl in enumerate_unlabeled_classes(g, n, r):
-        for assignment in _labelings_up_to_symmetry(unl.graph, n):
-            labeled = label_legs(unl.graph, assignment)
-            cls, _ = canonical_form(labeled)
-            if not cls.vanishes:
-                out.setdefault(cls.key, cls)
+        group = LegGroup.of(unl.graph)
+        if group is None:
+            continue
+        for assignment in _labelings_up_to_symmetry(unl.graph, group):
+            cls, _ = canonical_form(label_legs(unl.graph, assignment))
+            if cls.vanishes:
+                raise AssertionError(
+                    f"labeling of a class with a leg group vanishes: "
+                    f"{encode_graph(cls.graph)}"
+                )
+            out.setdefault(cls.key, cls)
     classes = sorted(out.values(), key=lambda c: (degree(c.graph), c.key))
     if cache_dir is not None:
         save_enumeration(cache_dir, g, n, r, classes)
@@ -203,6 +264,10 @@ class EquivariantComplex:
     basis: dict[int, tuple[OrientedClass, ...]]
     diff: dict[int, SparseColumns]  # degree i -> matrix C_i -> C_{i-1}
     index: dict[tuple, tuple[int, int]]  # canonical key -> (degree, position)
+    # degree -> its _Orbits, built on first use by the group action
+    orbits: dict[int, "_Orbits"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def excess(self) -> int:
@@ -308,8 +373,80 @@ def _check_d_squared(c: EquivariantComplex) -> None:
 # group action and characters
 
 
-def _one_based(sigma: Permutation) -> dict[int, int]:
-    return {i + 1: sigma[i] + 1 for i in range(len(sigma))}
+@dataclass(frozen=True)
+class _Orbits:
+    """Degree-i basis elements as labelings of their unlabeled classes.
+
+    Entry ``pos`` is ``(xi key, leg group, rho, t)`` with
+    [basis[pos]] = t·[xi, rho], where [xi, rho] is xi's canonical graph in
+    its reference orientation with leg k labeled rho[k] + 1, and rho is the
+    least element of its coset under the leg group H.  Since an
+    automorphism with leg action h gives [xi, rho] = chi(h)·[xi, rho∘h],
+    each coset holds at most one basis element: ``where`` sends
+    ``(xi key, rho)`` to ``(pos, t)``.
+    """
+
+    entries: list[tuple[tuple, LegGroup, Permutation, int]]
+    where: dict[tuple[tuple, Permutation], tuple[int, int]]
+
+
+def _orbits(c: EquivariantComplex, i: int) -> _Orbits:
+    """The orbit table of degree ``i``, built from the basis on first use
+    (one unlabeled canonical form per basis element)."""
+    table = c.orbits.get(i)
+    if table is not None:
+        return table
+    groups: dict[tuple, LegGroup] = {}
+    entries = []
+    where: dict[tuple[tuple, Permutation], tuple[int, int]] = {}
+    for pos, cls in enumerate(c.basis.get(i, ())):
+        graph = cls.graph
+        form = canonical_form(replace(graph, labels=None))
+        xi, s = form
+        legs = xi.graph.legs
+        group = groups.get(xi.key)
+        if group is None:
+            group = LegGroup.of(xi.graph)
+            if group is None:
+                raise AssertionError(
+                    f"leg permutation with two signs on a basis class: "
+                    f"{encode_graph(graph)}"
+                )
+            groups[xi.key] = group
+        # tau: the labeling of ``graph`` pulled back to xi's legs
+        tau = [0] * len(legs)
+        leg_index = {f: k for k, f in enumerate(legs)}
+        for f in graph.legs:
+            tau[leg_index[form.phi[f]]] = graph.labels[f] - 1
+        rho, chi = group.coset_min(tuple(tau))
+        if (xi.key, rho) in where:
+            raise AssertionError(
+                f"two degree-{i} basis classes on one coset: {encode_graph(graph)}"
+            )
+        where[xi.key, rho] = (pos, s * chi)
+        entries.append((xi.key, group, rho, s * chi))
+    table = c.orbits[i] = _Orbits(entries, where)
+    return table
+
+
+def _act(c: EquivariantComplex, i: int, sigma: Permutation) -> list[tuple[int, int]]:
+    """``(position, sign)`` of sigma·[L] for each degree-i basis element L.
+
+    sigma·[L] = t_L·[xi, sigma∘rho_L] = t_L·chi(h)·[xi, rho'] with rho' the
+    coset minimum, and [xi, rho'] = t_M·[M] for the basis element M there.
+    """
+    table = _orbits(c, i)
+    out = []
+    for key, group, rho, t in table.entries:
+        image, chi = group.coset_min(tuple([sigma[x] for x in rho]))
+        hit = table.where.get((key, image))
+        if hit is None:
+            raise AssertionError(
+                f"relabeling left the degree-{i} basis of B({c.g},{c.n},{c.r})"
+            )
+        pos, t2 = hit
+        out.append((pos, t * chi * t2))
+    return out
 
 
 def group_action_matrix(
@@ -317,30 +454,15 @@ def group_action_matrix(
 ) -> SparseColumns:
     """Signed permutation matrix of the leg relabeling by ``sigma``
     (0-indexed images) on degree ``i``."""
-    lut = _one_based(sigma)
-    cols: SparseColumns = []
-    for cls in c.basis.get(i, ()):
-        moved = relabel_legs(cls.graph, lut)
-        target, sign = canonical_form(moved)
-        deg, pos = c.index[target.key]
-        if deg != i:
-            raise AssertionError("relabeling changed the degree")
-        cols.append({pos: sign})
-    return cols
+    return [{pos: sign} for pos, sign in _act(c, i, sigma)]
 
 
 def chain_character(c: EquivariantComplex, i: int) -> ClassFunction:
     """Character of the signed permutation action on C_i."""
     values: dict[Partition, Fraction] = {}
     for mu in cycle_types(c.n):
-        sigma = cycle_type_representative(mu)
-        lut = _one_based(sigma)
-        trace = 0
-        for cls in c.basis.get(i, ()):
-            moved = relabel_legs(cls.graph, lut)
-            target, sign = canonical_form(moved)
-            if target.key == cls.key:
-                trace += sign
+        action = _act(c, i, cycle_type_representative(mu))
+        trace = sum(sign for pos, (image, sign) in enumerate(action) if image == pos)
         values[mu] = Fraction(trace)
     return ClassFunction(c.n, values)
 

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import permutations
+from itertools import permutations, product
+
+from .reptheory import perm_sign
 
 Edge = tuple[int, int]  # (flag, flag) with flag0 < flag1
 
@@ -254,22 +256,6 @@ def isomorphisms(g1: MarkedGraph, g2: MarkedGraph, respect_labels: bool = True):
     yield from search(0)
 
 
-def _perm_sign_of_list(perm: list[int]) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def iso_det_sign(g1: MarkedGraph, g2: MarkedGraph, phi: tuple[int, ...]) -> int:
     """Sign of phi on det(E) x det^{-1}(D), both sides in sorted reference
     order.  For an automorphism this is its det-sign."""
@@ -284,7 +270,7 @@ def iso_det_sign(g1: MarkedGraph, g2: MarkedGraph, phi: tuple[int, ...]) -> int:
     d1 = sorted(g1.marked)
     index2d = {f: i for i, f in enumerate(sorted(g2.marked))}
     dperm = [index2d[phi[f]] for f in d1]
-    return _perm_sign_of_list(eperm) * _perm_sign_of_list(dperm)
+    return perm_sign(eperm) * perm_sign(dperm)
 
 
 def automorphisms(g: MarkedGraph, respect_labels: bool = True):
@@ -399,6 +385,16 @@ def _flag_assignment(g: MarkedGraph, vorder: tuple[int, ...]):
     return encoding, tuple(phi)
 
 
+class CanonicalForm(tuple):
+    """The ``(class, sign)`` pair returned by `canonical_form`.
+
+    ``phi`` is the flag map of the same search: flag ``f`` of the input
+    graph is flag ``phi[f]`` of ``class.graph``.
+    """
+
+    phi: tuple[int, ...]
+
+
 def canonical_form(
     g: MarkedGraph,
     edge_order: tuple[Edge, ...] | None = None,
@@ -409,7 +405,8 @@ def canonical_form(
 
     ``edge_order``/``d_order`` default to the sorted orders of ``g`` itself.
     The sign is well defined for non-vanishing classes; for vanishing ones
-    it is reported relative to an arbitrary but fixed choice.
+    it is reported relative to an arbitrary but fixed choice.  The pair is
+    a `CanonicalForm`, which also carries the flag map of the search.
     """
     if edge_order is None:
         edge_order = g.edges
@@ -445,10 +442,12 @@ def canonical_form(
         img = (phi[f1], phi[f2])
         mapped_edges.append((min(img), max(img)))
     ref_index = {e: i for i, e in enumerate(canon.edges)}
-    esign = _perm_sign_of_list([ref_index[e] for e in mapped_edges])
+    esign = perm_sign([ref_index[e] for e in mapped_edges])
     ref_d = {f: i for i, f in enumerate(sorted(canon.marked))}
-    dsign = _perm_sign_of_list([ref_d[phi[f]] for f in d_order])
-    return cls, esign * dsign
+    dsign = perm_sign([ref_d[phi[f]] for f in d_order])
+    out = CanonicalForm((cls, esign * dsign))
+    out.phi = phi
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -651,15 +650,46 @@ def leg_symmetry_group(g: MarkedGraph) -> dict[tuple[int, ...], int]:
     if g.labels is None:
         raise ValueError("leg symmetry requires a labeled graph")
     n = g.n_legs
-    out: dict[tuple[int, ...], int] = {}
-    for phi in automorphisms(g, respect_labels=False):
+    # Legs at one vertex with the same marked status are twins: permuting
+    # them is an automorphism, of sign +1 on unmarked twins and the
+    # permutation's sign on marked ones.  Every automorphism is, uniquely,
+    # one that keeps each twin class in flag order (found by a search that
+    # labels legs by their rank in their class) after a twin permutation.
+    twins: dict[tuple[int, bool], list[int]] = {}
+    for f in g.legs:
+        twins.setdefault((g.adj[f], f in g.marked), []).append(f)
+    rank = [0] * g.nf
+    for flags in twins.values():
+        for k, f in enumerate(flags):
+            rank[f] = k + 1
+    ranked = MarkedGraph(
+        nv=g.nv, dv=g.dv, adj=g.adj, inv=g.inv, marked=g.marked, labels=tuple(rank)
+    )
+    ordered: dict[tuple[int, ...], int] = {}
+    for phi in automorphisms(ranked):
         sigma = [0] * n
         for f in g.legs:
             sigma[g.labels[f] - 1] = g.labels[phi[f]] - 1
         sigma = tuple(sigma)
         sign = iso_det_sign(g, g, phi)
-        if out.setdefault(sigma, sign) != sign:
+        if ordered.setdefault(sigma, sign) != sign:
             raise ValueError("vanishing class: odd automorphism present")
+
+    out: dict[tuple[int, ...], int] = {}
+    classes = [
+        ([g.labels[f] - 1 for f in flags], marked)
+        for (_, marked), flags in twins.items()
+    ]
+    for shuffles in product(*(permutations(idx) for idx, _ in classes)):
+        tau = list(range(n))
+        twin_sign = 1
+        for (idx, marked), images in zip(classes, shuffles):
+            for a, b in zip(idx, images):
+                tau[a] = b
+            if marked:
+                twin_sign *= perm_sign([idx.index(b) for b in images])
+        for sigma, sign in ordered.items():
+            out[tuple([sigma[t] for t in tau])] = sign * twin_sign
     return out
 
 

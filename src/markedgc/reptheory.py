@@ -382,23 +382,45 @@ def identity(n: int) -> Permutation:
     return tuple(range(n))
 
 
-def perm_cycle_type(p: Permutation) -> Partition:
+def perm_cycles(p: Permutation) -> list[list[int]]:
+    """Cycles of a 0-indexed permutation, each starting at its least
+    element, listed by least element."""
     seen = [False] * len(p)
-    lengths = []
+    cycles = []
     for start in range(len(p)):
         if seen[start]:
             continue
-        cur, cyc = start, 0
-        while not seen[cur]:
+        cyc = [start]
+        seen[start] = True
+        cur = p[start]
+        while cur != start:
+            cyc.append(cur)
             seen[cur] = True
             cur = p[cur]
-            cyc += 1
-        lengths.append(cyc)
-    return tuple(sorted(lengths, reverse=True))
+        cycles.append(cyc)
+    return cycles
 
 
-def perm_sign(p: Permutation) -> int:
-    return -1 if (len(p) - len(perm_cycle_type(p))) % 2 else 1
+def perm_cycle_type(p: Permutation) -> Partition:
+    return tuple(sorted(map(len, perm_cycles(p)), reverse=True))
+
+
+def perm_sign(p) -> int:
+    """Sign of a 0-indexed permutation given as any sequence of images."""
+    # a bare cycle walk: canonical forms call this for every orientation
+    seen = [False] * len(p)
+    sign = 1
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        j, clen = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            clen += 1
+        if clen % 2 == 0:
+            sign = -sign
+    return sign
 
 
 def cycle_type_representative(mu: Partition) -> Permutation:

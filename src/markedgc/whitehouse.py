@@ -28,6 +28,8 @@ from .reptheory import (
     cycle_type_representative,
     decompose,
     inverse,
+    perm_cycles,
+    perm_sign,
 )
 
 
@@ -42,42 +44,6 @@ def stirling_cycle_count(n: int, k: int) -> int:
     if k == 0:
         return 0
     return stirling_cycle_count(n - 1, k - 1) + (n - 1) * stirling_cycle_count(n - 1, k)
-
-
-def _cycles_of(perm: tuple[int, ...]) -> list[list[int]]:
-    """Cycles of a 0-indexed permutation, each starting at its least
-    element, listed by least element."""
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        x = perm[start]
-        while x != start:
-            cyc.append(x)
-            seen[x] = True
-            x = perm[x]
-        cycles.append(cyc)
-    return cycles
-
-
-def _perm_sign(perm: list[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 @cache
@@ -128,7 +94,7 @@ class _CentralizerCharacter:
 
     def __init__(self, sigma: tuple[int, ...]):
         self.sigma = sigma
-        self.cycles = _cycles_of(sigma)
+        self.cycles = perm_cycles(sigma)
         self.cycle_of = {}
         self.position = {}
         for ci, cyc in enumerate(self.cycles):
@@ -157,7 +123,7 @@ class _CentralizerCharacter:
             indices = sorted(mapping)
             relabel = {ci: pos for pos, ci in enumerate(indices)}
             pi = [relabel[mapping[ci]] for ci in indices]
-            if k % 2 == 1 and _perm_sign(pi) == -1:
+            if k % 2 == 1 and perm_sign(pi) == -1:
                 exponent += Fraction(1, 2)
         return _rational_average(exponent)
 
@@ -173,21 +139,17 @@ def config_restriction_character(n: int, r: int) -> ClassFunction:
         raise ValueError("config_restriction_character requires 2 <= r <= n-1 <= 7")
     k = n - 1
     values = {mu: Fraction(0) for mu in cycle_types(k)}
-    elements = [
-        (perm, perm_type)
-        for perm in permutations(range(k))
-        for perm_type in [tuple(sorted((len(c) for c in _cycles_of(perm)), reverse=True))]
-    ]
+    elements = list(permutations(range(k)))
     for mu in cycle_types(k):
         if len(mu) != r - 1:
             continue
         sigma = cycle_type_representative(mu)
         character = _CentralizerCharacter(sigma)
-        centralizer_order = sum(1 for z, _ in elements if character.centralizes(z))
+        centralizer_order = sum(1 for z in elements if character.centralizes(z))
         for tau_type in values:
             tau = cycle_type_representative(tau_type)
             total = Fraction(0)
-            for x, _ in elements:
+            for x in elements:
                 z = compose(compose(x, tau), inverse(x))
                 if character.centralizes(z):
                     total += character.rational_value(z)

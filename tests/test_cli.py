@@ -99,6 +99,29 @@ def test_invalid_jobs_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("complex", "--g", "1", "--n", "-1", "--r", "0"),
+        ("complex", "--g", "-1", "--n", "2", "--r", "0"),
+        ("enumerate", "--g", "1", "--n", "-1", "--r", "0"),
+        ("homology", "--g", "-1", "--n", "2", "--r", "0"),
+        ("stability", "--g", "-1", "--l", "0", "--window", "3"),
+        ("stable-mult", "--g", "-1", "--lambda", "[1]"),
+        ("whitehouse", "--n", "-1"),
+        ("verify", "--suite", "genus-one", "--n", "-2"),
+    ],
+)
+def test_negative_genus_or_legs_is_usage_error(capsys, argv, fmt):
+    code = main([*argv, "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: --")
+    assert captured.err.count("\n") == 1
+
+
 def test_cache_dir_roundtrip(capsys, tmp_path):
     code1, payload1 = run_json(
         capsys, "enumerate", "--g", "1", "--n", "4", "--r", "3",

@@ -1,8 +1,12 @@
 import json
+from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from markedgc.complexes import (
+    LegGroup,
     boundary_terms,
     build_complex,
     cache_path,
@@ -14,9 +18,20 @@ from markedgc.complexes import (
     save_enumeration,
     stabilization_map,
     _compose_sparse,
+    _labelings_up_to_symmetry,
 )
-from markedgc.graphs import degree, graph_type
+from markedgc.graphs import (
+    automorphisms,
+    canonical_form,
+    degree,
+    graph_type,
+    label_legs,
+    leg_symmetry_group,
+    relabel_legs,
+)
+from markedgc.partitions import cycle_types
 from markedgc.reptheory import (
+    ClassFunction,
     compose,
     cycle_type_representative,
     perm_cycle_type,
@@ -144,6 +159,128 @@ def test_chain_character_constant_on_class():
         col.get(j, 0) for j, col in enumerate(cols)
     )
     assert trace(cols_a) == trace(cols_b) == chi((2, 2))
+
+
+# Oracles: the group action by re-canonicalizing every relabeled basis
+# graph, and labelings by comparing each assignment with its whole orbit.
+
+
+def oracle_group_action_matrix(c, i, sigma):
+    lut = {k + 1: sigma[k] + 1 for k in range(len(sigma))}
+    cols = []
+    for cls in c.basis.get(i, ()):
+        target, sign = canonical_form(relabel_legs(cls.graph, lut))
+        deg, pos = c.index[target.key]
+        assert deg == i
+        cols.append({pos: sign})
+    return cols
+
+
+def oracle_chain_character(c, i):
+    values = {}
+    for mu in cycle_types(c.n):
+        lut = {k + 1: v + 1 for k, v in enumerate(cycle_type_representative(mu))}
+        trace = 0
+        for cls in c.basis.get(i, ()):
+            target, sign = canonical_form(relabel_legs(cls.graph, lut))
+            if target.key == cls.key:
+                trace += sign
+        values[mu] = Fraction(trace)
+    return ClassFunction(c.n, values)
+
+
+def oracle_labelings(g, n):
+    legs = g.legs
+    index = {f: i for i, f in enumerate(legs)}
+    leg_perms = {tuple(index[phi[f]] for f in legs) for phi in automorphisms(g)}
+    for assignment in permutations(range(1, n + 1)):
+        if all(
+            assignment <= tuple(assignment[p[i]] for i in range(n))
+            for p in leg_perms
+        ):
+            yield {legs[i]: assignment[i] for i in range(n)}
+
+
+def coset_representatives(n):
+    """Cycle-type representatives and the transpositions (j, n)."""
+    reps = [cycle_type_representative(mu) for mu in cycle_types(n)]
+    for j in range(n - 1):
+        t = list(range(n))
+        t[j], t[n - 1] = t[n - 1], t[j]
+        reps.append(tuple(t))
+    return reps
+
+
+def assert_action_matches_oracle(c, sigmas):
+    for i in c.degrees():
+        for sigma in sigmas:
+            assert group_action_matrix(c, i, sigma) == oracle_group_action_matrix(
+                c, i, sigma
+            )
+        assert chain_character(c, i) == oracle_chain_character(c, i)
+
+
+@pytest.mark.parametrize(
+    "key", [(1, 3, 3), (2, 3, 3), (2, 4, 4), (2, 4, 3), (3, 4, 5), (1, 5, 4)]
+)
+def test_action_matches_oracle_on_all_of_sn(key):
+    c = build_complex(*key)
+    assert_action_matches_oracle(c, list(permutations(range(c.n))))
+
+
+@pytest.mark.parametrize("key", [(2, 5, 5), (2, 6, 6)])
+def test_action_matches_oracle_on_coset_representatives(key):
+    c = build_complex(*key)
+    assert_action_matches_oracle(c, coset_representatives(c.n))
+
+
+def test_action_matches_oracle_on_cached_basis(tmp_path):
+    build_complex(2, 4, 3, cache_dir=tmp_path)
+    assert load_enumeration(tmp_path, 2, 4, 3) is not None
+    c = build_complex(2, 4, 3, cache_dir=tmp_path)
+    assert_action_matches_oracle(c, coset_representatives(c.n))
+
+
+@pytest.mark.parametrize(
+    "key",
+    [(2, 4, 3), (3, 4, 5), (2, 5, 5), (2, 6, 6), (3, 6, 7), (1, 6, 5), (2, 6, 5)],
+)
+def test_labelings_match_oracle(key):
+    n = key[1]
+    for unl in enumerate_unlabeled_classes(*key):
+        expected = list(oracle_labelings(unl.graph, n))
+        group = LegGroup.of(unl.graph)
+        if group is None:
+            # an odd automorphism fixes every leg: all labelings vanish
+            assert all(
+                canonical_form(label_legs(unl.graph, a))[0].vanishes
+                for a in expected
+            )
+        else:
+            assert list(_labelings_up_to_symmetry(unl.graph, group)) == expected
+
+
+def _leg_groups(key):
+    out = []
+    for unl in enumerate_unlabeled_classes(*key):
+        try:
+            out.append(leg_symmetry_group(label_legs(unl.graph)))
+        except ValueError:
+            continue
+    return out
+
+
+LEG_GROUPS = _leg_groups((2, 5, 5)) + _leg_groups((2, 6, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_coset_min_is_brute_force_min(data):
+    elements = data.draw(st.sampled_from(LEG_GROUPS))
+    n = len(next(iter(elements)))
+    rho = tuple(data.draw(st.permutations(range(n))))
+    best = min(elements, key=lambda h: compose(rho, h))
+    assert LegGroup(elements).coset_min(rho) == (compose(rho, best), elements[best])
 
 
 # ---------------------------------------------------------------------------

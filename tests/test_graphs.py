@@ -340,6 +340,50 @@ def test_leg_symmetry_group_rejects_vanishing():
         leg_symmetry_group(label_legs(cls.graph))
 
 
+def test_canonical_form_flag_map_is_an_isomorphism():
+    g = label_legs(build_theta(3, 1, 0))
+    form = canonical_form(g)
+    canon = form[0].graph
+    vmap = {}
+    for f in range(g.nf):
+        f2 = form.phi[f]
+        assert vmap.setdefault(g.adj[f], canon.adj[f2]) == canon.adj[f2]
+        assert form.phi[g.inv[f]] == canon.inv[f2]
+        assert (f in g.marked) == (f2 in canon.marked)
+        assert g.label_of(f) == canon.label_of(f2)
+    assert sorted(form.phi) == list(range(g.nf))
+
+
+def oracle_leg_symmetry_group(g):
+    """Every automorphism's leg permutation and det-sign, by full search."""
+    out = {}
+    for phi in automorphisms(g, respect_labels=False):
+        sigma = [0] * g.n_legs
+        for f in g.legs:
+            sigma[g.labels[f] - 1] = g.labels[phi[f]] - 1
+        sign = iso_det_sign(g, g, phi)
+        if out.setdefault(tuple(sigma), sign) != sign:
+            return None
+    return out
+
+
+@pytest.mark.parametrize("key", [(2, 4, 3), (3, 4, 5), (2, 5, 5), (2, 6, 5)])
+def test_leg_symmetry_group_matches_full_search(key):
+    from markedgc.complexes import enumerate_unlabeled_classes
+
+    for unl in enumerate_unlabeled_classes(*key):
+        legs = unl.graph.legs
+        # default labels, and labels in reverse leg order
+        for assignment in (None, {f: len(legs) - k for k, f in enumerate(legs)}):
+            g = label_legs(unl.graph, assignment)
+            expected = oracle_leg_symmetry_group(g)
+            if expected is None:
+                with pytest.raises(ValueError):
+                    leg_symmetry_group(g)
+            else:
+                assert leg_symmetry_group(g) == expected
+
+
 # ---------------------------------------------------------------------------
 # encoding
 
