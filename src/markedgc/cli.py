@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag in ("g", "n"):
+    for flag in ("g", "n", "r"):
         value = getattr(args, flag, None)
         if value is not None and value < 0:
             print(f"error: --{flag} must be nonnegative, got {value}", file=sys.stderr)

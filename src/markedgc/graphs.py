@@ -72,9 +72,6 @@ class MarkedGraph:
     def flags_at(self, v: int) -> list[int]:
         return [f for f in range(self.nf) if self.adj[f] == v]
 
-    def valence(self, v: int) -> int:
-        return sum(1 for f in range(self.nf) if self.adj[f] == v)
-
     def is_connected(self) -> bool:
         if self.nv == 0:
             return False
@@ -99,35 +96,58 @@ class MarkedGraph:
 def validate(g: MarkedGraph) -> list[str]:
     """Return the list of violated admissibility clauses (empty = admissible)."""
     problems = []
-    nf = g.nf
-    if len(g.inv) != nf or not (0 <= g.dv < g.nv):
+    nf, nv, dv = g.nf, g.nv, g.dv
+    adj, inv, marked = g.adj, g.inv, g.marked
+    if len(inv) != nf or not (0 <= dv < nv):
         return ["malformed flag structure"]
-    if any(not 0 <= g.adj[f] < g.nv for f in range(nf)):
+    if any(not 0 <= v < nv for v in adj):
         return ["adjacency out of range"]
-    if any(g.inv[g.inv[f]] != f for f in range(nf)):
+    if any(inv[p] != f for f, p in enumerate(inv)):
         problems.append("involution is not an involution")
         return problems
-    if not g.is_connected():
+    # One pass over the flags: valences, the edges' union-find, and the
+    # edge clauses (reported after the valence clauses, in edge order).
+    valence = [0] * nv
+    parent = list(range(nv))
+    n_legs = 0
+    edge_problems = []
+    for f1, v in enumerate(adj):
+        valence[v] += 1
+        f2 = inv[f1]
+        if f2 == f1:
+            n_legs += 1
+            continue
+        if f2 < f1:
+            continue
+        w = adj[f2]
+        if v == w:
+            if v != dv:
+                edge_problems.append(f"tadpole at neutral vertex {v}")
+        else:
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            while parent[w] != w:
+                parent[w] = w = parent[parent[w]]
+            parent[v] = w
+        if f1 in marked and f2 in marked:
+            edge_problems.append(f"edge ({f1},{f2}) marked on both flags")
+    if sum(1 for v in range(nv) if parent[v] == v) != 1:
         problems.append("graph is not connected")
-    for v in range(g.nv):
-        if v != g.dv and g.valence(v) < 3:
+    for v in range(nv):
+        if v != dv and valence[v] < 3:
             problems.append(f"neutral vertex {v} has valence < 3")
-    for f1, f2 in g.edges:
-        if g.adj[f1] == g.adj[f2] and g.adj[f1] != g.dv:
-            problems.append(f"tadpole at neutral vertex {g.adj[f1]}")
-        if f1 in g.marked and f2 in g.marked:
-            problems.append(f"edge ({f1},{f2}) marked on both flags")
-    for f in g.marked:
-        if g.adj[f] != g.dv:
+    problems.extend(edge_problems)
+    for f in marked:
+        if adj[f] != dv:
             problems.append(f"marked flag {f} not at the distinguished vertex")
     if g.labels is not None:
         if len(g.labels) != nf:
             problems.append("label table length differs from flag count")
             return problems
         got = sorted(g.labels[f] for f in g.legs)
-        if got != list(range(1, g.n_legs + 1)):
+        if got != list(range(1, n_legs + 1)):
             problems.append("leg labels are not a bijection to 1..n")
-        if any(g.labels[f] != 0 for f in range(nf) if g.inv[f] != f):
+        if any(g.labels[f] != 0 for f in range(nf) if inv[f] != f):
             problems.append("non-leg flag carries a label")
     return problems
 
@@ -341,30 +361,33 @@ def _flag_assignment(g: MarkedGraph, vorder: tuple[int, ...]):
     phi = [-1] * g.nf
     next_index = 0
     for v in vorder:
-        flags = g.flags_at(v)
-
-        def key(f):
+        # Keys are computed once per vertex.  Placing a flag changes only
+        # its partner's key, and only while that partner waits here (a
+        # tadpole): it must then sort by the assigned index, or tadpole and
+        # parallel-edge pairings would depend on input flag ids.
+        keys = {}
+        for f in g.flags_at(v):
             partner = g.inv[f]
-            if partner != f and phi[partner] != -1:
-                return (0, phi[partner], 0, 0)
             if partner == f:
-                return (1, int(f in g.marked), g.label_of(f), 0)
-            return (
-                2,
-                vindex[g.adj[partner]],
-                int(f in g.marked),
-                int(partner in g.marked),
-            )
-
-        # Assign one flag at a time, re-keying after each choice: once a
-        # flag is placed its partner must sort by the assigned index, or
-        # tadpole/parallel-edge pairings would depend on input flag ids.
-        remaining = set(flags)
-        while remaining:
-            f = min(remaining, key=lambda x: (key(x), x))
+                keys[f] = (1, int(f in g.marked), g.label_of(f), 0, f)
+            elif phi[partner] != -1:
+                keys[f] = (0, phi[partner], 0, 0, f)
+            else:
+                keys[f] = (
+                    2,
+                    vindex[g.adj[partner]],
+                    int(f in g.marked),
+                    int(partner in g.marked),
+                    f,
+                )
+        while keys:
+            f = min(keys, key=keys.__getitem__)
             phi[f] = next_index
+            del keys[f]
+            partner = g.inv[f]
+            if partner in keys:
+                keys[partner] = (0, next_index, 0, 0, partner)
             next_index += 1
-            remaining.remove(f)
 
     new_adj = [0] * g.nf
     new_inv = [0] * g.nf

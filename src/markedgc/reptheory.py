@@ -1,9 +1,11 @@
 """Symmetric group representation theory over the rationals.
 
 Characters are computed by the Murnaghan-Nakayama rule with memoization,
-decompositions by exact character inner products, and induced products by
-Littlewood-Richardson tableau enumeration.  Everything is exact: values are
-Python ints or Fractions, never floats.
+decompositions by exact character inner products, induced products by
+Littlewood-Richardson tableau enumeration, and characters induced from
+explicit subgroups by counting each cycle type's elements in the subgroup
+(no sum over S_n).  Everything is exact: values are Python ints or
+Fractions, never floats.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
 from math import factorial
 
 from .partitions import (
@@ -453,15 +454,31 @@ def generated_subgroup(n: int, generators) -> frozenset[Permutation]:
     return frozenset(elems)
 
 
+def _induce(n: int, order: int, values) -> ClassFunction:
+    """Ind_H^{S_n} of a function on a subgroup H of order ``order``, given
+    as (h, value) pairs over H.
+
+    Counts classes instead of summing over S_n: the x in S_n with
+    x g x^-1 = h number |C(mu)| for each h of g's cycle type mu, so
+    Ind(mu) = |C(mu)|/|H| times the sum of the values on H's elements of
+    type mu.  Linear in the function, which need not be a character.
+    """
+    sums = {mu: Fraction(0) for mu in cycle_types(n)}
+    for h, value in values:
+        sums[perm_cycle_type(h)] += value
+    return ClassFunction(
+        n, {mu: centralizer_order(mu) * total / order for mu, total in sums.items()}
+    )
+
+
 def induce_from_subgroup(
     n: int, subgroup, chi_h
 ) -> ClassFunction:
     """Character of Ind_H^{S_n} of a one-dimensional character of H.
 
     ``subgroup`` is an iterable of permutations (images of 0..n-1) forming a
-    subgroup H of S_n; ``chi_h`` maps each element of H to a rational.  Uses
-    the standard conjugation-sum induction formula, evaluated on one
-    representative per cycle type.
+    subgroup H of S_n; ``chi_h`` maps each element of H to a rational.  The
+    induction formula is evaluated by counting classes (`_induce`).
     """
     elements = frozenset(tuple(h) for h in subgroup)
     if not is_subgroup(n, elements):
@@ -471,16 +488,4 @@ def induce_from_subgroup(
         for b in elements:
             if chi[compose(a, b)] != chi[a] * chi[b]:
                 raise ValueError("character of H is not multiplicative")
-
-    order = len(elements)
-    values = {}
-    for mu in cycle_types(n):
-        rep = cycle_type_representative(mu)
-        total = Fraction(0)
-        for x in permutations(range(n)):
-            xinv = inverse(x)
-            conj = compose(compose(x, rep), xinv)
-            if conj in elements:
-                total += chi[conj]
-        values[mu] = total / order
-    return ClassFunction(n, values)
+    return _induce(n, len(elements), chi.items())

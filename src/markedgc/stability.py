@@ -5,21 +5,41 @@ core's induced module, empirical detection of the sharp stabilization
 point against the predicted ceil(3m/2), the partition multisets
 Lambda(y, p), the stable module, and the Littlewood-Richardson formula
 for stable multiplicities.
+
+Core classes are enumerated marking-first: the markable flags depend
+only on the edge multiset, so markings are chosen before legs are
+placed.  A core's module is induced from its leg symmetry group by
+`reptheory.induce_from_subgroup`, which counts the group's elements of
+each cycle type rather than summing over S_n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .complexes import (
     EquivariantComplex,
     ChainMap,
+    _assemble,
+    _edge_multisets,
+    _leg_distributions,
     build_complex,
     chain_character,
     group_action_matrix,
     stabilization_map,
 )
-from .graphs import OrientedClass, build_theta, degree, label_legs, leg_symmetry_group
+from .graphs import (
+    MarkedGraph,
+    OrientedClass,
+    build_theta,
+    canonical_form,
+    cut_edge,
+    degree,
+    label_legs,
+    leg_symmetry_group,
+    validate,
+)
 from .homology import HomologyProfile
 from .linalg import rank
 from .partitions import (
@@ -64,13 +84,10 @@ def enumerate_core_graphs(g: int, n: int, r: int) -> list[OrientedClass]:
 
     Enumerated directly rather than by filtering the full class list:
     marks are placed only on internal flags at the distinguished vertex,
-    which keeps the search independent of the number of legs.
+    which keeps the search independent of the number of legs.  Those flags
+    depend only on the edge multiset, so the markings are chosen once per
+    multiset, and a multiset with no marking skips its leg placements.
     """
-    from itertools import combinations
-
-    from .complexes import _assemble, _edge_multisets, _leg_distributions
-    from .graphs import MarkedGraph, canonical_form, validate
-
     if g < 0 or n < 0 or r < 0:
         return []
     seen: dict[tuple, OrientedClass] = {}
@@ -80,27 +97,29 @@ def enumerate_core_graphs(g: int, n: int, r: int) -> list[OrientedClass]:
         if nv < 1 or 2 * ne < r:
             continue
         for chosen in _edge_multisets(nv, ne):
+            # `_assemble` numbers edge flags before legs: flag f is end
+            # f % 2 of edge f // 2, and its partner is f ^ 1.
+            internal = [f for f in range(2 * ne) if chosen[f // 2][f % 2] == 0]
+            markings = []
+            for sub in combinations(internal, r):
+                picked = frozenset(sub)
+                if not any(f ^ 1 in picked for f in sub):  # no double-marked edge
+                    markings.append(picked)
+            if not markings:
+                continue
             edge_valence = [0] * nv
             for v, w in chosen:
                 edge_valence[v] += 1
                 edge_valence[w] += 1
             for legs_at in _leg_distributions(nv, n, edge_valence):
                 base = _assemble(nv, chosen, legs_at)
-                internal = [
-                    f
-                    for f in range(base.nf)
-                    if base.adj[f] == 0 and base.inv[f] != f
-                ]
-                for sub in combinations(internal, r):
-                    picked = set(sub)
-                    if any(base.inv[f] in picked for f in sub):
-                        continue  # would double-mark an edge
+                for marked in markings:
                     graph = MarkedGraph(
                         nv=base.nv,
                         dv=0,
                         adj=base.adj,
                         inv=base.inv,
-                        marked=frozenset(picked),
+                        marked=marked,
                         labels=None,
                     )
                     if validate(graph):
@@ -110,17 +129,21 @@ def enumerate_core_graphs(g: int, n: int, r: int) -> list[OrientedClass]:
     return [seen[k] for k in sorted(seen)]
 
 
-def core_module(xi: OrientedClass) -> IrrDecomposition | None:
-    """A_xi: the module induced from the leg symmetries acting by their
-    det-signs, or None when the sign character is ill-defined (the class
-    contributes zero)."""
-    labeled = label_legs(xi.graph)
+def _leg_module(labeled: MarkedGraph) -> IrrDecomposition | None:
+    """The module induced from a labeled graph's leg symmetries acting by
+    their det-signs, or None when the sign character is ill-defined (the
+    class contributes zero)."""
     try:
         symmetry = leg_symmetry_group(labeled)
     except ValueError:
         return None
-    k = xi.graph.n_legs
-    return decompose(induce_from_subgroup(k, symmetry.keys(), symmetry))
+    return decompose(induce_from_subgroup(labeled.n_legs, symmetry.keys(), symmetry))
+
+
+def core_module(xi: OrientedClass) -> IrrDecomposition | None:
+    """A_xi: the module induced from the leg symmetries of xi (legs labeled
+    in flag order) acting by their det-signs, or None when xi vanishes."""
+    return _leg_module(label_legs(xi.graph))
 
 
 def rho_of_core(xi: OrientedClass) -> int:
@@ -133,8 +156,6 @@ def rho_of_core(xi: OrientedClass) -> int:
 
 def theta_classes(g: int, ell: int) -> dict[int, OrientedClass]:
     """The extremal cores for (g, ell), keyed by their parameter p."""
-    from .graphs import canonical_form
-
     m = excess(g, ell)
     out = {}
     for p in range(0, g):
@@ -478,25 +499,10 @@ def verify_core_bounds(g: int, ell_max: int = 2, slack: int = 2) -> list[str]:
     return violations
 
 
-def _rho_of_labeled(graph) -> int | None:
-    """Row statistic of the module induced from a labeled graph's leg
-    symmetries, or None when the det character is ill-defined."""
-    try:
-        symmetry = leg_symmetry_group(graph)
-    except ValueError:
-        return None
-    dec = decompose(
-        induce_from_subgroup(graph.n_legs, symmetry.keys(), symmetry)
-    )
-    return decomposition_rows(dec)
-
-
 def verify_edge_cut_rows(g: int, ell_max: int = 2) -> list[str]:
     """Row monotonicity under edge cutting: for every core class at this
     genus and every non-disconnecting edge, rho of the graph is at most
     rho of the cut graph (two new labeled legs)."""
-    from .graphs import cut_edge
-
     if g < 2:
         raise ValueError("edge cutting requires genus >= 2")
     violations: list[str] = []
@@ -508,15 +514,19 @@ def verify_edge_cut_rows(g: int, ell_max: int = 2) -> list[str]:
                 continue
             for xi in enumerate_core_graphs(g, n, r):
                 labeled = label_legs(xi.graph)
-                rho = _rho_of_labeled(labeled)
-                if rho is None:
+                module = _leg_module(labeled)
+                if module is None:
                     continue
+                rho = decomposition_rows(module)
                 for e in labeled.edges:
                     try:
                         cut = cut_edge(labeled, e)
                     except ValueError:
                         continue  # disconnecting edge
-                    rho_c = _rho_of_labeled(cut)
+                    cut_module = _leg_module(cut)
+                    rho_c = (
+                        None if cut_module is None else decomposition_rows(cut_module)
+                    )
                     if rho_c is None or rho > rho_c:
                         violations.append(
                             f"(g={g}, n={n}, r={r}): rho {rho} not bounded "

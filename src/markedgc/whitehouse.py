@@ -24,10 +24,9 @@ from .partitions import Partition, cycle_types
 from .reptheory import (
     ClassFunction,
     IrrDecomposition,
-    compose,
+    _induce,
     cycle_type_representative,
     decompose,
-    inverse,
     perm_cycles,
     perm_sign,
 )
@@ -133,28 +132,26 @@ def config_restriction_character(n: int, r: int) -> ClassFunction:
 
     Built independently of any chain complex: a sum over conjugacy
     classes of S_{n-1} with r-1 cycles of the one-dimensional character Y
-    induced from the centralizer of a class representative.
+    induced from the centralizer of a class representative.  Y is taken
+    through its rational Galois average, which is no longer multiplicative;
+    induction is linear, so the class-counting formula still applies.
     """
     if not 2 <= r <= n - 1 <= 7:
         raise ValueError("config_restriction_character requires 2 <= r <= n-1 <= 7")
     k = n - 1
-    values = {mu: Fraction(0) for mu in cycle_types(k)}
     elements = list(permutations(range(k)))
+    total = ClassFunction(k, {mu: Fraction(0) for mu in cycle_types(k)})
     for mu in cycle_types(k):
         if len(mu) != r - 1:
             continue
-        sigma = cycle_type_representative(mu)
-        character = _CentralizerCharacter(sigma)
-        centralizer_order = sum(1 for z in elements if character.centralizes(z))
-        for tau_type in values:
-            tau = cycle_type_representative(tau_type)
-            total = Fraction(0)
-            for x in elements:
-                z = compose(compose(x, tau), inverse(x))
-                if character.centralizes(z):
-                    total += character.rational_value(z)
-            values[tau_type] += total / centralizer_order
-    return ClassFunction(k, values)
+        character = _CentralizerCharacter(cycle_type_representative(mu))
+        centralizer = [z for z in elements if character.centralizes(z)]
+        total += _induce(
+            k,
+            len(centralizer),
+            ((z, character.rational_value(z)) for z in centralizer),
+        )
+    return total
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,25 @@ def test_negative_genus_or_legs_is_usage_error(capsys, argv, fmt):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("complex", "--g", "1", "--n", "3", "--r", "-2"),
+        ("enumerate", "--g", "1", "--n", "3", "--r", "-1"),
+        ("homology", "--g", "2", "--n", "2", "--r", "-1"),
+        ("verify", "--suite", "vanishing", "--g", "1", "--n", "3", "--r", "-2"),
+    ],
+)
+def test_negative_marked_count_is_usage_error(capsys, argv, fmt):
+    code = main([*argv, "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: --r ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cache_dir_roundtrip(capsys, tmp_path):
     code1, payload1 = run_json(
         capsys, "enumerate", "--g", "1", "--n", "4", "--r", "3",

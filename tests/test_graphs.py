@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from markedgc.complexes import enumerate_marked_graphs, enumerate_unlabeled_classes
 from markedgc.graphs import (
     MarkedGraph,
+    _neutral_orderings,
     OrientedClass,
     automorphisms,
     build_theta,
@@ -25,6 +28,7 @@ from markedgc.graphs import (
     relabel_legs,
     validate,
 )
+from markedgc.reptheory import perm_sign
 
 
 def tadpole_at_dv():
@@ -144,6 +148,111 @@ def test_label_bijectivity_enforced():
 
 # ---------------------------------------------------------------------------
 # types and degrees
+
+
+def oracle_validate(g):
+    """Admissibility by per-vertex valence rescans and a connectivity search."""
+    problems = []
+    nf = g.nf
+    if len(g.inv) != nf or not (0 <= g.dv < g.nv):
+        return ["malformed flag structure"]
+    if any(not 0 <= g.adj[f] < g.nv for f in range(nf)):
+        return ["adjacency out of range"]
+    if any(g.inv[g.inv[f]] != f for f in range(nf)):
+        problems.append("involution is not an involution")
+        return problems
+    if not g.is_connected():
+        problems.append("graph is not connected")
+    for v in range(g.nv):
+        if v != g.dv and sum(1 for f in range(nf) if g.adj[f] == v) < 3:
+            problems.append(f"neutral vertex {v} has valence < 3")
+    for f1, f2 in g.edges:
+        if g.adj[f1] == g.adj[f2] and g.adj[f1] != g.dv:
+            problems.append(f"tadpole at neutral vertex {g.adj[f1]}")
+        if f1 in g.marked and f2 in g.marked:
+            problems.append(f"edge ({f1},{f2}) marked on both flags")
+    for f in g.marked:
+        if g.adj[f] != g.dv:
+            problems.append(f"marked flag {f} not at the distinguished vertex")
+    if g.labels is not None:
+        if len(g.labels) != nf:
+            problems.append("label table length differs from flag count")
+            return problems
+        got = sorted(g.labels[f] for f in g.legs)
+        if got != list(range(1, g.n_legs + 1)):
+            problems.append("leg labels are not a bijection to 1..n")
+        if any(g.labels[f] != 0 for f in range(nf) if g.inv[f] != f):
+            problems.append("non-leg flag carries a label")
+    return problems
+
+
+@st.composite
+def flag_structures(draw):
+    """Flag structures that are mostly well formed: random involutions
+    (or, sometimes, arbitrary maps with out-of-range entries), adjacency
+    occasionally out of range, any marked set, and labels that are absent,
+    a bijection on the legs, or arbitrary."""
+    nv = draw(st.integers(0, 5))
+    nf = draw(st.integers(0, 9))
+    dv = draw(st.integers(-1, nv)) if draw(st.integers(0, 9)) == 0 else 0
+    if draw(st.integers(0, 9)) == 0:
+        vertex = st.integers(-1, nv)
+    else:
+        vertex = st.integers(0, max(nv - 1, 0))
+    adj = tuple(draw(st.lists(vertex, min_size=nf, max_size=nf)))
+    if draw(st.integers(0, 4)) == 0:
+        inv = tuple(draw(st.lists(st.integers(-1, nf), min_size=nf, max_size=nf)))
+    else:
+        flags = draw(st.permutations(list(range(nf))))
+        n_pairs = draw(st.integers(0, nf // 2))
+        inv = list(range(nf))
+        for i in range(n_pairs):
+            a, b = flags[2 * i], flags[2 * i + 1]
+            inv[a], inv[b] = b, a
+        inv = tuple(inv)
+    marked = frozenset(draw(st.sets(st.integers(0, max(nf - 1, 0)), max_size=nf)))
+    kind = draw(st.sampled_from(["none", "bijection", "arbitrary"]))
+    labels = None
+    if kind == "bijection":
+        legs = [f for f in range(nf) if f < len(inv) and inv[f] == f]
+        order = draw(st.permutations(legs))
+        table = [0] * nf
+        for k, f in enumerate(order):
+            table[f] = k + 1
+        labels = tuple(table)
+    elif kind == "arbitrary":
+        labels = tuple(draw(st.lists(st.integers(0, 3), max_size=nf + 1)))
+    return MarkedGraph(nv=nv, dv=dv, adj=adj, inv=inv, marked=marked, labels=labels)
+
+
+def _outcome(check, g):
+    try:
+        return check(g)
+    except IndexError:
+        return IndexError
+
+
+@settings(max_examples=600, deadline=None)
+@given(flag_structures())
+def test_validate_matches_rescanning_oracle(g):
+    assert _outcome(validate, g) == _outcome(oracle_validate, g)
+
+
+def test_validate_matches_rescanning_oracle_on_enumerated_graphs():
+    # every admissible class, and each with one edge cut (often a
+    # disconnected or low-valence structure)
+    for key in [(2, 4, 3), (3, 4, 5)]:
+        for unl in enumerate_unlabeled_classes(*key):
+            g = label_legs(unl.graph)
+            assert validate(g) == oracle_validate(g) == []
+            for f1, f2 in g.edges:
+                inv = list(g.inv)
+                inv[f1], inv[f2] = f1, f2
+                cut = MarkedGraph(
+                    nv=g.nv, dv=g.dv, adj=g.adj, inv=tuple(inv),
+                    marked=g.marked, labels=None,
+                )
+                assert validate(cut) == oracle_validate(cut)
 
 
 def test_graph_type_and_degree():
@@ -352,6 +461,87 @@ def test_canonical_form_flag_map_is_an_isomorphism():
         assert (f in g.marked) == (f2 in canon.marked)
         assert g.label_of(f) == canon.label_of(f2)
     assert sorted(form.phi) == list(range(g.nf))
+
+
+def oracle_flag_assignment(g, vorder):
+    """Flag numbering that re-keys every waiting flag after each choice."""
+    vindex = {v: i for i, v in enumerate(vorder)}
+    phi = [-1] * g.nf
+    next_index = 0
+    for v in vorder:
+
+        def key(f):
+            partner = g.inv[f]
+            if partner != f and phi[partner] != -1:
+                return (0, phi[partner], 0, 0)
+            if partner == f:
+                return (1, int(f in g.marked), g.label_of(f), 0)
+            return (
+                2,
+                vindex[g.adj[partner]],
+                int(f in g.marked),
+                int(partner in g.marked),
+            )
+
+        remaining = set(g.flags_at(v))
+        while remaining:
+            f = min(remaining, key=lambda x: (key(x), x))
+            phi[f] = next_index
+            next_index += 1
+            remaining.remove(f)
+    new_adj = [0] * g.nf
+    new_inv = [0] * g.nf
+    new_labels = [0] * g.nf
+    for f in range(g.nf):
+        new_adj[phi[f]] = vindex[g.adj[f]]
+        new_inv[phi[f]] = phi[g.inv[f]]
+        new_labels[phi[f]] = g.label_of(f)
+    encoding = (
+        g.nv,
+        g.nf,
+        tuple(new_adj),
+        tuple(new_inv),
+        tuple(sorted(phi[f] for f in g.marked)),
+        tuple(new_labels) if g.labels is not None else None,
+    )
+    return encoding, tuple(phi)
+
+
+def oracle_canonical_form(g, edge_order, d_order):
+    """(class key, sign, phi) from the re-keying flag assignment."""
+    best = None
+    for vorder in _neutral_orderings(g):
+        candidate = oracle_flag_assignment(g, vorder)
+        if best is None or candidate[0] < best[0]:
+            best = candidate
+    encoding, phi = best
+    _, nf, _, inv, marked, _ = encoding
+    ref_edges = [(f, inv[f]) for f in range(nf) if f < inv[f]]
+    mapped = [tuple(sorted((phi[f1], phi[f2]))) for f1, f2 in edge_order]
+    sign = perm_sign([ref_edges.index(e) for e in mapped])
+    sign *= perm_sign([marked.index(phi[f]) for f in d_order])
+    return encoding, sign, phi
+
+
+@pytest.mark.parametrize(
+    "key", [(2, 3, 3), (2, 4, 3), (3, 4, 5), (2, 5, 5), (3, 3, 4), (1, 4, 2)],
+    ids=str,
+)
+def test_canonical_form_matches_rekeying_flag_assignment(key):
+    rng = random.Random(hash(key))
+    graphs = [cls.graph for cls in enumerate_marked_graphs(*key)]
+    graphs += [cls.graph for cls in enumerate_unlabeled_classes(*key)]
+    for graph in graphs:
+        g = shuffled_copy(graph, rng)
+        edge_order = list(g.edges)
+        rng.shuffle(edge_order)
+        d_order = sorted(g.marked)
+        rng.shuffle(d_order)
+        form = canonical_form(g, tuple(edge_order), tuple(d_order))
+        cls, sign = form
+        assert (cls.key, sign, form.phi) == oracle_canonical_form(
+            g, edge_order, d_order
+        )
 
 
 def oracle_leg_symmetry_group(g):

@@ -293,3 +293,100 @@ def test_induce_sign_from_alternating():
     a3 = generated_subgroup(3, [(1, 2, 0)])
     dec = decompose(induce_from_subgroup(3, a3, {h: 1 for h in a3}))
     assert dict(dec.items()) == {(3,): 1, (1, 1, 1): 1}
+
+
+# ---------------------------------------------------------------------------
+# induction by class counting against the conjugation sum over S_n
+
+
+def oracle_induce_from_subgroup(n, subgroup, chi):
+    """Ind_H^{S_n} chi by the conjugation sum over all n! permutations."""
+    elements = frozenset(subgroup)
+    values = {}
+    for mu in cycle_types(n):
+        rep = cycle_type_representative(mu)
+        total = Fraction(0)
+        for x in permutations(range(n)):
+            conj = compose(compose(x, rep), inverse(x))
+            if conj in elements:
+                total += chi[conj]
+        values[mu] = total / len(elements)
+    return ClassFunction(n, values)
+
+
+def _orbits(n, elements):
+    orbit_of = list(range(n))
+    for h in elements:
+        for i in range(n):
+            a, b = orbit_of[i], orbit_of[h[i]]
+            if a != b:
+                orbit_of = [a if o == b else o for o in orbit_of]
+    orbits = {}
+    for i, o in enumerate(orbit_of):
+        orbits.setdefault(o, []).append(i)
+    return list(orbits.values())
+
+
+def genus_two_leg_groups():
+    """The distinct leg groups, with det-signs, of the genus-2 cores of type
+    (2, k, u) with k <= 6 and u >= k - 2, and of their cut graphs with at
+    most six legs."""
+    from markedgc.graphs import cut_edge, label_legs, leg_symmetry_group
+    from markedgc.stability import enumerate_core_graphs
+
+    graphs = []
+    for k in range(7):
+        for u in range(max(k - 2, 0), (3 + k) // 2 + 1):
+            for xi in enumerate_core_graphs(2, k, u):
+                labeled = label_legs(xi.graph)
+                graphs.append(labeled)
+                if k + 2 <= 6:
+                    for e in labeled.edges:
+                        try:
+                            graphs.append(cut_edge(labeled, e))
+                        except ValueError:
+                            continue
+    groups = {}
+    for graph in graphs:
+        try:
+            symmetry = leg_symmetry_group(graph)
+        except ValueError:
+            continue
+        groups.setdefault(frozenset(symmetry.items()), (graph.n_legs, symmetry))
+    return list(groups.values())
+
+
+def test_induce_from_subgroup_matches_conjugation_sum_on_core_leg_groups():
+    groups = genus_two_leg_groups()
+    assert len(groups) > 40
+    for k, symmetry in groups:
+        assert induce_from_subgroup(k, symmetry.keys(), symmetry) == (
+            oracle_induce_from_subgroup(k, symmetry.keys(), symmetry)
+        )
+
+
+@st.composite
+def subgroups_with_sign_characters(draw):
+    """A subgroup of S_n (n <= 5) from random generators, with the +-1
+    character h -> prod over chosen H-orbits A of sign(h restricted to A)."""
+    n = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.permutations(list(range(n))), max_size=3))
+    elements = generated_subgroup(n, gens)
+    orbits = _orbits(n, elements)
+    chosen = [orb for orb in orbits if draw(st.booleans())]
+    chi = {}
+    for h in elements:
+        value = 1
+        for orb in chosen:
+            value *= perm_sign([orb.index(h[i]) for i in orb])
+        chi[h] = value
+    return n, elements, chi
+
+
+@settings(max_examples=150, deadline=None)
+@given(subgroups_with_sign_characters())
+def test_induce_from_subgroup_matches_conjugation_sum(case):
+    n, elements, chi = case
+    assert induce_from_subgroup(n, elements, chi) == oracle_induce_from_subgroup(
+        n, elements, chi
+    )

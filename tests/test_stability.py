@@ -1,6 +1,16 @@
+from itertools import combinations
+
 import pytest
 
-from markedgc.complexes import build_complex, chain_character
+import markedgc.stability
+from markedgc.complexes import (
+    _assemble,
+    _edge_multisets,
+    _leg_distributions,
+    build_complex,
+    chain_character,
+)
+from markedgc.graphs import MarkedGraph, canonical_form, validate
 from markedgc.homology import homology_decomposition
 from markedgc.partitions import enumerate_partitions, size
 from markedgc.reptheory import decompose
@@ -65,6 +75,79 @@ def test_core_counts_at_excess():
         assert {cls.key for cls in cores} == {
             cls.key for cls in theta_classes(g, ell).values()
         }
+
+
+def oracle_enumerate_core_graphs(g, n, r, validated, canonicalized):
+    """Core enumeration choosing markings anew for every leg placement;
+    logs each graph it validates and each it canonicalizes."""
+    if g < 0 or n < 0 or r < 0:
+        return []
+    seen = {}
+    e_max = 3 * (g - 1) + n - r
+    for ne in range(max(g - 1, 0), e_max + 1):
+        nv = ne - g + 2
+        if nv < 1 or 2 * ne < r:
+            continue
+        for chosen in _edge_multisets(nv, ne):
+            edge_valence = [0] * nv
+            for v, w in chosen:
+                edge_valence[v] += 1
+                edge_valence[w] += 1
+            for legs_at in _leg_distributions(nv, n, edge_valence):
+                base = _assemble(nv, chosen, legs_at)
+                internal = [
+                    f
+                    for f in range(base.nf)
+                    if base.adj[f] == 0 and base.inv[f] != f
+                ]
+                for sub in combinations(internal, r):
+                    picked = set(sub)
+                    if any(base.inv[f] in picked for f in sub):
+                        continue
+                    graph = MarkedGraph(
+                        nv=base.nv,
+                        dv=0,
+                        adj=base.adj,
+                        inv=base.inv,
+                        marked=frozenset(picked),
+                        labels=None,
+                    )
+                    validated.append(graph)
+                    if validate(graph):
+                        continue
+                    canonicalized.append(graph)
+                    cls, _ = canonical_form(graph)
+                    seen.setdefault(cls.key, cls)
+    return [seen[k] for k in sorted(seen)]
+
+
+CORE_CASES = [
+    (g, n, r) for g in range(3) for n in range(5) for r in range(n + 3)
+] + [(2, 6, 4), (2, 7, 5), (2, 8, 6), (2, 9, 7)]
+
+
+@pytest.mark.parametrize("key", CORE_CASES, ids=str)
+def test_enumerate_core_graphs_matches_per_placement_markings(key, monkeypatch):
+    validated, canonicalized = [], []
+
+    def spy_validate(graph):
+        validated.append(graph)
+        return validate(graph)
+
+    def spy_canonical_form(graph):
+        canonicalized.append(graph)
+        return canonical_form(graph)
+
+    monkeypatch.setattr(markedgc.stability, "validate", spy_validate)
+    monkeypatch.setattr(markedgc.stability, "canonical_form", spy_canonical_form)
+    got = enumerate_core_graphs(*key)
+    expected_validated, expected_canonicalized = [], []
+    expected = oracle_enumerate_core_graphs(
+        *key, expected_validated, expected_canonicalized
+    )
+    assert [cls.key for cls in got] == [cls.key for cls in expected]
+    assert validated == expected_validated
+    assert canonicalized == expected_canonicalized
 
 
 @pytest.mark.parametrize("g", [1, 2])

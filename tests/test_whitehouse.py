@@ -4,8 +4,15 @@ from itertools import permutations
 import pytest
 
 from markedgc.partitions import cycle_types
-from markedgc.reptheory import decompose
+from markedgc.reptheory import (
+    ClassFunction,
+    compose,
+    cycle_type_representative,
+    decompose,
+    inverse,
+)
 from markedgc.whitehouse import (
+    _CentralizerCharacter,
     config_restriction_character,
     stirling_cycle_count,
     whitehouse_checks,
@@ -75,6 +82,36 @@ def test_restriction_out_of_regime():
         config_restriction_character(3, 3)
     with pytest.raises(ValueError):
         config_restriction_character(10, 2)
+
+
+def oracle_config_restriction_character(n, r):
+    """The restriction character by the conjugation sum over S_{n-1}."""
+    k = n - 1
+    values = {mu: Fraction(0) for mu in cycle_types(k)}
+    elements = list(permutations(range(k)))
+    for mu in cycle_types(k):
+        if len(mu) != r - 1:
+            continue
+        character = _CentralizerCharacter(cycle_type_representative(mu))
+        order = sum(1 for z in elements if character.centralizes(z))
+        for tau_type in values:
+            tau = cycle_type_representative(tau_type)
+            total = Fraction(0)
+            for x in elements:
+                z = compose(compose(x, tau), inverse(x))
+                if character.centralizes(z):
+                    total += character.rational_value(z)
+            values[tau_type] += total / order
+    return ClassFunction(k, values)
+
+
+@pytest.mark.parametrize(
+    "n,r", [(n, r) for n in range(3, 8) for r in range(2, n)], ids=str
+)
+def test_restriction_character_matches_conjugation_sum(n, r):
+    assert config_restriction_character(n, r) == (
+        oracle_config_restriction_character(n, r)
+    )
 
 
 def test_known_decomposition_4_3():
