@@ -1,6 +1,10 @@
 """Enumeration of marked-graph classes and assembly of the equivariant
 chain complexes B(g, n, r).
 
+One loop, `_core_classes`, enumerates cores: classes with no marked
+legs.  Every class is, uniquely, a core with marked legs added at the
+distinguished vertex, and `enumerate_unlabeled_classes` builds it so.
+
 A complex collects every non-vanishing isomorphism class of type (g, n, s)
 with s >= r, graded by degree |E| + n - s.  The differential contracts
 edges (the contracted edge is dropped from the last wedge position) and
@@ -24,6 +28,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field, replace
+from functools import cache
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from pathlib import Path
@@ -54,12 +59,14 @@ SparseColumns = list[dict[int, int]]  # one {row: entry} per basis column
 # enumeration
 
 
-def _edge_multisets(nv: int, ne: int):
+@cache
+def _edge_multisets(nv: int, ne: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Edge multisets on vertices 0..nv-1 (0 distinguished): connected,
     tadpoles only at 0, every other vertex met by at least one edge."""
     pairs = [(0, 0)] + [(v, w) for v in range(nv) for w in range(v + 1, nv)]
+    out = []
     for combo in combinations_with_replacement(range(len(pairs)), ne):
-        chosen = [pairs[i] for i in combo]
+        chosen = tuple(pairs[i] for i in combo)
         parent = list(range(nv))
 
         def find(x):
@@ -77,7 +84,8 @@ def _edge_multisets(nv: int, ne: int):
             continue
         if len({find(v) for v in range(nv)}) != 1:
             continue
-        yield chosen
+        out.append(chosen)
+    return tuple(out)
 
 
 def _leg_distributions(nv: int, n_legs: int, edge_valence: list[int]):
@@ -98,7 +106,7 @@ def _leg_distributions(nv: int, n_legs: int, edge_valence: list[int]):
     yield from rec(0, spare, ())
 
 
-def _assemble(nv: int, chosen: list[tuple[int, int]], legs_at: tuple[int, ...]):
+def _assemble(nv: int, chosen: tuple[tuple[int, int], ...], legs_at: tuple[int, ...]):
     """Flag structure for an edge multiset plus per-vertex leg counts."""
     adj: list[int] = []
     inv: list[int] = []
@@ -114,51 +122,79 @@ def _assemble(nv: int, chosen: list[tuple[int, int]], legs_at: tuple[int, ...]):
     )
 
 
-def _marking_choices(g: MarkedGraph, min_marked: int):
-    """Subsets of dv-flags usable as the marked set (no double-marked edge)."""
-    dv_flags = [f for f in range(g.nf) if g.adj[f] == g.dv]
-    for s in range(max(min_marked, 0), len(dv_flags) + 1):
-        for sub in combinations(dv_flags, s):
-            chosen = set(sub)
-            if any(g.inv[f] != f and g.inv[f] in chosen for f in sub):
-                continue  # would double-mark a tadpole
-            yield frozenset(chosen)
+def _core_classes(g: int, n: int, r: int) -> list[OrientedClass]:
+    """Canonical core classes (no marked legs, exactly r marked flags) of
+    type (g, n, r), sorted by key.
 
-
-def enumerate_unlabeled_classes(g: int, n: int, r: int) -> list[OrientedClass]:
-    """Canonical unlabeled marked-graph classes of type (g, n, s), s >= r.
-
-    Classes that vanish for every labeling are not filtered here; the
-    orientation test depends on the labeling and happens downstream.
+    Marks go only on internal flags at the distinguished vertex.  Those
+    flags depend only on the edge multiset, so the markings are chosen
+    once per multiset, and a multiset with no marking skips its leg
+    placements.
     """
+    if g < 0 or n < 0 or r < 0:
+        return []
     seen: dict[tuple, OrientedClass] = {}
-    e_max = 3 * (g - 1) + n - max(r, 0)
+    e_max = 3 * (g - 1) + n - r
     for ne in range(max(g - 1, 0), e_max + 1):
         nv = ne - g + 2
-        if nv < 1:
+        if nv < 1 or 2 * ne < r:
             continue
         for chosen in _edge_multisets(nv, ne):
+            # `_assemble` numbers edge flags before legs: flag f is end
+            # f % 2 of edge f // 2, and its partner is f ^ 1.
+            internal = [f for f in range(2 * ne) if chosen[f // 2][f % 2] == 0]
+            markings = []
+            for sub in combinations(internal, r):
+                picked = frozenset(sub)
+                if not any(f ^ 1 in picked for f in sub):  # no double-marked edge
+                    markings.append(picked)
+            if not markings:
+                continue
             edge_valence = [0] * nv
             for v, w in chosen:
                 edge_valence[v] += 1
                 edge_valence[w] += 1
             for legs_at in _leg_distributions(nv, n, edge_valence):
                 base = _assemble(nv, chosen, legs_at)
-                if validate(base):
-                    continue
-                for marked in _marking_choices(base, r):
-                    if ne + n - len(marked) > 3 * (g - 1) + 2 * (n - len(marked)):
-                        continue  # degree above the excess: no admissible class
-                    graph = MarkedGraph(
-                        nv=base.nv,
-                        dv=0,
-                        adj=base.adj,
-                        inv=base.inv,
-                        marked=marked,
-                        labels=None,
-                    )
+                for marked in markings:
+                    graph = replace(base, marked=marked)
+                    if validate(graph):
+                        continue
                     cls, _ = canonical_form(graph)
                     seen.setdefault(cls.key, cls)
+    return [seen[k] for k in sorted(seen)]
+
+
+def enumerate_core_graphs(g: int, n: int, r: int) -> list[OrientedClass]:
+    """All core classes (no marked legs, exactly r marked flags) of type
+    (g, n, r), sorted by key.
+
+    A separate function from `_core_classes`, which
+    `enumerate_unlabeled_classes` calls: wrapping this one (as per-layer
+    tracing does) then sees only direct requests for cores.
+    """
+    return _core_classes(g, n, r)
+
+
+def enumerate_unlabeled_classes(g: int, n: int, r: int) -> list[OrientedClass]:
+    """Canonical unlabeled marked-graph classes of type (g, n, s), s >= r.
+
+    Each class is, uniquely, a core of type (g, n - j, u) with j marked
+    legs added at the distinguished vertex, s = u + j.  No two marked
+    flags share an edge, so u is at most the edge count, which is at most
+    3(g - 1) + (n - j) - u.  Classes that vanish for every labeling are
+    not filtered here; the orientation test depends on the labeling and
+    happens downstream.
+    """
+    seen: dict[tuple, OrientedClass] = {}
+    for j in range(n + 1):
+        for u in range(max(r - j, 0), (3 * (g - 1) + n - j) // 2 + 1):
+            for xi in _core_classes(g, n - j, u):
+                graph = xi.graph
+                for _ in range(j):
+                    graph, _, _ = add_marked_leg(graph, (), ())
+                cls = canonical_form(graph)[0] if j else xi
+                seen[cls.key] = cls
     return [seen[k] for k in sorted(seen)]
 
 

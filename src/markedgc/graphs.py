@@ -69,8 +69,15 @@ class MarkedGraph:
     def label_of(self, f: int) -> int:
         return self.labels[f] if self.labels is not None else 0
 
-    def flags_at(self, v: int) -> list[int]:
-        return [f for f in range(self.nf) if self.adj[f] == v]
+    @cached_property
+    def _flags_by_vertex(self) -> tuple[tuple[int, ...], ...]:
+        table: list[list[int]] = [[] for _ in range(self.nv)]
+        for f, v in enumerate(self.adj):
+            table[v].append(f)
+        return tuple(map(tuple, table))
+
+    def flags_at(self, v: int) -> tuple[int, ...]:
+        return self._flags_by_vertex[v]
 
     def is_connected(self) -> bool:
         if self.nv == 0:
@@ -198,7 +205,7 @@ def isomorphisms(g1: MarkedGraph, g2: MarkedGraph, respect_labels: bool = True):
     Isomorphisms fix the distinguished vertex, the marked set and, when
     ``respect_labels`` is set, every leg label.
     """
-    if (
+    if g1 is not g2 and (  # a graph agrees with itself
         g1.nv != g2.nv
         or g1.nf != g2.nf
         or g1.n_marked != g2.n_marked

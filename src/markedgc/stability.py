@@ -6,9 +6,12 @@ point against the predicted ceil(3m/2), the partition multisets
 Lambda(y, p), the stable module, and the Littlewood-Richardson formula
 for stable multiplicities.
 
-Core classes are enumerated marking-first: the markable flags depend
-only on the edge multiset, so markings are chosen before legs are
-placed.  A core's module is induced from its leg symmetry group by
+Cores (classes with no marked legs) come from
+`complexes.enumerate_core_graphs`, the package's one enumeration loop:
+every class of B(g, n, r) is a core with marked legs added at the
+distinguished vertex, which is how `core_decomposition` splits the
+chain groups and how `complexes.enumerate_unlabeled_classes` lists
+them.  A core's module is induced from its leg symmetry group by
 `reptheory.induce_from_subgroup`, which counts the group's elements of
 each cycle type rather than summing over S_n.
 """
@@ -16,16 +19,13 @@ each cycle type rather than summing over S_n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .complexes import (
     EquivariantComplex,
     ChainMap,
-    _assemble,
-    _edge_multisets,
-    _leg_distributions,
     build_complex,
     chain_character,
+    enumerate_core_graphs,
     group_action_matrix,
     stabilization_map,
 )
@@ -38,7 +38,6 @@ from .graphs import (
     degree,
     label_legs,
     leg_symmetry_group,
-    validate,
 )
 from .homology import HomologyProfile
 from .linalg import rank
@@ -76,57 +75,6 @@ def predicted_sharp_bound(g: int, ell: int) -> int:
 
 # ---------------------------------------------------------------------------
 # core graphs
-
-
-def enumerate_core_graphs(g: int, n: int, r: int) -> list[OrientedClass]:
-    """All core classes (no marked legs, exactly r marked flags) of type
-    (g, n, r).
-
-    Enumerated directly rather than by filtering the full class list:
-    marks are placed only on internal flags at the distinguished vertex,
-    which keeps the search independent of the number of legs.  Those flags
-    depend only on the edge multiset, so the markings are chosen once per
-    multiset, and a multiset with no marking skips its leg placements.
-    """
-    if g < 0 or n < 0 or r < 0:
-        return []
-    seen: dict[tuple, OrientedClass] = {}
-    e_max = 3 * (g - 1) + n - r
-    for ne in range(max(g - 1, 0), e_max + 1):
-        nv = ne - g + 2
-        if nv < 1 or 2 * ne < r:
-            continue
-        for chosen in _edge_multisets(nv, ne):
-            # `_assemble` numbers edge flags before legs: flag f is end
-            # f % 2 of edge f // 2, and its partner is f ^ 1.
-            internal = [f for f in range(2 * ne) if chosen[f // 2][f % 2] == 0]
-            markings = []
-            for sub in combinations(internal, r):
-                picked = frozenset(sub)
-                if not any(f ^ 1 in picked for f in sub):  # no double-marked edge
-                    markings.append(picked)
-            if not markings:
-                continue
-            edge_valence = [0] * nv
-            for v, w in chosen:
-                edge_valence[v] += 1
-                edge_valence[w] += 1
-            for legs_at in _leg_distributions(nv, n, edge_valence):
-                base = _assemble(nv, chosen, legs_at)
-                for marked in markings:
-                    graph = MarkedGraph(
-                        nv=base.nv,
-                        dv=0,
-                        adj=base.adj,
-                        inv=base.inv,
-                        marked=marked,
-                        labels=None,
-                    )
-                    if validate(graph):
-                        continue
-                    cls, _ = canonical_form(graph)
-                    seen.setdefault(cls.key, cls)
-    return [seen[k] for k in sorted(seen)]
 
 
 def _leg_module(labeled: MarkedGraph) -> IrrDecomposition | None:
@@ -282,6 +230,10 @@ def check_consistent_sequence(
     if excess(g, ell) < 0:
         raise ValueError("negative excess")
     n_min = max(ell, 0)
+    if n_max < n_min:
+        raise ValueError(
+            f"window {n_max} ends below the first n = max(l, 0) = {n_min}"
+        )
     complexes = {
         n: build_complex(g, n, n - ell, cache_dir=cache_dir)
         for n in range(n_min, n_max + 2)

@@ -141,6 +141,23 @@ def test_negative_marked_count_is_usage_error(capsys, argv, fmt):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("stability", "--g", "2", "--l", "0", "--window", "-1"),
+        ("stability", "--g", "1", "--l", "1", "--window", "0"),
+    ],
+)
+def test_stability_window_below_first_n_is_usage_error(capsys, argv, fmt):
+    code = main([*argv, "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: window ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cache_dir_roundtrip(capsys, tmp_path):
     code1, payload1 = run_json(
         capsys, "enumerate", "--g", "1", "--n", "4", "--r", "3",

@@ -1,6 +1,7 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,23 +12,29 @@ from markedgc.complexes import (
     build_complex,
     cache_path,
     chain_character,
+    enumerate_core_graphs,
     enumerate_marked_graphs,
     enumerate_unlabeled_classes,
     group_action_matrix,
     load_enumeration,
     save_enumeration,
     stabilization_map,
+    _assemble,
     _compose_sparse,
+    _edge_multisets,
     _labelings_up_to_symmetry,
+    _leg_distributions,
 )
 from markedgc.graphs import (
     automorphisms,
     canonical_form,
+    core,
     degree,
     graph_type,
     label_legs,
     leg_symmetry_group,
     relabel_legs,
+    validate,
 )
 from markedgc.partitions import cycle_types
 from markedgc.reptheory import (
@@ -75,6 +82,96 @@ def test_enumeration_sorted_and_typed():
 def test_unlabeled_enumeration_no_duplicates():
     classes = enumerate_unlabeled_classes(2, 2, 2)
     assert len({cls.key for cls in classes}) == len(classes)
+
+
+# Oracle: the enumerator that places the legs first and then marks every
+# admissible set of distinguished-vertex flags, legs included.
+
+
+def _marking_choices(g, min_marked):
+    """Subsets of dv-flags usable as the marked set (no double-marked edge)."""
+    dv_flags = [f for f in range(g.nf) if g.adj[f] == g.dv]
+    for s in range(max(min_marked, 0), len(dv_flags) + 1):
+        for sub in combinations(dv_flags, s):
+            chosen = set(sub)
+            if any(g.inv[f] != f and g.inv[f] in chosen for f in sub):
+                continue  # would double-mark a tadpole
+            yield frozenset(chosen)
+
+
+def oracle_enumerate_unlabeled_classes(g, n, r):
+    seen = {}
+    e_max = 3 * (g - 1) + n - max(r, 0)
+    for ne in range(max(g - 1, 0), e_max + 1):
+        nv = ne - g + 2
+        if nv < 1:
+            continue
+        for chosen in _edge_multisets(nv, ne):
+            edge_valence = [0] * nv
+            for v, w in chosen:
+                edge_valence[v] += 1
+                edge_valence[w] += 1
+            for legs_at in _leg_distributions(nv, n, edge_valence):
+                base = _assemble(nv, chosen, legs_at)
+                if validate(base):
+                    continue
+                for marked in _marking_choices(base, r):
+                    if ne + n - len(marked) > 3 * (g - 1) + 2 * (n - len(marked)):
+                        continue  # degree above the excess: no admissible class
+                    cls, _ = canonical_form(replace(base, marked=marked))
+                    seen.setdefault(cls.key, cls)
+    return [seen[k] for k in sorted(seen)]
+
+
+def d2_grid_cases():
+    """The benchmark's d^2 grid: g <= 3, n <= 4, 0 <= excess <= 6."""
+    cases = []
+    for g in (1, 2, 3):
+        for n in range(5):
+            for m in range(7):
+                diff = m - 3 * (g - 1)
+                if diff % 2 == 0 and n - diff // 2 >= 0:
+                    cases.append((g, n, n - diff // 2))
+    return cases
+
+
+# The complexes of the benchmark's homology workload: the three tables and
+# the windows of the (2, 0) and (1, 1) stability runs.
+HOMOLOGY_CASES = (
+    [(2, 5, 5), (2, 6, 6), (3, 6, 7)]
+    + [(2, n, n) for n in range(8)]
+    + [(1, n, n - 1) for n in range(1, 7)]
+)
+# Genus 0 (always empty) and more marks than legs.
+EDGE_CASES = [(0, n, r) for n in range(5) for r in range(n + 2)] + [
+    (g, n, r) for g in (1, 2, 3) for n in range(4) for r in range(n + 1, n + 4)
+]
+ENUMERATION_CASES = sorted(set(d2_grid_cases() + HOMOLOGY_CASES + EDGE_CASES))
+
+
+@pytest.mark.parametrize("key", ENUMERATION_CASES, ids=str)
+def test_unlabeled_enumeration_matches_marking_oracle(key):
+    got = enumerate_unlabeled_classes(*key)
+    expected = oracle_enumerate_unlabeled_classes(*key)
+    assert [(c.key, c.graph, c.vanishes) for c in got] == [
+        (c.key, c.graph, c.vanishes) for c in expected
+    ]
+
+
+@pytest.mark.parametrize("key", ENUMERATION_CASES, ids=str)
+def test_class_is_a_core_plus_marked_legs(key):
+    g, n, r = key
+    cores = {}
+    seen = set()
+    for cls in enumerate_unlabeled_classes(*key):
+        j = len(cls.graph.marked_legs())
+        u = cls.graph.n_marked - j
+        if (j, u) not in cores:
+            cores[j, u] = {xi.key for xi in enumerate_core_graphs(g, n - j, u)}
+        xi = canonical_form(core(cls.graph))[0]
+        assert xi.key in cores[j, u]
+        assert (xi.key, j) not in seen
+        seen.add((xi.key, j))
 
 
 def test_trivial_complex():

@@ -335,6 +335,25 @@ def test_isomorphisms_respect_labels():
     assert graph_type(g).n == 1
 
 
+@pytest.mark.parametrize("key", [(2, 4, 3), (3, 4, 5)])
+def test_flags_at_matches_rescan(key):
+    for cls in enumerate_marked_graphs(*key):
+        g = cls.graph
+        for v in range(g.nv):
+            assert g.flags_at(v) == tuple(f for f in range(g.nf) if g.adj[f] == v)
+
+
+@pytest.mark.parametrize("key", [(2, 4, 3), (2, 5, 5)])
+def test_automorphisms_match_isomorphisms_onto_a_copy(key):
+    # `isomorphisms` skips its invariant checks when both graphs are one
+    # object; onto an equal copy it runs them and must find the same maps
+    for unl in enumerate_unlabeled_classes(*key):
+        g = label_legs(unl.graph)
+        copy = relabel_legs(g, {k: k for k in range(1, g.n_legs + 1)})
+        assert copy == g and copy is not g
+        assert list(automorphisms(g)) == list(isomorphisms(g, copy))
+
+
 # ---------------------------------------------------------------------------
 # differential moves
 

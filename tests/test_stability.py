@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-import markedgc.stability
+import markedgc.complexes
 from markedgc.complexes import (
     _assemble,
     _edge_multisets,
@@ -138,8 +138,8 @@ def test_enumerate_core_graphs_matches_per_placement_markings(key, monkeypatch):
         canonicalized.append(graph)
         return canonical_form(graph)
 
-    monkeypatch.setattr(markedgc.stability, "validate", spy_validate)
-    monkeypatch.setattr(markedgc.stability, "canonical_form", spy_canonical_form)
+    monkeypatch.setattr(markedgc.complexes, "validate", spy_validate)
+    monkeypatch.setattr(markedgc.complexes, "canonical_form", spy_canonical_form)
     got = enumerate_core_graphs(*key)
     expected_validated, expected_canonicalized = [], []
     expected = oracle_enumerate_core_graphs(
