@@ -2,7 +2,7 @@
 stable multiplicities, genus-1 checks, and aggregated verification.
 
 Exit codes: 0 on success, 1 when a verification finds a violation, 2 on
-usage errors, 3 when an internal invariant check (d^2 = 0, Euler
+usage errors and unwritable caches, 3 when an internal invariant check (d^2 = 0, Euler
 characteristic, character dimension, cross-check) fails.  Output is
 JSON (machine-readable, schema version 1) or aligned text tables; both
 are deterministic for a fixed invocation.
@@ -14,7 +14,8 @@ import argparse
 import json
 import sys
 
-from .complexes import build_complex, enumerate_marked_graphs
+from .complexes import CacheError, build_complex, enumerate_marked_graphs
+from .graphs import degree
 from .homology import homology_decomposition
 from .partitions import parse_partition
 from .stability import (
@@ -76,10 +77,9 @@ def _stable_notation(dec) -> str:
 def _cmd_enumerate(args) -> int:
     classes = enumerate_marked_graphs(args.g, args.n, args.r, args.cache_dir)
     by_degree: dict[int, int] = {}
-    from .graphs import degree
-
     for cls in classes:
-        by_degree[degree(cls.graph)] = by_degree.get(degree(cls.graph), 0) + 1
+        i = degree(cls.xi.graph)
+        by_degree[i] = by_degree.get(i, 0) + 1
     payload = {
         "g": args.g,
         "n": args.n,
@@ -332,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, CacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:

@@ -12,14 +12,17 @@ marks flags (the new flag enters first in the marked order, with a global
 (-1)^{|E|} factor).  d^2 = 0 is verified at build time and any failure
 aborts with the offending basis pair.
 
-The S_n action is coset arithmetic.  C_i is the sum over unlabeled classes
-xi of Ind from Aut(xi) to S_n of the det-sign character, so each labeled
-basis element is t·[xi, rho]: xi's canonical graph with leg k labeled
-rho[k] + 1, rho the least element of its coset under xi's leg group (the
-image of Aut(xi) on the legs, kept as a stabilizer chain).  Relabeling by
-sigma sends rho to sigma∘rho; the chain reduces that to its coset minimum
-and sign, and a per-degree table names the basis element, with no graph
-search.  Enumeration picks one labeling per coset by the same test.
+C_i is the sum over unlabeled classes xi of Ind from Aut(xi) to S_n of
+the det-sign character, and the basis is the table of pairs (xi, rho):
+[xi, rho] is xi's canonical graph in its reference orientation with leg k
+labeled rho[k] + 1, rho the least element of its coset under xi's leg
+group (the image of Aut(xi) on the legs, kept as a stabilizer chain).
+No labeled graph is canonicalized.  The boundary is computed once per xi,
+on [xi, id], as terms [eta, tau] that remember where each leg went; the
+column of [xi, rho] is the same terms relabeled by rho, each reduced to
+its coset minimum with its sign.  The stabilization map adjoins its leg
+once per xi in the same way, and the S_n action is the same coset
+arithmetic.  The enumeration cache (format 2) stores only the xi.
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from contextlib import suppress
+from dataclasses import dataclass, replace
 from functools import cache
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 from .graphs import (
@@ -50,7 +54,7 @@ from .graphs import (
 from .partitions import Partition, cycle_types
 from .reptheory import ClassFunction, Permutation, cycle_type_representative
 
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 SparseColumns = list[dict[int, int]]  # one {row: entry} per basis column
 
@@ -122,9 +126,11 @@ def _assemble(nv: int, chosen: tuple[tuple[int, int], ...], legs_at: tuple[int, 
     )
 
 
-def _core_classes(g: int, n: int, r: int) -> list[OrientedClass]:
+@cache
+def _core_classes(g: int, n: int, r: int) -> tuple[OrientedClass, ...]:
     """Canonical core classes (no marked legs, exactly r marked flags) of
-    type (g, n, r), sorted by key.
+    type (g, n, r), sorted by key.  Memoised: neighbouring complexes and
+    the core suites ask for the same cores.
 
     Marks go only on internal flags at the distinguished vertex.  Those
     flags depend only on the edge multiset, so the markings are chosen
@@ -162,7 +168,7 @@ def _core_classes(g: int, n: int, r: int) -> list[OrientedClass]:
                         continue
                     cls, _ = canonical_form(graph)
                     seen.setdefault(cls.key, cls)
-    return [seen[k] for k in sorted(seen)]
+    return tuple(seen[k] for k in sorted(seen))
 
 
 def enumerate_core_graphs(g: int, n: int, r: int) -> list[OrientedClass]:
@@ -173,7 +179,7 @@ def enumerate_core_graphs(g: int, n: int, r: int) -> list[OrientedClass]:
     `enumerate_unlabeled_classes` calls: wrapping this one (as per-layer
     tracing does) then sees only direct requests for cores.
     """
-    return _core_classes(g, n, r)
+    return list(_core_classes(g, n, r))
 
 
 def enumerate_unlabeled_classes(g: int, n: int, r: int) -> list[OrientedClass]:
@@ -243,46 +249,94 @@ class LegGroup:
                 sign *= s
         return rho, sign
 
-    def is_coset_min(self, rho: Permutation) -> bool:
-        """Whether rho is the least element of rho·H: `coset_min` leaves rho
-        unchanged exactly when, at each level j, rho[j] is the least value
-        of rho over the level's orbit."""
-        return all(rho[j] <= rho[b] for j, level in self.levels for b in level)
+
+def _labelings_up_to_symmetry(group: LegGroup, n: int):
+    """One leg labeling per coset of the leg group: each permutation rho of
+    0..n-1 that is its coset's minimum, in increasing order.
+
+    `coset_min` leaves rho unchanged exactly when, at each level j,
+    rho[j] is the least value of rho over the level's orbit, whose points
+    are all >= j.  So the labels are chosen position by position, each
+    above the labels of the levels whose orbit holds its position.
+    """
+    below: list[list[int]] = [[] for _ in range(n)]
+    for j, level in group.levels:
+        for b in level:
+            if b != j:
+                below[b].append(j)
+    rho = [0] * n
+    used = [False] * n
+
+    def extend(p: int):
+        if p == n:
+            yield tuple(rho)
+            return
+        least = max((rho[j] + 1 for j in below[p]), default=0)
+        for v in range(least, n):
+            if not used[v]:
+                used[v] = True
+                rho[p] = v
+                yield from extend(p + 1)
+                used[v] = False
+
+    yield from extend(0)
 
 
-def _labelings_up_to_symmetry(g: MarkedGraph, group: LegGroup):
-    """Leg-label assignments of the unlabeled ``g``, one per orbit of its
-    leg group: those whose labels, read in leg order, are their coset's
-    minimum."""
-    legs = g.legs
-    for rho in permutations(range(len(legs))):
-        if group.is_coset_min(rho):
-            yield {f: rho[k] + 1 for k, f in enumerate(legs)}
+@dataclass(frozen=True, slots=True, eq=False)
+class LabeledClass:
+    """The basis element [xi, rho]: the unlabeled class xi's canonical graph
+    in its reference orientation, with leg k (in flag order) labeled
+    rho[k] + 1.
+
+    rho is the least element of its coset under xi's leg group H.  An
+    automorphism with leg action h gives [xi, rho] = chi(h)·[xi, rho∘h], so
+    each coset holds exactly one basis element.
+    """
+
+    xi: OrientedClass
+    group: LegGroup
+    rho: Permutation
+
+    @property
+    def key(self) -> tuple:
+        return (self.xi.key, self.rho)
+
+    @property
+    def graph(self) -> MarkedGraph:
+        """The labeled representative."""
+        legs = self.xi.graph.legs
+        return label_legs(
+            self.xi.graph, {f: self.rho[k] + 1 for k, f in enumerate(legs)}
+        )
+
+
+def _labeled_classes(
+    xis: list[tuple[OrientedClass, LegGroup]],
+) -> list[LabeledClass]:
+    """Every [xi, rho] of the given classes, in their order and then by rho."""
+    return [
+        LabeledClass(xi, group, rho)
+        for xi, group in xis
+        for rho in _labelings_up_to_symmetry(group, xi.graph.n_legs)
+    ]
 
 
 def enumerate_marked_graphs(
     g: int, n: int, r: int, cache_dir: str | Path | None = None
-) -> list[OrientedClass]:
-    """All non-vanishing labeled classes of B(g, n, r), deterministically
-    ordered by (degree, canonical key)."""
+) -> list[LabeledClass]:
+    """The basis of B(g, n, r): every [xi, rho] with xi an unlabeled class
+    that has a leg group, ordered by (degree, xi key, rho)."""
     if cache_dir is not None:
         cached = load_enumeration(cache_dir, g, n, r)
         if cached is not None:
             return cached
-    out: dict[tuple, OrientedClass] = {}
-    for unl in enumerate_unlabeled_classes(g, n, r):
-        group = LegGroup.of(unl.graph)
-        if group is None:
-            continue
-        for assignment in _labelings_up_to_symmetry(unl.graph, group):
-            cls, _ = canonical_form(label_legs(unl.graph, assignment))
-            if cls.vanishes:
-                raise AssertionError(
-                    f"labeling of a class with a leg group vanishes: "
-                    f"{encode_graph(cls.graph)}"
-                )
-            out.setdefault(cls.key, cls)
-    classes = sorted(out.values(), key=lambda c: (degree(c.graph), c.key))
+    xis = []
+    for xi in enumerate_unlabeled_classes(g, n, r):
+        group = LegGroup.of(xi.graph)
+        if group is not None:
+            xis.append((xi, group))
+    xis.sort(key=lambda pair: degree(pair[0].graph))  # stable: keys stay sorted
+    classes = _labeled_classes(xis)
     if cache_dir is not None:
         save_enumeration(cache_dir, g, n, r, classes)
     return classes
@@ -291,19 +345,18 @@ def enumerate_marked_graphs(
 # ---------------------------------------------------------------------------
 # the chain complex
 
+# xi key -> (xi, its leg group, {rho: position of [xi, rho] in xi's degree})
+DegreeTable = dict[tuple, tuple[OrientedClass, LegGroup, dict[Permutation, int]]]
+
 
 @dataclass(frozen=True)
 class EquivariantComplex:
     g: int
     n: int
     r: int
-    basis: dict[int, tuple[OrientedClass, ...]]
+    basis: dict[int, tuple[LabeledClass, ...]]
     diff: dict[int, SparseColumns]  # degree i -> matrix C_i -> C_{i-1}
-    index: dict[tuple, tuple[int, int]]  # canonical key -> (degree, position)
-    # degree -> its _Orbits, built on first use by the group action
-    orbits: dict[int, "_Orbits"] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    table: dict[int, DegreeTable]  # degree -> its classes, in basis order
 
     @property
     def excess(self) -> int:
@@ -322,20 +375,41 @@ class EquivariantComplex:
         return sum((-1) ** i * self.dim(i) for i in self.basis)
 
 
-def boundary_terms(cls: OrientedClass) -> dict[OrientedClass, int]:
-    """The differential of a basis class, as canonical classes with signs."""
-    g = cls.graph
+def _leg_map(h: MarkedGraph, form) -> Permutation:
+    """tau with tau[k'] = k when the k-th leg of ``h`` (in flag order) goes
+    to the k'-th leg of the class of ``form``, a `CanonicalForm` of ``h``.
+
+    Labeling h's leg k by rho[k] + 1 then gives that class with leg k'
+    labeled rho[tau[k']] + 1, in the same orientation.
+    """
+    index = {f: k for k, f in enumerate(form[0].graph.legs)}
+    tau = [0] * len(index)
+    for k, f in enumerate(h.legs):
+        tau[index[form.phi[f]]] = k
+    return tuple(tau)
+
+
+def boundary_terms(xi: OrientedClass) -> dict[tuple[OrientedClass, Permutation], int]:
+    """The differential of [xi, id] as {(eta, tau): coefficient}, where the
+    term (eta, tau) is eta in its reference orientation with leg k' labeled
+    tau[k'] + 1 (see `_leg_map`).
+
+    The moves drop only edge flags and keep the others in order, so the
+    k-th leg of every term is the k-th leg of xi.  An eta whose every
+    labeling vanishes is kept; `build_complex` drops it.
+    """
+    g = xi.graph
     eo, do = g.edges, tuple(sorted(g.marked))
-    out: dict[OrientedClass, int] = {}
+    out: dict[tuple[OrientedClass, Permutation], int] = {}
 
     def accumulate(result, factor: int):
         h, eo2, do2, s = result
         bad = validate(h)
         if bad:
             raise AssertionError(f"inadmissible boundary term from {encode_graph(g)}: {bad}")
-        c, s2 = canonical_form(h, eo2, do2)
-        if not c.vanishes:
-            out[c] = out.get(c, 0) + factor * s * s2
+        form = canonical_form(h, eo2, do2)
+        term = (form[0], _leg_map(h, form))
+        out[term] = out.get(term, 0) + factor * s * form[1]
 
     for e in eo:
         for result in contract_edge(g, e, eo, do):
@@ -346,41 +420,74 @@ def boundary_terms(cls: OrientedClass) -> dict[OrientedClass, int]:
             result = mark_flag(g, f, eo, do)
             if result is not None:
                 accumulate(result, mark_sign)
-    return {c: v for c, v in out.items() if v}
+    return {t: v for t, v in out.items() if v}
+
+
+def _targets(
+    terms: dict[tuple[OrientedClass, Permutation], int], table: DegreeTable, where: str
+) -> list[tuple[LegGroup, dict[Permutation, int], Permutation, int]]:
+    """The terms as (leg group, positions, tau, coefficient) rows of
+    ``table``.  A term is zero exactly when its class has no leg group (an
+    odd automorphism fixes every leg); any other class must be in the
+    table."""
+    out = []
+    for (eta, tau), coeff in terms.items():
+        entry = table.get(eta.key)
+        if entry is None:
+            if LegGroup.of(eta.graph) is not None:
+                raise AssertionError(
+                    f"{where} left the enumerated basis: {encode_graph(eta.graph)}"
+                )
+            continue
+        _, group, positions = entry
+        out.append((group, positions, tau, coeff))
+    return out
+
+
+def _column(
+    targets: list[tuple[LegGroup, dict[Permutation, int], Permutation, int]],
+    rho: Permutation,
+) -> dict[int, int]:
+    """The image of [xi, rho] under a map with d[xi, id] given by
+    ``targets``: relabeling by rho sends (eta, tau) to [eta, rho∘tau],
+    which is chi·[eta, rho'] at its coset minimum rho'."""
+    col: dict[int, int] = {}
+    try:
+        for group, positions, tau, coeff in targets:
+            image, chi = group.coset_min(tuple([rho[k] for k in tau]))
+            pos = positions[image]
+            col[pos] = col.get(pos, 0) + coeff * chi
+    except KeyError:
+        raise AssertionError("a coset minimum left the enumerated basis") from None
+    return {pos: v for pos, v in col.items() if v}
 
 
 def build_complex(
     g: int, n: int, r: int, cache_dir: str | Path | None = None
 ) -> EquivariantComplex:
-    classes = enumerate_marked_graphs(g, n, r, cache_dir=cache_dir)
-    basis: dict[int, list[OrientedClass]] = {}
-    for cls in classes:
-        basis.setdefault(degree(cls.graph), []).append(cls)
-    index = {
-        cls.key: (i, pos)
-        for i, classes_i in basis.items()
-        for pos, cls in enumerate(classes_i)
-    }
+    basis: dict[int, list[LabeledClass]] = {}
+    table: dict[int, DegreeTable] = {}
+    for cls in enumerate_marked_graphs(g, n, r, cache_dir=cache_dir):
+        i = degree(cls.xi.graph)
+        column = basis.setdefault(i, [])
+        entry = table.setdefault(i, {}).setdefault(cls.xi.key, (cls.xi, cls.group, {}))
+        entry[2][cls.rho] = len(column)
+        column.append(cls)
     diff: dict[int, SparseColumns] = {}
-    for i in sorted(basis):
+    for i in sorted(table):
+        below = table.get(i - 1, {})
         cols: SparseColumns = []
-        for cls in basis[i]:
-            col: dict[int, int] = {}
-            for target, coeff in boundary_terms(cls).items():
-                where = index.get(target.key)
-                if where is None or where[0] != i - 1:
-                    raise AssertionError(
-                        f"boundary of a degree-{i} class left the enumerated "
-                        f"basis: {encode_graph(target.graph)}"
-                    )
-                col[where[1]] = coeff
-            cols.append(col)
+        for xi, _, positions in table[i].values():
+            targets = _targets(
+                boundary_terms(xi), below, f"boundary of a degree-{i} class"
+            )
+            cols.extend(_column(targets, rho) for rho in positions)
         diff[i] = cols
     complex_ = EquivariantComplex(
         g=g, n=n, r=r,
         basis={i: tuple(b) for i, b in basis.items()},
         diff=diff,
-        index=index,
+        table=table,
     )
     _check_d_squared(complex_)
     return complex_
@@ -409,79 +516,20 @@ def _check_d_squared(c: EquivariantComplex) -> None:
 # group action and characters
 
 
-@dataclass(frozen=True)
-class _Orbits:
-    """Degree-i basis elements as labelings of their unlabeled classes.
-
-    Entry ``pos`` is ``(xi key, leg group, rho, t)`` with
-    [basis[pos]] = t·[xi, rho], where [xi, rho] is xi's canonical graph in
-    its reference orientation with leg k labeled rho[k] + 1, and rho is the
-    least element of its coset under the leg group H.  Since an
-    automorphism with leg action h gives [xi, rho] = chi(h)·[xi, rho∘h],
-    each coset holds at most one basis element: ``where`` sends
-    ``(xi key, rho)`` to ``(pos, t)``.
-    """
-
-    entries: list[tuple[tuple, LegGroup, Permutation, int]]
-    where: dict[tuple[tuple, Permutation], tuple[int, int]]
-
-
-def _orbits(c: EquivariantComplex, i: int) -> _Orbits:
-    """The orbit table of degree ``i``, built from the basis on first use
-    (one unlabeled canonical form per basis element)."""
-    table = c.orbits.get(i)
-    if table is not None:
-        return table
-    groups: dict[tuple, LegGroup] = {}
-    entries = []
-    where: dict[tuple[tuple, Permutation], tuple[int, int]] = {}
-    for pos, cls in enumerate(c.basis.get(i, ())):
-        graph = cls.graph
-        form = canonical_form(replace(graph, labels=None))
-        xi, s = form
-        legs = xi.graph.legs
-        group = groups.get(xi.key)
-        if group is None:
-            group = LegGroup.of(xi.graph)
-            if group is None:
-                raise AssertionError(
-                    f"leg permutation with two signs on a basis class: "
-                    f"{encode_graph(graph)}"
-                )
-            groups[xi.key] = group
-        # tau: the labeling of ``graph`` pulled back to xi's legs
-        tau = [0] * len(legs)
-        leg_index = {f: k for k, f in enumerate(legs)}
-        for f in graph.legs:
-            tau[leg_index[form.phi[f]]] = graph.labels[f] - 1
-        rho, chi = group.coset_min(tuple(tau))
-        if (xi.key, rho) in where:
-            raise AssertionError(
-                f"two degree-{i} basis classes on one coset: {encode_graph(graph)}"
-            )
-        where[xi.key, rho] = (pos, s * chi)
-        entries.append((xi.key, group, rho, s * chi))
-    table = c.orbits[i] = _Orbits(entries, where)
-    return table
-
-
 def _act(c: EquivariantComplex, i: int, sigma: Permutation) -> list[tuple[int, int]]:
-    """``(position, sign)`` of sigma·[L] for each degree-i basis element L.
-
-    sigma·[L] = t_L·[xi, sigma∘rho_L] = t_L·chi(h)·[xi, rho'] with rho' the
-    coset minimum, and [xi, rho'] = t_M·[M] for the basis element M there.
-    """
-    table = _orbits(c, i)
+    """``(position, sign)`` of sigma·[xi, rho] for each degree-i basis
+    element: sigma·[xi, rho] = [xi, sigma∘rho] = chi·[xi, rho'] with rho'
+    the coset minimum."""
     out = []
-    for key, group, rho, t in table.entries:
-        image, chi = group.coset_min(tuple([sigma[x] for x in rho]))
-        hit = table.where.get((key, image))
-        if hit is None:
-            raise AssertionError(
-                f"relabeling left the degree-{i} basis of B({c.g},{c.n},{c.r})"
-            )
-        pos, t2 = hit
-        out.append((pos, t * chi * t2))
+    try:
+        for _, group, positions in c.table.get(i, {}).values():
+            for rho in positions:
+                image, chi = group.coset_min(tuple([sigma[x] for x in rho]))
+                out.append((positions[image], chi))
+    except KeyError:
+        raise AssertionError(
+            f"relabeling left the degree-{i} basis of B({c.g},{c.n},{c.r})"
+        ) from None
     return out
 
 
@@ -518,7 +566,12 @@ def stabilization_map(
     source: EquivariantComplex, target: EquivariantComplex | None = None,
     cache_dir: str | Path | None = None,
 ) -> ChainMap:
-    """The chain map adjoining a marked leg labeled n+1 (degree 0)."""
+    """The chain map adjoining a marked leg labeled n+1 (degree 0).
+
+    The leg is adjoined once per unlabeled class xi, last in flag order and
+    in the marked order; [xi, rho] then maps like [xi, id] relabeled by rho
+    extended by n -> n.
+    """
     if target is None:
         target = build_complex(
             source.g, source.n + 1, source.r + 1, cache_dir=cache_dir
@@ -526,17 +579,16 @@ def stabilization_map(
     cols: dict[int, SparseColumns] = {}
     for i in source.degrees():
         cols_i: SparseColumns = []
-        for cls in source.basis[i]:
-            g = cls.graph
-            h, eo, do = add_marked_leg(g, g.edges, tuple(sorted(g.marked)))
-            tgt, sign = canonical_form(h, eo, do)
-            if tgt.vanishes:
-                cols_i.append({})
-                continue
-            deg, pos = target.index[tgt.key]
-            if deg != i:
-                raise AssertionError("stabilization changed the degree")
-            cols_i.append({pos: sign})
+        for xi, _, positions in source.table[i].values():
+            graph = xi.graph
+            h, eo, do = add_marked_leg(graph, graph.edges, tuple(sorted(graph.marked)))
+            form = canonical_form(h, eo, do)
+            targets = _targets(
+                {(form[0], _leg_map(h, form)): form[1]},
+                target.table.get(i, {}),
+                f"stabilization of a degree-{i} class",
+            )
+            cols_i.extend(_column(targets, rho + (source.n,)) for rho in positions)
         cols[i] = cols_i
     psi = ChainMap(source=source, target=target, cols=cols)
     _check_chain_map(psi)
@@ -571,15 +623,22 @@ def _compose_sparse(a: SparseColumns, b: SparseColumns) -> SparseColumns:
 # enumeration cache
 
 
+class CacheError(OSError):
+    """A cache file could not be written."""
+
+
 def cache_path(cache_dir: str | Path, g: int, n: int, r: int) -> Path:
     return Path(cache_dir) / f"basis-{g}-{n}-{r}.txt"
 
 
 def save_enumeration(
-    cache_dir: str | Path, g: int, n: int, r: int, classes: list[OrientedClass]
+    cache_dir: str | Path, g: int, n: int, r: int, classes: list[LabeledClass]
 ) -> Path:
+    """Write the unlabeled classes of a basis, one per line in basis order;
+    the header counts the labeled basis elements."""
     body = "".join(
-        f"{degree(cls.graph)}|{encode_graph(cls.graph)}\n" for cls in classes
+        f"{degree(xi.graph)}|{encode_graph(xi.graph)}\n"
+        for xi in dict.fromkeys(cls.xi for cls in classes)
     )
     header = {
         "format": CACHE_FORMAT,
@@ -590,26 +649,29 @@ def save_enumeration(
         "checksum": hashlib.sha256(body.encode()).hexdigest(),
     }
     path = cache_path(cache_dir, g, n, r)
-    path.parent.mkdir(parents=True, exist_ok=True)
     # write a sibling temp file and rename it over the cache, so an
     # interrupted write never leaves a partial file under the cache name
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         tmp.write_text(json.dumps(header) + "\n" + body)
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise CacheError(f"cache not written: {exc}") from exc
         raise
     return path
 
 
 def load_enumeration(
     cache_dir: str | Path, g: int, n: int, r: int
-) -> list[OrientedClass] | None:
-    """Reload a cached enumeration; any inconsistency discards the cache."""
+) -> list[LabeledClass] | None:
+    """Reload a cached enumeration; a file that cannot be read, or any
+    inconsistency, discards the cache.  Each unlabeled class is
+    canonicalized again, and its labelings are recomputed."""
     path = cache_path(cache_dir, g, n, r)
-    if not path.exists():
-        return None
     try:
         head, _, body = path.read_text().partition("\n")
         header = json.loads(head)
@@ -621,21 +683,27 @@ def load_enumeration(
             return None
         if hashlib.sha256(body.encode()).hexdigest() != header["checksum"]:
             return None
-        classes = []
+        xis = []
+        last = None
         for line in body.splitlines():
             deg_text, _, graph_text = line.partition("|")
             graph = decode_graph(graph_text)
-            cls, sign = canonical_form(graph)
-            if (
-                cls.graph != graph
-                or sign != 1
-                or cls.vanishes
-                or int(deg_text) != degree(graph)
-            ):
+            if graph.labeled:
                 return None
-            classes.append(cls)
+            xi, sign = canonical_form(graph)
+            order = (int(deg_text), xi.key)
+            if xi.graph != graph or sign != 1 or order[0] != degree(graph):
+                return None
+            if last is not None and order <= last:
+                return None  # out of basis order, or repeated
+            group = LegGroup.of(graph)
+            if group is None:
+                return None
+            xis.append((xi, group))
+            last = order
+        classes = _labeled_classes(xis)
         if len(classes) != header["count"]:
             return None
         return classes
-    except (ValueError, KeyError, IndexError):
+    except (OSError, ValueError, KeyError, IndexError):
         return None

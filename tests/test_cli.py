@@ -172,6 +172,24 @@ def test_cache_dir_roundtrip(capsys, tmp_path):
     assert payload1 == payload2
 
 
+@pytest.mark.parametrize("blocker", ["directory at the cache file", "file as cache dir"])
+def test_unwritable_cache_is_usage_error(capsys, tmp_path, blocker):
+    if blocker == "directory at the cache file":
+        cache_dir = tmp_path
+        (tmp_path / "basis-1-3-2.txt").mkdir()
+    else:
+        cache_dir = tmp_path / "cache"
+        cache_dir.write_text("")
+    code = main(
+        ["complex", "--g", "1", "--n", "3", "--r", "2", "--cache-dir", str(cache_dir)]
+    )
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: cache ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("fmt", ["json", "table"])
 def test_homology_negative_excess(capsys, fmt):
     code, out = run(

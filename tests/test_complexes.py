@@ -1,6 +1,8 @@
+import hashlib
 import json
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 
 import pytest
@@ -25,17 +27,24 @@ from markedgc.complexes import (
     _labelings_up_to_symmetry,
     _leg_distributions,
 )
+import markedgc.graphs
+from markedgc.cli import EXIT_OK, main
 from markedgc.graphs import (
+    add_marked_leg,
     automorphisms,
     canonical_form,
+    contract_edge,
     core,
     degree,
+    encode_graph,
     graph_type,
     label_legs,
     leg_symmetry_group,
+    mark_flag,
     relabel_legs,
     validate,
 )
+from markedgc.homology import homology_decomposition
 from markedgc.partitions import cycle_types
 from markedgc.reptheory import (
     ClassFunction,
@@ -76,7 +85,7 @@ def test_enumeration_sorted_and_typed():
     for cls in classes:
         t = graph_type(cls.graph)
         assert t.g == g and t.n == n and t.r >= r
-        assert not cls.vanishes
+        assert not canonical_form(cls.graph)[0].vanishes
 
 
 def test_unlabeled_enumeration_no_duplicates():
@@ -194,9 +203,10 @@ def test_d_squared_is_zero(key):
 
 
 def test_boundary_drops_degree_by_one():
-    for cls in enumerate_marked_graphs(2, 2, 2):
-        for target, coeff in boundary_terms(cls).items():
-            assert degree(target.graph) == degree(cls.graph) - 1
+    for xi in {cls.xi for cls in enumerate_marked_graphs(2, 2, 2)}:
+        for (eta, tau), coeff in boundary_terms(xi).items():
+            assert degree(eta.graph) == degree(xi.graph) - 1
+            assert sorted(tau) == list(range(xi.graph.n_legs))
             assert coeff != 0
 
 
@@ -262,14 +272,25 @@ def test_chain_character_constant_on_class():
 # graph, and labelings by comparing each assignment with its whole orbit.
 
 
+def labeled_index(c, i):
+    """Labeled canonical key -> (position, sign) with [basis element] =
+    sign·[labeled canonical class], over degree ``i``."""
+    index = {}
+    for pos, cls in enumerate(c.basis.get(i, ())):
+        target, sign = canonical_form(cls.graph)
+        assert target.key not in index
+        index[target.key] = (pos, sign)
+    return index
+
+
 def oracle_group_action_matrix(c, i, sigma):
     lut = {k + 1: sigma[k] + 1 for k in range(len(sigma))}
+    index = labeled_index(c, i)
     cols = []
     for cls in c.basis.get(i, ()):
         target, sign = canonical_form(relabel_legs(cls.graph, lut))
-        deg, pos = c.index[target.key]
-        assert deg == i
-        cols.append({pos: sign})
+        pos, sign2 = index[target.key]
+        cols.append({pos: sign * sign2})
     return cols
 
 
@@ -279,9 +300,10 @@ def oracle_chain_character(c, i):
         lut = {k + 1: v + 1 for k, v in enumerate(cycle_type_representative(mu))}
         trace = 0
         for cls in c.basis.get(i, ()):
-            target, sign = canonical_form(relabel_legs(cls.graph, lut))
-            if target.key == cls.key:
-                trace += sign
+            source, sign = canonical_form(cls.graph)
+            target, sign2 = canonical_form(relabel_legs(cls.graph, lut))
+            if target.key == source.key:
+                trace += sign * sign2
         values[mu] = Fraction(trace)
     return ClassFunction(c.n, values)
 
@@ -354,7 +376,10 @@ def test_labelings_match_oracle(key):
                 for a in expected
             )
         else:
-            assert list(_labelings_up_to_symmetry(unl.graph, group)) == expected
+            legs = unl.graph.legs
+            assert list(_labelings_up_to_symmetry(group, n)) == [
+                tuple(a[f] - 1 for f in legs) for a in expected
+            ]
 
 
 def _leg_groups(key):
@@ -392,6 +417,173 @@ def test_stabilization_is_injective_chain_map():
         # one nonzero entry per column: induced by a basis-to-basis map
         for col in psi.cols[i]:
             assert len(col) <= 1
+
+
+# ---------------------------------------------------------------------------
+# the labeled path, kept as an oracle: every labeled class is canonicalized
+# as a labeled graph, and the boundary and the stabilization map are taken
+# class by class
+
+
+def oracle_enumerate_marked_graphs(g, n, r):
+    out = {}
+    for unl in enumerate_unlabeled_classes(g, n, r):
+        group = LegGroup.of(unl.graph)
+        if group is None:
+            continue
+        legs = unl.graph.legs
+        for rho in _labelings_up_to_symmetry(group, n):
+            assignment = {f: rho[k] + 1 for k, f in enumerate(legs)}
+            cls, _ = canonical_form(label_legs(unl.graph, assignment))
+            assert not cls.vanishes
+            out.setdefault(cls.key, cls)
+    return sorted(out.values(), key=lambda c: (degree(c.graph), c.key))
+
+
+def oracle_boundary_terms(cls):
+    g = cls.graph
+    eo, do = g.edges, tuple(sorted(g.marked))
+    out = {}
+
+    def accumulate(result, factor):
+        h, eo2, do2, s = result
+        assert not validate(h)
+        c, s2 = canonical_form(h, eo2, do2)
+        if not c.vanishes:
+            out[c] = out.get(c, 0) + factor * s * s2
+
+    for e in eo:
+        for result in contract_edge(g, e, eo, do):
+            accumulate(result, 1)
+    mark_sign = -1 if g.n_edges % 2 else 1
+    for f in range(g.nf):
+        if g.adj[f] == g.dv and f not in g.marked:
+            result = mark_flag(g, f, eo, do)
+            if result is not None:
+                accumulate(result, mark_sign)
+    return {c: v for c, v in out.items() if v}
+
+
+@cache
+def oracle_build_complex(g, n, r):
+    """(basis, index, diff) of the labeled path."""
+    basis = {}
+    for cls in oracle_enumerate_marked_graphs(g, n, r):
+        basis.setdefault(degree(cls.graph), []).append(cls)
+    index = {
+        cls.key: (i, pos) for i, b in basis.items() for pos, cls in enumerate(b)
+    }
+    diff = {}
+    for i in sorted(basis):
+        cols = []
+        for cls in basis[i]:
+            col = {}
+            for target, coeff in oracle_boundary_terms(cls).items():
+                deg, pos = index[target.key]
+                assert deg == i - 1
+                col[pos] = coeff
+            cols.append(col)
+        diff[i] = cols
+    return basis, index, diff
+
+
+def oracle_stabilization_cols(key):
+    g, n, r = key
+    basis, _, _ = oracle_build_complex(g, n, r)
+    _, index, _ = oracle_build_complex(g, n + 1, r + 1)
+    cols = {}
+    for i, classes in basis.items():
+        cols[i] = []
+        for cls in classes:
+            graph = cls.graph
+            h, eo, do = add_marked_leg(graph, graph.edges, tuple(sorted(graph.marked)))
+            target, sign = canonical_form(h, eo, do)
+            if target.vanishes:
+                cols[i].append({})
+                continue
+            deg, pos = index[target.key]
+            assert deg == i
+            cols[i].append({pos: sign})
+    return cols
+
+
+def basis_permutation(c):
+    """Degree -> [(oracle position, sign)] with [c.basis[i][p]] = sign·[oracle
+    class], found by canonicalizing each basis graph; checks it is a
+    bijection onto the oracle's basis."""
+    basis, index, _ = oracle_build_complex(c.g, c.n, c.r)
+    assert c.degrees() == sorted(basis)
+    perm = {}
+    for i in c.degrees():
+        perm[i] = []
+        for cls in c.basis[i]:
+            target, sign = canonical_form(cls.graph)
+            deg, pos = index[target.key]
+            assert deg == i
+            perm[i].append((pos, sign))
+        assert sorted(q for q, _ in perm[i]) == list(range(len(basis[i])))
+    return perm
+
+
+def in_oracle_basis(cols, source_perm, target_perm):
+    """A matrix between new bases, rewritten between the oracle's bases."""
+    out = [None] * len(cols)
+    for p, col in enumerate(cols):
+        q, s = source_perm[p]
+        out[q] = {target_perm[row][0]: s * target_perm[row][1] * v for row, v in col.items()}
+    return out
+
+
+def assert_differential_matches_oracle(c):
+    _, _, diff = oracle_build_complex(c.g, c.n, c.r)
+    perm = basis_permutation(c)
+    for i in c.degrees():
+        assert in_oracle_basis(c.diff[i], perm[i], perm.get(i - 1, [])) == diff[i]
+    return perm
+
+
+# The stability windows of the benchmark's homology workload:
+# `stability --g 2 --l 0 --window 6` and `--g 1 --l 1 --window 5`.
+WINDOW_CASES = [(2, n, n) for n in range(7)] + [(1, n, n - 1) for n in range(1, 6)]
+ORACLE_CASES = sorted(
+    set(d2_grid_cases() + [(2, 5, 5), (2, 6, 6), (3, 6, 7)] + WINDOW_CASES)
+    | {(g, n + 1, r + 1) for g, n, r in WINDOW_CASES}
+)
+
+
+@pytest.mark.parametrize("key", ORACLE_CASES, ids=str)
+def test_differential_matches_labeled_oracle(key):
+    assert_differential_matches_oracle(build_complex(*key))
+
+
+@pytest.mark.parametrize("key", WINDOW_CASES, ids=str)
+def test_stabilization_matches_labeled_oracle(key):
+    src = build_complex(*key)
+    psi = stabilization_map(src)
+    source_perm = basis_permutation(src)
+    target_perm = basis_permutation(psi.target)
+    expected = oracle_stabilization_cols(key)
+    assert sorted(psi.cols) == sorted(expected)
+    for i, cols in psi.cols.items():
+        got = in_oracle_basis(cols, source_perm[i], target_perm.get(i, []))
+        assert got == expected[i]
+
+
+def test_cached_differential_matches_labeled_oracle(tmp_path):
+    build_complex(2, 4, 3, cache_dir=tmp_path)
+    assert load_enumeration(tmp_path, 2, 4, 3) is not None
+    assert_differential_matches_oracle(build_complex(2, 4, 3, cache_dir=tmp_path))
+
+
+def test_production_path_canonicalizes_no_labeled_graph():
+    markedgc.graphs._class_cache.clear()
+    homology_decomposition(build_complex(3, 6, 7))
+    source = build_complex(2, 5, 5)
+    homology_decomposition(source)
+    stabilization_map(source)
+    assert markedgc.graphs._class_cache
+    # the key's last slot holds the leg labels
+    assert all(key[5] is None for key in markedgc.graphs._class_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -465,3 +657,25 @@ def test_partial_temp_file_is_never_read(tmp_path, monkeypatch):
     again = enumerate_marked_graphs(1, 3, 2, cache_dir=tmp_path)
     assert [c.key for c in again] == [c.key for c in classes]
     assert path.read_text() == text
+
+
+def test_format_1_cache_is_recomputed_and_rewritten(tmp_path, capsys):
+    classes = oracle_enumerate_marked_graphs(1, 3, 2)
+    body = "".join(f"{degree(c.graph)}|{encode_graph(c.graph)}\n" for c in classes)
+    header = {
+        "format": 1,
+        "g": 1,
+        "n": 3,
+        "r": 2,
+        "count": len(classes),
+        "checksum": hashlib.sha256(body.encode()).hexdigest(),
+    }
+    path = cache_path(tmp_path, 1, 3, 2)
+    path.write_text(json.dumps(header) + "\n" + body)
+    argv = ["complex", "--g", "1", "--n", "3", "--r", "2", "--format", "json"]
+    assert main(argv) == EXIT_OK
+    expected = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--cache-dir", str(tmp_path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == expected
+    assert json.loads(path.read_text().partition("\n")[0])["format"] == 2
+    assert load_enumeration(tmp_path, 1, 3, 2) is not None

@@ -138,6 +138,8 @@ def test_enumerate_core_graphs_matches_per_placement_markings(key, monkeypatch):
         canonicalized.append(graph)
         return canonical_form(graph)
 
+    # `_core_classes` is memoised; start cold so the spies see every call
+    markedgc.complexes._core_classes.cache_clear()
     monkeypatch.setattr(markedgc.complexes, "validate", spy_validate)
     monkeypatch.setattr(markedgc.complexes, "canonical_form", spy_canonical_form)
     got = enumerate_core_graphs(*key)
