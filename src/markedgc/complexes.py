@@ -16,13 +16,17 @@ C_i is the sum over unlabeled classes xi of Ind from Aut(xi) to S_n of
 the det-sign character, and the basis is the table of pairs (xi, rho):
 [xi, rho] is xi's canonical graph in its reference orientation with leg k
 labeled rho[k] + 1, rho the least element of its coset under xi's leg
-group (the image of Aut(xi) on the legs, kept as a stabilizer chain).
+group H = `xi.leg_group` (the image of Aut(xi) on the legs, kept as a
+stabilizer chain).  The class carries H, found by one automorphism search
+the first time it is asked for; a class without one (an odd automorphism
+fixes every leg) vanishes under every labeling and is left out.
 No labeled graph is canonicalized.  The boundary is computed once per xi,
 on [xi, id], as terms [eta, tau] that remember where each leg went; the
 column of [xi, rho] is the same terms relabeled by rho, each reduced to
 its coset minimum with its sign.  The stabilization map adjoins its leg
 once per xi in the same way, and the S_n action is the same coset
-arithmetic.  The enumeration cache (format 2) stores only the xi.
+arithmetic.  The enumeration cache (format 2) stores only the xi; a
+reload accepts only admissible classes of the complex's type.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 from .graphs import (
+    LegGroup,
     MarkedGraph,
     OrientedClass,
     canonical_form,
@@ -47,7 +52,6 @@ from .graphs import (
     degree,
     encode_graph,
     label_legs,
-    leg_symmetry_group,
     mark_flag,
     validate,
 )
@@ -204,53 +208,7 @@ def enumerate_unlabeled_classes(g: int, n: int, r: int) -> list[OrientedClass]:
     return [seen[k] for k in sorted(seen)]
 
 
-class LegGroup:
-    """The leg group of an unlabeled class xi: the image of Aut(xi) on its
-    legs (numbered in flag order), each element with its det-sign.
-
-    Stored as a stabilizer chain: level j keeps, for each point b in the
-    orbit of j under H_j = {h : h fixes 0..j-1}, one element of H_j sending
-    j to b (the identity for b = j).  Levels where H_j fixes j are left out.
-    """
-
-    def __init__(self, elements: dict[Permutation, int]):
-        self.levels: list[tuple[int, dict[int, tuple[Permutation, int]]]] = []
-        identity = tuple(range(len(next(iter(elements)))))
-        stabilizer = list(elements.items())
-        for j in identity:
-            level = {j: (identity, 1)}
-            for h, sign in stabilizer:
-                level.setdefault(h[j], (h, sign))
-            if len(level) > 1:
-                self.levels.append((j, level))
-                stabilizer = [(h, sign) for h, sign in stabilizer if h[j] == j]
-
-    @classmethod
-    def of(cls, graph: MarkedGraph) -> "LegGroup | None":
-        """The leg group of an unlabeled graph, or None when an odd
-        automorphism fixes every leg (then every labeling vanishes)."""
-        try:
-            return cls(leg_symmetry_group(label_legs(graph)))
-        except ValueError:
-            return None
-
-    def coset_min(self, rho: Permutation) -> tuple[Permutation, int]:
-        """The lex-least element rho∘h of the coset rho·H, with chi(h).
-
-        Greedy down the chain: at level j pick the element that puts the
-        least value of ``rho`` at position j, then keep positions < j fixed.
-        """
-        sign = 1
-        for j, level in self.levels:
-            b = min(level, key=rho.__getitem__)
-            if b != j:
-                h, s = level[b]
-                rho = tuple([rho[x] for x in h])
-                sign *= s
-        return rho, sign
-
-
-def _labelings_up_to_symmetry(group: LegGroup, n: int):
+def _labelings_up_to_symmetry(group: LegGroup):
     """One leg labeling per coset of the leg group: each permutation rho of
     0..n-1 that is its coset's minimum, in increasing order.
 
@@ -259,6 +217,7 @@ def _labelings_up_to_symmetry(group: LegGroup, n: int):
     are all >= j.  So the labels are chosen position by position, each
     above the labels of the levels whose orbit holds its position.
     """
+    n = group.n
     below: list[list[int]] = [[] for _ in range(n)]
     for j, level in group.levels:
         for b in level:
@@ -294,7 +253,6 @@ class LabeledClass:
     """
 
     xi: OrientedClass
-    group: LegGroup
     rho: Permutation
 
     @property
@@ -310,14 +268,12 @@ class LabeledClass:
         )
 
 
-def _labeled_classes(
-    xis: list[tuple[OrientedClass, LegGroup]],
-) -> list[LabeledClass]:
+def _labeled_classes(xis: list[OrientedClass]) -> list[LabeledClass]:
     """Every [xi, rho] of the given classes, in their order and then by rho."""
     return [
-        LabeledClass(xi, group, rho)
-        for xi, group in xis
-        for rho in _labelings_up_to_symmetry(group, xi.graph.n_legs)
+        LabeledClass(xi, rho)
+        for xi in xis
+        for rho in _labelings_up_to_symmetry(xi.leg_group)
     ]
 
 
@@ -330,12 +286,10 @@ def enumerate_marked_graphs(
         cached = load_enumeration(cache_dir, g, n, r)
         if cached is not None:
             return cached
-    xis = []
-    for xi in enumerate_unlabeled_classes(g, n, r):
-        group = LegGroup.of(xi.graph)
-        if group is not None:
-            xis.append((xi, group))
-    xis.sort(key=lambda pair: degree(pair[0].graph))  # stable: keys stay sorted
+    xis = [
+        xi for xi in enumerate_unlabeled_classes(g, n, r) if xi.leg_group is not None
+    ]
+    xis.sort(key=lambda xi: degree(xi.graph))  # stable: keys stay sorted
     classes = _labeled_classes(xis)
     if cache_dir is not None:
         save_enumeration(cache_dir, g, n, r, classes)
@@ -345,8 +299,8 @@ def enumerate_marked_graphs(
 # ---------------------------------------------------------------------------
 # the chain complex
 
-# xi key -> (xi, its leg group, {rho: position of [xi, rho] in xi's degree})
-DegreeTable = dict[tuple, tuple[OrientedClass, LegGroup, dict[Permutation, int]]]
+# xi key -> (xi, {rho: position of [xi, rho] in xi's degree})
+DegreeTable = dict[tuple, tuple[OrientedClass, dict[Permutation, int]]]
 
 
 @dataclass(frozen=True)
@@ -367,9 +321,6 @@ class EquivariantComplex:
 
     def dim(self, i: int) -> int:
         return len(self.basis.get(i, ()))
-
-    def total_dim(self) -> int:
-        return sum(len(b) for b in self.basis.values())
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** i * self.dim(i) for i in self.basis)
@@ -434,13 +385,12 @@ def _targets(
     for (eta, tau), coeff in terms.items():
         entry = table.get(eta.key)
         if entry is None:
-            if LegGroup.of(eta.graph) is not None:
+            if eta.leg_group is not None:
                 raise AssertionError(
                     f"{where} left the enumerated basis: {encode_graph(eta.graph)}"
                 )
             continue
-        _, group, positions = entry
-        out.append((group, positions, tau, coeff))
+        out.append((eta.leg_group, entry[1], tau, coeff))
     return out
 
 
@@ -470,14 +420,14 @@ def build_complex(
     for cls in enumerate_marked_graphs(g, n, r, cache_dir=cache_dir):
         i = degree(cls.xi.graph)
         column = basis.setdefault(i, [])
-        entry = table.setdefault(i, {}).setdefault(cls.xi.key, (cls.xi, cls.group, {}))
-        entry[2][cls.rho] = len(column)
+        entry = table.setdefault(i, {}).setdefault(cls.xi.key, (cls.xi, {}))
+        entry[1][cls.rho] = len(column)
         column.append(cls)
     diff: dict[int, SparseColumns] = {}
     for i in sorted(table):
         below = table.get(i - 1, {})
         cols: SparseColumns = []
-        for xi, _, positions in table[i].values():
+        for xi, positions in table[i].values():
             targets = _targets(
                 boundary_terms(xi), below, f"boundary of a degree-{i} class"
             )
@@ -497,13 +447,7 @@ def _check_d_squared(c: EquivariantComplex) -> None:
     for i in c.degrees():
         if i - 1 not in c.diff:
             continue
-        lower = c.diff[i - 1]
-        for pos, col in enumerate(c.diff[i]):
-            acc: dict[int, int] = {}
-            for row, coeff in col.items():
-                for row2, coeff2 in lower[row].items():
-                    acc[row2] = acc.get(row2, 0) + coeff * coeff2
-            bad = {k: v for k, v in acc.items() if v}
+        for pos, bad in enumerate(_compose_sparse(c.diff[i - 1], c.diff[i])):
             if bad:
                 cls = c.basis[i][pos]
                 raise AssertionError(
@@ -522,7 +466,8 @@ def _act(c: EquivariantComplex, i: int, sigma: Permutation) -> list[tuple[int, i
     the coset minimum."""
     out = []
     try:
-        for _, group, positions in c.table.get(i, {}).values():
+        for xi, positions in c.table.get(i, {}).values():
+            group = xi.leg_group
             for rho in positions:
                 image, chi = group.coset_min(tuple([sigma[x] for x in rho]))
                 out.append((positions[image], chi))
@@ -563,8 +508,7 @@ class ChainMap:
 
 
 def stabilization_map(
-    source: EquivariantComplex, target: EquivariantComplex | None = None,
-    cache_dir: str | Path | None = None,
+    source: EquivariantComplex, target: EquivariantComplex | None = None
 ) -> ChainMap:
     """The chain map adjoining a marked leg labeled n+1 (degree 0).
 
@@ -573,13 +517,11 @@ def stabilization_map(
     extended by n -> n.
     """
     if target is None:
-        target = build_complex(
-            source.g, source.n + 1, source.r + 1, cache_dir=cache_dir
-        )
+        target = build_complex(source.g, source.n + 1, source.r + 1)
     cols: dict[int, SparseColumns] = {}
     for i in source.degrees():
         cols_i: SparseColumns = []
-        for xi, _, positions in source.table[i].values():
+        for xi, positions in source.table[i].values():
             graph = xi.graph
             h, eo, do = add_marked_leg(graph, graph.edges, tuple(sorted(graph.marked)))
             form = canonical_form(h, eo, do)
@@ -669,8 +611,9 @@ def load_enumeration(
     cache_dir: str | Path, g: int, n: int, r: int
 ) -> list[LabeledClass] | None:
     """Reload a cached enumeration; a file that cannot be read, or any
-    inconsistency, discards the cache.  Each unlabeled class is
-    canonicalized again, and its labelings are recomputed."""
+    inconsistency, discards the cache.  Each unlabeled class must be an
+    admissible class of type (g, n, s >= r); it is canonicalized again, and
+    its labelings are recomputed."""
     path = cache_path(cache_dir, g, n, r)
     try:
         head, _, body = path.read_text().partition("\n")
@@ -688,18 +631,19 @@ def load_enumeration(
         for line in body.splitlines():
             deg_text, _, graph_text = line.partition("|")
             graph = decode_graph(graph_text)
-            if graph.labeled:
+            if graph.labeled or validate(graph):
                 return None
+            if graph.genus != g or graph.n_legs != n or graph.n_marked < r:
+                return None  # a class of another complex
             xi, sign = canonical_form(graph)
             order = (int(deg_text), xi.key)
             if xi.graph != graph or sign != 1 or order[0] != degree(graph):
                 return None
             if last is not None and order <= last:
                 return None  # out of basis order, or repeated
-            group = LegGroup.of(graph)
-            if group is None:
+            if xi.leg_group is None:
                 return None
-            xis.append((xi, group))
+            xis.append(xi)
             last = order
         classes = _labeled_classes(xis)
         if len(classes) != header["count"]:

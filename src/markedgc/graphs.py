@@ -1,5 +1,6 @@
-"""Marked graphs: admissibility, canonical forms, automorphisms, and the
-edge-contraction / flag-marking moves that generate the differential.
+"""Marked graphs: admissibility, canonical forms, automorphisms and leg
+groups, and the edge-contraction / flag-marking moves that generate the
+differential.
 
 A graph is a flag structure: ``adj`` sends each flag to its vertex and
 ``inv`` is an involution pairing flags into edges; fixed points are legs.
@@ -10,15 +11,20 @@ Orientations are orderings of the edge set and of the marked set.  All
 signs are reported relative to the reference orientation of a canonical
 class, which is the sorted edge list and sorted marked list of the
 canonical representative.
+
+A class carries its leg group: the action of its automorphisms on its
+legs, with their det-signs.  One automorphism search, made the first time
+the group is asked for, decides both whether the class vanishes under
+every labeling and how S_n acts on its labelings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import permutations, product
 
-from .reptheory import perm_sign
+from .reptheory import Permutation, perm_sign
 
 Edge = tuple[int, int]  # (flag, flag) with flag0 < flag1
 
@@ -159,24 +165,6 @@ def validate(g: MarkedGraph) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class GraphType:
-    g: int
-    n: int
-    r: int
-
-    @property
-    def excess(self) -> int:
-        return 3 * (self.g - 1) + 2 * (self.n - self.r)
-
-    def degree(self, n_edges: int) -> int:
-        return n_edges + self.n - self.r
-
-
-def graph_type(g: MarkedGraph) -> GraphType:
-    return GraphType(g.genus, g.n_legs, g.n_marked)
-
-
 def degree(g: MarkedGraph) -> int:
     return g.n_edges + g.n_legs - g.n_marked
 
@@ -304,9 +292,97 @@ def automorphisms(g: MarkedGraph, respect_labels: bool = True):
     return isomorphisms(g, g, respect_labels=respect_labels)
 
 
-def has_odd_automorphism(g: MarkedGraph) -> bool:
-    """True iff some automorphism reverses the orientation, killing the class."""
-    return any(iso_det_sign(g, g, phi) == -1 for phi in automorphisms(g))
+# ---------------------------------------------------------------------------
+# leg groups
+
+
+class LegGroup:
+    """The leg group of a graph: the image of its automorphisms on its ``n``
+    legs (numbered in flag order), each element with its det-sign.
+
+    Stored as a stabilizer chain: level j keeps, for each point b in the
+    orbit of j under H_j = {h : h fixes 0..j-1}, one element of H_j sending
+    j to b (the identity for b = j).  Levels where H_j fixes j are left out.
+    """
+
+    def __init__(self, elements: dict[Permutation, int]):
+        self.n = len(next(iter(elements)))
+        self.levels: list[tuple[int, dict[int, tuple[Permutation, int]]]] = []
+        identity = tuple(range(self.n))
+        stabilizer = list(elements.items())
+        for j in identity:
+            level = {j: (identity, 1)}
+            for h, sign in stabilizer:
+                level.setdefault(h[j], (h, sign))
+            if len(level) > 1:
+                self.levels.append((j, level))
+                stabilizer = [(h, sign) for h, sign in stabilizer if h[j] == j]
+
+    @classmethod
+    def of(cls, g: MarkedGraph) -> LegGroup | None:
+        """The leg group of ``g`` (leg labels are ignored), or None when an
+        odd automorphism fixes every leg: then every labeling vanishes.
+
+        Legs at one vertex with the same marked status are twins: permuting
+        them is an automorphism, of sign +1 on unmarked twins and the
+        permutation's sign on marked ones.  Every automorphism is, uniquely,
+        one that keeps each twin class in flag order (found by a search that
+        labels legs by their rank in their class) after a twin permutation.
+        """
+        legs = g.legs
+        index = {f: k for k, f in enumerate(legs)}
+        twins: dict[tuple[int, bool], list[int]] = {}
+        for k, f in enumerate(legs):
+            twins.setdefault((g.adj[f], f in g.marked), []).append(k)
+        rank = [0] * g.nf
+        for ks in twins.values():
+            for r, k in enumerate(ks):
+                rank[legs[k]] = r + 1
+        ordered: dict[Permutation, int] = {}
+        for phi in automorphisms(replace(g, labels=tuple(rank))):
+            sign = iso_det_sign(g, g, phi)
+            if ordered.setdefault(tuple([index[phi[f]] for f in legs]), sign) != sign:
+                return None  # the two differ by an odd leg-fixing automorphism
+
+        elements: dict[Permutation, int] = {}
+        for shuffles in product(*map(permutations, twins.values())):
+            tau = list(range(len(legs)))
+            twin_sign = 1
+            for ((_, marked), ks), images in zip(twins.items(), shuffles):
+                for a, b in zip(ks, images):
+                    tau[a] = b
+                if marked:
+                    twin_sign *= perm_sign([ks.index(b) for b in images])
+            for sigma, sign in ordered.items():
+                elements[tuple([sigma[t] for t in tau])] = sign * twin_sign
+        return cls(elements)
+
+    def elements(self) -> dict[Permutation, int]:
+        """Every element with its det-sign: each is, uniquely, a product
+        t_1∘t_2∘... of one chain element per level, in level order."""
+        out = {tuple(range(self.n)): 1}
+        for _, level in reversed(self.levels):
+            out = {
+                tuple([t[x] for x in h]): s * sign
+                for t, s in level.values()
+                for h, sign in out.items()
+            }
+        return out
+
+    def coset_min(self, rho: Permutation) -> tuple[Permutation, int]:
+        """The lex-least element rho∘h of the coset rho·H, with chi(h).
+
+        Greedy down the chain: at level j pick the element that puts the
+        least value of ``rho`` at position j, then keep positions < j fixed.
+        """
+        sign = 1
+        for j, level in self.levels:
+            b = min(level, key=rho.__getitem__)
+            if b != j:
+                h, s = level[b]
+                rho = tuple([rho[x] for x in h])
+                sign *= s
+        return rho, sign
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +398,13 @@ class OrientedClass:
 
     graph: MarkedGraph
     key: tuple = field(repr=False)
-    vanishes: bool
+
+    @cached_property
+    def leg_group(self) -> LegGroup | None:
+        """The class's `LegGroup`, or None when an odd automorphism fixes
+        every leg (the class is zero under every labeling).  Searched for
+        on first use, once per class."""
+        return LegGroup.of(self.graph)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, OrientedClass) and self.key == other.key
@@ -461,9 +543,7 @@ def canonical_form(
             marked=frozenset(marked),
             labels=labels,
         )
-        cls = OrientedClass(
-            graph=canon, key=encoding, vanishes=has_odd_automorphism(canon)
-        )
+        cls = OrientedClass(graph=canon, key=encoding)
         _class_cache[encoding] = cls
     canon = cls.graph
 
@@ -670,59 +750,6 @@ def relabel_legs(g: MarkedGraph, sigma: dict[int, int]) -> MarkedGraph:
     )
 
 
-def leg_symmetry_group(g: MarkedGraph) -> dict[tuple[int, ...], int]:
-    """The group of label permutations fixing the class, with det-signs.
-
-    Returns a map from 0-indexed permutations (images of 0..n-1) to the sign
-    of their action on the oriented class.  Raises on a vanishing class,
-    where the action is not well defined.
-    """
-    if g.labels is None:
-        raise ValueError("leg symmetry requires a labeled graph")
-    n = g.n_legs
-    # Legs at one vertex with the same marked status are twins: permuting
-    # them is an automorphism, of sign +1 on unmarked twins and the
-    # permutation's sign on marked ones.  Every automorphism is, uniquely,
-    # one that keeps each twin class in flag order (found by a search that
-    # labels legs by their rank in their class) after a twin permutation.
-    twins: dict[tuple[int, bool], list[int]] = {}
-    for f in g.legs:
-        twins.setdefault((g.adj[f], f in g.marked), []).append(f)
-    rank = [0] * g.nf
-    for flags in twins.values():
-        for k, f in enumerate(flags):
-            rank[f] = k + 1
-    ranked = MarkedGraph(
-        nv=g.nv, dv=g.dv, adj=g.adj, inv=g.inv, marked=g.marked, labels=tuple(rank)
-    )
-    ordered: dict[tuple[int, ...], int] = {}
-    for phi in automorphisms(ranked):
-        sigma = [0] * n
-        for f in g.legs:
-            sigma[g.labels[f] - 1] = g.labels[phi[f]] - 1
-        sigma = tuple(sigma)
-        sign = iso_det_sign(g, g, phi)
-        if ordered.setdefault(sigma, sign) != sign:
-            raise ValueError("vanishing class: odd automorphism present")
-
-    out: dict[tuple[int, ...], int] = {}
-    classes = [
-        ([g.labels[f] - 1 for f in flags], marked)
-        for (_, marked), flags in twins.items()
-    ]
-    for shuffles in product(*(permutations(idx) for idx, _ in classes)):
-        tau = list(range(n))
-        twin_sign = 1
-        for (idx, marked), images in zip(classes, shuffles):
-            for a, b in zip(idx, images):
-                tau[a] = b
-            if marked:
-                twin_sign *= perm_sign([idx.index(b) for b in images])
-        for sigma, sign in ordered.items():
-            out[tuple([sigma[t] for t in tau])] = sign * twin_sign
-    return out
-
-
 def cut_edge(g: MarkedGraph, e: Edge) -> MarkedGraph:
     """Cut a non-disconnecting edge, labeling the new legs n+1 and n+2."""
     f1, f2 = e
@@ -747,25 +774,6 @@ def cut_edge(g: MarkedGraph, e: Edge) -> MarkedGraph:
     if not out.is_connected():
         raise ValueError(f"edge {e} disconnects the graph")
     return out
-
-
-def glue_legs(g: MarkedGraph, f1: int, f2: int) -> MarkedGraph:
-    """Join two legs into an edge (inverse of cutting), dropping labels."""
-    if g.inv[f1] != f1 or g.inv[f2] != f2 or f1 == f2:
-        raise ValueError("both flags must be distinct legs")
-    inv = list(g.inv)
-    inv[f1], inv[f2] = f2, f1
-    labels = list(g.labels) if g.labels is not None else None
-    if labels is not None:
-        labels[f1] = labels[f2] = 0
-    return MarkedGraph(
-        nv=g.nv,
-        dv=g.dv,
-        adj=g.adj,
-        inv=tuple(inv),
-        marked=g.marked,
-        labels=tuple(labels) if labels is not None else None,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -65,11 +65,8 @@ def differential_ranks(c: EquivariantComplex) -> dict[int, int]:
     return {i: rank(c.diff[i]) for i in c.degrees()}
 
 
-def homology_dimensions(
-    c: EquivariantComplex, ranks: dict[int, int] | None = None
-) -> dict[int, int]:
-    if ranks is None:
-        ranks = differential_ranks(c)
+def homology_dimensions(c: EquivariantComplex, ranks: dict[int, int]) -> dict[int, int]:
+    """dim H_i = dim C_i - rank d_i - rank d_{i+1}, from ``differential_ranks``."""
     dims = {}
     for i in c.degrees():
         dims[i] = c.dim(i) - ranks.get(i, 0) - ranks.get(i + 1, 0)
@@ -79,17 +76,16 @@ def homology_dimensions(
 
 
 def homology_character(
-    c: EquivariantComplex,
-    i: int,
-    factorizations: dict | None = None,
+    c: EquivariantComplex, i: int, factorizations: dict
 ) -> ClassFunction:
-    """Character of the S_n action on H_i."""
-    facts = factorizations if factorizations is not None else {}
+    """Character of the S_n action on H_i.  ``factorizations`` holds the
+    column factorization of each differential, filled in as needed and
+    shared between degrees."""
 
     def fact(k):
-        if k not in facts:
-            facts[k] = column_factorization(c.diff.get(k, []))
-        return facts[k]
+        if k not in factorizations:
+            factorizations[k] = column_factorization(c.diff.get(k, []))
+        return factorizations[k]
 
     chain = chain_character(c, i)
     values: dict[Partition, Fraction] = {}

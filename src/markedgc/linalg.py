@@ -5,6 +5,15 @@ column.  Everything here is exact: ranks, column factorizations and
 span solves all eliminate over the integers by cross-multiplication
 with gcd normalization, and rationals (``Fraction``) appear only in the
 returned coordinates.  No floating point, no modular arithmetic.
+
+There are two elimination loops, on purpose.  `rank` only counts, so it
+may pick each pivot Markowitz style (sparsest column, shortest row).
+`_reduce` must keep the pivot columns in input order and track each
+column's coordinates, which column factorizations, image traces and span
+solves need.  Counting `_reduce` pivots in place of `rank` is slower: on
+the 92 matrices one `homology` benchmark sample ranks, 0.09-0.14 s in
+all against 0.05-0.08 s, and on the largest (435 columns, 1,965
+nonzeros) 0.05-0.20 s against 0.02-0.05 s.
 """
 
 from __future__ import annotations

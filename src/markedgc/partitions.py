@@ -31,14 +31,6 @@ def size(lam: Partition) -> int:
     return sum(lam)
 
 
-def length(lam: Partition) -> int:
-    return len(lam)
-
-
-def width(lam: Partition) -> int:
-    return lam[0] if lam else 0
-
-
 def conjugate(lam: Partition) -> Partition:
     """Transpose the Young diagram of ``lam``."""
     if not lam:
@@ -55,18 +47,6 @@ def pad_ones(lam: Partition, j: int) -> Partition:
     if j < 0:
         raise ValueError("j must be non-negative")
     return tuple(lam) + (1,) * j
-
-
-def prepend_row(lam: Partition, n: int) -> Partition:
-    """The partition (n - |lam|, lam) of ``n``.
-
-    Defined only when n - |lam| >= lam_1, i.e. when prepending keeps the
-    sequence non-increasing.
-    """
-    head = n - size(lam)
-    if head < width(lam):
-        raise ValueError(f"prepend_row undefined: {n} - |{lam}| < {width(lam)}")
-    return (head,) + tuple(lam)
 
 
 def erase_first_column(lam: Partition) -> Partition:
@@ -108,10 +88,6 @@ def double(tau: Partition) -> Partition:
 def cycle_types(n: int) -> tuple[Partition, ...]:
     """Cycle types of S_n, i.e. all partitions of n, canonical order."""
     return enumerate_partitions(n)
-
-
-def format_partition(lam: Partition) -> str:
-    return "[" + ",".join(str(p) for p in lam) + "]"
 
 
 def parse_partition(text: str) -> Partition:

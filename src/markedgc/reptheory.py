@@ -310,10 +310,6 @@ def induce_product(a: IrrDecomposition, b: IrrDecomposition) -> IrrDecomposition
     return IrrDecomposition(n, mult)
 
 
-def trivial_decomposition(n: int) -> IrrDecomposition:
-    return IrrDecomposition(n, {(n,) if n else (): 1} if n else {(): 1})
-
-
 def sign_decomposition(n: int) -> IrrDecomposition:
     lam = (1,) * n if n else ()
     return IrrDecomposition(n, {lam: 1})
@@ -347,13 +343,6 @@ def hyperoctahedral_doubles(y: int) -> IrrDecomposition:
     if y == 0:
         return IrrDecomposition(0, {(): 1})
     return IrrDecomposition(2 * y, {double(tau): 1 for tau in enumerate_partitions(y)})
-
-
-def decomposition_width(a: IrrDecomposition) -> int:
-    """Largest part over partitions appearing with positive multiplicity."""
-    if a.is_zero():
-        raise ValueError("width of the zero decomposition is undefined")
-    return max((lam[0] if lam else 0) for lam in a.mult)
 
 
 def decomposition_rows(a: IrrDecomposition) -> int:
@@ -472,7 +461,7 @@ def _induce(n: int, order: int, values) -> ClassFunction:
 
 
 def induce_from_subgroup(
-    n: int, subgroup, chi_h
+    n: int, subgroup, chi_h: dict[Permutation, int | Fraction]
 ) -> ClassFunction:
     """Character of Ind_H^{S_n} of a one-dimensional character of H.
 
@@ -483,7 +472,7 @@ def induce_from_subgroup(
     elements = frozenset(tuple(h) for h in subgroup)
     if not is_subgroup(n, elements):
         raise ValueError("not a subgroup of S_n")
-    chi = {h: Fraction(chi_h[h] if isinstance(chi_h, dict) else chi_h(h)) for h in elements}
+    chi = {h: Fraction(chi_h[h]) for h in elements}
     for a in elements:
         for b in elements:
             if chi[compose(a, b)] != chi[a] * chi[b]:

@@ -11,9 +11,10 @@ Cores (classes with no marked legs) come from
 every class of B(g, n, r) is a core with marked legs added at the
 distinguished vertex, which is how `core_decomposition` splits the
 chain groups and how `complexes.enumerate_unlabeled_classes` lists
-them.  A core's module is induced from its leg symmetry group by
-`reptheory.induce_from_subgroup`, which counts the group's elements of
-each cycle type rather than summing over S_n.
+them.  A core's module is induced from its leg group (`xi.leg_group`,
+listed by `LegGroup.elements`) by `reptheory.induce_from_subgroup`, which
+counts the group's elements of each cycle type rather than summing over
+S_n.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from .complexes import (
     EquivariantComplex,
     ChainMap,
+    _compose_sparse,
     build_complex,
     chain_character,
     enumerate_core_graphs,
@@ -30,14 +32,12 @@ from .complexes import (
     stabilization_map,
 )
 from .graphs import (
-    MarkedGraph,
+    LegGroup,
     OrientedClass,
     build_theta,
     canonical_form,
     cut_edge,
     degree,
-    label_legs,
-    leg_symmetry_group,
 )
 from .homology import HomologyProfile
 from .linalg import rank
@@ -77,21 +77,19 @@ def predicted_sharp_bound(g: int, ell: int) -> int:
 # core graphs
 
 
-def _leg_module(labeled: MarkedGraph) -> IrrDecomposition | None:
-    """The module induced from a labeled graph's leg symmetries acting by
-    their det-signs, or None when the sign character is ill-defined (the
-    class contributes zero)."""
-    try:
-        symmetry = leg_symmetry_group(labeled)
-    except ValueError:
+def _induced_module(group: LegGroup | None) -> IrrDecomposition | None:
+    """The module induced from a leg group acting by its det-signs, or None
+    for no group (the class contributes zero)."""
+    if group is None:
         return None
-    return decompose(induce_from_subgroup(labeled.n_legs, symmetry.keys(), symmetry))
+    elements = group.elements()
+    return decompose(induce_from_subgroup(group.n, elements, elements))
 
 
 def core_module(xi: OrientedClass) -> IrrDecomposition | None:
-    """A_xi: the module induced from the leg symmetries of xi (legs labeled
-    in flag order) acting by their det-signs, or None when xi vanishes."""
-    return _leg_module(label_legs(xi.graph))
+    """A_xi: the module induced from xi's leg group (legs in flag order)
+    acting by its det-signs, or None when xi vanishes."""
+    return _induced_module(xi.leg_group)
 
 
 def rho_of_core(xi: OrientedClass) -> int:
@@ -205,13 +203,7 @@ def _generating(psi: ChainMap) -> bool:
         psi_cols = psi.cols.get(i, [])
         stacked = []
         for sigma in reps:
-            action = group_action_matrix(target, i, sigma)
-            for col in psi_cols:
-                acc: dict[int, int] = {}
-                for mid, coeff in col.items():
-                    for row, coeff2 in action[mid].items():
-                        acc[row] = acc.get(row, 0) + coeff * coeff2
-                stacked.append({k: v for k, v in acc.items() if v})
+            stacked += _compose_sparse(group_action_matrix(target, i, sigma), psi_cols)
         if rank(stacked) < dim:
             return False
     return True
@@ -409,11 +401,15 @@ def verify_vanishing(profile: HomologyProfile) -> list[str]:
 # core-graph bounds
 
 
-def verify_core_bounds(g: int, ell_max: int = 2, slack: int = 2) -> list[str]:
+# How far past the excess m `verify_core_bounds` looks for (absent) cores.
+CORE_BOUNDS_SLACK = 2
+
+
+def verify_core_bounds(g: int, ell_max: int = 2) -> list[str]:
     """Exhaustive core-graph bounds at a fixed genus.
 
     For every core class of type (g, n, n - ell) with ell <= ell_max and
-    n ranging past the excess m by ``slack``: n <= m must hold, with
+    n ranging past the excess m by `CORE_BOUNDS_SLACK`: n <= m must hold, with
     equality exactly on the extremal theta family, and each nonvanishing
     core must satisfy n + rho <= ceil(9(g-1)/2) + 3*ell.
     """
@@ -424,7 +420,7 @@ def verify_core_bounds(g: int, ell_max: int = 2, slack: int = 2) -> list[str]:
         if m < 0:
             continue
         thetas = {cls.key for cls in theta_classes(g, ell).values()}
-        for n in range(m + slack + 1):
+        for n in range(m + CORE_BOUNDS_SLACK + 1):
             r = n - ell
             if r < 0:
                 continue
@@ -465,17 +461,16 @@ def verify_edge_cut_rows(g: int, ell_max: int = 2) -> list[str]:
             if r < 0:
                 continue
             for xi in enumerate_core_graphs(g, n, r):
-                labeled = label_legs(xi.graph)
-                module = _leg_module(labeled)
+                module = _induced_module(xi.leg_group)
                 if module is None:
                     continue
                 rho = decomposition_rows(module)
-                for e in labeled.edges:
+                for e in xi.graph.edges:
                     try:
-                        cut = cut_edge(labeled, e)
+                        cut = cut_edge(xi.graph, e)
                     except ValueError:
                         continue  # disconnecting edge
-                    cut_module = _leg_module(cut)
+                    cut_module = _induced_module(LegGroup.of(cut))
                     rho_c = (
                         None if cut_module is None else decomposition_rows(cut_module)
                     )

@@ -167,14 +167,13 @@ class GenusOneReport:
         return {"ok": self.ok, "checks": self.checks, "violations": self.violations}
 
 
-def _profile(g: int, n: int, r: int, cache_dir=None,
-             store: dict | None = None) -> HomologyProfile:
-    if store is not None and (g, n, r) in store:
-        return store[(g, n, r)]
-    profile = homology_decomposition(build_complex(g, n, r, cache_dir=cache_dir))
-    if store is not None:
-        store[(g, n, r)] = profile
-    return profile
+def _profile(g: int, n: int, r: int, cache_dir, store: dict) -> HomologyProfile:
+    """The homology of B(g, n, r), computed once per ``store``."""
+    if (g, n, r) not in store:
+        store[g, n, r] = homology_decomposition(
+            build_complex(g, n, r, cache_dir=cache_dir)
+        )
+    return store[g, n, r]
 
 
 def _recursion_holds(left: HomologyProfile, lower_r: HomologyProfile,
@@ -203,11 +202,7 @@ def _recursion_holds(left: HomologyProfile, lower_r: HomologyProfile,
     return True
 
 
-def whitehouse_checks(
-    n_max: int,
-    r_range: tuple[int, int] | None = None,
-    cache_dir=None,
-) -> GenusOneReport:
+def whitehouse_checks(n_max: int, cache_dir=None) -> GenusOneReport:
     """Verify the four genus-1 identities for 2 <= r <= n <= n_max:
     concentration, Stirling dimension, restriction character, recursion.
 
@@ -217,12 +212,7 @@ def whitehouse_checks(
     checks: list[dict] = []
     violations: list[str] = []
     profiles: dict = {}
-    pairs = [
-        (n, r)
-        for n in range(2, n_max + 1)
-        for r in range(2, n + 1)
-        if r_range is None or r_range[0] <= r <= r_range[1]
-    ]
+    pairs = [(n, r) for n in range(2, n_max + 1) for r in range(2, n + 1)]
     for n, r in pairs:
         profile = _profile(1, n, r, cache_dir, profiles)
         entry: dict = {"n": n, "r": r}

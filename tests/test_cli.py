@@ -216,6 +216,24 @@ def test_corrupt_cache_header_recomputes(capsys, tmp_path):
     assert first == second
 
 
+def test_cache_of_another_complex_recomputes(capsys, tmp_path):
+    # the classes of B(2,3,3) under a B(1,3,2) header whose count and
+    # checksum match them: every line is admissible and canonical, but of
+    # another type, so the cache is a miss
+    run(capsys, "complex", "--g", "2", "--n", "3", "--r", "3", "--cache-dir", str(tmp_path))
+    head, _, body = (tmp_path / "basis-2-3-3.txt").read_text().partition("\n")
+    header = {**json.loads(head), "g": 1, "n": 3, "r": 2}
+    (tmp_path / "basis-1-3-2.txt").write_text(json.dumps(header) + "\n" + body)
+    code, payload = run_json(
+        capsys, "complex", "--g", "1", "--n", "3", "--r", "2", "--cache-dir", str(tmp_path)
+    )
+    assert code == EXIT_OK
+    assert payload["dims"] == {"0": 1, "1": 3, "2": 3}
+    assert json.loads((tmp_path / "basis-1-3-2.txt").read_text().partition("\n")[0])[
+        "count"
+    ] == 7
+
+
 def test_internal_invariant_failure_exits_3(capsys, monkeypatch):
     def broken(c):
         raise AssertionError("d^2 != 0 on a test complex")

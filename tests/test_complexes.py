@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from markedgc.complexes import (
-    LegGroup,
     boundary_terms,
     build_complex,
     cache_path,
@@ -23,6 +22,7 @@ from markedgc.complexes import (
     stabilization_map,
     _assemble,
     _compose_sparse,
+    _core_classes,
     _edge_multisets,
     _labelings_up_to_symmetry,
     _leg_distributions,
@@ -30,16 +30,17 @@ from markedgc.complexes import (
 import markedgc.graphs
 from markedgc.cli import EXIT_OK, main
 from markedgc.graphs import (
+    LegGroup,
     add_marked_leg,
     automorphisms,
+    build_theta,
     canonical_form,
     contract_edge,
     core,
     degree,
     encode_graph,
-    graph_type,
+    iso_det_sign,
     label_legs,
-    leg_symmetry_group,
     mark_flag,
     relabel_legs,
     validate,
@@ -56,6 +57,19 @@ from markedgc.reptheory import (
 
 # ---------------------------------------------------------------------------
 # enumeration
+
+_VANISHES: dict[tuple, bool] = {}
+
+
+def oracle_vanishes(cls):
+    """Whether an automorphism of the class (leg labels respected) reverses
+    its orientation, by full search; memoised per class key."""
+    if cls.key not in _VANISHES:
+        g = cls.graph
+        _VANISHES[cls.key] = any(
+            iso_det_sign(g, g, phi) == -1 for phi in automorphisms(g)
+        )
+    return _VANISHES[cls.key]
 
 
 # Dimension tables computed once by this engine and frozen; the genus-1
@@ -83,9 +97,9 @@ def test_enumeration_sorted_and_typed():
     degrees = [degree(cls.graph) for cls in classes]
     assert degrees == sorted(degrees)
     for cls in classes:
-        t = graph_type(cls.graph)
-        assert t.g == g and t.n == n and t.r >= r
-        assert not canonical_form(cls.graph)[0].vanishes
+        assert cls.graph.genus == g and cls.graph.n_legs == n
+        assert cls.graph.n_marked >= r
+        assert not oracle_vanishes(canonical_form(cls.graph)[0])
 
 
 def test_unlabeled_enumeration_no_duplicates():
@@ -162,9 +176,7 @@ ENUMERATION_CASES = sorted(set(d2_grid_cases() + HOMOLOGY_CASES + EDGE_CASES))
 def test_unlabeled_enumeration_matches_marking_oracle(key):
     got = enumerate_unlabeled_classes(*key)
     expected = oracle_enumerate_unlabeled_classes(*key)
-    assert [(c.key, c.graph, c.vanishes) for c in got] == [
-        (c.key, c.graph, c.vanishes) for c in expected
-    ]
+    assert [(c.key, c.graph) for c in got] == [(c.key, c.graph) for c in expected]
 
 
 @pytest.mark.parametrize("key", ENUMERATION_CASES, ids=str)
@@ -368,28 +380,26 @@ def test_labelings_match_oracle(key):
     n = key[1]
     for unl in enumerate_unlabeled_classes(*key):
         expected = list(oracle_labelings(unl.graph, n))
-        group = LegGroup.of(unl.graph)
+        group = unl.leg_group
         if group is None:
             # an odd automorphism fixes every leg: all labelings vanish
             assert all(
-                canonical_form(label_legs(unl.graph, a))[0].vanishes
+                oracle_vanishes(canonical_form(label_legs(unl.graph, a))[0])
                 for a in expected
             )
         else:
             legs = unl.graph.legs
-            assert list(_labelings_up_to_symmetry(group, n)) == [
+            assert list(_labelings_up_to_symmetry(group)) == [
                 tuple(a[f] - 1 for f in legs) for a in expected
             ]
 
 
 def _leg_groups(key):
-    out = []
-    for unl in enumerate_unlabeled_classes(*key):
-        try:
-            out.append(leg_symmetry_group(label_legs(unl.graph)))
-        except ValueError:
-            continue
-    return out
+    return [
+        unl.leg_group.elements()
+        for unl in enumerate_unlabeled_classes(*key)
+        if unl.leg_group is not None
+    ]
 
 
 LEG_GROUPS = _leg_groups((2, 5, 5)) + _leg_groups((2, 6, 6))
@@ -428,14 +438,14 @@ def test_stabilization_is_injective_chain_map():
 def oracle_enumerate_marked_graphs(g, n, r):
     out = {}
     for unl in enumerate_unlabeled_classes(g, n, r):
-        group = LegGroup.of(unl.graph)
+        group = unl.leg_group
         if group is None:
             continue
         legs = unl.graph.legs
-        for rho in _labelings_up_to_symmetry(group, n):
+        for rho in _labelings_up_to_symmetry(group):
             assignment = {f: rho[k] + 1 for k, f in enumerate(legs)}
             cls, _ = canonical_form(label_legs(unl.graph, assignment))
-            assert not cls.vanishes
+            assert not oracle_vanishes(cls)
             out.setdefault(cls.key, cls)
     return sorted(out.values(), key=lambda c: (degree(c.graph), c.key))
 
@@ -449,7 +459,7 @@ def oracle_boundary_terms(cls):
         h, eo2, do2, s = result
         assert not validate(h)
         c, s2 = canonical_form(h, eo2, do2)
-        if not c.vanishes:
+        if not oracle_vanishes(c):
             out[c] = out.get(c, 0) + factor * s * s2
 
     for e in eo:
@@ -498,7 +508,7 @@ def oracle_stabilization_cols(key):
             graph = cls.graph
             h, eo, do = add_marked_leg(graph, graph.edges, tuple(sorted(graph.marked)))
             target, sign = canonical_form(h, eo, do)
-            if target.vanishes:
+            if oracle_vanishes(target):
                 cols[i].append({})
                 continue
             deg, pos = index[target.key]
@@ -584,6 +594,31 @@ def test_production_path_canonicalizes_no_labeled_graph():
     assert markedgc.graphs._class_cache
     # the key's last slot holds the leg labels
     assert all(key[5] is None for key in markedgc.graphs._class_cache)
+
+
+def test_one_automorphism_search_per_class(tmp_path, monkeypatch):
+    searched = []
+    search = markedgc.graphs.automorphisms
+
+    def spy(g, *args, **kwargs):
+        searched.append(replace(g, labels=None))
+        return search(g, *args, **kwargs)
+
+    monkeypatch.setattr(markedgc.graphs, "automorphisms", spy)
+    markedgc.graphs._class_cache.clear()
+    _core_classes.cache_clear()  # it holds classes of the cleared cache
+    cls, _ = canonical_form(build_theta(3, 1, 0))
+    assert searched == []  # canonicalizing decides nothing about symmetry
+    assert cls.leg_group is cls.leg_group is not None
+    assert searched == [cls.graph]
+
+    searched.clear()
+    build_complex(2, 5, 5, cache_dir=tmp_path)
+    assert load_enumeration(tmp_path, 2, 5, 5) is not None
+    build_complex(2, 5, 5, cache_dir=tmp_path)
+    assert searched
+    assert len(set(searched)) == len(searched)  # at most one per class
+    assert set(searched) <= {c.graph for c in markedgc.graphs._class_cache.values()}
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from markedgc.complexes import enumerate_marked_graphs, enumerate_unlabeled_classes
+from markedgc.complexes import (
+    enumerate_core_graphs,
+    enumerate_marked_graphs,
+    enumerate_unlabeled_classes,
+)
 from markedgc.graphs import (
     MarkedGraph,
     _neutral_orderings,
@@ -17,13 +21,10 @@ from markedgc.graphs import (
     decode_graph,
     degree,
     encode_graph,
-    glue_legs,
-    graph_type,
-    has_odd_automorphism,
     iso_det_sign,
     isomorphisms,
     label_legs,
-    leg_symmetry_group,
+    LegGroup,
     mark_flag,
     relabel_legs,
     validate,
@@ -255,12 +256,14 @@ def test_validate_matches_rescanning_oracle_on_enumerated_graphs():
                 assert validate(cut) == oracle_validate(cut)
 
 
+def graph_type(g):
+    return g.genus, g.n_legs, g.n_marked
+
+
 def test_graph_type_and_degree():
-    t = graph_type(theta_graph())
-    assert (t.g, t.n, t.r) == (3, 0, 0)
+    assert graph_type(theta_graph()) == (3, 0, 0)
     assert degree(theta_graph()) == 3
-    t = graph_type(tadpole_at_dv())
-    assert (t.g, t.n, t.r) == (2, 0, 1)
+    assert graph_type(tadpole_at_dv()) == (2, 0, 1)
     assert degree(tadpole_at_dv()) == 0
 
 
@@ -272,8 +275,7 @@ def test_theta_family_types():
                 continue
             theta = build_theta(g, ell, p)
             assert validate(theta) == []
-            t = graph_type(theta)
-            assert (t.g, t.n, t.r) == (g, m, m - ell)
+            assert graph_type(theta) == (g, m, m - ell)
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +305,15 @@ def test_canonical_sign_tracks_edge_order():
 
 def test_vanishing_class_detection():
     # theta graph has an automorphism swapping two edges: det sign -1
-    assert has_odd_automorphism(theta_graph())
+    assert LegGroup.of(theta_graph()) is None
     cls, _ = canonical_form(theta_graph())
-    assert cls.vanishes
+    assert cls.leg_group is None
 
 
 def test_nonvanishing_example():
     cls, _ = canonical_form(tadpole_at_dv())
-    assert not cls.vanishes
+    assert cls.leg_group is not None
+    assert cls.leg_group.elements() == {(): 1}
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +335,7 @@ def test_isomorphisms_respect_labels():
     g = labeled_tripod()
     h = relabel_legs(g, {1: 1})
     assert list(isomorphisms(g, h))
-    assert graph_type(g).n == 1
+    assert g.n_legs == 1
 
 
 @pytest.mark.parametrize("key", [(2, 4, 3), (3, 4, 5)])
@@ -420,7 +423,15 @@ def test_cut_then_glue_roundtrip():
     e = g.edges[0]
     cut = cut_edge(g, e)
     assert cut.n_legs == g.n_legs + 2
-    reglued = glue_legs(cut, e[0], e[1])
+    # glue the two new legs back into an edge, dropping their labels
+    inv, labels = list(cut.inv), list(cut.labels)
+    inv[e[0]], inv[e[1]] = e[1], e[0]
+    labels[e[0]] = labels[e[1]] = 0
+    reglued = MarkedGraph(
+        nv=cut.nv, dv=cut.dv, adj=cut.adj, inv=tuple(inv),
+        marked=cut.marked, labels=tuple(labels),
+    )
+    assert reglued == g
     cls1, _ = canonical_form(g)
     cls2, _ = canonical_form(reglued)
     assert cls1.key == cls2.key
@@ -455,17 +466,20 @@ def test_label_legs_default_and_relabel():
 
 
 def test_leg_symmetry_group_signs():
-    g = label_legs(build_theta(3, 0, 0))
-    symmetry = leg_symmetry_group(g)
+    g = build_theta(3, 0, 0)
+    group = LegGroup.of(g)
+    assert group.n == g.n_legs
+    symmetry = group.elements()
     ident = tuple(range(g.n_legs))
     assert symmetry[ident] == 1
     assert all(s in (1, -1) for s in symmetry.values())
+    # leg labels are ignored: legs are taken in flag order
+    assert LegGroup.of(label_legs(g)).elements() == symmetry
 
 
 def test_leg_symmetry_group_rejects_vanishing():
     cls, _ = canonical_form(theta_graph())
-    with pytest.raises(ValueError):
-        leg_symmetry_group(label_legs(cls.graph))
+    assert LegGroup.of(label_legs(cls.graph)) is None
 
 
 def test_canonical_form_flag_map_is_an_isomorphism():
@@ -564,33 +578,46 @@ def test_canonical_form_matches_rekeying_flag_assignment(key):
 
 
 def oracle_leg_symmetry_group(g):
-    """Every automorphism's leg permutation and det-sign, by full search."""
+    """Every automorphism's leg permutation (legs in flag order) and
+    det-sign, by full search; None when two automorphisms with one leg
+    permutation differ in sign."""
+    index = {f: k for k, f in enumerate(g.legs)}
     out = {}
     for phi in automorphisms(g, respect_labels=False):
-        sigma = [0] * g.n_legs
-        for f in g.legs:
-            sigma[g.labels[f] - 1] = g.labels[phi[f]] - 1
+        sigma = tuple(index[phi[f]] for f in g.legs)
         sign = iso_det_sign(g, g, phi)
-        if out.setdefault(tuple(sigma), sign) != sign:
+        if out.setdefault(sigma, sign) != sign:
             return None
     return out
 
 
+def assert_leg_group_matches_full_search(g):
+    expected = oracle_leg_symmetry_group(g)
+    group = LegGroup.of(g)
+    if expected is None:
+        assert group is None
+    else:
+        assert group.n == g.n_legs
+        assert group.elements() == expected
+
+
 @pytest.mark.parametrize("key", [(2, 4, 3), (3, 4, 5), (2, 5, 5), (2, 6, 5)])
 def test_leg_symmetry_group_matches_full_search(key):
-    from markedgc.complexes import enumerate_unlabeled_classes
-
     for unl in enumerate_unlabeled_classes(*key):
-        legs = unl.graph.legs
-        # default labels, and labels in reverse leg order
-        for assignment in (None, {f: len(legs) - k for k, f in enumerate(legs)}):
-            g = label_legs(unl.graph, assignment)
-            expected = oracle_leg_symmetry_group(g)
-            if expected is None:
-                with pytest.raises(ValueError):
-                    leg_symmetry_group(g)
-            else:
-                assert leg_symmetry_group(g) == expected
+        assert_leg_group_matches_full_search(unl.graph)
+
+
+def test_leg_group_matches_full_search_on_genus_two_cut_graphs():
+    # the graphs whose modules `verify --suite edge-cut-rows --g 2` induces
+    for ell in range(2):
+        for n in range(3 + 2 * ell + 1):
+            for xi in enumerate_core_graphs(2, n, n - ell):
+                for e in xi.graph.edges:
+                    try:
+                        cut = cut_edge(xi.graph, e)
+                    except ValueError:
+                        continue
+                    assert_leg_group_matches_full_search(cut)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from markedgc.reptheory import (
     cycle_type_representative,
     decompose,
     decomposition_rows,
-    decomposition_width,
     generated_subgroup,
     hyperoctahedral_doubles,
     identity,
@@ -36,7 +35,6 @@ from markedgc.reptheory import (
     restrict,
     sign_decomposition,
     tensor_sign,
-    trivial_decomposition,
 )
 
 
@@ -126,7 +124,6 @@ def test_decompose_rejects_non_character():
 
 def test_decomposition_statistics():
     dec = IrrDecomposition(6, {(4, 2): 1, (3, 1, 1, 1): 2})
-    assert decomposition_width(dec) == 4
     assert decomposition_rows(dec) == 4
     with pytest.raises(ValueError):
         decomposition_rows(IrrDecomposition(3, {}))
@@ -198,9 +195,8 @@ def test_induce_product_dimension():
 
 
 def test_trivial_and_sign():
-    assert trivial_decomposition(4)[(4,)] == 1
     assert sign_decomposition(4)[(1, 1, 1, 1)] == 1
-    assert tensor_sign(trivial_decomposition(4)) == sign_decomposition(4)
+    assert tensor_sign(IrrDecomposition(4, {(4,): 1})) == sign_decomposition(4)
 
 
 def test_restrict_branching():
@@ -331,27 +327,26 @@ def genus_two_leg_groups():
     """The distinct leg groups, with det-signs, of the genus-2 cores of type
     (2, k, u) with k <= 6 and u >= k - 2, and of their cut graphs with at
     most six legs."""
-    from markedgc.graphs import cut_edge, label_legs, leg_symmetry_group
+    from markedgc.graphs import LegGroup, cut_edge
     from markedgc.stability import enumerate_core_graphs
 
     graphs = []
     for k in range(7):
         for u in range(max(k - 2, 0), (3 + k) // 2 + 1):
             for xi in enumerate_core_graphs(2, k, u):
-                labeled = label_legs(xi.graph)
-                graphs.append(labeled)
+                graphs.append(xi.graph)
                 if k + 2 <= 6:
-                    for e in labeled.edges:
+                    for e in xi.graph.edges:
                         try:
-                            graphs.append(cut_edge(labeled, e))
+                            graphs.append(cut_edge(xi.graph, e))
                         except ValueError:
                             continue
     groups = {}
     for graph in graphs:
-        try:
-            symmetry = leg_symmetry_group(graph)
-        except ValueError:
+        group = LegGroup.of(graph)
+        if group is None:
             continue
+        symmetry = group.elements()
         groups.setdefault(frozenset(symmetry.items()), (graph.n_legs, symmetry))
     return list(groups.values())
 
