@@ -17,9 +17,10 @@ the det-sign character, and the basis is the table of pairs (xi, rho):
 [xi, rho] is xi's canonical graph in its reference orientation with leg k
 labeled rho[k] + 1, rho the least element of its coset under xi's leg
 group H = `xi.leg_group` (the image of Aut(xi) on the legs, kept as a
-stabilizer chain).  The class carries H, found by one automorphism search
-the first time it is asked for; a class without one (an odd automorphism
-fixes every leg) vanishes under every labeling and is left out.
+stabilizer chain).  The class carries H, read from the canonical-form
+search the first time it is asked for; a class without one (an odd
+automorphism fixes every leg) vanishes under every labeling and is left
+out.
 No labeled graph is canonicalized.  The boundary is computed once per xi,
 on [xi, id], as terms [eta, tau] that remember where each leg went; the
 column of [xi, rho] is the same terms relabeled by rho, each reduced to
@@ -139,7 +140,10 @@ def _core_classes(g: int, n: int, r: int) -> tuple[OrientedClass, ...]:
     Marks go only on internal flags at the distinguished vertex.  Those
     flags depend only on the edge multiset, so the markings are chosen
     once per multiset, and a multiset with no marking skips its leg
-    placements.
+    placements.  The marking clauses of admissibility hold by
+    construction (dv flags, at most one per edge), so `validate` runs once
+    per leg placement, on the unmarked graph; a failure is a defect of
+    the construction and raises.
     """
     if g < 0 or n < 0 or r < 0:
         return []
@@ -166,11 +170,13 @@ def _core_classes(g: int, n: int, r: int) -> tuple[OrientedClass, ...]:
                 edge_valence[w] += 1
             for legs_at in _leg_distributions(nv, n, edge_valence):
                 base = _assemble(nv, chosen, legs_at)
+                bad = validate(base)
+                if bad:
+                    raise AssertionError(
+                        f"inadmissible core {encode_graph(base)}: {bad}"
+                    )
                 for marked in markings:
-                    graph = replace(base, marked=marked)
-                    if validate(graph):
-                        continue
-                    cls, _ = canonical_form(graph)
+                    cls, _ = canonical_form(replace(base, marked=marked))
                     seen.setdefault(cls.key, cls)
     return tuple(seen[k] for k in sorted(seen))
 

@@ -12,10 +12,13 @@ signs are reported relative to the reference orientation of a canonical
 class, which is the sorted edge list and sorted marked list of the
 canonical representative.
 
-A class carries its leg group: the action of its automorphisms on its
-legs, with their det-signs.  One automorphism search, made the first time
-the group is asked for, decides both whether the class vanishes under
-every labeling and how S_n acts on its labelings.
+There is one graph search, `canonical_form`'s: it tries the vertex
+orderings that vertex invariants allow and keeps the least encoding, and
+the orderings that tie for it are the graph's automorphisms.  A class
+carries its leg group, the action of its automorphisms on its legs with
+their det-signs, read from those ties the first time it is asked for; it
+decides both whether the class vanishes under every labeling and how S_n
+acts on its labelings.
 """
 
 from __future__ import annotations
@@ -170,135 +173,13 @@ def degree(g: MarkedGraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism search
-
-
-def _vertex_invariant(g: MarkedGraph, v: int):
-    flags = g.flags_at(v)
-    leg_labels = sorted(g.label_of(f) for f in flags if g.inv[f] == f)
-    return (
-        v != g.dv,
-        len(flags),
-        len(leg_labels),
-        tuple(leg_labels),
-        sum(1 for f in flags if f in g.marked),
-        sum(1 for f in flags if g.inv[f] != f and g.adj[g.inv[f]] == g.dv),
-        sum(1 for f in flags if g.adj[g.inv[f]] == v),  # tadpole flags
-    )
-
-
-def isomorphisms(g1: MarkedGraph, g2: MarkedGraph, respect_labels: bool = True):
-    """Yield all flag bijections realizing an isomorphism g1 -> g2.
-
-    Isomorphisms fix the distinguished vertex, the marked set and, when
-    ``respect_labels`` is set, every leg label.
-    """
-    if g1 is not g2 and (  # a graph agrees with itself
-        g1.nv != g2.nv
-        or g1.nf != g2.nf
-        or g1.n_marked != g2.n_marked
-        or g1.n_legs != g2.n_legs
-        or sorted(map(len, map(g1.flags_at, range(g1.nv))))
-        != sorted(map(len, map(g2.flags_at, range(g2.nv))))
-    ):
-        return
-    nf = g1.nf
-    phi = [-1] * nf
-    used = [False] * nf
-    vmap = [-1] * g1.nv
-    vused = [False] * g2.nv
-    vmap[g1.dv] = g2.dv
-    vused[g2.dv] = True
-
-    inv1, inv2 = g1.inv, g2.inv
-    adj1, adj2 = g1.adj, g2.adj
-    m1, m2 = g1.marked, g2.marked
-
-    def compatible(f, f2) -> bool:
-        if (f in m1) != (f2 in m2):
-            return False
-        leg1, leg2 = inv1[f] == f, inv2[f2] == f2
-        if leg1 != leg2:
-            return False
-        if leg1 and respect_labels and g1.label_of(f) != g2.label_of(f2):
-            return False
-        return True
-
-    def assign_vertex(v, w) -> bool:
-        if vmap[v] == -1:
-            if vused[w]:
-                return False
-            vmap[v] = w
-            vused[w] = True
-            return True
-        return vmap[v] == w
-
-    def search(f: int):
-        while f < nf and phi[f] != -1:
-            f += 1
-        if f == nf:
-            yield tuple(phi)
-            return
-        partner = inv1[f]
-        for f2 in range(nf):
-            if used[f2] or not compatible(f, f2):
-                continue
-            p2 = inv2[f2]
-            if partner != f and (used[p2] or p2 == f2):
-                continue
-            if partner != f and not compatible(partner, p2):
-                continue
-            saved_vmap = list(vmap)
-            saved_vused = list(vused)
-            ok = assign_vertex(adj1[f], adj2[f2])
-            if ok and partner != f:
-                ok = assign_vertex(adj1[partner], adj2[p2])
-            if ok:
-                phi[f] = f2
-                used[f2] = True
-                if partner != f:
-                    phi[partner] = p2
-                    used[p2] = True
-                yield from search(f + 1)
-                phi[f] = -1
-                used[f2] = False
-                if partner != f:
-                    phi[partner] = -1
-                    used[p2] = False
-            vmap[:] = saved_vmap
-            vused[:] = saved_vused
-
-    yield from search(0)
-
-
-def iso_det_sign(g1: MarkedGraph, g2: MarkedGraph, phi: tuple[int, ...]) -> int:
-    """Sign of phi on det(E) x det^{-1}(D), both sides in sorted reference
-    order.  For an automorphism this is its det-sign."""
-    e1 = g1.edges
-    e2 = list(g2.edges)
-    index2 = {e: i for i, e in enumerate(e2)}
-    eperm = []
-    for f1, f2 in e1:
-        img = (phi[f1], phi[f2])
-        img = (min(img), max(img))
-        eperm.append(index2[img])
-    d1 = sorted(g1.marked)
-    index2d = {f: i for i, f in enumerate(sorted(g2.marked))}
-    dperm = [index2d[phi[f]] for f in d1]
-    return perm_sign(eperm) * perm_sign(dperm)
-
-
-def automorphisms(g: MarkedGraph, respect_labels: bool = True):
-    return isomorphisms(g, g, respect_labels=respect_labels)
-
-
-# ---------------------------------------------------------------------------
 # leg groups
 
 
 class LegGroup:
     """The leg group of a graph: the image of its automorphisms on its ``n``
-    legs (numbered in flag order), each element with its det-sign.
+    legs (numbered in flag order), each element with its det-sign, read by
+    `LegGroup.of` from the orderings that tie in `canonical_form`'s search.
 
     Stored as a stabilizer chain: level j keeps, for each point b in the
     orbit of j under H_j = {h : h fixes 0..j-1}, one element of H_j sending
@@ -323,25 +204,43 @@ class LegGroup:
         """The leg group of ``g`` (leg labels are ignored), or None when an
         odd automorphism fixes every leg: then every labeling vanishes.
 
-        Legs at one vertex with the same marked status are twins: permuting
-        them is an automorphism, of sign +1 on unmarked twins and the
-        permutation's sign on marked ones.  Every automorphism is, uniquely,
-        one that keeps each twin class in flag order (found by a search that
-        labels legs by their rank in their class) after a twin permutation.
+        The automorphisms come from `canonical_form`'s search: if phi_0,
+        phi, ... are the flag maps of the vertex orderings that tie for the
+        least encoding, each phi_0^-1∘phi is an automorphism, and every
+        automorphism is one of these after one that fixes every vertex.
+        A vertex-fixing automorphism permutes twins (legs at one vertex
+        with the same marked status), of sign +1 on unmarked twins and the
+        permutation's sign on marked ones; otherwise it swaps parallel
+        edges or flips tadpoles, which is odd exactly when two unmarked
+        edges share their ends.  The flag maps number twins in flag order,
+        so every automorphism is, uniquely, some phi_0^-1∘phi on the legs
+        after a twin permutation.
         """
+        g = replace(g, labels=None)  # keeps the flag table off class graphs
+        ends = set()
+        for f1, f2 in g.edges:
+            if f1 not in g.marked and f2 not in g.marked:
+                pair = tuple(sorted((g.adj[f1], g.adj[f2])))
+                if pair in ends:
+                    return None  # swapping the two is odd and fixes every leg
+                ends.add(pair)
+        encoding, ties = _least_encoding(g)
+        canon = _graph_of(encoding)
+        eo, do = g.edges, tuple(sorted(g.marked))
+        sign0 = _orientation_sign(canon, ties[0], eo, do)
+        back = [0] * g.nf
+        for f, image in enumerate(ties[0]):
+            back[image] = f
         legs = g.legs
         index = {f: k for k, f in enumerate(legs)}
         twins: dict[tuple[int, bool], list[int]] = {}
         for k, f in enumerate(legs):
             twins.setdefault((g.adj[f], f in g.marked), []).append(k)
-        rank = [0] * g.nf
-        for ks in twins.values():
-            for r, k in enumerate(ks):
-                rank[legs[k]] = r + 1
         ordered: dict[Permutation, int] = {}
-        for phi in automorphisms(replace(g, labels=tuple(rank))):
-            sign = iso_det_sign(g, g, phi)
-            if ordered.setdefault(tuple([index[phi[f]] for f in legs]), sign) != sign:
+        for phi in ties:
+            sign = sign0 * _orientation_sign(canon, phi, eo, do)
+            sigma = tuple([index[back[phi[f]]] for f in legs])
+            if ordered.setdefault(sigma, sign) != sign:
                 return None  # the two differ by an odd leg-fixing automorphism
 
         elements: dict[Permutation, int] = {}
@@ -402,8 +301,8 @@ class OrientedClass:
     @cached_property
     def leg_group(self) -> LegGroup | None:
         """The class's `LegGroup`, or None when an odd automorphism fixes
-        every leg (the class is zero under every labeling).  Searched for
-        on first use, once per class."""
+        every leg (the class is zero under every labeling).  Built on
+        first use, once per class."""
         return LegGroup.of(self.graph)
 
     def __eq__(self, other) -> bool:
@@ -419,6 +318,20 @@ class OrientedClass:
     @property
     def d_order(self) -> tuple[int, ...]:
         return tuple(sorted(self.graph.marked))
+
+
+def _vertex_invariant(g: MarkedGraph, v: int):
+    flags = g.flags_at(v)
+    leg_labels = sorted(g.label_of(f) for f in flags if g.inv[f] == f)
+    return (
+        v != g.dv,
+        len(flags),
+        len(leg_labels),
+        tuple(leg_labels),
+        sum(1 for f in flags if f in g.marked),
+        sum(1 for f in flags if g.inv[f] != f and g.adj[g.inv[f]] == g.dv),
+        sum(1 for f in flags if g.adj[g.inv[f]] == v),  # tadpole flags
+    )
 
 
 def _neutral_orderings(g: MarkedGraph):
@@ -524,29 +437,46 @@ def canonical_form(
         edge_order = g.edges
     if d_order is None:
         d_order = tuple(sorted(g.marked))
-
-    best = None
-    for vorder in _neutral_orderings(g):
-        encoding, phi = _flag_assignment(g, vorder)
-        if best is None or encoding < best[0]:
-            best = (encoding, phi)
-    encoding, phi = best
-
+    encoding, ties = _least_encoding(g)
+    phi = ties[0]
     cls = _class_cache.get(encoding)
     if cls is None:
-        nv, nf, adj, inv, marked, labels = encoding
-        canon = MarkedGraph(
-            nv=nv,
-            dv=0,
-            adj=adj,
-            inv=inv,
-            marked=frozenset(marked),
-            labels=labels,
-        )
-        cls = OrientedClass(graph=canon, key=encoding)
+        cls = OrientedClass(graph=_graph_of(encoding), key=encoding)
         _class_cache[encoding] = cls
-    canon = cls.graph
+    out = CanonicalForm((cls, _orientation_sign(cls.graph, phi, edge_order, d_order)))
+    out.phi = phi
+    return out
 
+
+def _least_encoding(g: MarkedGraph) -> tuple[tuple, list[tuple[int, ...]]]:
+    """The least encoding over the vertex orderings `_neutral_orderings`
+    allows, with the flag map of every ordering that reaches it, in the
+    order they are found."""
+    best, ties = None, []
+    for vorder in _neutral_orderings(g):
+        encoding, phi = _flag_assignment(g, vorder)
+        if best is None or encoding < best:
+            best, ties = encoding, [phi]
+        elif encoding == best:
+            ties.append(phi)
+    return best, ties
+
+
+def _graph_of(encoding: tuple) -> MarkedGraph:
+    nv, _, adj, inv, marked, labels = encoding
+    return MarkedGraph(
+        nv=nv, dv=0, adj=adj, inv=inv, marked=frozenset(marked), labels=labels
+    )
+
+
+def _orientation_sign(
+    canon: MarkedGraph,
+    phi: tuple[int, ...],
+    edge_order: tuple[Edge, ...],
+    d_order: tuple[int, ...],
+) -> int:
+    """Sign of the flag map ``phi`` onto ``canon`` on det(E) x det^{-1}(D):
+    the given orders, mapped by phi, against canon's sorted orders."""
     mapped_edges = []
     for f1, f2 in edge_order:
         img = (phi[f1], phi[f2])
@@ -555,9 +485,7 @@ def canonical_form(
     esign = perm_sign([ref_index[e] for e in mapped_edges])
     ref_d = {f: i for i, f in enumerate(sorted(canon.marked))}
     dsign = perm_sign([ref_d[phi[f]] for f in d_order])
-    out = CanonicalForm((cls, esign * dsign))
-    out.phi = phi
-    return out
+    return esign * dsign
 
 
 # ---------------------------------------------------------------------------

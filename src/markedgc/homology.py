@@ -5,8 +5,8 @@ Ranks come from integer elimination; character values on homology use
 the identity chi_H(s) = chi_C(s) - tr(s|im d_{i+1}) - tr(s|im d_i),
 where traces on images follow from a one-time column factorization of
 each differential (the group acts on the columns by a signed
-permutation).  An optional cross-check recomputes every image trace by
-direct linear solves.
+permutation).  `_character_by_solves`, the reference the tests compare
+against, recomputes every image trace by direct linear solves.
 """
 
 from __future__ import annotations
@@ -75,42 +75,37 @@ def homology_dimensions(c: EquivariantComplex, ranks: dict[int, int]) -> dict[in
     return dims
 
 
-def homology_character(
-    c: EquivariantComplex, i: int, factorizations: dict
-) -> ClassFunction:
-    """Character of the S_n action on H_i.  ``factorizations`` holds the
-    column factorization of each differential, filled in as needed and
-    shared between degrees."""
+def homology_characters(
+    c: EquivariantComplex, degrees: list[int]
+) -> dict[int, ClassFunction]:
+    """Characters of the S_n action on H_i for each i in ``degrees``.
 
-    def fact(k):
-        if k not in factorizations:
-            factorizations[k] = column_factorization(c.diff.get(k, []))
-        return factorizations[k]
-
-    chain = chain_character(c, i)
-    values: dict[Partition, Fraction] = {}
+    Each differential that a trace needs is column-factorized once, and
+    the action of each cycle type on each degree is computed once: the
+    action on C_i gives the chain trace and the trace on im d_i, the
+    action on C_{i+1} the trace on im d_{i+1}."""
+    acted = sorted({k for i in degrees for k in (i, i + 1) if c.diff.get(k)})
+    factorizations = {k: column_factorization(c.diff[k]) for k in acted}
+    values: dict[int, dict[Partition, Fraction]] = {i: {} for i in degrees}
     for mu in cycle_types(c.n):
         sigma = cycle_type_representative(mu)
-        total = chain(mu)
-        if c.diff.get(i + 1):
-            total -= trace_on_image(
-                c.diff[i + 1], group_action_matrix(c, i + 1, sigma), fact(i + 1)
-            )
-        if c.diff.get(i):
-            total -= trace_on_image(
-                c.diff[i], group_action_matrix(c, i, sigma), fact(i)
-            )
-        values[mu] = Fraction(total)
-    return ClassFunction(c.n, values)
+        actions = {k: group_action_matrix(c, k, sigma) for k in acted}
+        for i in degrees:
+            total = sum(col.get(pos, 0) for pos, col in enumerate(actions[i]))
+            if i + 1 in actions:
+                total -= trace_on_image(
+                    c.diff[i + 1], actions[i + 1], factorizations[i + 1]
+                )
+            total -= trace_on_image(c.diff[i], actions[i], factorizations[i])
+            values[i][mu] = Fraction(total)
+    return {i: ClassFunction(c.n, v) for i, v in values.items()}
 
 
 def _zero_character(n: int) -> ClassFunction:
     return ClassFunction(n, {mu: Fraction(0) for mu in cycle_types(n)})
 
 
-def homology_decomposition(
-    c: EquivariantComplex, cross_check: bool = False
-) -> HomologyProfile:
+def homology_decomposition(c: EquivariantComplex) -> HomologyProfile:
     """Full homology profile; characters are computed only in degrees with
     nonzero homology (elsewhere the module is zero)."""
     ranks = differential_ranks(c)
@@ -120,7 +115,7 @@ def homology_decomposition(
     if euler_chain != euler_hom:
         raise AssertionError("Euler characteristic mismatch")
 
-    factorizations: dict = {}
+    chars = homology_characters(c, [i for i in sorted(dims) if dims[i]])
     characters: dict[int, ClassFunction] = {}
     decompositions: dict[int, IrrDecomposition] = {}
     for i in sorted(dims):
@@ -128,13 +123,11 @@ def homology_decomposition(
             characters[i] = _zero_character(c.n)
             decompositions[i] = IrrDecomposition(c.n, {})
             continue
-        chi = homology_character(c, i, factorizations)
+        chi = chars[i]
         if chi.dim != dims[i]:
             raise AssertionError(
                 f"character dimension {chi.dim} != rank-nullity {dims[i]}"
             )
-        if cross_check and chi != _character_by_solves(c, i):
-            raise AssertionError(f"cross-check failed in degree {i}")
         characters[i] = chi
         decompositions[i] = decompose(chi)
     return HomologyProfile(

@@ -12,7 +12,6 @@ from markedgc.graphs import (
     MarkedGraph,
     _neutral_orderings,
     OrientedClass,
-    automorphisms,
     build_theta,
     canonical_form,
     contract_edge,
@@ -21,8 +20,6 @@ from markedgc.graphs import (
     decode_graph,
     degree,
     encode_graph,
-    iso_det_sign,
-    isomorphisms,
     label_legs,
     LegGroup,
     mark_flag,
@@ -30,6 +27,7 @@ from markedgc.graphs import (
     validate,
 )
 from markedgc.reptheory import perm_sign
+from search_oracle import automorphisms, iso_det_sign, isomorphisms
 
 
 def tadpole_at_dv():
@@ -317,7 +315,7 @@ def test_nonvanishing_example():
 
 
 # ---------------------------------------------------------------------------
-# isomorphisms and automorphisms
+# the oracle search: isomorphisms and automorphisms
 
 
 def test_automorphism_count_theta():
@@ -618,6 +616,18 @@ def test_leg_group_matches_full_search_on_genus_two_cut_graphs():
                     except ValueError:
                         continue
                     assert_leg_group_matches_full_search(cut)
+
+
+@pytest.mark.parametrize(
+    "key", [(2, 4, 3), (3, 4, 5), (2, 3, 0), (3, 0, 0), (3, 2, 1)], ids=str
+)
+def test_leg_group_matches_full_search_on_shuffled_classes(key):
+    # on a shuffled presentation the first tied ordering's flag map is not
+    # the identity, so its inverse and its sign enter every element
+    rng = random.Random(str(key))
+    for unl in enumerate_unlabeled_classes(*key):
+        for _ in range(3):
+            assert_leg_group_matches_full_search(shuffled_copy(unl.graph, rng))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,27 @@
+import markedgc.complexes
 from markedgc.complexes import build_complex
 from markedgc.homology import (
+    _character_by_solves,
     differential_ranks,
     homology_decomposition,
     homology_dimensions,
 )
+from markedgc.reptheory import perm_cycle_type
 
 
-def profile_of(g, n, r, cross_check=False):
-    return homology_decomposition(build_complex(g, n, r), cross_check=cross_check)
+def profile_of(g, n, r):
+    return homology_decomposition(build_complex(g, n, r))
+
+
+def cross_checked_profile(g, n, r):
+    """The profile, with every nonzero degree's character checked against
+    image traces recomputed by direct linear solves."""
+    c = build_complex(g, n, r)
+    profile = homology_decomposition(c)
+    assert profile.nonzero_degrees()
+    for i in profile.nonzero_degrees():
+        assert profile.characters[i] == _character_by_solves(c, i)
+    return profile
 
 
 def test_point_complex_is_rational_line():
@@ -25,7 +39,7 @@ def test_rank_nullity_consistency():
 
 
 def test_genus_one_concentration_with_cross_check():
-    profile = profile_of(1, 4, 3, cross_check=True)
+    profile = cross_checked_profile(1, 4, 3)
     assert profile.nonzero_degrees() == [2]
     assert profile.dims[2] == 3
     # s(3, 2) = 3 permutations of 3 letters with 2 cycles
@@ -40,7 +54,7 @@ def test_genus_one_higher_window():
 
 def test_excess_three_table_n5():
     # top homology of the first excess-3 group in the stable range
-    profile = profile_of(2, 5, 5, cross_check=True)
+    profile = cross_checked_profile(2, 5, 5)
     assert profile.nonzero_degrees() == [3]
     dec = profile.decompositions[3]
     assert dict(dec.items()) == {(4, 1): 1, (3, 2): 1, (3, 1, 1): 1}
@@ -71,3 +85,19 @@ def test_euler_characteristic_of_homology():
     assert sum((-1) ** i * d for i, d in profile.dims.items()) == (
         c.euler_characteristic()
     )
+
+
+def test_one_action_per_degree_and_cycle_type(monkeypatch):
+    acted = []
+    act = markedgc.complexes._act
+
+    def spy(c, i, sigma):
+        acted.append((i, perm_cycle_type(sigma)))
+        return act(c, i, sigma)
+
+    c = build_complex(3, 6, 7)
+    monkeypatch.setattr(markedgc.complexes, "_act", spy)
+    profile = homology_decomposition(c)
+    assert profile.nonzero_degrees() == [3, 4]
+    assert acted
+    assert len(set(acted)) == len(acted)

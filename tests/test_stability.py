@@ -79,7 +79,9 @@ def test_core_counts_at_excess():
 
 def oracle_enumerate_core_graphs(g, n, r, validated, canonicalized):
     """Core enumeration choosing markings anew for every leg placement;
-    logs each graph it validates and each it canonicalizes."""
+    logs each graph it canonicalizes, and the unmarked graph of each leg
+    placement that has a marking (the graph `_core_classes` validates).
+    Every marked graph must be admissible."""
     if g < 0 or n < 0 or r < 0:
         return []
     seen = {}
@@ -100,6 +102,7 @@ def oracle_enumerate_core_graphs(g, n, r, validated, canonicalized):
                     for f in range(base.nf)
                     if base.adj[f] == 0 and base.inv[f] != f
                 ]
+                marked_any = False
                 for sub in combinations(internal, r):
                     picked = set(sub)
                     if any(base.inv[f] in picked for f in sub):
@@ -112,9 +115,10 @@ def oracle_enumerate_core_graphs(g, n, r, validated, canonicalized):
                         marked=frozenset(picked),
                         labels=None,
                     )
-                    validated.append(graph)
-                    if validate(graph):
-                        continue
+                    if not marked_any:
+                        validated.append(base)
+                        marked_any = True
+                    assert validate(graph) == []
                     canonicalized.append(graph)
                     cls, _ = canonical_form(graph)
                     seen.setdefault(cls.key, cls)
@@ -150,6 +154,16 @@ def test_enumerate_core_graphs_matches_per_placement_markings(key, monkeypatch):
     assert [cls.key for cls in got] == [cls.key for cls in expected]
     assert validated == expected_validated
     assert canonicalized == expected_canonicalized
+
+
+def test_core_enumeration_raises_on_an_inadmissible_placement(monkeypatch):
+    # without legs, some edge multiset leaves a neutral vertex below valence 3
+    markedgc.complexes._core_classes.cache_clear()
+    monkeypatch.setattr(
+        markedgc.complexes, "_leg_distributions", lambda nv, n, valence: [(0,) * nv]
+    )
+    with pytest.raises(AssertionError, match="inadmissible core"):
+        enumerate_core_graphs(2, 2, 1)
 
 
 @pytest.mark.parametrize("g", [1, 2])
