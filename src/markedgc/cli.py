@@ -201,7 +201,7 @@ def _verify_suites(args) -> tuple[dict, list[str]]:
             return
         if not enabled:
             if wanted == name:
-                raise SystemExit(
+                raise ValueError(
                     f"suite {name!r} needs more parameters (see --help)"
                 )
             return
@@ -237,16 +237,12 @@ def _verify_suites(args) -> tuple[dict, list[str]]:
         ).violations,
     )
     if wanted is not None and wanted not in suites:
-        raise SystemExit(f"unknown or unavailable suite {wanted!r}")
+        raise ValueError(f"unknown or unavailable suite {wanted!r}")
     return suites, violations
 
 
 def _cmd_verify(args) -> int:
-    try:
-        suites, violations = _verify_suites(args)
-    except SystemExit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    suites, violations = _verify_suites(args)
     payload = {
         "suites": {name: found for name, found in sorted(suites.items())},
         "violations": violations,

@@ -9,8 +9,11 @@ A complex collects every non-vanishing isomorphism class of type (g, n, s)
 with s >= r, graded by degree |E| + n - s.  The differential contracts
 edges (the contracted edge is dropped from the last wedge position) and
 marks flags (the new flag enters first in the marked order, with a global
-(-1)^{|E|} factor).  d^2 = 0 is verified at build time and any failure
-aborts with the offending basis pair.
+(-1)^{|E|} factor).  Every graph is in its reference orientation (sorted
+edges, sorted marks), so each move returns its sign against its result's
+reference orientation and `canonical_form` carries that to the class's.
+d^2 = 0 is verified at build time and any failure aborts with the
+offending basis pair.
 
 C_i is the sum over unlabeled classes xi of Ind from Aut(xi) to S_n of
 the det-sign character, and the basis is the table of pairs (xi, rho):
@@ -146,7 +149,7 @@ def _core_classes(g: int, n: int, r: int) -> tuple[OrientedClass, ...]:
     the construction and raises.
     """
     if g < 0 or n < 0 or r < 0:
-        return []
+        return ()
     seen: dict[tuple, OrientedClass] = {}
     e_max = 3 * (g - 1) + n - r
     for ne in range(max(g - 1, 0), e_max + 1):
@@ -192,25 +195,35 @@ def enumerate_core_graphs(g: int, n: int, r: int) -> list[OrientedClass]:
     return list(_core_classes(g, n, r))
 
 
+def core_types(g: int, n: int, r: int):
+    """The pairs (j, u) such that cores of type (g, n - j, u) with j marked
+    legs added at the distinguished vertex give the classes of type
+    (g, n, s), s = u + j >= r.
+
+    No two marked flags share an edge, so u is at most the edge count,
+    which is at most 3(g - 1) + (n - j) - u.
+    """
+    for j in range(n + 1):
+        for u in range(max(r - j, 0), (3 * (g - 1) + n - j) // 2 + 1):
+            yield j, u
+
+
 def enumerate_unlabeled_classes(g: int, n: int, r: int) -> list[OrientedClass]:
     """Canonical unlabeled marked-graph classes of type (g, n, s), s >= r.
 
     Each class is, uniquely, a core of type (g, n - j, u) with j marked
-    legs added at the distinguished vertex, s = u + j.  No two marked
-    flags share an edge, so u is at most the edge count, which is at most
-    3(g - 1) + (n - j) - u.  Classes that vanish for every labeling are
-    not filtered here; the orientation test depends on the labeling and
-    happens downstream.
+    legs added at the distinguished vertex, for (j, u) in `core_types`.
+    Classes that vanish for every labeling are not filtered here; the
+    orientation test depends on the labeling and happens downstream.
     """
     seen: dict[tuple, OrientedClass] = {}
-    for j in range(n + 1):
-        for u in range(max(r - j, 0), (3 * (g - 1) + n - j) // 2 + 1):
-            for xi in _core_classes(g, n - j, u):
-                graph = xi.graph
-                for _ in range(j):
-                    graph, _, _ = add_marked_leg(graph, (), ())
-                cls = canonical_form(graph)[0] if j else xi
-                seen[cls.key] = cls
+    for j, u in core_types(g, n, r):
+        for xi in _core_classes(g, n - j, u):
+            graph = xi.graph
+            for _ in range(j):
+                graph = add_marked_leg(graph)
+            cls = canonical_form(graph)[0] if j else xi
+            seen[cls.key] = cls
     return [seen[k] for k in sorted(seen)]
 
 
@@ -356,25 +369,24 @@ def boundary_terms(xi: OrientedClass) -> dict[tuple[OrientedClass, Permutation],
     labeling vanishes is kept; `build_complex` drops it.
     """
     g = xi.graph
-    eo, do = g.edges, tuple(sorted(g.marked))
     out: dict[tuple[OrientedClass, Permutation], int] = {}
 
     def accumulate(result, factor: int):
-        h, eo2, do2, s = result
+        h, s = result
         bad = validate(h)
         if bad:
             raise AssertionError(f"inadmissible boundary term from {encode_graph(g)}: {bad}")
-        form = canonical_form(h, eo2, do2)
+        form = canonical_form(h)
         term = (form[0], _leg_map(h, form))
         out[term] = out.get(term, 0) + factor * s * form[1]
 
-    for e in eo:
-        for result in contract_edge(g, e, eo, do):
+    for e in g.edges:
+        for result in contract_edge(g, e):
             accumulate(result, 1)
     mark_sign = -1 if g.n_edges % 2 else 1
     for f in range(g.nf):
         if g.adj[f] == g.dv and f not in g.marked:
-            result = mark_flag(g, f, eo, do)
+            result = mark_flag(g, f)
             if result is not None:
                 accumulate(result, mark_sign)
     return {t: v for t, v in out.items() if v}
@@ -528,9 +540,8 @@ def stabilization_map(
     for i in source.degrees():
         cols_i: SparseColumns = []
         for xi, positions in source.table[i].values():
-            graph = xi.graph
-            h, eo, do = add_marked_leg(graph, graph.edges, tuple(sorted(graph.marked)))
-            form = canonical_form(h, eo, do)
+            h = add_marked_leg(xi.graph)
+            form = canonical_form(h)
             targets = _targets(
                 {(form[0], _leg_map(h, form)): form[1]},
                 target.table.get(i, {}),

@@ -7,10 +7,12 @@ A graph is a flag structure: ``adj`` sends each flag to its vertex and
 A marking is a distinguished vertex ``dv`` plus a set ``marked`` of flags
 at ``dv``.  Legs carry labels 1..n, or no labels at all (core graphs).
 
-Orientations are orderings of the edge set and of the marked set.  All
-signs are reported relative to the reference orientation of a canonical
-class, which is the sorted edge list and sorted marked list of the
-canonical representative.
+An orientation is an ordering of the edge set and of the marked set, and
+every graph is in its reference orientation: its sorted edge list and its
+sorted marked list.  Each move returns its result with the sign of the
+move against the result's reference orientation, and `canonical_form`
+returns the sign relating the graph's reference orientation to its
+class's.
 
 There is one graph search, `canonical_form`'s: it tries the vertex
 orderings that vertex invariants allow and keeps the least encoding, and
@@ -226,8 +228,7 @@ class LegGroup:
                 ends.add(pair)
         encoding, ties = _least_encoding(g)
         canon = _graph_of(encoding)
-        eo, do = g.edges, tuple(sorted(g.marked))
-        sign0 = _orientation_sign(canon, ties[0], eo, do)
+        sign0 = _orientation_sign(g, canon, ties[0])
         back = [0] * g.nf
         for f, image in enumerate(ties[0]):
             back[image] = f
@@ -238,7 +239,7 @@ class LegGroup:
             twins.setdefault((g.adj[f], f in g.marked), []).append(k)
         ordered: dict[Permutation, int] = {}
         for phi in ties:
-            sign = sign0 * _orientation_sign(canon, phi, eo, do)
+            sign = sign0 * _orientation_sign(g, canon, phi)
             sigma = tuple([index[back[phi[f]]] for f in legs])
             if ordered.setdefault(sigma, sign) != sign:
                 return None  # the two differ by an odd leg-fixing automorphism
@@ -310,14 +311,6 @@ class OrientedClass:
 
     def __hash__(self) -> int:
         return hash(self.key)
-
-    @property
-    def edge_order(self) -> tuple[Edge, ...]:
-        return self.graph.edges
-
-    @property
-    def d_order(self) -> tuple[int, ...]:
-        return tuple(sorted(self.graph.marked))
 
 
 def _vertex_invariant(g: MarkedGraph, v: int):
@@ -393,11 +386,11 @@ def _flag_assignment(g: MarkedGraph, vorder: tuple[int, ...]):
 
     new_adj = [0] * g.nf
     new_inv = [0] * g.nf
-    new_labels = [0] * g.nf
+    new_leg_labels = [0] * g.nf
     for f in range(g.nf):
         new_adj[phi[f]] = vindex[g.adj[f]]
         new_inv[phi[f]] = phi[g.inv[f]]
-        new_labels[phi[f]] = g.label_of(f)
+        new_leg_labels[phi[f]] = g.label_of(f)
     new_marked = tuple(sorted(phi[f] for f in g.marked))
     encoding = (
         g.nv,
@@ -405,7 +398,7 @@ def _flag_assignment(g: MarkedGraph, vorder: tuple[int, ...]):
         tuple(new_adj),
         tuple(new_inv),
         new_marked,
-        tuple(new_labels) if g.labels is not None else None,
+        tuple(new_leg_labels) if g.labels is not None else None,
     )
     return encoding, tuple(phi)
 
@@ -420,30 +413,21 @@ class CanonicalForm(tuple):
     phi: tuple[int, ...]
 
 
-def canonical_form(
-    g: MarkedGraph,
-    edge_order: tuple[Edge, ...] | None = None,
-    d_order: tuple[int, ...] | None = None,
-) -> tuple[OrientedClass, int]:
+def canonical_form(g: MarkedGraph) -> tuple[OrientedClass, int]:
     """Canonicalize ``g`` and return the class together with the sign
-    relating the given orientation to the class's reference orientation.
+    relating ``g``'s reference orientation to the class's.
 
-    ``edge_order``/``d_order`` default to the sorted orders of ``g`` itself.
     The sign is well defined for non-vanishing classes; for vanishing ones
     it is reported relative to an arbitrary but fixed choice.  The pair is
     a `CanonicalForm`, which also carries the flag map of the search.
     """
-    if edge_order is None:
-        edge_order = g.edges
-    if d_order is None:
-        d_order = tuple(sorted(g.marked))
     encoding, ties = _least_encoding(g)
     phi = ties[0]
     cls = _class_cache.get(encoding)
     if cls is None:
         cls = OrientedClass(graph=_graph_of(encoding), key=encoding)
         _class_cache[encoding] = cls
-    out = CanonicalForm((cls, _orientation_sign(cls.graph, phi, edge_order, d_order)))
+    out = CanonicalForm((cls, _orientation_sign(g, cls.graph, phi)))
     out.phi = phi
     return out
 
@@ -470,21 +454,19 @@ def _graph_of(encoding: tuple) -> MarkedGraph:
 
 
 def _orientation_sign(
-    canon: MarkedGraph,
-    phi: tuple[int, ...],
-    edge_order: tuple[Edge, ...],
-    d_order: tuple[int, ...],
+    g: MarkedGraph, canon: MarkedGraph, phi: tuple[int, ...]
 ) -> int:
-    """Sign of the flag map ``phi`` onto ``canon`` on det(E) x det^{-1}(D):
-    the given orders, mapped by phi, against canon's sorted orders."""
+    """Sign of the flag map ``phi`` from ``g`` onto ``canon`` on
+    det(E) x det^{-1}(D): g's sorted orders, mapped by phi, against
+    canon's sorted orders."""
     mapped_edges = []
-    for f1, f2 in edge_order:
+    for f1, f2 in g.edges:
         img = (phi[f1], phi[f2])
         mapped_edges.append((min(img), max(img)))
     ref_index = {e: i for i, e in enumerate(canon.edges)}
     esign = perm_sign([ref_index[e] for e in mapped_edges])
     ref_d = {f: i for i, f in enumerate(sorted(canon.marked))}
-    dsign = perm_sign([ref_d[phi[f]] for f in d_order])
+    dsign = perm_sign([ref_d[phi[f]] for f in sorted(g.marked)])
     return esign * dsign
 
 
@@ -497,11 +479,11 @@ def _rebuild(
     drop_flags: set[int],
     merge: dict[int, int] | None = None,
     new_marked: set[int] | None = None,
-    new_labels: dict[int, int] | None = None,
-):
+) -> MarkedGraph:
     """Delete flags, optionally merge vertices, and re-index densely.
 
-    Returns (graph, flag_map, vertex_map).
+    The remaining flags keep their order, so the remaining edges and marks
+    stay sorted.
     """
     merge = merge or {}
     keep = [f for f in range(g.nf) if f not in drop_flags]
@@ -510,39 +492,25 @@ def _rebuild(
     vkeep = sorted(set(vtarget))
     vmap = {v: i for i, v in enumerate(vkeep)}
     marked_src = g.marked if new_marked is None else new_marked
-    labels = None
-    if g.labels is not None:
-        labels = [0] * len(keep)
-        for f in keep:
-            lbl = g.labels[f]
-            if new_labels and f in new_labels:
-                lbl = new_labels[f]
-            labels[fmap[f]] = lbl
-    elif new_labels:
-        raise ValueError("cannot label flags of an unlabeled graph")
-    out = MarkedGraph(
+    return MarkedGraph(
         nv=len(vkeep),
         dv=vmap[vtarget[g.dv]],
         adj=tuple(vmap[vtarget[g.adj[f]]] for f in keep),
         inv=tuple(fmap[g.inv[f]] for f in keep),
         marked=frozenset(fmap[f] for f in marked_src if f not in drop_flags),
-        labels=tuple(labels) if labels is not None else None,
+        labels=tuple(g.labels[f] for f in keep) if g.labels is not None else None,
     )
-    return out, fmap, vmap
 
 
-def contract_edge(
-    g: MarkedGraph,
-    e: Edge,
-    edge_order: tuple[Edge, ...],
-    d_order: tuple[int, ...],
-):
-    """All summands of the edge-contraction move on ``e``.
+def contract_edge(g: MarkedGraph, e: Edge) -> list[tuple[MarkedGraph, int]]:
+    """All summands of the edge-contraction move on ``e``, as (graph, sign)
+    with the sign against the graph's reference orientation.
 
-    Returns a list of (graph, edge_order, d_order, sign).  Tadpoles
-    contract to zero (empty list); a marked edge produces one summand per
-    flag newly adjacent to the distinguished vertex, discarding summands
-    that would create a double-marked tadpole.
+    ``e`` leaves from the last wedge position: (-1)^{|E|-1-pos} for e at
+    ``pos`` in ``g.edges``.  Tadpoles contract to zero (empty list); a
+    marked edge produces one summand per flag newly adjacent to the
+    distinguished vertex, which takes the marked flag's slot in the marked
+    order, discarding summands that would create a double-marked tadpole.
     """
     f1, f2 = e
     if g.inv[f1] != f2:
@@ -551,53 +519,37 @@ def contract_edge(
     if v1 == v2:
         return []  # tadpole
 
-    pos = edge_order.index(e)
-    move_sign = -1 if (len(edge_order) - 1 - pos) % 2 else 1
-    rest_edges = edge_order[:pos] + edge_order[pos + 1 :]
+    pos = g.edges.index(e)
+    move_sign = -1 if (g.n_edges - 1 - pos) % 2 else 1
 
     marked_flags = [f for f in e if f in g.marked]
     if not marked_flags:
         # keep dv; otherwise keep the smaller index
         if v2 == g.dv or (v1 != g.dv and v2 < v1):
             v1, v2 = v2, v1
-        out, fmap, _ = _rebuild(g, {f1, f2}, merge={v2: v1})
-        new_eo = tuple(_map_edge(fmap, ed) for ed in rest_edges)
-        new_do = tuple(fmap[f] for f in d_order)
-        return [(out, new_eo, new_do, move_sign)]
+        return [(_rebuild(g, {f1, f2}, merge={v2: v1}), move_sign)]
 
     fm = marked_flags[0]
     w = g.adj[g.inv[fm]]  # neutral endpoint absorbed into dv
     newly_adjacent = [f for f in g.flags_at(w) if f != g.inv[fm]]
-    dpos = d_order.index(fm)
     results = []
     for fi in newly_adjacent:
         if g.inv[fi] in g.marked:
             continue  # double-marked tadpole: zero by definition
+        lo, hi = min(fm, fi), max(fm, fi)
+        between = sum(1 for f in g.marked if lo < f < hi)
         new_marked = (set(g.marked) - {fm}) | {fi}
-        out, fmap, _ = _rebuild(g, {f1, f2}, merge={w: g.dv}, new_marked=new_marked)
-        new_eo = tuple(_map_edge(fmap, ed) for ed in rest_edges)
-        new_do = tuple(
-            fmap[fi] if i == dpos else fmap[f] for i, f in enumerate(d_order)
-        )
-        results.append((out, new_eo, new_do, move_sign))
+        out = _rebuild(g, {f1, f2}, merge={w: g.dv}, new_marked=new_marked)
+        results.append((out, -move_sign if between % 2 else move_sign))
     return results
 
 
-def _map_edge(fmap: dict[int, int], e: Edge) -> Edge:
-    a, b = fmap[e[0]], fmap[e[1]]
-    return (min(a, b), max(a, b))
-
-
-def mark_flag(
-    g: MarkedGraph,
-    f: int,
-    edge_order: tuple[Edge, ...],
-    d_order: tuple[int, ...],
-):
+def mark_flag(g: MarkedGraph, f: int) -> tuple[MarkedGraph, int] | None:
     """Mark the unmarked dv-flag ``f``, placing it first in the marked order.
 
-    Returns (graph, edge_order, d_order, sign), or None when marking would
-    create a double-marked tadpole.
+    Returns (graph, sign), the sign (-1)^{#marks below f} against the
+    graph's reference orientation, or None when marking would create a
+    double-marked tadpole.
     """
     if g.adj[f] != g.dv or f in g.marked:
         raise ValueError(f"flag {f} is not an unmarked flag at the dv")
@@ -611,7 +563,8 @@ def mark_flag(
         marked=g.marked | {f},
         labels=g.labels,
     )
-    return out, edge_order, (f,) + d_order, 1
+    below = sum(1 for m in g.marked if m < f)
+    return out, -1 if below % 2 else 1
 
 
 def core(g: MarkedGraph) -> MarkedGraph:
@@ -625,16 +578,12 @@ def core(g: MarkedGraph) -> MarkedGraph:
         marked=g.marked,
         labels=None,
     )
-    out, _, _ = _rebuild(kept, drop)
-    return out
+    return _rebuild(kept, drop)
 
 
-def add_marked_leg(
-    g: MarkedGraph,
-    edge_order: tuple[Edge, ...],
-    d_order: tuple[int, ...],
-):
-    """Adjoin a marked leg labeled n+1 at the dv, last in the marked order."""
+def add_marked_leg(g: MarkedGraph) -> MarkedGraph:
+    """Adjoin a marked leg labeled n+1 at the dv.  It is the last flag, so
+    the result is in its reference orientation with sign +1."""
     f = g.nf
     labels = None
     if g.labels is not None:
@@ -647,20 +596,15 @@ def add_marked_leg(
         marked=g.marked | {f},
         labels=labels,
     )
-    return out, edge_order, d_order + (f,)
+    return out
 
 
-def label_legs(g: MarkedGraph, assignment: dict[int, int] | None = None) -> MarkedGraph:
-    """Attach leg labels to an unlabeled graph.
-
-    ``assignment`` maps leg flags to labels; by default legs are labeled
-    1..n in flag order.
-    """
+def label_legs(g: MarkedGraph, assignment: dict[int, int]) -> MarkedGraph:
+    """Attach leg labels to an unlabeled graph: ``assignment`` maps leg
+    flags to labels."""
     if g.labels is not None:
         raise ValueError("graph is already labeled")
     labels = [0] * g.nf
-    if assignment is None:
-        assignment = {f: i + 1 for i, f in enumerate(g.legs)}
     for f, lbl in assignment.items():
         labels[f] = lbl
     return MarkedGraph(

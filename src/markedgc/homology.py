@@ -93,10 +93,8 @@ def homology_characters(
         for i in degrees:
             total = sum(col.get(pos, 0) for pos, col in enumerate(actions[i]))
             if i + 1 in actions:
-                total -= trace_on_image(
-                    c.diff[i + 1], actions[i + 1], factorizations[i + 1]
-                )
-            total -= trace_on_image(c.diff[i], actions[i], factorizations[i])
+                total -= trace_on_image(actions[i + 1], factorizations[i + 1])
+            total -= trace_on_image(actions[i], factorizations[i])
             values[i][mu] = Fraction(total)
     return {i: ClassFunction(c.n, v) for i, v in values.items()}
 

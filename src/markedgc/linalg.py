@@ -180,18 +180,17 @@ def column_factorization(
 
 
 def trace_on_image(
-    dcols: SparseColumns,
     action_cols: SparseColumns,
-    factorization: tuple[list[int], list[dict[int, Fraction]]] | None = None,
+    factorization: tuple[list[int], list[dict[int, Fraction]]],
 ) -> Fraction:
     """Trace of an equivariant signed permutation on the column span of d.
 
     ``action_cols`` is the signed permutation action on the *source* of d
     (one {image: sign} entry per column).  Equivariance makes the action
     permute the columns of d up to sign, so the trace on the image follows
-    from the column factorization alone.
+    from ``factorization``, the `column_factorization` of d, alone.
     """
-    pivots, coeffs = factorization or column_factorization(dcols)
+    pivots, coeffs = factorization
     total = Fraction(0)
     for l in pivots:
         (img, sign), = action_cols[l].items()

@@ -131,13 +131,6 @@ class ClassFunction:
             self.n, {mu: self.values[mu] + other.values[mu] for mu in self.values}
         )
 
-    def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        if self.n != other.n:
-            raise ValueError("mismatched symmetric groups")
-        return ClassFunction(
-            self.n, {mu: self.values[mu] - other.values[mu] for mu in self.values}
-        )
-
     def __mul__(self, other: "ClassFunction") -> "ClassFunction":
         """Pointwise product, i.e. the character of a tensor product."""
         if self.n != other.n:

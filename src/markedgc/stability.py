@@ -27,6 +27,7 @@ from .complexes import (
     _compose_sparse,
     build_complex,
     chain_character,
+    core_types,
     enumerate_core_graphs,
     group_action_matrix,
     stabilization_map,
@@ -116,22 +117,20 @@ def core_decomposition(
 ) -> list[tuple[OrientedClass, int, IrrDecomposition]]:
     """The degree-i summands of B(g, n, r) indexed by core classes.
 
-    Cores of type (g, k, u) with k <= n, u >= r - (n - k) and degree i each
-    contribute A_xi composed with the sign column on the extra n - k legs.
+    Cores of type (g, n - j, u), (j, u) in `complexes.core_types`, and of
+    degree i each contribute A_xi composed with the sign column on the
+    extra j legs.
     """
     out = []
-    for k in range(n + 1):
-        u_min = max(0, r - (n - k))
-        u_max = (3 * (g - 1) + k) // 2
-        for u in range(u_min, u_max + 1):
-            for xi in enumerate_core_graphs(g, k, u):
-                if degree(xi.graph) != i:
-                    continue
-                module = core_module(xi)
-                if module is None:
-                    continue
-                widehat = induce_product(module, sign_decomposition(n - k))
-                out.append((xi, widehat.dim, widehat))
+    for j, u in core_types(g, n, r):
+        for xi in enumerate_core_graphs(g, n - j, u):
+            if degree(xi.graph) != i:
+                continue
+            module = core_module(xi)
+            if module is None:
+                continue
+            widehat = induce_product(module, sign_decomposition(j))
+            out.append((xi, widehat.dim, widehat))
     return out
 
 
@@ -317,7 +316,15 @@ def _p_range(g: int, m: int):
 
 
 def stab_module(g: int, n: int, ell: int) -> IrrDecomposition:
-    """The stable degree-m homology module of B(g, n, n - l) at level n."""
+    """The part of H_m(B(g, n, n - l)) that the Lambda sets predict at
+    n >= ceil(3m/2): its irreducibles with exactly
+    ceil(m/2) + (n - ceil(3m/2)) rows, each a member of Lambda((m - p)/2, p)
+    padded with n - ceil(3m/2) ones.
+
+    H_m has further irreducibles, with more rows, that this leaves out:
+    H_3(B(2, 5, 5)) = (4,1) + (3,2) + (3,1,1), while stab_module(2, 5, 0)
+    = (4,1) + (3,2).
+    """
     m = excess(g, ell)
     bound = predicted_sharp_bound(g, ell)
     if n < bound:

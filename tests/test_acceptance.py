@@ -15,6 +15,7 @@ from markedgc.complexes import build_complex, enumerate_marked_graphs
 from markedgc.homology import homology_decomposition
 from markedgc.partitions import cycle_types, enumerate_partitions, size
 from markedgc.reptheory import (
+    IrrDecomposition,
     centralizer_order,
     character_value,
     decompose,
@@ -27,7 +28,9 @@ from markedgc.stability import (
     check_consistent_sequence,
     excess,
     lambda_set,
+    predicted_sharp_bound,
     rho_of_core,
+    stab_module,
     stable_multiplicity,
     theta_classes,
     verify_core_bounds,
@@ -187,6 +190,20 @@ def test_criterion_9_lambda_vs_lr_formula():
                 assert counted.get(lam, 0) == stable_multiplicity(lam, g), (
                     m, g, lam,
                 )
+
+
+def test_criterion_9_stab_module_is_top_homology_at_its_row_count(profiles):
+    # B(g, n, n - l) at n >= ceil(3m/2): the irreducibles of H_m with
+    # exactly ceil(m/2) + (n - ceil(3m/2)) rows are stab_module(g, n, l);
+    # H_m has further irreducibles with more rows
+    for (g, n, r), profile in profiles.items():
+        ell = n - r
+        m = excess(g, ell)
+        rows = (m + 1) // 2 + n - predicted_sharp_bound(g, ell)
+        top = profile.decompositions[m]
+        widest = {lam: mult for lam, mult in top.items() if len(lam) == rows}
+        assert IrrDecomposition(n, widest) == stab_module(g, n, ell), (g, n, r)
+        assert any(len(lam) > rows for lam, _ in top.items())
 
 
 def test_criterion_9_excess_seven_table():

@@ -87,13 +87,22 @@ def test_verify_unknown_suite(capsys):
     assert code == EXIT_USAGE
 
 
+def test_verify_suite_missing_parameters_exits_2(capsys):
+    code = main(["verify", "--suite", "core-bounds"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.splitlines() == [
+        "error: suite 'core-bounds' needs more parameters (see --help)"
+    ]
+
+
 def test_missing_required_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["homology", "--g", "1"])
     assert exc.value.code == 2
 
 
-def test_invalid_jobs_exits_2():
+def test_unknown_option_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--g", "1", "--n", "2", "--r", "1", "--jobs", "0"])
     assert exc.value.code == 2

@@ -50,7 +50,9 @@ from markedgc.reptheory import (
     compose,
     cycle_type_representative,
     perm_cycle_type,
+    perm_sign,
 )
+import moves_oracle
 from search_oracle import automorphisms, iso_det_sign
 
 
@@ -429,6 +431,48 @@ def test_stabilization_is_injective_chain_map():
 
 
 # ---------------------------------------------------------------------------
+# the moves against the order-taking moves they replaced
+
+
+def reference_sign(h, edge_order, d_order):
+    """The sign of the orders (edge_order, d_order) on h against h's
+    reference orientation (sorted edges, sorted marks)."""
+    edges = h.edges
+    marks = sorted(h.marked)
+    return perm_sign([edges.index(e) for e in edge_order]) * perm_sign(
+        [marks.index(f) for f in d_order]
+    )
+
+
+@pytest.mark.parametrize("key", d2_grid_cases(), ids=str)
+def test_moves_match_order_taking_oracle(key):
+    for cls in enumerate_unlabeled_classes(*key):
+        legs = cls.graph.legs
+        labeled = label_legs(cls.graph, {f: k + 1 for k, f in enumerate(legs)})
+        for g in (cls.graph, labeled):
+            eo, do = g.edges, tuple(sorted(g.marked))
+            for e in g.edges:
+                got = contract_edge(g, e)
+                expected = [
+                    (h, s * reference_sign(h, eo2, do2))
+                    for h, eo2, do2, s in moves_oracle.contract_edge(g, e, eo, do)
+                ]
+                assert got == expected
+            for f in range(g.nf):
+                if g.adj[f] == g.dv and f not in g.marked:
+                    got = mark_flag(g, f)
+                    old = moves_oracle.mark_flag(g, f, eo, do)
+                    if old is None:
+                        assert got is None
+                    else:
+                        h, eo2, do2, s = old
+                        assert got == (h, s * reference_sign(h, eo2, do2))
+            h, eo2, do2 = moves_oracle.add_marked_leg(g, eo, do)
+            assert add_marked_leg(g) == h
+            assert reference_sign(h, eo2, do2) == 1
+
+
+# ---------------------------------------------------------------------------
 # the labeled path, kept as an oracle: every labeled class is canonicalized
 # as a labeled graph, and the boundary and the stabilization map are taken
 # class by class
@@ -451,23 +495,22 @@ def oracle_enumerate_marked_graphs(g, n, r):
 
 def oracle_boundary_terms(cls):
     g = cls.graph
-    eo, do = g.edges, tuple(sorted(g.marked))
     out = {}
 
     def accumulate(result, factor):
-        h, eo2, do2, s = result
+        h, s = result
         assert not validate(h)
-        c, s2 = canonical_form(h, eo2, do2)
+        c, s2 = canonical_form(h)
         if not oracle_vanishes(c):
             out[c] = out.get(c, 0) + factor * s * s2
 
-    for e in eo:
-        for result in contract_edge(g, e, eo, do):
+    for e in g.edges:
+        for result in contract_edge(g, e):
             accumulate(result, 1)
     mark_sign = -1 if g.n_edges % 2 else 1
     for f in range(g.nf):
         if g.adj[f] == g.dv and f not in g.marked:
-            result = mark_flag(g, f, eo, do)
+            result = mark_flag(g, f)
             if result is not None:
                 accumulate(result, mark_sign)
     return {c: v for c, v in out.items() if v}
@@ -504,9 +547,7 @@ def oracle_stabilization_cols(key):
     for i, classes in basis.items():
         cols[i] = []
         for cls in classes:
-            graph = cls.graph
-            h, eo, do = add_marked_leg(graph, graph.edges, tuple(sorted(graph.marked)))
-            target, sign = canonical_form(h, eo, do)
+            target, sign = canonical_form(add_marked_leg(cls.graph))
             if oracle_vanishes(target):
                 cols[i].append({})
                 continue

@@ -63,6 +63,11 @@ def labeled_tripod():
     )
 
 
+def in_flag_order(g: MarkedGraph) -> MarkedGraph:
+    """``g`` with its legs labeled 1..n in flag order."""
+    return label_legs(g, {f: k + 1 for k, f in enumerate(g.legs)})
+
+
 def shuffled_copy(g: MarkedGraph, rng: random.Random) -> MarkedGraph:
     """An isomorphic presentation with vertices and flags renamed."""
     vperm = list(range(g.nv))
@@ -242,7 +247,7 @@ def test_validate_matches_rescanning_oracle_on_enumerated_graphs():
     # disconnected or low-valence structure)
     for key in [(2, 4, 3), (3, 4, 5)]:
         for unl in enumerate_unlabeled_classes(*key):
-            g = label_legs(unl.graph)
+            g = in_flag_order(unl.graph)
             assert validate(g) == oracle_validate(g) == []
             for f1, f2 in g.edges:
                 inv = list(g.inv)
@@ -292,13 +297,32 @@ def test_canonical_form_isomorphism_invariant(seed):
 
 
 def test_canonical_sign_tracks_edge_order():
-    g = theta_graph()
+    # Renumber the flags of a non-vanishing class so that two edges swap
+    # places in the sorted edge order.  Every edge of a theta graph is
+    # marked at the dv, so the sorted marked order swaps two marks too.
+    g = build_theta(2, 1, 1)
     cls, sign = canonical_form(g)
-    e = g.edges
-    swapped = (e[1], e[0]) + e[2:]
-    cls2, sign2 = canonical_form(g, edge_order=swapped)
+    assert cls.leg_group is not None
+    (a1, a2), (b1, b2) = g.edges[1], g.edges[2]
+    pi = list(range(g.nf))
+    pi[a1], pi[b1], pi[a2], pi[b2] = b1, a1, b2, a2  # an involution
+    adj, inv = [0] * g.nf, [0] * g.nf
+    for f in range(g.nf):
+        adj[pi[f]] = g.adj[f]
+        inv[pi[f]] = pi[g.inv[f]]
+    h = MarkedGraph(
+        nv=g.nv, dv=g.dv, adj=tuple(adj), inv=tuple(inv),
+        marked=frozenset(pi[f] for f in g.marked), labels=None,
+    )
+    # h's sorted orders, pulled back to g, against g's sorted orders
+    pulled_edges = [tuple(sorted((pi[x], pi[y]))) for x, y in h.edges]
+    edge_sign = perm_sign([g.edges.index(e) for e in pulled_edges])
+    marks = sorted(g.marked)
+    mark_sign = perm_sign([marks.index(pi[f]) for f in sorted(h.marked)])
+    assert edge_sign == mark_sign == -1
+    cls2, sign2 = canonical_form(h)
     assert cls2.key == cls.key
-    assert sign2 == -sign
+    assert sign2 == sign * edge_sign * mark_sign
 
 
 def test_vanishing_class_detection():
@@ -349,7 +373,7 @@ def test_automorphisms_match_isomorphisms_onto_a_copy(key):
     # `isomorphisms` skips its invariant checks when both graphs are one
     # object; onto an equal copy it runs them and must find the same maps
     for unl in enumerate_unlabeled_classes(*key):
-        g = label_legs(unl.graph)
+        g = in_flag_order(unl.graph)
         copy = relabel_legs(g, {k: k for k in range(1, g.n_legs + 1)})
         assert copy == g and copy is not g
         assert list(automorphisms(g)) == list(isomorphisms(g, copy))
@@ -364,17 +388,17 @@ def test_contract_unmarked_edge():
     # vertices and keeps the other two as tadpoles at dv
     g = theta_graph()
     e = g.edges[0]
-    results = contract_edge(g, e, g.edges, tuple(sorted(g.marked)))
+    results = contract_edge(g, e)
     assert len(results) == 1
-    contracted, _, _, sign = results[0]
+    contracted, sign = results[0]
     assert contracted.nv == 1
     assert contracted.n_edges == 2
-    assert sign in (1, -1)
+    assert sign == 1  # the first of three edges moves past two
 
 
 def test_contract_tadpole_gives_nothing():
     g = tadpole_at_dv()
-    assert contract_edge(g, g.edges[0], g.edges, (0,)) == []
+    assert contract_edge(g, g.edges[0]) == []
 
 
 def test_mark_flag_creates_marked_leg_degree_drop():
@@ -383,17 +407,18 @@ def test_mark_flag_creates_marked_leg_degree_drop():
         f for f in g.legs if f not in g.marked and g.adj[f] == g.dv
     ]
     assert unmarked_dv_legs
-    result = mark_flag(g, unmarked_dv_legs[0], g.edges, tuple(sorted(g.marked)))
+    f = unmarked_dv_legs[0]
+    result = mark_flag(g, f)
     assert result is not None
-    marked_graph, _, d_order, sign = result
-    assert sign == 1
+    marked_graph, sign = result
+    assert sign == -1  # f enters first, before the one mark below it
     assert marked_graph.n_marked == g.n_marked + 1
-    assert d_order[0] == unmarked_dv_legs[0]
+    assert f in marked_graph.marked
 
 
 def test_mark_flag_rejects_double_marked_tadpole():
     g = tadpole_at_dv()
-    assert mark_flag(g, 1, g.edges, (0,)) is None
+    assert mark_flag(g, 1) is None
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +442,7 @@ def test_core_strips_marked_legs():
 
 
 def test_cut_then_glue_roundtrip():
-    g = label_legs(build_theta(3, 1, 0))
+    g = in_flag_order(build_theta(3, 1, 0))
     e = g.edges[0]
     cut = cut_edge(g, e)
     assert cut.n_legs == g.n_legs + 2
@@ -454,9 +479,9 @@ def test_cut_disconnecting_edge_raises():
 # labels and leg symmetries
 
 
-def test_label_legs_default_and_relabel():
+def test_label_legs_in_flag_order_and_relabel():
     g = build_theta(2, 1, 1)
-    labeled = label_legs(g)
+    labeled = in_flag_order(g)
     labels = sorted(labeled.labels[f] for f in labeled.legs)
     assert labels == list(range(1, g.n_legs + 1))
     swapped = relabel_legs(labeled, {i: i for i in range(1, g.n_legs + 1)})
@@ -472,16 +497,16 @@ def test_leg_symmetry_group_signs():
     assert symmetry[ident] == 1
     assert all(s in (1, -1) for s in symmetry.values())
     # leg labels are ignored: legs are taken in flag order
-    assert LegGroup.of(label_legs(g)).elements() == symmetry
+    assert LegGroup.of(in_flag_order(g)).elements() == symmetry
 
 
 def test_leg_symmetry_group_rejects_vanishing():
     cls, _ = canonical_form(theta_graph())
-    assert LegGroup.of(label_legs(cls.graph)) is None
+    assert LegGroup.of(in_flag_order(cls.graph)) is None
 
 
 def test_canonical_form_flag_map_is_an_isomorphism():
-    g = label_legs(build_theta(3, 1, 0))
+    g = in_flag_order(build_theta(3, 1, 0))
     form = canonical_form(g)
     canon = form[0].graph
     vmap = {}
@@ -564,14 +589,10 @@ def test_canonical_form_matches_rekeying_flag_assignment(key):
     graphs += [cls.graph for cls in enumerate_unlabeled_classes(*key)]
     for graph in graphs:
         g = shuffled_copy(graph, rng)
-        edge_order = list(g.edges)
-        rng.shuffle(edge_order)
-        d_order = sorted(g.marked)
-        rng.shuffle(d_order)
-        form = canonical_form(g, tuple(edge_order), tuple(d_order))
+        form = canonical_form(g)
         cls, sign = form
         assert (cls.key, sign, form.phi) == oracle_canonical_form(
-            g, edge_order, d_order
+            g, g.edges, sorted(g.marked)
         )
 
 

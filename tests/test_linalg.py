@@ -253,7 +253,7 @@ def test_trace_on_image_signed_permutation(seed):
     )
     if not equivariant:
         return
-    got = trace_on_image(cols, action)
+    got = trace_on_image(action, column_factorization(cols))
     # dense reference: trace of T restricted to im(d)
     pivots, _ = column_factorization(cols)
     basis = [cols[l] for l in pivots]
@@ -269,4 +269,4 @@ def test_trace_on_image_signed_permutation(seed):
 def test_trace_on_image_identity_action():
     cols = [{0: 1, 1: 2}, {1: 1}, {0: 1, 1: 3}]
     action = [{j: 1} for j in range(3)]
-    assert trace_on_image(cols, action) == rank(cols)
+    assert trace_on_image(action, column_factorization(cols)) == rank(cols)
