@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .complexes import CacheError, build_complex, enumerate_marked_graphs
 from .graphs import degree
@@ -260,7 +261,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache-dir", default=None)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="markedgc",
         description=(

@@ -19,11 +19,11 @@ C_i is the sum over unlabeled classes xi of Ind from Aut(xi) to S_n of
 the det-sign character, and the basis is the table of pairs (xi, rho):
 [xi, rho] is xi's canonical graph in its reference orientation with leg k
 labeled rho[k] + 1, rho the least element of its coset under xi's leg
-group H = `xi.leg_group` (the image of Aut(xi) on the legs, kept as a
-stabilizer chain).  The class carries H, read from the canonical-form
-search the first time it is asked for; a class without one (an odd
-automorphism fixes every leg) vanishes under every labeling and is left
-out.
+group H = `xi.leg_group` (the image of Aut(xi) on the legs, kept as its
+twin blocks and tie automorphisms), and `H.labelings` lists those rho.
+The class carries H, read from the canonical-form search the first time
+it is asked for; a class without one (an odd automorphism fixes every
+leg) vanishes under every labeling and is left out.
 No labeled graph is canonicalized.  The boundary is computed once per xi,
 on [xi, id], as terms [eta, tau] that remember where each leg went; the
 column of [xi, rho] is the same terms relabeled by rho, each reduced to
@@ -227,39 +227,6 @@ def enumerate_unlabeled_classes(g: int, n: int, r: int) -> list[OrientedClass]:
     return [seen[k] for k in sorted(seen)]
 
 
-def _labelings_up_to_symmetry(group: LegGroup):
-    """One leg labeling per coset of the leg group: each permutation rho of
-    0..n-1 that is its coset's minimum, in increasing order.
-
-    `coset_min` leaves rho unchanged exactly when, at each level j,
-    rho[j] is the least value of rho over the level's orbit, whose points
-    are all >= j.  So the labels are chosen position by position, each
-    above the labels of the levels whose orbit holds its position.
-    """
-    n = group.n
-    below: list[list[int]] = [[] for _ in range(n)]
-    for j, level in group.levels:
-        for b in level:
-            if b != j:
-                below[b].append(j)
-    rho = [0] * n
-    used = [False] * n
-
-    def extend(p: int):
-        if p == n:
-            yield tuple(rho)
-            return
-        least = max((rho[j] + 1 for j in below[p]), default=0)
-        for v in range(least, n):
-            if not used[v]:
-                used[v] = True
-                rho[p] = v
-                yield from extend(p + 1)
-                used[v] = False
-
-    yield from extend(0)
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class LabeledClass:
     """The basis element [xi, rho]: the unlabeled class xi's canonical graph
@@ -292,12 +259,12 @@ def _labeled_classes(xis: list[OrientedClass]) -> list[LabeledClass]:
     return [
         LabeledClass(xi, rho)
         for xi in xis
-        for rho in _labelings_up_to_symmetry(xi.leg_group)
+        for rho in xi.leg_group.labelings()
     ]
 
 
 def enumerate_marked_graphs(
-    g: int, n: int, r: int, cache_dir: str | Path | None = None
+    g: int, n: int, r: int, cache_dir: str | Path | None
 ) -> list[LabeledClass]:
     """The basis of B(g, n, r): every [xi, rho] with xi an unlabeled class
     that has a leg group, ordered by (degree, xi key, rho)."""
@@ -526,7 +493,7 @@ class ChainMap:
 
 
 def stabilization_map(
-    source: EquivariantComplex, target: EquivariantComplex | None = None
+    source: EquivariantComplex, target: EquivariantComplex
 ) -> ChainMap:
     """The chain map adjoining a marked leg labeled n+1 (degree 0).
 
@@ -534,8 +501,6 @@ def stabilization_map(
     in the marked order; [xi, rho] then maps like [xi, id] relabeled by rho
     extended by n -> n.
     """
-    if target is None:
-        target = build_complex(source.g, source.n + 1, source.r + 1)
     cols: dict[int, SparseColumns] = {}
     for i in source.degrees():
         cols_i: SparseColumns = []

@@ -20,7 +20,8 @@ the orderings that tie for it are the graph's automorphisms.  A class
 carries its leg group, the action of its automorphisms on its legs with
 their det-signs, read from those ties the first time it is asked for; it
 decides both whether the class vanishes under every labeling and how S_n
-acts on its labelings.
+acts on its labelings.  It is kept as the search finds it, twin blocks
+times the leg actions of the ties, and only `LegGroup.elements` lists it.
 """
 
 from __future__ import annotations
@@ -183,23 +184,21 @@ class LegGroup:
     legs (numbered in flag order), each element with its det-sign, read by
     `LegGroup.of` from the orderings that tie in `canonical_form`'s search.
 
-    Stored as a stabilizer chain: level j keeps, for each point b in the
-    orbit of j under H_j = {h : h fixes 0..j-1}, one element of H_j sending
-    j to b (the identity for b = j).  Levels where H_j fixes j are left out.
+    Kept as the search finds it: ``blocks`` holds ``(positions, marked)``
+    for each twin class of two or more legs, and ``ordered`` the distinct
+    ``(sigma, chi)`` of the ties, the identity first.  Every element is,
+    uniquely, sigma∘tau with tau a twin permutation, of sign chi times
+    the sign of tau on the marked blocks.
     """
 
-    def __init__(self, elements: dict[Permutation, int]):
-        self.n = len(next(iter(elements)))
-        self.levels: list[tuple[int, dict[int, tuple[Permutation, int]]]] = []
-        identity = tuple(range(self.n))
-        stabilizer = list(elements.items())
-        for j in identity:
-            level = {j: (identity, 1)}
-            for h, sign in stabilizer:
-                level.setdefault(h[j], (h, sign))
-            if len(level) > 1:
-                self.levels.append((j, level))
-                stabilizer = [(h, sign) for h, sign in stabilizer if h[j] == j]
+    def __init__(self, n: int, blocks: tuple, ordered: tuple):
+        self.n, self.blocks, self.ordered = n, blocks, ordered
+        # selection sort: position j takes the least of its block after it
+        self._swaps = tuple(
+            (j, ks[i + 1 :], marked)
+            for ks, marked in blocks
+            for i, j in enumerate(ks[:-1])
+        )
 
     @classmethod
     def of(cls, g: MarkedGraph) -> LegGroup | None:
@@ -243,46 +242,77 @@ class LegGroup:
             sigma = tuple([index[back[phi[f]]] for f in legs])
             if ordered.setdefault(sigma, sign) != sign:
                 return None  # the two differ by an odd leg-fixing automorphism
+        blocks = tuple(
+            (tuple(ks), marked) for (_, marked), ks in twins.items() if len(ks) > 1
+        )
+        return cls(len(legs), blocks, tuple(ordered.items()))
 
-        elements: dict[Permutation, int] = {}
-        for shuffles in product(*map(permutations, twins.values())):
-            tau = list(range(len(legs)))
+    def elements(self) -> dict[Permutation, int]:
+        """Every element with its det-sign."""
+        out: dict[Permutation, int] = {}
+        for shuffles in product(*(permutations(ks) for ks, _ in self.blocks)):
+            tau = list(range(self.n))
             twin_sign = 1
-            for ((_, marked), ks), images in zip(twins.items(), shuffles):
+            for (ks, marked), images in zip(self.blocks, shuffles):
                 for a, b in zip(ks, images):
                     tau[a] = b
                 if marked:
                     twin_sign *= perm_sign([ks.index(b) for b in images])
-            for sigma, sign in ordered.items():
-                elements[tuple([sigma[t] for t in tau])] = sign * twin_sign
-        return cls(elements)
-
-    def elements(self) -> dict[Permutation, int]:
-        """Every element with its det-sign: each is, uniquely, a product
-        t_1∘t_2∘... of one chain element per level, in level order."""
-        out = {tuple(range(self.n)): 1}
-        for _, level in reversed(self.levels):
-            out = {
-                tuple([t[x] for x in h]): s * sign
-                for t, s in level.values()
-                for h, sign in out.items()
-            }
+            for sigma, sign in self.ordered:
+                out[tuple([sigma[t] for t in tau])] = sign * twin_sign
         return out
 
     def coset_min(self, rho: Permutation) -> tuple[Permutation, int]:
         """The lex-least element rho∘h of the coset rho·H, with chi(h).
 
-        Greedy down the chain: at level j pick the element that puts the
-        least value of ``rho`` at position j, then keep positions < j fixed.
+        For each sigma, tau sorts rho∘sigma within every block; each swap
+        is a transposition of twins, odd on a marked block.
         """
-        sign = 1
-        for j, level in self.levels:
-            b = min(level, key=rho.__getitem__)
-            if b != j:
-                h, s = level[b]
-                rho = tuple([rho[x] for x in h])
-                sign *= s
-        return rho, sign
+        best = None
+        for sigma, chi in self.ordered:
+            image = [rho[x] for x in sigma]
+            for j, orbit, marked in self._swaps:
+                b = min(orbit, key=image.__getitem__)
+                if image[b] < image[j]:
+                    image[j], image[b] = image[b], image[j]
+                    if marked:
+                        chi = -chi
+            image = tuple(image)
+            if best is None or image < best[0]:
+                best = (image, chi)
+        return best
+
+    def labelings(self):
+        """One leg labeling per coset: each permutation rho of 0..n-1 that
+        is its coset's minimum, in increasing order.
+
+        Labels are chosen position by position, each above the label at
+        the previous position of its block; `coset_min` keeps a candidate
+        when it leaves it unchanged.
+        """
+        n = self.n
+        previous = [None] * n
+        for ks, _ in self.blocks:
+            for a, b in zip(ks, ks[1:]):
+                previous[b] = a
+        rho = [0] * n
+        used = [False] * n
+
+        def extend(p: int):
+            if p == n:
+                candidate = tuple(rho)
+                if self.coset_min(candidate)[0] == candidate:
+                    yield candidate
+                return
+            least = 0 if previous[p] is None else rho[previous[p]] + 1
+            for v in range(least, n):
+                if not used[v]:
+                    used[v] = True
+                    rho[p] = v
+                    yield from extend(p + 1)
+                    used[v] = False
+
+        yield from extend(0)
 
 
 # ---------------------------------------------------------------------------

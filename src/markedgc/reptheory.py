@@ -416,12 +416,6 @@ def cycle_type_representative(mu: Partition) -> Permutation:
     return tuple(out)
 
 
-def is_subgroup(n: int, elements: frozenset[Permutation]) -> bool:
-    if identity(n) not in elements:
-        return False
-    return all(compose(a, b) in elements for a in elements for b in elements)
-
-
 def generated_subgroup(n: int, generators) -> frozenset[Permutation]:
     elems = {identity(n)}
     frontier = [identity(n)]
@@ -459,15 +453,18 @@ def induce_from_subgroup(
     """Character of Ind_H^{S_n} of a one-dimensional character of H.
 
     ``subgroup`` is an iterable of permutations (images of 0..n-1) forming a
-    subgroup H of S_n; ``chi_h`` maps each element of H to a rational.  The
+    subgroup H of S_n; ``chi_h`` maps each element of H to a rational.  One
+    pass over H x H checks that H is closed and chi multiplicative.  The
     induction formula is evaluated by counting classes (`_induce`).
     """
-    elements = frozenset(tuple(h) for h in subgroup)
-    if not is_subgroup(n, elements):
+    chi = {h: chi_h[h] for h in map(tuple, subgroup)}
+    if identity(n) not in chi:
         raise ValueError("not a subgroup of S_n")
-    chi = {h: Fraction(chi_h[h]) for h in elements}
-    for a in elements:
-        for b in elements:
-            if chi[compose(a, b)] != chi[a] * chi[b]:
+    for a, chi_a in chi.items():
+        for b, chi_b in chi.items():
+            chi_ab = chi.get(tuple([a[x] for x in b]))
+            if chi_ab is None:
+                raise ValueError("not a subgroup of S_n")
+            if chi_ab != chi_a * chi_b:
                 raise ValueError("character of H is not multiplicative")
-    return _induce(n, len(elements), chi.items())
+    return _induce(n, len(chi), chi.items())

@@ -209,7 +209,7 @@ def _generating(psi: ChainMap) -> bool:
 
 
 def check_consistent_sequence(
-    g: int, ell: int, n_max: int, cache_dir=None
+    g: int, ell: int, n_max: int, cache_dir
 ) -> StabilityReport:
     """Test the three stability conditions along B(g, n, n - l).
 
@@ -412,7 +412,7 @@ def verify_vanishing(profile: HomologyProfile) -> list[str]:
 CORE_BOUNDS_SLACK = 2
 
 
-def verify_core_bounds(g: int, ell_max: int = 2) -> list[str]:
+def verify_core_bounds(g: int, ell_max: int) -> list[str]:
     """Exhaustive core-graph bounds at a fixed genus.
 
     For every core class of type (g, n, n - ell) with ell <= ell_max and
@@ -454,7 +454,7 @@ def verify_core_bounds(g: int, ell_max: int = 2) -> list[str]:
     return violations
 
 
-def verify_edge_cut_rows(g: int, ell_max: int = 2) -> list[str]:
+def verify_edge_cut_rows(g: int, ell_max: int) -> list[str]:
     """Row monotonicity under edge cutting: for every core class at this
     genus and every non-disconnecting edge, rho of the graph is at most
     rho of the cut graph (two new labeled legs)."""

@@ -202,7 +202,7 @@ def _recursion_holds(left: HomologyProfile, lower_r: HomologyProfile,
     return True
 
 
-def whitehouse_checks(n_max: int, cache_dir=None) -> GenusOneReport:
+def whitehouse_checks(n_max: int, cache_dir) -> GenusOneReport:
     """Verify the four genus-1 identities for 2 <= r <= n <= n_max:
     concentration, Stirling dimension, restriction character, recursion.
 

@@ -66,7 +66,7 @@ def test_criterion_1_d_squared_zero_grid():
                 r = n - diff // 2
                 if r < 0:
                     continue
-                if len(enumerate_marked_graphs(g, n, r)) >= 50_000:
+                if len(enumerate_marked_graphs(g, n, r, None)) >= 50_000:
                     continue
                 build_complex(g, n, r)
 
@@ -88,7 +88,7 @@ def test_criterion_2_point_homology():
 def test_criterion_3_genus_one_suite():
     """Concentration, Stirling dimensions, restriction characters, and
     the two-step recursion for 2 <= r <= n <= 6."""
-    report = whitehouse_checks(6)
+    report = whitehouse_checks(6, None)
     assert report.ok, report.violations
     entries = {(e["n"], e["r"]): e for e in report.checks if "n" in e}
     assert entries[(4, 3)]["dim"] == 3
@@ -136,12 +136,12 @@ def test_criterion_6_vanishing(profiles):
 
 
 def test_criterion_7_sharp_points():
-    report = check_consistent_sequence(2, 0, 6)
+    report = check_consistent_sequence(2, 0, 6, None)
     assert report.predicted == 5
     assert report.detected == 5
     assert report.conditions[4][2] is False  # sharpness one below
 
-    report = check_consistent_sequence(1, 1, 5)
+    report = check_consistent_sequence(1, 1, 5, None)
     assert report.predicted == 3
     assert report.detected == 3
     assert report.conditions[2][2] is False

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from markedgc.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from markedgc.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, build_parser, main
 
 
 def run(capsys, *argv):
@@ -22,6 +22,15 @@ def test_enumerate_json(capsys):
     assert payload["schema"] == 1
     assert payload["total"] == 7
     assert payload["classes_by_degree"] == {"0": 1, "1": 3, "2": 3}
+
+
+def test_parser_is_built_once_per_process(capsys):
+    build_parser.cache_clear()
+    first = run(capsys, "enumerate", "--g", "1", "--n", "3", "--r", "2")
+    other = run(capsys, "complex", "--g", "1", "--n", "3", "--r", "2")
+    again = run(capsys, "enumerate", "--g", "1", "--n", "3", "--r", "2")
+    assert first == again and first[0] == other[0] == EXIT_OK
+    assert build_parser.cache_info().misses == 1
 
 
 def test_complex_reports_dims(capsys):

@@ -24,7 +24,6 @@ from markedgc.complexes import (
     _compose_sparse,
     _core_classes,
     _edge_multisets,
-    _labelings_up_to_symmetry,
     _leg_distributions,
 )
 import markedgc.graphs
@@ -94,7 +93,7 @@ def test_complex_dimensions(key):
 
 def test_enumeration_sorted_and_typed():
     g, n, r = 2, 3, 3
-    classes = enumerate_marked_graphs(g, n, r)
+    classes = enumerate_marked_graphs(g, n, r, None)
     degrees = [degree(cls.graph) for cls in classes]
     assert degrees == sorted(degrees)
     for cls in classes:
@@ -216,7 +215,7 @@ def test_d_squared_is_zero(key):
 
 
 def test_boundary_drops_degree_by_one():
-    for xi in {cls.xi for cls in enumerate_marked_graphs(2, 2, 2)}:
+    for xi in {cls.xi for cls in enumerate_marked_graphs(2, 2, 2, None)}:
         for (eta, tau), coeff in boundary_terms(xi).items():
             assert degree(eta.graph) == degree(xi.graph) - 1
             assert sorted(tau) == list(range(xi.graph.n_legs))
@@ -390,30 +389,58 @@ def test_labelings_match_oracle(key):
             )
         else:
             legs = unl.graph.legs
-            assert list(_labelings_up_to_symmetry(group)) == [
+            assert list(group.labelings()) == [
                 tuple(a[f] - 1 for f in legs) for a in expected
             ]
 
 
 def _leg_groups(key):
     return [
-        unl.leg_group.elements()
+        unl.leg_group
         for unl in enumerate_unlabeled_classes(*key)
         if unl.leg_group is not None
     ]
 
 
-LEG_GROUPS = _leg_groups((2, 5, 5)) + _leg_groups((2, 6, 6))
+# B(2,5,5) and B(2,6,6) have marked blocks of up to six legs, and B(3,3,3)
+# has groups with up to six tied orderings
+LEG_GROUPS = [
+    group for key in ((2, 5, 5), (2, 6, 6), (3, 3, 3)) for group in _leg_groups(key)
+]
+
+
+def test_leg_groups_cover_ties_and_marked_blocks():
+    assert max(len(group.ordered) for group in LEG_GROUPS) >= 6
+    assert any(
+        len(group.ordered) > 1 and any(marked for _, marked in group.blocks)
+        for group in LEG_GROUPS
+    )
+    assert max(len(ks) for group in LEG_GROUPS for ks, _ in group.blocks) >= 6
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_coset_min_is_brute_force_min(data):
-    elements = data.draw(st.sampled_from(LEG_GROUPS))
-    n = len(next(iter(elements)))
-    rho = tuple(data.draw(st.permutations(range(n))))
+    group = data.draw(st.sampled_from(LEG_GROUPS))
+    elements = group.elements()
+    rho = tuple(data.draw(st.permutations(range(group.n))))
     best = min(elements, key=lambda h: compose(rho, h))
-    assert LegGroup(elements).coset_min(rho) == (compose(rho, best), elements[best])
+    assert group.coset_min(rho) == (compose(rho, best), elements[best])
+
+
+@pytest.mark.parametrize("u", [0, 1])
+def test_seven_marked_legs_at_the_dv_form_one_block(u):
+    identity = tuple(range(7))
+    cores = enumerate_core_graphs(2, 0, u)
+    assert cores
+    for xi in cores:
+        graph = xi.graph
+        for _ in range(7):
+            graph = add_marked_leg(graph)
+        group = canonical_form(graph)[0].leg_group
+        assert group.blocks == ((identity, True),)
+        assert group.ordered == ((identity, 1),)
+        assert len(group.elements()) == 5040
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +449,7 @@ def test_coset_min_is_brute_force_min(data):
 
 def test_stabilization_is_injective_chain_map():
     src = build_complex(1, 3, 2)
-    psi = stabilization_map(src)
+    psi = stabilization_map(src, build_complex(1, 4, 3))
     assert psi.target.n == 4 and psi.target.r == 3
     for i in src.degrees():
         # one nonzero entry per column: induced by a basis-to-basis map
@@ -485,7 +512,7 @@ def oracle_enumerate_marked_graphs(g, n, r):
         if group is None:
             continue
         legs = unl.graph.legs
-        for rho in _labelings_up_to_symmetry(group):
+        for rho in group.labelings():
             assignment = {f: rho[k] + 1 for k, f in enumerate(legs)}
             cls, _ = canonical_form(label_legs(unl.graph, assignment))
             assert not oracle_vanishes(cls)
@@ -608,8 +635,9 @@ def test_differential_matches_labeled_oracle(key):
 
 @pytest.mark.parametrize("key", WINDOW_CASES, ids=str)
 def test_stabilization_matches_labeled_oracle(key):
-    src = build_complex(*key)
-    psi = stabilization_map(src)
+    g, n, r = key
+    src = build_complex(g, n, r)
+    psi = stabilization_map(src, build_complex(g, n + 1, r + 1))
     source_perm = basis_permutation(src)
     target_perm = basis_permutation(psi.target)
     expected = oracle_stabilization_cols(key)
@@ -630,7 +658,7 @@ def test_production_path_canonicalizes_no_labeled_graph():
     homology_decomposition(build_complex(3, 6, 7))
     source = build_complex(2, 5, 5)
     homology_decomposition(source)
-    stabilization_map(source)
+    stabilization_map(source, build_complex(2, 6, 6))
     assert markedgc.graphs._class_cache
     # the key's last slot holds the leg labels
     assert all(key[5] is None for key in markedgc.graphs._class_cache)
@@ -711,7 +739,7 @@ def test_cache_header_not_an_object_recomputes(tmp_path):
 
 
 def test_partial_temp_file_is_never_read(tmp_path, monkeypatch):
-    classes = enumerate_marked_graphs(1, 3, 2)
+    classes = enumerate_marked_graphs(1, 3, 2, None)
     path = cache_path(tmp_path, 1, 3, 2)
 
     def interrupted(src, dst):

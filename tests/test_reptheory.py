@@ -28,7 +28,6 @@ from markedgc.reptheory import (
     inverse,
     irreducible_character,
     irreducible_dimension,
-    is_subgroup,
     lr_coefficient,
     perm_cycle_type,
     perm_sign,
@@ -271,10 +270,11 @@ def test_sign_multiplicative(p, q):
     assert perm_sign(compose(p, q)) == perm_sign(p) * perm_sign(q)
 
 
-def test_is_subgroup():
-    s3 = frozenset(permutations(range(3)))
-    assert is_subgroup(3, s3)
-    assert not is_subgroup(3, frozenset([(1, 0, 2), (1, 2, 0)]))
+def test_induce_from_subgroup_rejects_a_set_that_is_not_closed():
+    with pytest.raises(ValueError, match="not a subgroup"):
+        induce_from_subgroup(3, [(0, 1, 2), (1, 2, 0)], {(0, 1, 2): 1, (1, 2, 0): 1})
+    with pytest.raises(ValueError, match="not a subgroup"):
+        induce_from_subgroup(3, [(1, 2, 0), (2, 0, 1)], {(1, 2, 0): 1, (2, 0, 1): 1})
 
 
 def test_induce_from_subgroup_rejects_bad_character():

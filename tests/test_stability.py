@@ -195,12 +195,12 @@ def test_core_decomposition_matches_chain_character():
 
 
 def test_sharp_point_trivial_sequence():
-    report = check_consistent_sequence(1, 0, 2)
+    report = check_consistent_sequence(1, 0, 2, None)
     assert report.detected == 0 == report.predicted
 
 
 def test_sharp_point_genus_one_marked():
-    report = check_consistent_sequence(1, 1, 4)
+    report = check_consistent_sequence(1, 1, 4, None)
     assert report.predicted == 3
     assert report.detected == 3
     # sharpness: the multiplicity condition fails one below the bound
