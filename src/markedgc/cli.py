@@ -197,33 +197,33 @@ def _verify_suites(args) -> tuple[dict, list[str]]:
     violations: list[str] = []
     wanted = args.suite
 
-    def run(name: str, enabled: bool, thunk) -> None:
+    def run(name: str, missing: str | None, thunk) -> None:
+        """``missing`` says what the suite lacks, None when it can run."""
         if wanted is not None and wanted != name:
             return
-        if not enabled:
+        if missing is not None:
             if wanted == name:
-                raise ValueError(
-                    f"suite {name!r} needs more parameters (see --help)"
-                )
+                raise ValueError(f"suite {name!r} {missing}")
             return
         found = thunk()
         suites[name] = found
         violations.extend(found)
 
     g = args.g
+    more = "needs more parameters (see --help)"
     run(
         "core-bounds",
-        g is not None,
+        more if g is None else None,
         lambda: verify_core_bounds(g, ell_max=0 if g >= 3 else 2),
     )
     run(
         "edge-cut-rows",
-        g is not None and g >= 2,
+        more if g is None else (f"needs --g >= 2, got {g}" if g < 2 else None),
         lambda: verify_edge_cut_rows(g, ell_max=0 if g >= 3 else 1),
     )
     run(
         "vanishing",
-        g is not None and args.n is not None and args.r is not None,
+        more if None in (g, args.n, args.r) else None,
         lambda: verify_vanishing(
             homology_decomposition(
                 build_complex(g, args.n, args.r, cache_dir=args.cache_dir)
@@ -232,7 +232,7 @@ def _verify_suites(args) -> tuple[dict, list[str]]:
     )
     run(
         "genus-one",
-        True,
+        None,
         lambda: whitehouse_checks(
             args.n if args.n is not None else 4, cache_dir=args.cache_dir
         ).violations,

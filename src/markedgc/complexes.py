@@ -21,9 +21,9 @@ the det-sign character, and the basis is the table of pairs (xi, rho):
 labeled rho[k] + 1, rho the least element of its coset under xi's leg
 group H = `xi.leg_group` (the image of Aut(xi) on the legs, kept as its
 twin blocks and tie automorphisms), and `H.labelings` lists those rho.
-The class carries H, read from the canonical-form search the first time
-it is asked for; a class without one (an odd automorphism fixes every
-leg) vanishes under every labeling and is left out.
+The class carries H, read from the canonical-form search that created
+it; a class without one (an odd automorphism fixes every leg) vanishes
+under every labeling and is left out.
 No labeled graph is canonicalized.  The boundary is computed once per xi,
 on [xi, id], as terms [eta, tau] that remember where each leg went; the
 column of [xi, rho] is the same terms relabeled by rho, each reduced to

@@ -18,15 +18,16 @@ There is one graph search, `canonical_form`'s: it tries the vertex
 orderings that vertex invariants allow and keeps the least encoding, and
 the orderings that tie for it are the graph's automorphisms.  A class
 carries its leg group, the action of its automorphisms on its legs with
-their det-signs, read from those ties the first time it is asked for; it
-decides both whether the class vanishes under every labeling and how S_n
-acts on its labelings.  It is kept as the search finds it, twin blocks
-times the leg actions of the ties, and only `LegGroup.elements` lists it.
+their det-signs, read from the ties of the search that created the class;
+it decides both whether the class vanishes under every labeling and how
+S_n acts on its labelings.  It is kept as the search finds it, twin
+blocks times the leg actions of the ties, and only `LegGroup.elements`
+lists it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations, product
 
@@ -180,9 +181,10 @@ def degree(g: MarkedGraph) -> int:
 
 
 class LegGroup:
-    """The leg group of a graph: the image of its automorphisms on its ``n``
-    legs (numbered in flag order), each element with its det-sign, read by
-    `LegGroup.of` from the orderings that tie in `canonical_form`'s search.
+    """The leg group of a class graph: the image of its automorphisms on
+    its ``n`` legs (numbered in flag order), each element with its
+    det-sign, read by `LegGroup.of` from the orderings that tie in the
+    `canonical_form` search that created the class.
 
     Kept as the search finds it: ``blocks`` holds ``(positions, marked)``
     for each twin class of two or more legs, and ``ordered`` the distinct
@@ -201,49 +203,49 @@ class LegGroup:
         )
 
     @classmethod
-    def of(cls, g: MarkedGraph) -> LegGroup | None:
-        """The leg group of ``g`` (leg labels are ignored), or None when an
-        odd automorphism fixes every leg: then every labeling vanishes.
+    def of(
+        cls, g: MarkedGraph, canon: MarkedGraph, ties: list[tuple[int, ...]]
+    ) -> LegGroup | None:
+        """The leg group of ``canon``, or None when an odd automorphism
+        fixes every leg: then ``canon`` vanishes.
 
-        The automorphisms come from `canonical_form`'s search: if phi_0,
-        phi, ... are the flag maps of the vertex orderings that tie for the
-        least encoding, each phi_0^-1∘phi is an automorphism, and every
+        ``ties`` are the flag maps from ``g`` onto ``canon`` of the vertex
+        orderings that tie in `canonical_form`'s search.  Each
+        phi∘phi_0^-1 is an automorphism of ``canon``, and every
         automorphism is one of these after one that fixes every vertex.
         A vertex-fixing automorphism permutes twins (legs at one vertex
-        with the same marked status), of sign +1 on unmarked twins and the
-        permutation's sign on marked ones; otherwise it swaps parallel
-        edges or flips tadpoles, which is odd exactly when two unmarked
-        edges share their ends.  The flag maps number twins in flag order,
-        so every automorphism is, uniquely, some phi_0^-1∘phi on the legs
-        after a twin permutation.
+        with the same marked status and label), of sign +1 on unmarked
+        twins and the permutation's sign on marked ones; otherwise it swaps
+        parallel edges or flips tadpoles, which is odd exactly when two
+        unmarked edges share their ends.  The flag maps number twins in
+        flag order, so every automorphism is, uniquely, some phi∘phi_0^-1
+        on the legs after a twin permutation.
         """
-        g = replace(g, labels=None)  # keeps the flag table off class graphs
         ends = set()
-        for f1, f2 in g.edges:
-            if f1 not in g.marked and f2 not in g.marked:
-                pair = tuple(sorted((g.adj[f1], g.adj[f2])))
+        for f1, f2 in canon.edges:
+            if f1 not in canon.marked and f2 not in canon.marked:
+                pair = tuple(sorted((canon.adj[f1], canon.adj[f2])))
                 if pair in ends:
                     return None  # swapping the two is odd and fixes every leg
                 ends.add(pair)
-        encoding, ties = _least_encoding(g)
-        canon = _graph_of(encoding)
         sign0 = _orientation_sign(g, canon, ties[0])
         back = [0] * g.nf
         for f, image in enumerate(ties[0]):
             back[image] = f
-        legs = g.legs
+        legs = canon.legs
         index = {f: k for k, f in enumerate(legs)}
-        twins: dict[tuple[int, bool], list[int]] = {}
+        twins: dict[tuple[int, bool, int], list[int]] = {}
         for k, f in enumerate(legs):
-            twins.setdefault((g.adj[f], f in g.marked), []).append(k)
+            key = (canon.adj[f], f in canon.marked, canon.label_of(f))
+            twins.setdefault(key, []).append(k)
         ordered: dict[Permutation, int] = {}
         for phi in ties:
             sign = sign0 * _orientation_sign(g, canon, phi)
-            sigma = tuple([index[back[phi[f]]] for f in legs])
+            sigma = tuple([index[phi[back[f]]] for f in legs])
             if ordered.setdefault(sigma, sign) != sign:
                 return None  # the two differ by an odd leg-fixing automorphism
         blocks = tuple(
-            (tuple(ks), marked) for (_, marked), ks in twins.items() if len(ks) > 1
+            (tuple(ks), marked) for (_, marked, _), ks in twins.items() if len(ks) > 1
         )
         return cls(len(legs), blocks, tuple(ordered.items()))
 
@@ -324,17 +326,14 @@ _class_cache: dict[tuple, "OrientedClass"] = {}
 @dataclass(frozen=True)
 class OrientedClass:
     """Canonical representative of an isomorphism class, with the reference
-    orientation given by its sorted edge list and sorted marked list."""
+    orientation given by its sorted edge list and sorted marked list, and
+    its `LegGroup`, built with the class."""
 
     graph: MarkedGraph
     key: tuple = field(repr=False)
-
-    @cached_property
-    def leg_group(self) -> LegGroup | None:
-        """The class's `LegGroup`, or None when an odd automorphism fixes
-        every leg (the class is zero under every labeling).  Built on
-        first use, once per class."""
-        return LegGroup.of(self.graph)
+    # None when an odd automorphism fixes every leg: the class is zero
+    # under every labeling
+    leg_group: LegGroup | None = field(repr=False)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, OrientedClass) and self.key == other.key
@@ -455,7 +454,8 @@ def canonical_form(g: MarkedGraph) -> tuple[OrientedClass, int]:
     phi = ties[0]
     cls = _class_cache.get(encoding)
     if cls is None:
-        cls = OrientedClass(graph=_graph_of(encoding), key=encoding)
+        canon = _graph_of(encoding)
+        cls = OrientedClass(canon, encoding, LegGroup.of(g, canon, ties))
         _class_cache[encoding] = cls
     out = CanonicalForm((cls, _orientation_sign(g, cls.graph, phi)))
     out.phi = phi
@@ -639,16 +639,6 @@ def label_legs(g: MarkedGraph, assignment: dict[int, int]) -> MarkedGraph:
         labels[f] = lbl
     return MarkedGraph(
         nv=g.nv, dv=g.dv, adj=g.adj, inv=g.inv, marked=g.marked, labels=tuple(labels)
-    )
-
-
-def relabel_legs(g: MarkedGraph, sigma: dict[int, int]) -> MarkedGraph:
-    """Apply the label permutation i -> sigma[i] (labels are 1-based)."""
-    if g.labels is None:
-        raise ValueError("graph has no leg labels")
-    labels = tuple(sigma[l] if l else 0 for l in g.labels)
-    return MarkedGraph(
-        nv=g.nv, dv=g.dv, adj=g.adj, inv=g.inv, marked=g.marked, labels=labels
     )
 
 

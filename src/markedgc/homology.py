@@ -5,8 +5,8 @@ Ranks come from integer elimination; character values on homology use
 the identity chi_H(s) = chi_C(s) - tr(s|im d_{i+1}) - tr(s|im d_i),
 where traces on images follow from a one-time column factorization of
 each differential (the group acts on the columns by a signed
-permutation).  `_character_by_solves`, the reference the tests compare
-against, recomputes every image trace by direct linear solves.
+permutation).  The tests recompute every image trace by direct linear
+solves and compare.
 """
 
 from __future__ import annotations
@@ -14,15 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import (
-    EquivariantComplex,
-    chain_character,
-    group_action_matrix,
-)
+from .complexes import EquivariantComplex, group_action_matrix
 from .linalg import (
     column_factorization,
     rank,
-    span_solver,
     trace_on_image,
 )
 from .partitions import Partition, cycle_types
@@ -108,9 +103,8 @@ def homology_decomposition(c: EquivariantComplex) -> HomologyProfile:
     nonzero homology (elsewhere the module is zero)."""
     ranks = differential_ranks(c)
     dims = homology_dimensions(c, ranks)
-    euler_chain = sum((-1) ** i * c.dim(i) for i in c.degrees())
     euler_hom = sum((-1) ** i * d for i, d in dims.items())
-    if euler_chain != euler_hom:
+    if c.euler_characteristic() != euler_hom:
         raise AssertionError("Euler characteristic mismatch")
 
     chars = homology_characters(c, [i for i in sorted(dims) if dims[i]])
@@ -133,37 +127,3 @@ def homology_decomposition(c: EquivariantComplex) -> HomologyProfile:
         dims=dims, characters=characters, decompositions=decompositions,
     )
 
-
-def _character_by_solves(c: EquivariantComplex, i: int) -> ClassFunction:
-    """Independent recomputation: image traces by explicit linear solves
-    against a pivot-column basis of each image."""
-
-    def image_trace_fn(k):
-        cols = c.diff.get(k, [])
-        if not cols:
-            return lambda sigma: Fraction(0)
-        pivots, _ = column_factorization(cols)
-        basis = [cols[l] for l in pivots]
-        solve = span_solver(basis)
-
-        def image_trace(sigma) -> Fraction:
-            action = group_action_matrix(c, k, sigma)
-            total = Fraction(0)
-            for pos, l in enumerate(pivots):
-                (img, sign), = action[l].items()
-                coords = solve(cols[img])
-                if coords is None:
-                    raise AssertionError("action left the image subspace")
-                total += sign * coords.get(pos, Fraction(0))
-            return total
-
-        return image_trace
-
-    upper = image_trace_fn(i + 1)
-    lower = image_trace_fn(i)
-    chain = chain_character(c, i)
-    values = {}
-    for mu in cycle_types(c.n):
-        sigma = cycle_type_representative(mu)
-        values[mu] = chain(mu) - upper(sigma) - lower(sigma)
-    return ClassFunction(c.n, values)

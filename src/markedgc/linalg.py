@@ -1,19 +1,19 @@
 """Exact sparse linear algebra over the rationals.
 
 Matrices are stored column-sparse: a list with one {row: value} dict per
-column.  Everything here is exact: ranks, column factorizations and
-span solves all eliminate over the integers by cross-multiplication
-with gcd normalization, and rationals (``Fraction``) appear only in the
-returned coordinates.  No floating point, no modular arithmetic.
+column.  Everything here is exact: ranks and column factorizations both
+eliminate over the integers by cross-multiplication with gcd
+normalization, and rationals (``Fraction``) appear only in the returned
+coordinates.  No floating point, no modular arithmetic.
 
 There are two elimination loops, on purpose.  `rank` only counts, so it
 may pick each pivot Markowitz style (sparsest column, shortest row).
 `_reduce` must keep the pivot columns in input order and track each
-column's coordinates, which column factorizations, image traces and span
-solves need.  Counting `_reduce` pivots in place of `rank` is slower: on
-the 92 matrices one `homology` benchmark sample ranks, 0.09-0.14 s in
-all against 0.05-0.08 s, and on the largest (435 columns, 1,965
-nonzeros) 0.05-0.20 s against 0.02-0.05 s.
+column's coordinates, which column factorizations and image traces need.
+Counting `_reduce` pivots in place of `rank` is slower: on the 92
+matrices one `homology` benchmark sample ranks, 0.09-0.14 s in all
+against 0.05-0.08 s, and on the largest (435 columns, 1,965 nonzeros)
+0.05-0.20 s against 0.02-0.05 s.
 """
 
 from __future__ import annotations
@@ -197,25 +197,3 @@ def trace_on_image(
         total += sign * coeffs[img].get(l, Fraction(0))
     return total
 
-
-def span_solver(basis: SparseColumns):
-    """Return a function solving basis · x = target exactly.
-
-    The basis columns must be linearly independent.  The returned solver
-    maps a sparse target vector to its coordinate dict, or None when the
-    target lies outside the span.
-    """
-    echelon: Echelon = []
-    for j, col in enumerate(basis):
-        w, acc, s = _reduce(echelon, col)
-        if not w:
-            raise ValueError("span_solver requires independent columns")
-        _push(echelon, j, w, acc, s)
-
-    def solve(target) -> dict[int, Fraction] | None:
-        w, acc, s = _reduce(echelon, target)
-        if w:
-            return None
-        return {l: Fraction(v, s) for l, v in acc.items()}
-
-    return solve

@@ -308,21 +308,6 @@ def sign_decomposition(n: int) -> IrrDecomposition:
     return IrrDecomposition(n, {lam: 1})
 
 
-def restrict(a: IrrDecomposition) -> IrrDecomposition:
-    """Branching rule: remove one corner box in all possible ways."""
-    if a.n < 1:
-        raise ValueError("cannot restrict below S_0")
-    mult: dict[Partition, int] = {}
-    for lam, m in a.mult.items():
-        for i in range(len(lam)):
-            if i + 1 < len(lam) and lam[i] == lam[i + 1]:
-                continue  # not a removable corner
-            below = tuple(p - 1 if j == i else p for j, p in enumerate(lam))
-            below = tuple(p for p in below if p)
-            mult[below] = mult.get(below, 0) + m
-    return IrrDecomposition(a.n - 1, mult)
-
-
 def tensor_sign(a: IrrDecomposition) -> IrrDecomposition:
     """Tensor with the alternating representation: conjugate every partition."""
     return IrrDecomposition(a.n, {conjugate(lam): m for lam, m in a.mult.items()})
@@ -347,18 +332,6 @@ def decomposition_rows(a: IrrDecomposition) -> int:
 
 # ---------------------------------------------------------------------------
 # permutations and induction from explicit subgroups
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """(p o q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
-def inverse(p: Permutation) -> Permutation:
-    out = [0] * len(p)
-    for i, img in enumerate(p):
-        out[img] = i
-    return tuple(out)
 
 
 def identity(n: int) -> Permutation:
@@ -414,20 +387,6 @@ def cycle_type_representative(mu: Partition) -> Permutation:
         out.extend(list(range(start + 1, start + part)) + [start])
         start += part
     return tuple(out)
-
-
-def generated_subgroup(n: int, generators) -> frozenset[Permutation]:
-    elems = {identity(n)}
-    frontier = [identity(n)]
-    gens = [tuple(g) for g in generators]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = compose(g, cur)
-            if nxt not in elems:
-                elems.add(nxt)
-                frontier.append(nxt)
-    return frozenset(elems)
 
 
 def _induce(n: int, order: int, values) -> ClassFunction:

@@ -11,10 +11,11 @@ Cores (classes with no marked legs) come from
 every class of B(g, n, r) is a core with marked legs added at the
 distinguished vertex, which is how `core_decomposition` splits the
 chain groups and how `complexes.enumerate_unlabeled_classes` lists
-them.  A core's module is induced from its leg group (`xi.leg_group`,
-listed by `LegGroup.elements`) by `reptheory.induce_from_subgroup`, which
-counts the group's elements of each cycle type rather than summing over
-S_n.
+them.  Every module here is a class's: `core_module` induces it from
+the class's leg group (`xi.leg_group`, listed by `LegGroup.elements`) by
+`reptheory.induce_from_subgroup`, which counts the group's elements of
+each cycle type rather than summing over S_n.  A cut graph is
+canonicalized first, so its module is its class's too.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .complexes import (
     stabilization_map,
 )
 from .graphs import (
-    LegGroup,
     OrientedClass,
     build_theta,
     canonical_form,
@@ -78,19 +78,14 @@ def predicted_sharp_bound(g: int, ell: int) -> int:
 # core graphs
 
 
-def _induced_module(group: LegGroup | None) -> IrrDecomposition | None:
-    """The module induced from a leg group acting by its det-signs, or None
-    for no group (the class contributes zero)."""
+def core_module(xi: OrientedClass) -> IrrDecomposition | None:
+    """A_xi: the module induced from xi's leg group (legs in flag order)
+    acting by its det-signs, or None when xi vanishes."""
+    group = xi.leg_group
     if group is None:
         return None
     elements = group.elements()
     return decompose(induce_from_subgroup(group.n, elements, elements))
-
-
-def core_module(xi: OrientedClass) -> IrrDecomposition | None:
-    """A_xi: the module induced from xi's leg group (legs in flag order)
-    acting by its det-signs, or None when xi vanishes."""
-    return _induced_module(xi.leg_group)
 
 
 def rho_of_core(xi: OrientedClass) -> int:
@@ -373,7 +368,7 @@ def verify_vanishing(profile: HomologyProfile) -> list[str]:
     m = excess(g, ell)
     if m < 0:
         return []
-    bound = (3 * m + 1) // 2
+    bound = predicted_sharp_bound(g, ell)
     half = (m + 1) // 2
     violations = []
     for i, dec in profile.decompositions.items():
@@ -468,7 +463,7 @@ def verify_edge_cut_rows(g: int, ell_max: int) -> list[str]:
             if r < 0:
                 continue
             for xi in enumerate_core_graphs(g, n, r):
-                module = _induced_module(xi.leg_group)
+                module = core_module(xi)
                 if module is None:
                     continue
                 rho = decomposition_rows(module)
@@ -477,7 +472,7 @@ def verify_edge_cut_rows(g: int, ell_max: int) -> list[str]:
                         cut = cut_edge(xi.graph, e)
                     except ValueError:
                         continue  # disconnecting edge
-                    cut_module = _induced_module(LegGroup.of(cut))
+                    cut_module = core_module(canonical_form(cut)[0])
                     rho_c = (
                         None if cut_module is None else decomposition_rows(cut_module)
                     )

@@ -1,6 +1,6 @@
-"""The flag-by-flag backtracking isomorphism search that `LegGroup.of`
-replaced, kept as the tests' independent oracle for automorphisms and
-their det-signs."""
+"""The flag-by-flag backtracking isomorphism search that the tied
+orderings of `canonical_form`'s search replaced, kept as the tests'
+independent oracle for automorphisms and their det-signs."""
 
 from markedgc.graphs import MarkedGraph
 from markedgc.reptheory import perm_sign

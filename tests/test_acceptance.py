@@ -19,7 +19,6 @@ from markedgc.reptheory import (
     centralizer_order,
     character_value,
     decompose,
-    generated_subgroup,
     hyperoctahedral_doubles,
     induce_from_subgroup,
     lr_coefficient,
@@ -38,6 +37,7 @@ from markedgc.stability import (
     verify_vanishing,
 )
 from markedgc.whitehouse import whitehouse_checks
+from perms import generated_subgroup
 
 
 @pytest.fixture(scope="module")

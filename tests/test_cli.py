@@ -105,6 +105,13 @@ def test_verify_suite_missing_parameters_exits_2(capsys):
     ]
 
 
+def test_verify_edge_cut_rows_below_genus_two_says_so(capsys):
+    code = main(["verify", "--suite", "edge-cut-rows", "--g", "1"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.splitlines() == ["error: suite 'edge-cut-rows' needs --g >= 2, got 1"]
+
+
 def test_missing_required_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["homology", "--g", "1"])

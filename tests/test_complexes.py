@@ -27,9 +27,9 @@ from markedgc.complexes import (
     _leg_distributions,
 )
 import markedgc.graphs
+import markedgc.stability
 from markedgc.cli import EXIT_OK, main
 from markedgc.graphs import (
-    LegGroup,
     add_marked_leg,
     build_theta,
     canonical_form,
@@ -39,19 +39,18 @@ from markedgc.graphs import (
     encode_graph,
     label_legs,
     mark_flag,
-    relabel_legs,
     validate,
 )
 from markedgc.homology import homology_decomposition
 from markedgc.partitions import cycle_types
 from markedgc.reptheory import (
     ClassFunction,
-    compose,
     cycle_type_representative,
     perm_cycle_type,
     perm_sign,
 )
 import moves_oracle
+from perms import compose, relabel_legs
 from search_oracle import automorphisms, iso_det_sign
 
 
@@ -664,29 +663,53 @@ def test_production_path_canonicalizes_no_labeled_graph():
     assert all(key[5] is None for key in markedgc.graphs._class_cache)
 
 
-def test_one_automorphism_search_per_class(tmp_path, monkeypatch):
-    searched = []
-    search = LegGroup.of
+def test_one_search_per_canonical_form(tmp_path, monkeypatch):
+    counts = {"canonical_form": 0, "search": 0}
+    search = markedgc.graphs._least_encoding
+    canonicalize = markedgc.graphs.canonical_form
 
-    def spy(cls, g):
-        searched.append(replace(g, labels=None))
+    def spy_search(g):
+        counts["search"] += 1
         return search(g)
 
-    monkeypatch.setattr(LegGroup, "of", classmethod(spy))
+    def spy_canonical_form(g):
+        counts["canonical_form"] += 1
+        return canonicalize(g)
+
+    monkeypatch.setattr(markedgc.graphs, "_least_encoding", spy_search)
+    for module in (markedgc.graphs, markedgc.complexes, markedgc.stability):
+        monkeypatch.setattr(module, "canonical_form", spy_canonical_form)
     markedgc.graphs._class_cache.clear()
     _core_classes.cache_clear()  # it holds classes of the cleared cache
-    cls, _ = canonical_form(build_theta(3, 1, 0))
-    assert searched == []  # canonicalizing decides nothing about symmetry
-    assert cls.leg_group is cls.leg_group is not None
-    assert searched == [cls.graph]
+    cls, _ = markedgc.graphs.canonical_form(build_theta(3, 1, 0))
+    assert counts == {"canonical_form": 1, "search": 1}
+    assert cls.leg_group is not None
+    assert counts["search"] == 1  # the group came with the class
 
-    searched.clear()
     build_complex(2, 5, 5, cache_dir=tmp_path)
     assert load_enumeration(tmp_path, 2, 5, 5) is not None
     build_complex(2, 5, 5, cache_dir=tmp_path)
-    assert searched
-    assert len(set(searched)) == len(searched)  # at most one per class
-    assert set(searched) <= {c.graph for c in markedgc.graphs._class_cache.values()}
+    assert markedgc.stability.verify_edge_cut_rows(2, 1) == []
+    assert counts["search"] == counts["canonical_form"] > 1
+
+
+@pytest.mark.parametrize("key", [(2, 4, 3), (2, 3, 3)], ids=str)
+def test_a_labeled_class_has_a_leg_group_unless_it_vanishes(key):
+    # a labeled class's group holds the automorphisms that fix its labels,
+    # which fix every leg: the identity alone, or none when one is odd
+    n = key[1]
+    identity = tuple(range(n))
+    outcomes = set()
+    for unl in enumerate_unlabeled_classes(*key):
+        legs = unl.graph.legs
+        for labels in permutations(range(1, n + 1)):
+            cls = canonical_form(label_legs(unl.graph, dict(zip(legs, labels))))[0]
+            vanishes = oracle_vanishes(cls)
+            assert (cls.leg_group is None) == vanishes
+            if not vanishes:
+                assert cls.leg_group.elements() == {identity: 1}
+            outcomes.add(vanishes)
+    assert outcomes == {False, True}
 
 
 # ---------------------------------------------------------------------------

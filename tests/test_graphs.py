@@ -21,12 +21,12 @@ from markedgc.graphs import (
     degree,
     encode_graph,
     label_legs,
-    LegGroup,
     mark_flag,
-    relabel_legs,
     validate,
 )
+import markedgc.graphs
 from markedgc.reptheory import perm_sign
+from perms import relabel_legs
 from search_oracle import automorphisms, iso_det_sign, isomorphisms
 
 
@@ -327,7 +327,6 @@ def test_canonical_sign_tracks_edge_order():
 
 def test_vanishing_class_detection():
     # theta graph has an automorphism swapping two edges: det sign -1
-    assert LegGroup.of(theta_graph()) is None
     cls, _ = canonical_form(theta_graph())
     assert cls.leg_group is None
 
@@ -490,19 +489,21 @@ def test_label_legs_in_flag_order_and_relabel():
 
 def test_leg_symmetry_group_signs():
     g = build_theta(3, 0, 0)
-    group = LegGroup.of(g)
+    group = canonical_form(g)[0].leg_group
     assert group.n == g.n_legs
     symmetry = group.elements()
     ident = tuple(range(g.n_legs))
     assert symmetry[ident] == 1
     assert all(s in (1, -1) for s in symmetry.values())
-    # leg labels are ignored: legs are taken in flag order
-    assert LegGroup.of(in_flag_order(g)).elements() == symmetry
+    assert len(symmetry) > 1
+    # a labeled class keeps only the automorphisms that fix its labels
+    labeled = canonical_form(in_flag_order(g))[0].leg_group
+    assert labeled.elements() == {ident: 1}
 
 
 def test_leg_symmetry_group_rejects_vanishing():
     cls, _ = canonical_form(theta_graph())
-    assert LegGroup.of(in_flag_order(cls.graph)) is None
+    assert canonical_form(in_flag_order(cls.graph))[0].leg_group is None
 
 
 def test_canonical_form_flag_map_is_an_isomorphism():
@@ -611,8 +612,13 @@ def oracle_leg_symmetry_group(g):
 
 
 def assert_leg_group_matches_full_search(g):
-    expected = oracle_leg_symmetry_group(g)
-    group = LegGroup.of(g)
+    """The leg group of the class ``g`` creates against a full search on
+    the class graph.  The class cache is cleared first: a cached class
+    would keep the group read from the graph that created it."""
+    markedgc.graphs._class_cache.clear()
+    cls = canonical_form(g)[0]
+    expected = oracle_leg_symmetry_group(cls.graph)
+    group = cls.leg_group
     if expected is None:
         assert group is None
     else:

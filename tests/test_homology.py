@@ -1,12 +1,12 @@
 import markedgc.complexes
 from markedgc.complexes import build_complex
 from markedgc.homology import (
-    _character_by_solves,
     differential_ranks,
     homology_decomposition,
     homology_dimensions,
 )
 from markedgc.reptheory import perm_cycle_type
+from solve_oracle import character_by_solves
 
 
 def profile_of(g, n, r):
@@ -20,7 +20,7 @@ def cross_checked_profile(g, n, r):
     profile = homology_decomposition(c)
     assert profile.nonzero_degrees()
     for i in profile.nonzero_degrees():
-        assert profile.characters[i] == _character_by_solves(c, i)
+        assert profile.characters[i] == character_by_solves(c, i)
     return profile
 
 

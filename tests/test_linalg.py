@@ -8,9 +8,9 @@ from markedgc.complexes import build_complex
 from markedgc.linalg import (
     column_factorization,
     rank,
-    span_solver,
     trace_on_image,
 )
+from solve_oracle import span_solver
 
 
 def dense_rank(cols, nrows):

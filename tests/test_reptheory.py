@@ -16,25 +16,22 @@ from markedgc.reptheory import (
     centralizer_order,
     character_value,
     class_size,
-    compose,
     cycle_type_representative,
     decompose,
     decomposition_rows,
-    generated_subgroup,
     hyperoctahedral_doubles,
     identity,
     induce_from_subgroup,
     induce_product,
-    inverse,
     irreducible_character,
     irreducible_dimension,
     lr_coefficient,
     perm_cycle_type,
     perm_sign,
-    restrict,
     sign_decomposition,
     tensor_sign,
 )
+from perms import compose, generated_subgroup, inverse
 
 
 # ---------------------------------------------------------------------------
@@ -198,18 +195,23 @@ def test_trivial_and_sign():
     assert tensor_sign(IrrDecomposition(4, {(4,): 1})) == sign_decomposition(4)
 
 
-def test_restrict_branching():
-    dec = restrict(IrrDecomposition(4, {(2, 2): 1}))
-    assert dict(dec.items()) == {(2, 1): 1}
-    dec = restrict(IrrDecomposition(3, {(2, 1): 1}))
-    assert dict(dec.items()) == {(2,): 1, (1, 1): 1}
+def branching_rule(lam):
+    """Restriction of V_lam to S_{n-1}: remove one corner box in every way."""
+    mult = {}
+    for i in range(len(lam)):
+        if i + 1 < len(lam) and lam[i] == lam[i + 1]:
+            continue  # not a removable corner
+        below = tuple(p - 1 if j == i else p for j, p in enumerate(lam))
+        below = tuple(p for p in below if p)
+        mult[below] = mult.get(below, 0) + 1
+    return IrrDecomposition(size(lam) - 1, mult)
 
 
 def test_restrict_matches_character_restriction():
+    assert dict(branching_rule((2, 1)).items()) == {(2,): 1, (1, 1): 1}
     for lam in enumerate_partitions(5):
-        by_rule = restrict(IrrDecomposition(5, {lam: 1}))
         by_char = decompose(irreducible_character(lam).restrict())
-        assert by_rule == by_char
+        assert branching_rule(lam) == by_char
 
 
 @pytest.mark.parametrize("y", [0, 1, 2, 3])
@@ -327,7 +329,7 @@ def genus_two_leg_groups():
     """The distinct leg groups, with det-signs, of the genus-2 cores of type
     (2, k, u) with k <= 6 and u >= k - 2, and of their cut graphs with at
     most six legs."""
-    from markedgc.graphs import LegGroup, cut_edge
+    from markedgc.graphs import canonical_form, cut_edge
     from markedgc.stability import enumerate_core_graphs
 
     graphs = []
@@ -343,11 +345,11 @@ def genus_two_leg_groups():
                             continue
     groups = {}
     for graph in graphs:
-        group = LegGroup.of(graph)
+        group = canonical_form(graph)[0].leg_group
         if group is None:
             continue
         symmetry = group.elements()
-        groups.setdefault(frozenset(symmetry.items()), (graph.n_legs, symmetry))
+        groups.setdefault(frozenset(symmetry.items()), (group.n, symmetry))
     return list(groups.values())
 
 

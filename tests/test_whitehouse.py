@@ -6,10 +6,8 @@ import pytest
 from markedgc.partitions import cycle_types
 from markedgc.reptheory import (
     ClassFunction,
-    compose,
     cycle_type_representative,
     decompose,
-    inverse,
 )
 from markedgc.whitehouse import (
     _CentralizerCharacter,
@@ -17,6 +15,7 @@ from markedgc.whitehouse import (
     stirling_cycle_count,
     whitehouse_checks,
 )
+from perms import compose, inverse
 
 
 def brute_cycle_count(n, k):
