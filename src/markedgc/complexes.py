@@ -4,6 +4,14 @@ chain complexes B(g, n, r).
 One loop, `_core_classes`, enumerates cores: classes with no marked
 legs.  Every class is, uniquely, a core with marked legs added at the
 distinguished vertex, and `enumerate_unlabeled_classes` builds it so.
+A core is its skeleton, the bare edge multigraph, decorated with legs
+and marks.  `_skeletons` generates the skeletons up to isomorphism, with
+the neutral vertices in non-increasing order of (edge valence, edges to
+the distinguished vertex), and prunes them as they are built: the
+neutral vertices' valence deficits below 3 must fit in the n legs, and
+the r marks need r distinct edges at the distinguished vertex.  Each
+skeleton class is decorated once, so a core is canonicalized once per
+decoration of one skeleton, not once per labelled copy of it.
 
 A complex collects every non-vanishing isomorphism class of type (g, n, s)
 with s >= r, graded by degree |E| + n - s.  The differential contracts
@@ -42,13 +50,14 @@ from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cache
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from pathlib import Path
 
 from .graphs import (
     LegGroup,
     MarkedGraph,
     OrientedClass,
+    _least_encoding,
     canonical_form,
     contract_edge,
     add_marked_leg,
@@ -71,33 +80,109 @@ SparseColumns = list[dict[int, int]]  # one {row: entry} per basis column
 # enumeration
 
 
-@cache
-def _edge_multisets(nv: int, ne: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Edge multisets on vertices 0..nv-1 (0 distinguished): connected,
-    tadpoles only at 0, every other vertex met by at least one edge."""
-    pairs = [(0, 0)] + [(v, w) for v in range(nv) for w in range(v + 1, nv)]
-    out = []
-    for combo in combinations_with_replacement(range(len(pairs)), ne):
-        chosen = tuple(pairs[i] for i in combo)
-        parent = list(range(nv))
+def _skeletons(nv: int, ne: int, n: int, r: int):
+    """One edge multiset per skeleton class: edge multigraphs with ``ne``
+    edges on the vertices 0..nv-1 (0 the distinguished vertex), connected,
+    with tadpoles only at 0 and every neutral vertex on an edge, up to
+    isomorphisms fixing 0.  Only skeletons that ``n`` legs can make
+    admissible (the neutral vertices' valence deficits below 3 sum to at
+    most n) and that have at least ``r`` edges at 0 (one mark each) are
+    made.
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    Each class is built with its neutral vertices in non-increasing order
+    of (edge valence, edges to 0), an isomorphism invariant, so every
+    class has such a labelling.  The invariants are chosen first, vertex
+    by vertex and pruned by both budgets; then the neutral vertices are
+    joined row by row to realize them.  Labellings that differ within a
+    run of equal invariants are the same class: the least encoding of
+    the bare skeleton (`graphs._least_encoding`, which does not touch the
+    class cache) keeps the first.  A multiset lists its edges in
+    increasing order of their end pairs.
+    """
+    k = nv - 1  # neutral vertices 1..k
+    if k == 0:
+        if ne >= r:
+            yield ((0, 0),) * ne
+        return
+    seen = set()
+    for tadpoles in range(ne):
+        flags = 2 * (ne - tadpoles)  # flags on the edges that meet 1..k
+        for invariants in _invariant_sequences(k, flags, n, r - tadpoles):
+            head = ((0, 0),) * tadpoles
+            for v, (_, a) in enumerate(invariants, 1):
+                head += ((0, v),) * a
+            for joins in _realizations([val - a for val, a in invariants]):
+                chosen = head + joins
+                bare = _assemble(nv, chosen, (0,) * nv)
+                if not bare.is_connected():
+                    continue
+                encoding = _least_encoding(bare)[0]
+                if encoding not in seen:
+                    seen.add(encoding)
+                    yield chosen
 
-        touched = {0}
-        for v, w in chosen:
-            touched.add(v)
-            touched.add(w)
-            parent[find(v)] = find(w)
-        if len(touched) < nv:
-            continue
-        if len({find(v) for v in range(nv)}) != 1:
-            continue
-        out.append(chosen)
-    return tuple(out)
+
+def _invariant_sequences(k: int, flags: int, n: int, r: int):
+    """The lists of k pairs (edge valence, edges to 0), lexicographically
+    non-increasing, whose flags (valence plus edges to 0) sum to
+    ``flags``, whose valence deficits below 3 sum to at most ``n``, whose
+    edges to 0 number at least max(r, 1), and whose neutral-neutral
+    valences can be joined without tadpoles."""
+
+    def rec(left: int, flags_left: int, legs_left: int, marks_left: int, cap, acc):
+        if left == 0:
+            if flags_left == 0 and marks_left <= 0:
+                inner = [val - a for val, a in acc]
+                if sum(inner) % 2 == 0 and 2 * max(inner) <= sum(inner):
+                    yield acc
+            return
+        for val in range(min(cap[0], flags_left), 0, -1):
+            # later vertices have valence <= val, so each lacks as much
+            if left * max(0, 3 - val) > legs_left:
+                break
+            for a in range(min(val, flags_left - val), -1, -1):
+                if (val, a) > cap:
+                    continue
+                rest = flags_left - val - a
+                if rest < left - 1 or rest > (left - 1) * 2 * val:
+                    continue
+                # a later vertex has at most val edges to 0, and spends
+                # twice as many flags
+                if a + min((left - 1) * val, rest // 2) < marks_left:
+                    break
+                yield from rec(
+                    left - 1, rest, legs_left - max(0, 3 - val),
+                    marks_left - a, (val, a), acc + ((val, a),),
+                )
+
+    yield from rec(k, flags, n, max(r, 1), (flags, flags), ())
+
+
+def _realizations(inner: list[int]):
+    """Every loopless multigraph on the neutral vertices 1..k in which
+    vertex v has valence ``inner[v - 1]``, as its edges (v, w), v < w, in
+    increasing order."""
+    k = len(inner)
+    left = [0, *inner]  # by vertex
+
+    def rec(v: int, w: int, acc: tuple):
+        if w > k:  # row v is done
+            if left[v] == 0:
+                if v == k:
+                    yield acc
+                else:
+                    yield from rec(v + 1, v + 2, acc)
+            return
+        if left[v] > sum(left[w:]):
+            return
+        for m in range(min(left[v], left[w]), -1, -1):
+            left[v] -= m
+            left[w] -= m
+            yield from rec(v, w + 1, acc + ((v, w),) * m)
+            left[v] += m
+            left[w] += m
+
+    yield from rec(1, 2, ())
 
 
 def _leg_distributions(nv: int, n_legs: int, edge_valence: list[int]):
@@ -140,10 +225,16 @@ def _core_classes(g: int, n: int, r: int) -> tuple[OrientedClass, ...]:
     type (g, n, r), sorted by key.  Memoised: neighbouring complexes and
     the core suites ask for the same cores.
 
+    A core is its skeleton (its edges, the bare multigraph) decorated
+    with n legs and r marks, so each core comes from exactly one skeleton
+    class; decorations of one skeleton give the same core exactly when a
+    skeleton automorphism carries one to the other.  Each skeleton class
+    of `_skeletons` (pruned by the n legs and the r marks) is therefore
+    decorated once, and every decoration is canonicalized once.
+
     Marks go only on internal flags at the distinguished vertex.  Those
-    flags depend only on the edge multiset, so the markings are chosen
-    once per multiset, and a multiset with no marking skips its leg
-    placements.  The marking clauses of admissibility hold by
+    flags depend only on the skeleton, so the markings are chosen once
+    per skeleton.  The marking clauses of admissibility hold by
     construction (dv flags, at most one per edge), so `validate` runs once
     per leg placement, on the unmarked graph; a failure is a defect of
     the construction and raises.
@@ -156,7 +247,7 @@ def _core_classes(g: int, n: int, r: int) -> tuple[OrientedClass, ...]:
         nv = ne - g + 2
         if nv < 1 or 2 * ne < r:
             continue
-        for chosen in _edge_multisets(nv, ne):
+        for chosen in _skeletons(nv, ne, n, r):
             # `_assemble` numbers edge flags before legs: flag f is end
             # f % 2 of edge f // 2, and its partner is f ^ 1.
             internal = [f for f in range(2 * ne) if chosen[f // 2][f % 2] == 0]
@@ -165,8 +256,6 @@ def _core_classes(g: int, n: int, r: int) -> tuple[OrientedClass, ...]:
                 picked = frozenset(sub)
                 if not any(f ^ 1 in picked for f in sub):  # no double-marked edge
                     markings.append(picked)
-            if not markings:
-                continue
             edge_valence = [0] * nv
             for v, w in chosen:
                 edge_valence[v] += 1

@@ -11,8 +11,16 @@ from fractions import Fraction
 
 import pytest
 
-from markedgc.complexes import build_complex, enumerate_marked_graphs
-from markedgc.homology import homology_decomposition
+from markedgc.complexes import (
+    build_complex,
+    enumerate_marked_graphs,
+    enumerate_unlabeled_classes,
+)
+from markedgc.homology import (
+    differential_ranks,
+    homology_decomposition,
+    homology_dimensions,
+)
 from markedgc.partitions import cycle_types, enumerate_partitions, size
 from markedgc.reptheory import (
     IrrDecomposition,
@@ -37,6 +45,7 @@ from markedgc.stability import (
     verify_vanishing,
 )
 from markedgc.whitehouse import whitehouse_checks
+import enumeration_oracle
 from perms import generated_subgroup
 
 
@@ -69,6 +78,26 @@ def test_criterion_1_d_squared_zero_grid():
                 if len(enumerate_marked_graphs(g, n, r, None)) >= 50_000:
                     continue
                 build_complex(g, n, r)
+
+
+GENUS_FOUR_SLICE = [
+    (4, 0, 2), (4, 0, 3), (4, 0, 4), (4, 1, 3),
+    (4, 1, 4), (4, 2, 4), (4, 2, 5), (4, 3, 5),
+]
+
+
+@pytest.mark.parametrize("key", GENUS_FOUR_SLICE, ids=str)
+def test_criterion_1_genus_four_slice(key):
+    """Genus 4 at excess <= 5: the complex builds (d^2 = 0 is checked
+    there), its Euler characteristic is its homology's, and its classes
+    are the labelled enumeration's."""
+    c = build_complex(*key)
+    assert c.excess <= 5
+    dims = homology_dimensions(c, differential_ranks(c))
+    assert sum((-1) ** i * d for i, d in dims.items()) == c.euler_characteristic()
+    got = enumerate_unlabeled_classes(*key)
+    expected = enumeration_oracle.unlabeled_classes(*key)
+    assert [(x.key, x.graph) for x in got] == [(x.key, x.graph) for x in expected]
 
 
 # ---------------------------------------------------------------------------

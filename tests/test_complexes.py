@@ -23,8 +23,9 @@ from markedgc.complexes import (
     _assemble,
     _compose_sparse,
     _core_classes,
-    _edge_multisets,
     _leg_distributions,
+    _skeletons,
+    core_types,
 )
 import markedgc.graphs
 import markedgc.stability
@@ -49,9 +50,12 @@ from markedgc.reptheory import (
     perm_cycle_type,
     perm_sign,
 )
+import enumeration_oracle
 import moves_oracle
+from enumeration_oracle import _edge_multisets
 from perms import compose, relabel_legs
 from search_oracle import automorphisms, iso_det_sign
+from test_stability import CORE_CASES
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +180,55 @@ def test_unlabeled_enumeration_matches_marking_oracle(key):
     got = enumerate_unlabeled_classes(*key)
     expected = oracle_enumerate_unlabeled_classes(*key)
     assert [(c.key, c.graph) for c in got] == [(c.key, c.graph) for c in expected]
+
+
+def requested_core_types():
+    """The core types that the enumeration cases and the core suite's
+    cases ask `_core_classes` for."""
+    types = set(CORE_CASES)
+    for g, n, r in ENUMERATION_CASES:
+        types.update((g, n - j, u) for j, u in core_types(g, n, r))
+    return sorted(types)
+
+
+@pytest.mark.parametrize("key", requested_core_types(), ids=str)
+def test_core_classes_match_the_labelled_oracle(key):
+    got = _core_classes(*key)
+    expected = enumeration_oracle._core_classes(*key)
+    assert [(c.key, c.graph) for c in got] == [(c.key, c.graph) for c in expected]
+
+
+@cache
+def _bare_encoding(nv, chosen):
+    return markedgc.graphs._least_encoding(_assemble(nv, chosen, (0,) * nv))[0]
+
+
+@pytest.mark.parametrize(
+    "nv, ne",
+    [(nv, ne) for nv in range(1, 6) for ne in range(nv - 1, 7)],
+    ids=str,
+)
+def test_skeleton_classes_match_the_labelled_multisets(nv, ne):
+    # one class per distinct bare-skeleton encoding of the labelled
+    # multisets, under every leg budget (2 per neutral vertex prunes
+    # nothing) and every mark count
+    budgets = {}  # encoding -> (legs needed, edges at the dv)
+    for chosen in _edge_multisets(nv, ne):
+        valence = [0] * nv
+        for v, w in chosen:
+            valence[v] += 1
+            valence[w] += 1
+        legs = sum(max(0, 3 - val) for val in valence[1:])
+        at_dv = sum(1 for v, _ in chosen if v == 0)
+        budgets.setdefault(_bare_encoding(nv, chosen), (legs, at_dv))
+    for n in range(2 * (nv - 1) + 1):
+        for r in range(ne + 2):
+            got = [_bare_encoding(nv, chosen) for chosen in _skeletons(nv, ne, n, r)]
+            expected = {
+                enc for enc, (legs, at_dv) in budgets.items() if legs <= n and at_dv >= r
+            }
+            assert len(set(got)) == len(got)
+            assert set(got) == expected, (n, r)
 
 
 @pytest.mark.parametrize("key", ENUMERATION_CASES, ids=str)

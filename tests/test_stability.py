@@ -1,11 +1,12 @@
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 import markedgc.complexes
+from markedgc.cli import EXIT_INTERNAL, main
 from markedgc.complexes import (
     _assemble,
-    _edge_multisets,
     _leg_distributions,
     build_complex,
     chain_character,
@@ -30,6 +31,7 @@ from markedgc.stability import (
     verify_edge_cut_rows,
     verify_vanishing,
 )
+from enumeration_oracle import _edge_multisets
 
 
 # ---------------------------------------------------------------------------
@@ -152,18 +154,24 @@ def test_enumerate_core_graphs_matches_per_placement_markings(key, monkeypatch):
         *key, expected_validated, expected_canonicalized
     )
     assert [cls.key for cls in got] == [cls.key for cls in expected]
-    assert validated == expected_validated
-    assert canonicalized == expected_canonicalized
+    # one skeleton per class, so fewer decorations than the oracle's
+    # labelled multisets; each is admissible and has its placement validated
+    assert all(validate(graph) == [] for graph in canonicalized)
+    bases = {replace(graph, marked=frozenset()) for graph in canonicalized}
+    assert all(graph in bases for graph in validated)
+    assert len(canonicalized) <= len(expected_canonicalized)
 
 
-def test_core_enumeration_raises_on_an_inadmissible_placement(monkeypatch):
-    # without legs, some edge multiset leaves a neutral vertex below valence 3
+def test_core_enumeration_raises_on_an_inadmissible_placement(monkeypatch, capsys):
+    # without legs, some skeleton leaves a neutral vertex below valence 3
     markedgc.complexes._core_classes.cache_clear()
     monkeypatch.setattr(
         markedgc.complexes, "_leg_distributions", lambda nv, n, valence: [(0,) * nv]
     )
     with pytest.raises(AssertionError, match="inadmissible core"):
         enumerate_core_graphs(2, 2, 1)
+    assert main(["enumerate", "--g", "2", "--n", "2", "--r", "1"]) == EXIT_INTERNAL
+    assert "inadmissible core" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("g", [1, 2])
