@@ -78,8 +78,8 @@ def _stable_notation(dec) -> str:
 def _cmd_enumerate(args) -> int:
     classes = enumerate_marked_graphs(args.g, args.n, args.r, args.cache_dir)
     by_degree: dict[int, int] = {}
-    for cls in classes:
-        i = degree(cls.xi.graph)
+    for xi, _ in classes:
+        i = degree(xi.graph)
         by_degree[i] = by_degree.get(i, 0) + 1
     payload = {
         "g": args.g,

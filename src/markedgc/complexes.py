@@ -24,21 +24,24 @@ d^2 = 0 is verified at build time and any failure aborts with the
 offending basis pair.
 
 C_i is the sum over unlabeled classes xi of Ind from Aut(xi) to S_n of
-the det-sign character, and the basis is the table of pairs (xi, rho):
-[xi, rho] is xi's canonical graph in its reference orientation with leg k
-labeled rho[k] + 1, rho the least element of its coset under xi's leg
-group H = `xi.leg_group` (the image of Aut(xi) on the legs, kept as its
-twin blocks and tie automorphisms), and `H.labelings` lists those rho.
-The class carries H, read from the canonical-form search that created
-it; a class without one (an odd automorphism fixes every leg) vanishes
-under every labeling and is left out.
-No labeled graph is canonicalized.  The boundary is computed once per xi,
-on [xi, id], as terms [eta, tau] that remember where each leg went; the
-column of [xi, rho] is the same terms relabeled by rho, each reduced to
-its coset minimum with its sign.  The stabilization map adjoins its leg
-once per xi in the same way, and the S_n action is the same coset
-arithmetic.  The enumeration cache (format 2) stores only the xi; a
-reload accepts only admissible classes of the complex's type.
+the det-sign character, and its basis is the pairs (xi, rho): [xi, rho]
+is xi's canonical graph in its reference orientation with leg k labeled
+rho[k] + 1, rho the least element of its coset under xi's leg group
+H = `xi.leg_group` (the image of Aut(xi) on the legs, kept as its twin
+blocks and tie automorphisms), and `H.labelings` lists those rho.  The
+class carries H, read from the canonical-form search that created it; a
+class without one (an odd automorphism fixes every leg) vanishes under
+every labeling and is left out.  `EquivariantComplex.basis` is this
+table and nothing else: degree -> {xi: {rho: position}}.
+No labeled graph is built or canonicalized.  The boundary is computed
+once per xi, on [xi, id], as terms [eta, tau] that remember where each
+leg went; the column of [xi, rho] is the same terms relabeled by rho,
+each reduced to its coset minimum with its sign.  The stabilization map
+adjoins its leg once per xi in the same way.  The S_n action is the same
+coset arithmetic, and its one format is a signed permutation: the
+(position, sign) of sigma·[xi, rho] for each basis element in order.
+The enumeration cache (format 2) stores only the xi; a reload accepts
+only admissible classes of the complex's type.
 """
 
 from __future__ import annotations
@@ -64,7 +67,6 @@ from .graphs import (
     decode_graph,
     degree,
     encode_graph,
-    label_legs,
     mark_flag,
     validate,
 )
@@ -74,6 +76,8 @@ from .reptheory import ClassFunction, Permutation, cycle_type_representative
 CACHE_FORMAT = 2
 
 SparseColumns = list[dict[int, int]]  # one {row: entry} per basis column
+SignedPermutation = list[tuple[int, int]]  # one (row, sign) per basis column
+BasisPairs = list[tuple[OrientedClass, Permutation]]  # one (xi, rho) per element
 
 
 # ---------------------------------------------------------------------------
@@ -316,46 +320,10 @@ def enumerate_unlabeled_classes(g: int, n: int, r: int) -> list[OrientedClass]:
     return [seen[k] for k in sorted(seen)]
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class LabeledClass:
-    """The basis element [xi, rho]: the unlabeled class xi's canonical graph
-    in its reference orientation, with leg k (in flag order) labeled
-    rho[k] + 1.
-
-    rho is the least element of its coset under xi's leg group H.  An
-    automorphism with leg action h gives [xi, rho] = chi(h)·[xi, rho∘h], so
-    each coset holds exactly one basis element.
-    """
-
-    xi: OrientedClass
-    rho: Permutation
-
-    @property
-    def key(self) -> tuple:
-        return (self.xi.key, self.rho)
-
-    @property
-    def graph(self) -> MarkedGraph:
-        """The labeled representative."""
-        legs = self.xi.graph.legs
-        return label_legs(
-            self.xi.graph, {f: self.rho[k] + 1 for k, f in enumerate(legs)}
-        )
-
-
-def _labeled_classes(xis: list[OrientedClass]) -> list[LabeledClass]:
-    """Every [xi, rho] of the given classes, in their order and then by rho."""
-    return [
-        LabeledClass(xi, rho)
-        for xi in xis
-        for rho in xi.leg_group.labelings()
-    ]
-
-
 def enumerate_marked_graphs(
     g: int, n: int, r: int, cache_dir: str | Path | None
-) -> list[LabeledClass]:
-    """The basis of B(g, n, r): every [xi, rho] with xi an unlabeled class
+) -> BasisPairs:
+    """The basis of B(g, n, r): every (xi, rho) with xi an unlabeled class
     that has a leg group, ordered by (degree, xi key, rho)."""
     if cache_dir is not None:
         cached = load_enumeration(cache_dir, g, n, r)
@@ -365,7 +333,7 @@ def enumerate_marked_graphs(
         xi for xi in enumerate_unlabeled_classes(g, n, r) if xi.leg_group is not None
     ]
     xis.sort(key=lambda xi: degree(xi.graph))  # stable: keys stay sorted
-    classes = _labeled_classes(xis)
+    classes = [(xi, rho) for xi in xis for rho in xi.leg_group.labelings()]
     if cache_dir is not None:
         save_enumeration(cache_dir, g, n, r, classes)
     return classes
@@ -374,8 +342,13 @@ def enumerate_marked_graphs(
 # ---------------------------------------------------------------------------
 # the chain complex
 
-# xi key -> (xi, {rho: position of [xi, rho] in xi's degree})
-DegreeTable = dict[tuple, tuple[OrientedClass, dict[Permutation, int]]]
+# xi -> {rho: position of [xi, rho] in xi's degree}, in basis order
+DegreeTable = dict[OrientedClass, dict[Permutation, int]]
+
+
+def excess(g: int, ell: int) -> int:
+    """The excess m = 3(g - 1) + 2l of B(g, n, n - l)."""
+    return 3 * (g - 1) + 2 * ell
 
 
 @dataclass(frozen=True)
@@ -383,19 +356,18 @@ class EquivariantComplex:
     g: int
     n: int
     r: int
-    basis: dict[int, tuple[LabeledClass, ...]]
+    basis: dict[int, DegreeTable]  # degree -> {xi: {rho: position}}
     diff: dict[int, SparseColumns]  # degree i -> matrix C_i -> C_{i-1}
-    table: dict[int, DegreeTable]  # degree -> its classes, in basis order
 
     @property
     def excess(self) -> int:
-        return 3 * (self.g - 1) + 2 * (self.n - self.r)
+        return excess(self.g, self.n - self.r)
 
     def degrees(self) -> list[int]:
         return sorted(self.basis)
 
     def dim(self, i: int) -> int:
-        return len(self.basis.get(i, ()))
+        return sum(map(len, self.basis.get(i, {}).values()))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** i * self.dim(i) for i in self.basis)
@@ -457,14 +429,14 @@ def _targets(
     table."""
     out = []
     for (eta, tau), coeff in terms.items():
-        entry = table.get(eta.key)
-        if entry is None:
+        positions = table.get(eta)
+        if positions is None:
             if eta.leg_group is not None:
                 raise AssertionError(
                     f"{where} left the enumerated basis: {encode_graph(eta.graph)}"
                 )
             continue
-        out.append((eta.leg_group, entry[1], tau, coeff))
+        out.append((eta.leg_group, positions, tau, coeff))
     return out
 
 
@@ -489,30 +461,23 @@ def _column(
 def build_complex(
     g: int, n: int, r: int, cache_dir: str | Path | None = None
 ) -> EquivariantComplex:
-    basis: dict[int, list[LabeledClass]] = {}
-    table: dict[int, DegreeTable] = {}
-    for cls in enumerate_marked_graphs(g, n, r, cache_dir=cache_dir):
-        i = degree(cls.xi.graph)
-        column = basis.setdefault(i, [])
-        entry = table.setdefault(i, {}).setdefault(cls.xi.key, (cls.xi, {}))
-        entry[1][cls.rho] = len(column)
-        column.append(cls)
+    basis: dict[int, DegreeTable] = {}
+    dims: dict[int, int] = {}
+    for xi, rho in enumerate_marked_graphs(g, n, r, cache_dir=cache_dir):
+        i = degree(xi.graph)
+        dims[i] = dims.get(i, 0) + 1
+        basis.setdefault(i, {}).setdefault(xi, {})[rho] = dims[i] - 1
     diff: dict[int, SparseColumns] = {}
-    for i in sorted(table):
-        below = table.get(i - 1, {})
+    for i in sorted(basis):
+        below = basis.get(i - 1, {})
         cols: SparseColumns = []
-        for xi, positions in table[i].values():
+        for xi, positions in basis[i].items():
             targets = _targets(
                 boundary_terms(xi), below, f"boundary of a degree-{i} class"
             )
             cols.extend(_column(targets, rho) for rho in positions)
         diff[i] = cols
-    complex_ = EquivariantComplex(
-        g=g, n=n, r=r,
-        basis={i: tuple(b) for i, b in basis.items()},
-        diff=diff,
-        table=table,
-    )
+    complex_ = EquivariantComplex(g=g, n=n, r=r, basis=basis, diff=diff)
     _check_d_squared(complex_)
     return complex_
 
@@ -523,10 +488,15 @@ def _check_d_squared(c: EquivariantComplex) -> None:
             continue
         for pos, bad in enumerate(_compose_sparse(c.diff[i - 1], c.diff[i])):
             if bad:
-                cls = c.basis[i][pos]
+                xi, rho = next(
+                    (xi, rho)
+                    for xi, positions in c.basis[i].items()
+                    for rho, p in positions.items()
+                    if p == pos
+                )
                 raise AssertionError(
                     f"d^2 != 0 on B({c.g},{c.n},{c.r}) degree {i} basis "
-                    f"element {pos} ({encode_graph(cls.graph)}): {bad}"
+                    f"element {pos} [{encode_graph(xi.graph)}, {rho}]: {bad}"
                 )
 
 
@@ -534,13 +504,16 @@ def _check_d_squared(c: EquivariantComplex) -> None:
 # group action and characters
 
 
-def _act(c: EquivariantComplex, i: int, sigma: Permutation) -> list[tuple[int, int]]:
-    """``(position, sign)`` of sigma·[xi, rho] for each degree-i basis
-    element: sigma·[xi, rho] = [xi, sigma∘rho] = chi·[xi, rho'] with rho'
-    the coset minimum."""
+def group_action_matrix(
+    c: EquivariantComplex, i: int, sigma: Permutation
+) -> SignedPermutation:
+    """The leg relabeling by ``sigma`` (0-indexed images) on degree ``i``:
+    the ``(position, sign)`` of sigma·[xi, rho] for each basis element.
+    sigma·[xi, rho] = [xi, sigma∘rho] = chi·[xi, rho'] with rho' the coset
+    minimum."""
     out = []
     try:
-        for xi, positions in c.table.get(i, {}).values():
+        for xi, positions in c.basis.get(i, {}).items():
             group = xi.leg_group
             for rho in positions:
                 image, chi = group.coset_min(tuple([sigma[x] for x in rho]))
@@ -552,21 +525,17 @@ def _act(c: EquivariantComplex, i: int, sigma: Permutation) -> list[tuple[int, i
     return out
 
 
-def group_action_matrix(
-    c: EquivariantComplex, i: int, sigma: Permutation
-) -> SparseColumns:
-    """Signed permutation matrix of the leg relabeling by ``sigma``
-    (0-indexed images) on degree ``i``."""
-    return [{pos: sign} for pos, sign in _act(c, i, sigma)]
+def action_trace(action: SignedPermutation) -> int:
+    """Trace of a signed permutation: the signs of its fixed positions."""
+    return sum(sign for pos, (image, sign) in enumerate(action) if image == pos)
 
 
 def chain_character(c: EquivariantComplex, i: int) -> ClassFunction:
     """Character of the signed permutation action on C_i."""
     values: dict[Partition, Fraction] = {}
     for mu in cycle_types(c.n):
-        action = _act(c, i, cycle_type_representative(mu))
-        trace = sum(sign for pos, (image, sign) in enumerate(action) if image == pos)
-        values[mu] = Fraction(trace)
+        action = group_action_matrix(c, i, cycle_type_representative(mu))
+        values[mu] = Fraction(action_trace(action))
     return ClassFunction(c.n, values)
 
 
@@ -593,12 +562,12 @@ def stabilization_map(
     cols: dict[int, SparseColumns] = {}
     for i in source.degrees():
         cols_i: SparseColumns = []
-        for xi, positions in source.table[i].values():
+        for xi, positions in source.basis[i].items():
             h = add_marked_leg(xi.graph)
             form = canonical_form(h)
             targets = _targets(
                 {(form[0], _leg_map(h, form)): form[1]},
-                target.table.get(i, {}),
+                target.basis.get(i, {}),
                 f"stabilization of a degree-{i} class",
             )
             cols_i.extend(_column(targets, rho + (source.n,)) for rho in positions)
@@ -645,13 +614,13 @@ def cache_path(cache_dir: str | Path, g: int, n: int, r: int) -> Path:
 
 
 def save_enumeration(
-    cache_dir: str | Path, g: int, n: int, r: int, classes: list[LabeledClass]
+    cache_dir: str | Path, g: int, n: int, r: int, classes: BasisPairs
 ) -> Path:
     """Write the unlabeled classes of a basis, one per line in basis order;
-    the header counts the labeled basis elements."""
+    the header counts the basis elements (xi, rho)."""
     body = "".join(
         f"{degree(xi.graph)}|{encode_graph(xi.graph)}\n"
-        for xi in dict.fromkeys(cls.xi for cls in classes)
+        for xi in dict.fromkeys(xi for xi, _ in classes)
     )
     header = {
         "format": CACHE_FORMAT,
@@ -680,7 +649,7 @@ def save_enumeration(
 
 def load_enumeration(
     cache_dir: str | Path, g: int, n: int, r: int
-) -> list[LabeledClass] | None:
+) -> BasisPairs | None:
     """Reload a cached enumeration; a file that cannot be read, or any
     inconsistency, discards the cache.  Each unlabeled class must be an
     admissible class of type (g, n, s >= r); it is canonicalized again, and
@@ -716,7 +685,7 @@ def load_enumeration(
                 return None
             xis.append(xi)
             last = order
-        classes = _labeled_classes(xis)
+        classes = [(xi, rho) for xi in xis for rho in xi.leg_group.labelings()]
         if len(classes) != header["count"]:
             return None
         return classes

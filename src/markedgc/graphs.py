@@ -629,19 +629,6 @@ def add_marked_leg(g: MarkedGraph) -> MarkedGraph:
     return out
 
 
-def label_legs(g: MarkedGraph, assignment: dict[int, int]) -> MarkedGraph:
-    """Attach leg labels to an unlabeled graph: ``assignment`` maps leg
-    flags to labels."""
-    if g.labels is not None:
-        raise ValueError("graph is already labeled")
-    labels = [0] * g.nf
-    for f, lbl in assignment.items():
-        labels[f] = lbl
-    return MarkedGraph(
-        nv=g.nv, dv=g.dv, adj=g.adj, inv=g.inv, marked=g.marked, labels=tuple(labels)
-    )
-
-
 def cut_edge(g: MarkedGraph, e: Edge) -> MarkedGraph:
     """Cut a non-disconnecting edge, labeling the new legs n+1 and n+2."""
     f1, f2 = e

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import EquivariantComplex, group_action_matrix
+from .complexes import EquivariantComplex, action_trace, group_action_matrix
 from .linalg import (
     column_factorization,
     rank,
@@ -86,7 +86,7 @@ def homology_characters(
         sigma = cycle_type_representative(mu)
         actions = {k: group_action_matrix(c, k, sigma) for k in acted}
         for i in degrees:
-            total = sum(col.get(pos, 0) for pos, col in enumerate(actions[i]))
+            total = action_trace(actions[i])
             if i + 1 in actions:
                 total -= trace_on_image(actions[i + 1], factorizations[i + 1])
             total -= trace_on_image(actions[i], factorizations[i])

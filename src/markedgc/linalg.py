@@ -180,20 +180,19 @@ def column_factorization(
 
 
 def trace_on_image(
-    action_cols: SparseColumns,
+    action: list[tuple[int, int]],
     factorization: tuple[list[int], list[dict[int, Fraction]]],
 ) -> Fraction:
     """Trace of an equivariant signed permutation on the column span of d.
 
-    ``action_cols`` is the signed permutation action on the *source* of d
-    (one {image: sign} entry per column).  Equivariance makes the action
-    permute the columns of d up to sign, so the trace on the image follows
-    from ``factorization``, the `column_factorization` of d, alone.
+    ``action`` is the signed permutation on the *source* of d, one
+    (image, sign) pair per column.  Equivariance makes it permute the
+    columns of d up to sign, so the trace on the image follows from
+    ``factorization``, the `column_factorization` of d, alone.
     """
     pivots, coeffs = factorization
     total = Fraction(0)
     for l in pivots:
-        (img, sign), = action_cols[l].items()
+        img, sign = action[l]
         total += sign * coeffs[img].get(l, Fraction(0))
     return total
-

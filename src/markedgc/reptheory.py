@@ -149,9 +149,6 @@ class ClassFunction:
             vals[mu] = self.values[padded]
         return ClassFunction(self.n - 1, vals)
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values.values())
-
 
 def irreducible_character(lam: Partition) -> ClassFunction:
     n = size(lam)
@@ -407,16 +404,15 @@ def _induce(n: int, order: int, values) -> ClassFunction:
 
 
 def induce_from_subgroup(
-    n: int, subgroup, chi_h: dict[Permutation, int | Fraction]
+    n: int, chi: dict[Permutation, int | Fraction]
 ) -> ClassFunction:
     """Character of Ind_H^{S_n} of a one-dimensional character of H.
 
-    ``subgroup`` is an iterable of permutations (images of 0..n-1) forming a
-    subgroup H of S_n; ``chi_h`` maps each element of H to a rational.  One
-    pass over H x H checks that H is closed and chi multiplicative.  The
-    induction formula is evaluated by counting classes (`_induce`).
+    ``chi`` maps each element of a subgroup H of S_n (images of 0..n-1)
+    to a rational; its keys are H.  One pass over H x H checks that H is
+    closed and chi multiplicative.  The induction formula is evaluated by
+    counting classes (`_induce`).
     """
-    chi = {h: chi_h[h] for h in map(tuple, subgroup)}
     if identity(n) not in chi:
         raise ValueError("not a subgroup of S_n")
     for a, chi_a in chi.items():

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from .complexes import (
     EquivariantComplex,
     ChainMap,
-    _compose_sparse,
     build_complex,
     chain_character,
     core_types,
     enumerate_core_graphs,
+    excess,
     group_action_matrix,
     stabilization_map,
 )
@@ -62,10 +62,6 @@ from .reptheory import (
 )
 
 
-def excess(g: int, ell: int) -> int:
-    return 3 * (g - 1) + 2 * ell
-
-
 def predicted_sharp_bound(g: int, ell: int) -> int:
     """ceil(3m/2) for m = 3(g-1) + 2*ell."""
     m = excess(g, ell)
@@ -84,8 +80,7 @@ def core_module(xi: OrientedClass) -> IrrDecomposition | None:
     group = xi.leg_group
     if group is None:
         return None
-    elements = group.elements()
-    return decompose(induce_from_subgroup(group.n, elements, elements))
+    return decompose(induce_from_subgroup(group.n, group.elements()))
 
 
 def rho_of_core(xi: OrientedClass) -> int:
@@ -141,7 +136,6 @@ class StabilityReport:
     window: tuple[int, int]
     conditions: dict[int, tuple[bool, bool, bool]]
     detected: int | None
-    conjugate_decompositions: dict[int, dict[int, IrrDecomposition]]
 
     def to_json(self) -> dict:
         return {
@@ -197,7 +191,11 @@ def _generating(psi: ChainMap) -> bool:
         psi_cols = psi.cols.get(i, [])
         stacked = []
         for sigma in reps:
-            stacked += _compose_sparse(group_action_matrix(target, i, sigma), psi_cols)
+            action = group_action_matrix(target, i, sigma)
+            stacked += [
+                {action[row][0]: action[row][1] * v for row, v in col.items()}
+                for col in psi_cols
+            ]
         if rank(stacked) < dim:
             return False
     return True
@@ -256,7 +254,6 @@ def check_consistent_sequence(
         window=(n_min, n_max),
         conditions=conditions,
         detected=detected,
-        conjugate_decompositions=decs,
     )
 
 

@@ -54,7 +54,7 @@ def character_by_solves(c: EquivariantComplex, i: int) -> ClassFunction:
             action = group_action_matrix(c, k, sigma)
             total = Fraction(0)
             for pos, l in enumerate(pivots):
-                (img, sign), = action[l].items()
+                img, sign = action[l]
                 coords = solve(cols[img])
                 if coords is None:
                     raise AssertionError("action left the image subspace")

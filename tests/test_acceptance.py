@@ -300,7 +300,7 @@ def test_criterion_10_hyperoctahedral():
         subgroup = generated_subgroup(n, gens)
         assert len(subgroup) == 2**y * factorial(y)
         induced = decompose(
-            induce_from_subgroup(n, subgroup, {h: 1 for h in subgroup})
+            induce_from_subgroup(n, {h: 1 for h in subgroup})
         )
         assert induced == hyperoctahedral_doubles(y)
 

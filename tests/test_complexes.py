@@ -21,6 +21,7 @@ from markedgc.complexes import (
     save_enumeration,
     stabilization_map,
     _assemble,
+    _check_d_squared,
     _compose_sparse,
     _core_classes,
     _leg_distributions,
@@ -38,7 +39,6 @@ from markedgc.graphs import (
     core,
     degree,
     encode_graph,
-    label_legs,
     mark_flag,
     validate,
 )
@@ -53,7 +53,7 @@ from markedgc.reptheory import (
 import enumeration_oracle
 import moves_oracle
 from enumeration_oracle import _edge_multisets
-from perms import compose, relabel_legs
+from perms import basis_elements, compose, label_legs, labeled, relabel_legs
 from search_oracle import automorphisms, iso_det_sign
 from test_stability import CORE_CASES
 
@@ -96,13 +96,13 @@ def test_complex_dimensions(key):
 
 def test_enumeration_sorted_and_typed():
     g, n, r = 2, 3, 3
-    classes = enumerate_marked_graphs(g, n, r, None)
-    degrees = [degree(cls.graph) for cls in classes]
+    classes = [labeled(xi, rho) for xi, rho in enumerate_marked_graphs(g, n, r, None)]
+    degrees = [degree(graph) for graph in classes]
     assert degrees == sorted(degrees)
-    for cls in classes:
-        assert cls.graph.genus == g and cls.graph.n_legs == n
-        assert cls.graph.n_marked >= r
-        assert not oracle_vanishes(canonical_form(cls.graph)[0])
+    for graph in classes:
+        assert graph.genus == g and graph.n_legs == n
+        assert graph.n_marked >= r
+        assert not oracle_vanishes(canonical_form(graph)[0])
 
 
 def test_unlabeled_enumeration_no_duplicates():
@@ -266,8 +266,31 @@ def test_d_squared_is_zero(key):
         assert all(not col for col in square)
 
 
+@pytest.mark.parametrize("key", [(2, 3, 3), (1, 4, 2)], ids=str)
+def test_d_squared_failure_names_the_element(key):
+    c = build_complex(*key)
+    i = max(c.degrees())
+    # adding row ``row`` to column ``pos`` of d_i adds d_{i-1} of that
+    # basis element, which is nonzero, to d_{i-1} d_i of column ``pos``
+    pos, row = [
+        (p, row)
+        for p, col in enumerate(c.diff[i])
+        for row in col
+        if c.diff[i - 1][row]
+    ][-1]
+    diff = {k: [dict(col) for col in cols] for k, cols in c.diff.items()}
+    diff[i][pos][row] += 1
+    xi, rho, _ = list(basis_elements(c, i))[pos]
+    with pytest.raises(AssertionError) as failure:
+        _check_d_squared(replace(c, diff=diff))
+    assert (
+        f"degree {i} basis element {pos} [{encode_graph(xi.graph)}, {rho}]: "
+        in str(failure.value)
+    )
+
+
 def test_boundary_drops_degree_by_one():
-    for xi in {cls.xi for cls in enumerate_marked_graphs(2, 2, 2, None)}:
+    for xi in {xi for xi, _ in enumerate_marked_graphs(2, 2, 2, None)}:
         for (eta, tau), coeff in boundary_terms(xi).items():
             assert degree(eta.graph) == degree(xi.graph) - 1
             assert sorted(tau) == list(range(xi.graph.n_legs))
@@ -289,13 +312,16 @@ def test_action_is_signed_permutation():
     c = build_complex(1, 3, 2)
     sigma = cycle_type_representative((2, 1))
     for i in c.degrees():
-        cols = group_action_matrix(c, i, sigma)
         images = []
-        for col in cols:
-            (row, sign), = col.items()
+        for row, sign in group_action_matrix(c, i, sigma):
             assert sign in (1, -1)
             images.append(row)
         assert sorted(images) == list(range(c.dim(i)))
+
+
+def as_columns(action):
+    """A signed permutation as a sparse matrix, one {row: sign} per column."""
+    return [{row: sign} for row, sign in action]
 
 
 def test_action_is_homomorphism():
@@ -305,9 +331,10 @@ def test_action_is_homomorphism():
     ab = compose(a, b)
     for i in c.degrees():
         left = _compose_sparse(
-            group_action_matrix(c, i, a), group_action_matrix(c, i, b)
+            as_columns(group_action_matrix(c, i, a)),
+            as_columns(group_action_matrix(c, i, b)),
         )
-        assert left == group_action_matrix(c, i, ab)
+        assert left == as_columns(group_action_matrix(c, i, ab))
 
 
 def test_chain_character_dimension_at_identity():
@@ -324,8 +351,8 @@ def test_chain_character_constant_on_class():
     chi = chain_character(c, 2)
     # conjugating the representative cannot change the trace
     rep = cycle_type_representative((2, 2))
-    cols_a = group_action_matrix(c, 2, sigma)
-    cols_b = group_action_matrix(c, 2, rep)
+    cols_a = as_columns(group_action_matrix(c, 2, sigma))
+    cols_b = as_columns(group_action_matrix(c, 2, rep))
     trace = lambda cols: sum(
         col.get(j, 0) for j, col in enumerate(cols)
     )
@@ -340,8 +367,8 @@ def labeled_index(c, i):
     """Labeled canonical key -> (position, sign) with [basis element] =
     sign·[labeled canonical class], over degree ``i``."""
     index = {}
-    for pos, cls in enumerate(c.basis.get(i, ())):
-        target, sign = canonical_form(cls.graph)
+    for pos, (_, _, graph) in enumerate(basis_elements(c, i)):
+        target, sign = canonical_form(graph)
         assert target.key not in index
         index[target.key] = (pos, sign)
     return index
@@ -350,12 +377,12 @@ def labeled_index(c, i):
 def oracle_group_action_matrix(c, i, sigma):
     lut = {k + 1: sigma[k] + 1 for k in range(len(sigma))}
     index = labeled_index(c, i)
-    cols = []
-    for cls in c.basis.get(i, ()):
-        target, sign = canonical_form(relabel_legs(cls.graph, lut))
+    action = []
+    for _, _, graph in basis_elements(c, i):
+        target, sign = canonical_form(relabel_legs(graph, lut))
         pos, sign2 = index[target.key]
-        cols.append({pos: sign * sign2})
-    return cols
+        action.append((pos, sign * sign2))
+    return action
 
 
 def oracle_chain_character(c, i):
@@ -363,9 +390,9 @@ def oracle_chain_character(c, i):
     for mu in cycle_types(c.n):
         lut = {k + 1: v + 1 for k, v in enumerate(cycle_type_representative(mu))}
         trace = 0
-        for cls in c.basis.get(i, ()):
-            source, sign = canonical_form(cls.graph)
-            target, sign2 = canonical_form(relabel_legs(cls.graph, lut))
+        for _, _, graph in basis_elements(c, i):
+            source, sign = canonical_form(graph)
+            target, sign2 = canonical_form(relabel_legs(graph, lut))
             if target.key == source.key:
                 trace += sign * sign2
         values[mu] = Fraction(trace)
@@ -637,16 +664,16 @@ def oracle_stabilization_cols(key):
 
 
 def basis_permutation(c):
-    """Degree -> [(oracle position, sign)] with [c.basis[i][p]] = sign·[oracle
-    class], found by canonicalizing each basis graph; checks it is a
-    bijection onto the oracle's basis."""
+    """Degree -> [(oracle position, sign)] with [the p-th degree-i basis
+    element] = sign·[oracle class], found by canonicalizing each basis
+    graph; checks it is a bijection onto the oracle's basis."""
     basis, index, _ = oracle_build_complex(c.g, c.n, c.r)
     assert c.degrees() == sorted(basis)
     perm = {}
     for i in c.degrees():
         perm[i] = []
-        for cls in c.basis[i]:
-            target, sign = canonical_form(cls.graph)
+        for _, _, graph in basis_elements(c, i):
+            target, sign = canonical_form(graph)
             deg, pos = index[target.key]
             assert deg == i
             perm[i].append((pos, sign))
@@ -775,7 +802,7 @@ def test_cache_roundtrip_identical(tmp_path):
     assert path.exists()
     text = path.read_text()
     again = enumerate_marked_graphs(1, 4, 3, cache_dir=tmp_path)
-    assert [c.key for c in again] == [c.key for c in first]
+    assert again == first  # classes compare by key
     # reserialization is byte-identical
     save_enumeration(tmp_path, 1, 4, 3, again)
     assert path.read_text() == text
@@ -834,7 +861,7 @@ def test_partial_temp_file_is_never_read(tmp_path, monkeypatch):
     leftover.write_text(text[: len(text) // 2])
     assert load_enumeration(tmp_path, 1, 3, 2) is None
     again = enumerate_marked_graphs(1, 3, 2, cache_dir=tmp_path)
-    assert [c.key for c in again] == [c.key for c in classes]
+    assert again == classes  # classes compare by key
     assert path.read_text() == text
 
 

@@ -20,13 +20,12 @@ from markedgc.graphs import (
     decode_graph,
     degree,
     encode_graph,
-    label_legs,
     mark_flag,
     validate,
 )
 import markedgc.graphs
 from markedgc.reptheory import perm_sign
-from perms import relabel_legs
+from perms import label_legs, labeled, relabel_legs
 from search_oracle import automorphisms, iso_det_sign, isomorphisms
 
 
@@ -361,8 +360,8 @@ def test_isomorphisms_respect_labels():
 
 @pytest.mark.parametrize("key", [(2, 4, 3), (3, 4, 5)])
 def test_flags_at_matches_rescan(key):
-    for cls in enumerate_marked_graphs(*key, None):
-        g = cls.graph
+    for xi, rho in enumerate_marked_graphs(*key, None):
+        g = labeled(xi, rho)
         for v in range(g.nv):
             assert g.flags_at(v) == tuple(f for f in range(g.nf) if g.adj[f] == v)
 
@@ -586,7 +585,7 @@ def oracle_canonical_form(g, edge_order, d_order):
 )
 def test_canonical_form_matches_rekeying_flag_assignment(key):
     rng = random.Random(hash(key))
-    graphs = [cls.graph for cls in enumerate_marked_graphs(*key, None)]
+    graphs = [labeled(xi, rho) for xi, rho in enumerate_marked_graphs(*key, None)]
     graphs += [cls.graph for cls in enumerate_unlabeled_classes(*key)]
     for graph in graphs:
         g = shuffled_copy(graph, rng)

@@ -1,4 +1,5 @@
 import markedgc.complexes
+import markedgc.homology
 from markedgc.complexes import build_complex
 from markedgc.homology import (
     differential_ranks,
@@ -89,14 +90,15 @@ def test_euler_characteristic_of_homology():
 
 def test_one_action_per_degree_and_cycle_type(monkeypatch):
     acted = []
-    act = markedgc.complexes._act
+    act = markedgc.complexes.group_action_matrix
 
     def spy(c, i, sigma):
         acted.append((i, perm_cycle_type(sigma)))
         return act(c, i, sigma)
 
     c = build_complex(3, 6, 7)
-    monkeypatch.setattr(markedgc.complexes, "_act", spy)
+    for module in (markedgc.complexes, markedgc.homology):
+        monkeypatch.setattr(module, "group_action_matrix", spy)
     profile = homology_decomposition(c)
     assert profile.nonzero_degrees() == [3, 4]
     assert acted

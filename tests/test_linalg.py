@@ -239,7 +239,7 @@ def test_trace_on_image_signed_permutation(seed):
     cols = []
     for j in range(n):
         cols.append({j: 2, p[j]: 1} if p[j] != j else {j: 3})
-    action = [{p[j]: signs[j]} for j in range(n)]
+    action = [(p[j], signs[j]) for j in range(n)]
     # target action must permute rows consistently: T(e_i) = sign_i e_{p(i)}
     # check equivariance T d = d S on each column; skip seeds where the
     # random signs break it
@@ -268,5 +268,5 @@ def test_trace_on_image_signed_permutation(seed):
 
 def test_trace_on_image_identity_action():
     cols = [{0: 1, 1: 2}, {1: 1}, {0: 1, 1: 3}]
-    action = [{j: 1} for j in range(3)]
+    action = [(j, 1) for j in range(3)]
     assert trace_on_image(action, column_factorization(cols)) == rank(cols)

@@ -236,7 +236,7 @@ def test_hyperoctahedral_doubles_against_direct_induction(y):
 
     assert len(subgroup) == 2**y * factorial(y)
     induced = decompose(
-        induce_from_subgroup(n, subgroup, {h: 1 for h in subgroup})
+        induce_from_subgroup(n, {h: 1 for h in subgroup})
     )
     assert induced == doubles
 
@@ -274,22 +274,22 @@ def test_sign_multiplicative(p, q):
 
 def test_induce_from_subgroup_rejects_a_set_that_is_not_closed():
     with pytest.raises(ValueError, match="not a subgroup"):
-        induce_from_subgroup(3, [(0, 1, 2), (1, 2, 0)], {(0, 1, 2): 1, (1, 2, 0): 1})
+        induce_from_subgroup(3, {(0, 1, 2): 1, (1, 2, 0): 1})
     with pytest.raises(ValueError, match="not a subgroup"):
-        induce_from_subgroup(3, [(1, 2, 0), (2, 0, 1)], {(1, 2, 0): 1, (2, 0, 1): 1})
+        induce_from_subgroup(3, {(1, 2, 0): 1, (2, 0, 1): 1})
 
 
 def test_induce_from_subgroup_rejects_bad_character():
     cyclic = generated_subgroup(3, [(1, 2, 0)])
     bad = {h: (2 if h != identity(3) else 1) for h in cyclic}
     with pytest.raises(ValueError):
-        induce_from_subgroup(3, cyclic, bad)
+        induce_from_subgroup(3, bad)
 
 
 def test_induce_sign_from_alternating():
     # Ind_{A_3}^{S_3}(triv) = triv + sign
     a3 = generated_subgroup(3, [(1, 2, 0)])
-    dec = decompose(induce_from_subgroup(3, a3, {h: 1 for h in a3}))
+    dec = decompose(induce_from_subgroup(3, {h: 1 for h in a3}))
     assert dict(dec.items()) == {(3,): 1, (1, 1, 1): 1}
 
 
@@ -357,7 +357,7 @@ def test_induce_from_subgroup_matches_conjugation_sum_on_core_leg_groups():
     groups = genus_two_leg_groups()
     assert len(groups) > 40
     for k, symmetry in groups:
-        assert induce_from_subgroup(k, symmetry.keys(), symmetry) == (
+        assert induce_from_subgroup(k, symmetry) == (
             oracle_induce_from_subgroup(k, symmetry.keys(), symmetry)
         )
 
@@ -384,6 +384,6 @@ def subgroups_with_sign_characters(draw):
 @given(subgroups_with_sign_characters())
 def test_induce_from_subgroup_matches_conjugation_sum(case):
     n, elements, chi = case
-    assert induce_from_subgroup(n, elements, chi) == oracle_induce_from_subgroup(
+    assert induce_from_subgroup(n, chi) == oracle_induce_from_subgroup(
         n, elements, chi
     )
