@@ -22,7 +22,8 @@ their det-signs, read from the ties of the search that created the class;
 it decides both whether the class vanishes under every labeling and how
 S_n acts on its labelings.  It is kept as the search finds it, twin
 blocks times the leg actions of the ties, and only `LegGroup.elements`
-lists it.
+lists it: `LegGroup.coset_min` sorts a labeling within each block, once
+per tie, and takes the sort's sign on marked blocks.
 """
 
 from __future__ import annotations
@@ -190,17 +191,13 @@ class LegGroup:
     for each twin class of two or more legs, and ``ordered`` the distinct
     ``(sigma, chi)`` of the ties, the identity first.  Every element is,
     uniquely, sigma∘tau with tau a twin permutation, of sign chi times
-    the sign of tau on the marked blocks.
+    the sign of tau on the marked blocks.  The least element of a coset
+    takes, for some sigma, the tau that sorts the labels within every
+    block.
     """
 
     def __init__(self, n: int, blocks: tuple, ordered: tuple):
         self.n, self.blocks, self.ordered = n, blocks, ordered
-        # selection sort: position j takes the least of its block after it
-        self._swaps = tuple(
-            (j, ks[i + 1 :], marked)
-            for ks, marked in blocks
-            for i, j in enumerate(ks[:-1])
-        )
 
     @classmethod
     def of(
@@ -228,7 +225,7 @@ class LegGroup:
                 if pair in ends:
                     return None  # swapping the two is odd and fixes every leg
                 ends.add(pair)
-        sign0 = _orientation_sign(g, canon, ties[0])
+        sign0 = _orientation_sign(g, ties[0])
         back = [0] * g.nf
         for f, image in enumerate(ties[0]):
             back[image] = f
@@ -240,7 +237,7 @@ class LegGroup:
             twins.setdefault(key, []).append(k)
         ordered: dict[Permutation, int] = {}
         for phi in ties:
-            sign = sign0 * _orientation_sign(g, canon, phi)
+            sign = sign0 * _orientation_sign(g, phi)
             sigma = tuple([index[phi[back[f]]] for f in legs])
             if ordered.setdefault(sigma, sign) != sign:
                 return None  # the two differ by an odd leg-fixing automorphism
@@ -264,35 +261,45 @@ class LegGroup:
                 out[tuple([sigma[t] for t in tau])] = sign * twin_sign
         return out
 
+    def _sort_blocks(self, image: list[int]) -> int:
+        """Sort ``image`` within every block, in place, and return the
+        sign of the sort on the marked blocks."""
+        sign = 1
+        for ks, marked in self.blocks:
+            values = [image[k] for k in ks]
+            ordered = sorted(values)
+            if ordered != values:
+                for k, x in zip(ks, ordered):
+                    image[k] = x
+                if marked:
+                    sign *= perm_sign(sorted(range(len(ks)), key=values.__getitem__))
+        return sign
+
     def coset_min(self, rho: Permutation) -> tuple[Permutation, int]:
         """The lex-least element rho∘h of the coset rho·H, with chi(h).
 
-        For each sigma, tau sorts rho∘sigma within every block; each swap
-        is a transposition of twins, odd on a marked block.
+        For each sigma, tau sorts rho∘sigma within every block, a
+        permutation of twins whose sign counts on the marked blocks.
         """
-        best = None
+        best, best_chi = None, 0
         for sigma, chi in self.ordered:
             image = [rho[x] for x in sigma]
-            for j, orbit, marked in self._swaps:
-                b = min(orbit, key=image.__getitem__)
-                if image[b] < image[j]:
-                    image[j], image[b] = image[b], image[j]
-                    if marked:
-                        chi = -chi
-            image = tuple(image)
-            if best is None or image < best[0]:
-                best = (image, chi)
-        return best
+            chi *= self._sort_blocks(image)
+            if best is None or image < best:
+                best, best_chi = image, chi
+        return tuple(best), best_chi
 
     def labelings(self):
         """One leg labeling per coset: each permutation rho of 0..n-1 that
         is its coset's minimum, in increasing order.
 
         Labels are chosen position by position, each above the label at
-        the previous position of its block; `coset_min` keeps a candidate
-        when it leaves it unchanged.
+        the previous position of its block.  A candidate is then sorted
+        within its blocks, so the identity tie leaves it as it is, and it
+        is kept unless another tie sorts to a lex-smaller labeling.
         """
         n = self.n
+        others = [sigma for sigma, _ in self.ordered[1:]]
         previous = [None] * n
         for ks, _ in self.blocks:
             for a, b in zip(ks, ks[1:]):
@@ -302,9 +309,12 @@ class LegGroup:
 
         def extend(p: int):
             if p == n:
-                candidate = tuple(rho)
-                if self.coset_min(candidate)[0] == candidate:
-                    yield candidate
+                for sigma in others:
+                    image = [rho[x] for x in sigma]
+                    self._sort_blocks(image)
+                    if image < rho:
+                        return
+                yield tuple(rho)
                 return
             least = 0 if previous[p] is None else rho[previous[p]] + 1
             for v in range(least, n):
@@ -343,16 +353,31 @@ class OrientedClass:
 
 
 def _vertex_invariant(g: MarkedGraph, v: int):
+    inv, adj, dv, marked = g.inv, g.adj, g.dv, g.marked
     flags = g.flags_at(v)
-    leg_labels = sorted(g.label_of(f) for f in flags if g.inv[f] == f)
+    leg_labels = []
+    n_marked = to_dv = here = 0
+    for f in flags:
+        if f in marked:
+            n_marked += 1
+        partner = inv[f]
+        if partner == f:
+            leg_labels.append(g.label_of(f))
+            here += 1
+        else:
+            if adj[partner] == dv:
+                to_dv += 1
+            if adj[partner] == v:
+                here += 1
+    leg_labels.sort()
     return (
-        v != g.dv,
+        v != dv,
         len(flags),
         len(leg_labels),
         tuple(leg_labels),
-        sum(1 for f in flags if f in g.marked),
-        sum(1 for f in flags if g.inv[f] != f and g.adj[g.inv[f]] == g.dv),
-        sum(1 for f in flags if g.adj[g.inv[f]] == v),  # tadpole flags
+        n_marked,
+        to_dv,
+        here,  # flags whose partner is at v: legs and tadpole flags
     )
 
 
@@ -381,53 +406,60 @@ def _flag_assignment(g: MarkedGraph, vorder: tuple[int, ...]):
 
     Returns (encoding, phi) with phi the map old flag -> new index.
     """
-    vindex = {v: i for i, v in enumerate(vorder)}
-    phi = [-1] * g.nf
-    next_index = 0
-    for v in vorder:
-        # Keys are computed once per vertex.  Placing a flag changes only
-        # its partner's key, and only while that partner waits here (a
-        # tadpole): it must then sort by the assigned index, or tadpole and
-        # parallel-edge pairings would depend on input flag ids.
-        keys = {}
+    adj, inv, marked, labels = g.adj, g.inv, g.marked, g.labels
+    nf = len(adj)
+    vindex = [0] * g.nv
+    for i, v in enumerate(vorder):
+        vindex[v] = i
+    phi = [-1] * nf
+    new_adj = [0] * nf
+    new_inv = [0] * nf
+    new_marked = []
+    new_labels = None if labels is None else [0] * nf
+    n = 0
+    for i, v in enumerate(vorder):
+        # Each vertex's keys are sorted once.  Numbering a flag changes
+        # only its partner's key, and only while that partner waits here
+        # (a tadpole): it then becomes the least key, so the partner is
+        # numbered next, and tadpole and parallel-edge pairings do not
+        # depend on input flag ids.
+        keys = []
         for f in g.flags_at(v):
-            partner = g.inv[f]
+            partner = inv[f]
             if partner == f:
-                keys[f] = (1, int(f in g.marked), g.label_of(f), 0, f)
+                label = 0 if labels is None else labels[f]
+                keys.append((1, f in marked, label, 0, f))
             elif phi[partner] != -1:
-                keys[f] = (0, phi[partner], 0, 0, f)
+                keys.append((0, phi[partner], 0, 0, f))
             else:
-                keys[f] = (
-                    2,
-                    vindex[g.adj[partner]],
-                    int(f in g.marked),
-                    int(partner in g.marked),
-                    f,
+                keys.append(
+                    (2, vindex[adj[partner]], f in marked, partner in marked, f)
                 )
-        while keys:
-            f = min(keys, key=keys.__getitem__)
-            phi[f] = next_index
-            del keys[f]
-            partner = g.inv[f]
-            if partner in keys:
-                keys[partner] = (0, next_index, 0, 0, partner)
-            next_index += 1
-
-    new_adj = [0] * g.nf
-    new_inv = [0] * g.nf
-    new_leg_labels = [0] * g.nf
-    for f in range(g.nf):
-        new_adj[phi[f]] = vindex[g.adj[f]]
-        new_inv[phi[f]] = phi[g.inv[f]]
-        new_leg_labels[phi[f]] = g.label_of(f)
-    new_marked = tuple(sorted(phi[f] for f in g.marked))
+        keys.sort()
+        for key in keys:
+            f = key[4]
+            while phi[f] == -1:
+                phi[f] = n
+                new_adj[n] = i
+                if f in marked:
+                    new_marked.append(n)
+                if new_labels is not None:
+                    new_labels[n] = labels[f]
+                partner = inv[f]
+                if partner == f:
+                    new_inv[n] = n
+                elif phi[partner] != -1:
+                    new_inv[n], new_inv[phi[partner]] = phi[partner], n
+                elif adj[partner] == v:
+                    f = partner  # the tadpole's other flag, numbered next
+                n += 1
     encoding = (
         g.nv,
-        g.nf,
+        nf,
         tuple(new_adj),
         tuple(new_inv),
-        new_marked,
-        tuple(new_leg_labels) if g.labels is not None else None,
+        tuple(new_marked),
+        None if new_labels is None else tuple(new_labels),
     )
     return encoding, tuple(phi)
 
@@ -457,7 +489,7 @@ def canonical_form(g: MarkedGraph) -> tuple[OrientedClass, int]:
         canon = _graph_of(encoding)
         cls = OrientedClass(canon, encoding, LegGroup.of(g, canon, ties))
         _class_cache[encoding] = cls
-    out = CanonicalForm((cls, _orientation_sign(g, cls.graph, phi)))
+    out = CanonicalForm((cls, _orientation_sign(g, phi)))
     out.phi = phi
     return out
 
@@ -483,21 +515,17 @@ def _graph_of(encoding: tuple) -> MarkedGraph:
     )
 
 
-def _orientation_sign(
-    g: MarkedGraph, canon: MarkedGraph, phi: tuple[int, ...]
-) -> int:
-    """Sign of the flag map ``phi`` from ``g`` onto ``canon`` on
-    det(E) x det^{-1}(D): g's sorted orders, mapped by phi, against
-    canon's sorted orders."""
-    mapped_edges = []
-    for f1, f2 in g.edges:
-        img = (phi[f1], phi[f2])
-        mapped_edges.append((min(img), max(img)))
-    ref_index = {e: i for i, e in enumerate(canon.edges)}
-    esign = perm_sign([ref_index[e] for e in mapped_edges])
-    ref_d = {f: i for i, f in enumerate(sorted(canon.marked))}
-    dsign = perm_sign([ref_d[phi[f]] for f in sorted(g.marked)])
-    return esign * dsign
+def _orientation_sign(g: MarkedGraph, phi: tuple[int, ...]) -> int:
+    """Sign of the flag map ``phi`` from ``g`` onto its class graph on
+    det(E) x det^{-1}(D): g's sorted orders, mapped by phi, against the
+    class graph's sorted orders.  Those sort edges by their lower flag
+    and marks by flag, so each sign is the sign of the sort of the
+    mapped lower flags, or of the mapped marks."""
+    lows = [min(phi[f1], phi[f2]) for f1, f2 in g.edges]
+    marks = [phi[f] for f in sorted(g.marked)]
+    return perm_sign(sorted(range(len(lows)), key=lows.__getitem__)) * perm_sign(
+        sorted(range(len(marks)), key=marks.__getitem__)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -579,16 +579,21 @@ def oracle_canonical_form(g, edge_order, d_order):
     return encoding, sign, phi
 
 
-@pytest.mark.parametrize(
-    "key", [(2, 3, 3), (2, 4, 3), (3, 4, 5), (2, 5, 5), (3, 3, 4), (1, 4, 2)],
-    ids=str,
-)
-def test_canonical_form_matches_rekeying_flag_assignment(key):
+REKEYING_CASES = [(2, 3, 3), (2, 4, 3), (3, 4, 5), (2, 5, 5), (3, 3, 4), (1, 4, 2)]
+
+
+def rekeying_inputs(key):
+    """Shuffled copies of every basis element of B(key) and of every
+    unlabeled class behind them."""
     rng = random.Random(hash(key))
     graphs = [labeled(xi, rho) for xi, rho in enumerate_marked_graphs(*key, None)]
     graphs += [cls.graph for cls in enumerate_unlabeled_classes(*key)]
-    for graph in graphs:
-        g = shuffled_copy(graph, rng)
+    return [shuffled_copy(graph, rng) for graph in graphs]
+
+
+@pytest.mark.parametrize("key", REKEYING_CASES, ids=str)
+def test_canonical_form_matches_rekeying_flag_assignment(key):
+    for g in rekeying_inputs(key):
         form = canonical_form(g)
         cls, sign = form
         assert (cls.key, sign, form.phi) == oracle_canonical_form(
