@@ -25,15 +25,16 @@ offending basis pair.
 
 C_i is the sum over unlabeled classes xi of Ind from Aut(xi) to S_n of
 the det-sign character, and its basis is the pairs (xi, rho): [xi, rho]
-is xi's canonical graph in its reference orientation with leg k labeled
-rho[k] + 1, rho the least element of its coset under xi's leg group
+is xi's canonical graph in its reference orientation with label
+rho[k] + 1 on leg k, rho the least element of its coset under xi's leg group
 H = `xi.leg_group` (the image of Aut(xi) on the legs, kept as its twin
 blocks and tie automorphisms), and `H.labelings` lists those rho.  The
 class carries H, read from the canonical-form search that created it; a
 class without one (an odd automorphism fixes every leg) vanishes under
 every labeling and is left out.  `EquivariantComplex.basis` is this
 table and nothing else: degree -> {xi: {rho: position}}.
-No labeled graph is built or canonicalized.  The boundary is computed
+A graph never carries its labeling: the labeling is rho alone, and no
+graph is built or canonicalized with one.  The boundary is computed
 once per xi, on [xi, id], as terms [eta, tau] that remember where each
 leg went; the column of [xi, rho] is the same terms relabeled by rho,
 each reduced to its coset minimum with its sign.  The stabilization map
@@ -219,7 +220,7 @@ def _assemble(nv: int, chosen: tuple[tuple[int, int], ...], legs_at: tuple[int, 
             adj.append(v)
             inv.append(len(adj) - 1)
     return MarkedGraph(
-        nv=nv, dv=0, adj=tuple(adj), inv=tuple(inv), marked=frozenset(), labels=None
+        nv=nv, dv=0, adj=tuple(adj), inv=tuple(inv), marked=frozenset()
     )
 
 
@@ -377,8 +378,8 @@ def _leg_map(h: MarkedGraph, form) -> Permutation:
     """tau with tau[k'] = k when the k-th leg of ``h`` (in flag order) goes
     to the k'-th leg of the class of ``form``, a `CanonicalForm` of ``h``.
 
-    Labeling h's leg k by rho[k] + 1 then gives that class with leg k'
-    labeled rho[tau[k']] + 1, in the same orientation.
+    Labeling h's leg k by rho[k] + 1 then gives that class with label
+    rho[tau[k']] + 1 on leg k', in the same orientation.
     """
     index = {f: k for k, f in enumerate(form[0].graph.legs)}
     tau = [0] * len(index)
@@ -389,8 +390,8 @@ def _leg_map(h: MarkedGraph, form) -> Permutation:
 
 def boundary_terms(xi: OrientedClass) -> dict[tuple[OrientedClass, Permutation], int]:
     """The differential of [xi, id] as {(eta, tau): coefficient}, where the
-    term (eta, tau) is eta in its reference orientation with leg k' labeled
-    tau[k'] + 1 (see `_leg_map`).
+    term (eta, tau) is eta in its reference orientation with label
+    tau[k'] + 1 on leg k' (see `_leg_map`).
 
     The moves drop only edge flags and keep the others in order, so the
     k-th leg of every term is the k-th leg of xi.  An eta whose every
@@ -553,7 +554,7 @@ class ChainMap:
 def stabilization_map(
     source: EquivariantComplex, target: EquivariantComplex
 ) -> ChainMap:
-    """The chain map adjoining a marked leg labeled n+1 (degree 0).
+    """The chain map adjoining a marked leg with label n+1 (degree 0).
 
     The leg is adjoined once per unlabeled class xi, last in flag order and
     in the marked order; [xi, rho] then maps like [xi, id] relabeled by rho
@@ -671,7 +672,7 @@ def load_enumeration(
         for line in body.splitlines():
             deg_text, _, graph_text = line.partition("|")
             graph = decode_graph(graph_text)
-            if graph.labeled or validate(graph):
+            if validate(graph):
                 return None
             if graph.genus != g or graph.n_legs != n or graph.n_marked < r:
                 return None  # a class of another complex

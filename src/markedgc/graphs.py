@@ -5,7 +5,8 @@ differential.
 A graph is a flag structure: ``adj`` sends each flag to its vertex and
 ``inv`` is an involution pairing flags into edges; fixed points are legs.
 A marking is a distinguished vertex ``dv`` plus a set ``marked`` of flags
-at ``dv``.  Legs carry labels 1..n, or no labels at all (core graphs).
+at ``dv``.  A graph never carries its leg labeling: that is a permutation
+rho, with label rho[k] + 1 on leg k (in flag order), kept beside it.
 
 An orientation is an ordering of the edge set and of the marked set, and
 every graph is in its reference orientation: its sorted edge list and its
@@ -44,7 +45,6 @@ class MarkedGraph:
     adj: tuple[int, ...]
     inv: tuple[int, ...]
     marked: frozenset[int]
-    labels: tuple[int, ...] | None = None  # flag -> label, 0 on non-legs
 
     @property
     def nf(self) -> int:
@@ -75,13 +75,6 @@ class MarkedGraph:
     @property
     def n_marked(self) -> int:
         return len(self.marked)
-
-    @property
-    def labeled(self) -> bool:
-        return self.labels is not None
-
-    def label_of(self, f: int) -> int:
-        return self.labels[f] if self.labels is not None else 0
 
     @cached_property
     def _flags_by_vertex(self) -> tuple[tuple[int, ...], ...]:
@@ -130,15 +123,11 @@ def validate(g: MarkedGraph) -> list[str]:
     # edge clauses (reported after the valence clauses, in edge order).
     valence = [0] * nv
     parent = list(range(nv))
-    n_legs = 0
     edge_problems = []
     for f1, v in enumerate(adj):
         valence[v] += 1
         f2 = inv[f1]
-        if f2 == f1:
-            n_legs += 1
-            continue
-        if f2 < f1:
+        if f2 <= f1:
             continue
         w = adj[f2]
         if v == w:
@@ -161,15 +150,6 @@ def validate(g: MarkedGraph) -> list[str]:
     for f in marked:
         if adj[f] != dv:
             problems.append(f"marked flag {f} not at the distinguished vertex")
-    if g.labels is not None:
-        if len(g.labels) != nf:
-            problems.append("label table length differs from flag count")
-            return problems
-        got = sorted(g.labels[f] for f in g.legs)
-        if got != list(range(1, n_legs + 1)):
-            problems.append("leg labels are not a bijection to 1..n")
-        if any(g.labels[f] != 0 for f in range(nf) if inv[f] != f):
-            problems.append("non-leg flag carries a label")
     return problems
 
 
@@ -192,7 +172,7 @@ class LegGroup:
     ``(sigma, chi)`` of the ties, the identity first.  Every element is,
     uniquely, sigma∘tau with tau a twin permutation, of sign chi times
     the sign of tau on the marked blocks.  The least element of a coset
-    takes, for some sigma, the tau that sorts the labels within every
+    takes, for some sigma, the tau that sorts the labeling within every
     block.
     """
 
@@ -201,17 +181,22 @@ class LegGroup:
 
     @classmethod
     def of(
-        cls, g: MarkedGraph, canon: MarkedGraph, ties: list[tuple[int, ...]]
+        cls,
+        g: MarkedGraph,
+        canon: MarkedGraph,
+        ties: list[tuple[int, ...]],
+        sign0: int,
     ) -> LegGroup | None:
         """The leg group of ``canon``, or None when an odd automorphism
         fixes every leg: then ``canon`` vanishes.
 
         ``ties`` are the flag maps from ``g`` onto ``canon`` of the vertex
-        orderings that tie in `canonical_form`'s search.  Each
-        phi∘phi_0^-1 is an automorphism of ``canon``, and every
-        automorphism is one of these after one that fixes every vertex.
-        A vertex-fixing automorphism permutes twins (legs at one vertex
-        with the same marked status and label), of sign +1 on unmarked
+        orderings that tie in `canonical_form`'s search, and ``sign0`` is
+        the orientation sign of the first.  Each phi∘phi_0^-1 is an
+        automorphism of ``canon``, and every automorphism is one of these
+        after one that fixes every vertex; phi_0∘phi_0^-1 is the identity,
+        of sign +1.  A vertex-fixing automorphism permutes twins (legs at
+        one vertex with the same marked status), of sign +1 on unmarked
         twins and the permutation's sign on marked ones; otherwise it swaps
         parallel edges or flips tadpoles, which is odd exactly when two
         unmarked edges share their ends.  The flag maps number twins in
@@ -225,24 +210,22 @@ class LegGroup:
                 if pair in ends:
                     return None  # swapping the two is odd and fixes every leg
                 ends.add(pair)
-        sign0 = _orientation_sign(g, ties[0])
         back = [0] * g.nf
         for f, image in enumerate(ties[0]):
             back[image] = f
         legs = canon.legs
         index = {f: k for k, f in enumerate(legs)}
-        twins: dict[tuple[int, bool, int], list[int]] = {}
+        twins: dict[tuple[int, bool], list[int]] = {}
         for k, f in enumerate(legs):
-            key = (canon.adj[f], f in canon.marked, canon.label_of(f))
-            twins.setdefault(key, []).append(k)
-        ordered: dict[Permutation, int] = {}
-        for phi in ties:
+            twins.setdefault((canon.adj[f], f in canon.marked), []).append(k)
+        ordered: dict[Permutation, int] = {tuple(range(len(legs))): 1}
+        for phi in ties[1:]:
             sign = sign0 * _orientation_sign(g, phi)
             sigma = tuple([index[phi[back[f]]] for f in legs])
             if ordered.setdefault(sigma, sign) != sign:
                 return None  # the two differ by an odd leg-fixing automorphism
         blocks = tuple(
-            (tuple(ks), marked) for (_, marked, _), ks in twins.items() if len(ks) > 1
+            (tuple(ks), marked) for (_, marked), ks in twins.items() if len(ks) > 1
         )
         return cls(len(legs), blocks, tuple(ordered.items()))
 
@@ -293,7 +276,7 @@ class LegGroup:
         """One leg labeling per coset: each permutation rho of 0..n-1 that
         is its coset's minimum, in increasing order.
 
-        Labels are chosen position by position, each above the label at
+        Values are chosen position by position, each above the value at
         the previous position of its block.  A candidate is then sorted
         within its blocks, so the identity tie leaves it as it is, and it
         is kept unless another tie sorts to a lex-smaller labeling.
@@ -355,26 +338,23 @@ class OrientedClass:
 def _vertex_invariant(g: MarkedGraph, v: int):
     inv, adj, dv, marked = g.inv, g.adj, g.dv, g.marked
     flags = g.flags_at(v)
-    leg_labels = []
-    n_marked = to_dv = here = 0
+    n_legs = n_marked = to_dv = here = 0
     for f in flags:
         if f in marked:
             n_marked += 1
         partner = inv[f]
         if partner == f:
-            leg_labels.append(g.label_of(f))
+            n_legs += 1
             here += 1
         else:
             if adj[partner] == dv:
                 to_dv += 1
             if adj[partner] == v:
                 here += 1
-    leg_labels.sort()
     return (
         v != dv,
         len(flags),
-        len(leg_labels),
-        tuple(leg_labels),
+        n_legs,
         n_marked,
         to_dv,
         here,  # flags whose partner is at v: legs and tadpole flags
@@ -406,7 +386,7 @@ def _flag_assignment(g: MarkedGraph, vorder: tuple[int, ...]):
 
     Returns (encoding, phi) with phi the map old flag -> new index.
     """
-    adj, inv, marked, labels = g.adj, g.inv, g.marked, g.labels
+    adj, inv, marked = g.adj, g.inv, g.marked
     nf = len(adj)
     vindex = [0] * g.nv
     for i, v in enumerate(vorder):
@@ -415,7 +395,6 @@ def _flag_assignment(g: MarkedGraph, vorder: tuple[int, ...]):
     new_adj = [0] * nf
     new_inv = [0] * nf
     new_marked = []
-    new_labels = None if labels is None else [0] * nf
     n = 0
     for i, v in enumerate(vorder):
         # Each vertex's keys are sorted once.  Numbering a flag changes
@@ -427,24 +406,21 @@ def _flag_assignment(g: MarkedGraph, vorder: tuple[int, ...]):
         for f in g.flags_at(v):
             partner = inv[f]
             if partner == f:
-                label = 0 if labels is None else labels[f]
-                keys.append((1, f in marked, label, 0, f))
+                keys.append((1, f in marked, f))
             elif phi[partner] != -1:
-                keys.append((0, phi[partner], 0, 0, f))
+                keys.append((0, phi[partner], f))
             else:
                 keys.append(
                     (2, vindex[adj[partner]], f in marked, partner in marked, f)
                 )
         keys.sort()
         for key in keys:
-            f = key[4]
+            f = key[-1]
             while phi[f] == -1:
                 phi[f] = n
                 new_adj[n] = i
                 if f in marked:
                     new_marked.append(n)
-                if new_labels is not None:
-                    new_labels[n] = labels[f]
                 partner = inv[f]
                 if partner == f:
                     new_inv[n] = n
@@ -453,14 +429,7 @@ def _flag_assignment(g: MarkedGraph, vorder: tuple[int, ...]):
                 elif adj[partner] == v:
                     f = partner  # the tadpole's other flag, numbered next
                 n += 1
-    encoding = (
-        g.nv,
-        nf,
-        tuple(new_adj),
-        tuple(new_inv),
-        tuple(new_marked),
-        None if new_labels is None else tuple(new_labels),
-    )
+    encoding = (g.nv, nf, tuple(new_adj), tuple(new_inv), tuple(new_marked))
     return encoding, tuple(phi)
 
 
@@ -484,12 +453,13 @@ def canonical_form(g: MarkedGraph) -> tuple[OrientedClass, int]:
     """
     encoding, ties = _least_encoding(g)
     phi = ties[0]
+    sign = _orientation_sign(g, phi)
     cls = _class_cache.get(encoding)
     if cls is None:
         canon = _graph_of(encoding)
-        cls = OrientedClass(canon, encoding, LegGroup.of(g, canon, ties))
+        cls = OrientedClass(canon, encoding, LegGroup.of(g, canon, ties, sign))
         _class_cache[encoding] = cls
-    out = CanonicalForm((cls, _orientation_sign(g, phi)))
+    out = CanonicalForm((cls, sign))
     out.phi = phi
     return out
 
@@ -509,10 +479,8 @@ def _least_encoding(g: MarkedGraph) -> tuple[tuple, list[tuple[int, ...]]]:
 
 
 def _graph_of(encoding: tuple) -> MarkedGraph:
-    nv, _, adj, inv, marked, labels = encoding
-    return MarkedGraph(
-        nv=nv, dv=0, adj=adj, inv=inv, marked=frozenset(marked), labels=labels
-    )
+    nv, _, adj, inv, marked = encoding
+    return MarkedGraph(nv=nv, dv=0, adj=adj, inv=inv, marked=frozenset(marked))
 
 
 def _orientation_sign(g: MarkedGraph, phi: tuple[int, ...]) -> int:
@@ -556,7 +524,6 @@ def _rebuild(
         adj=tuple(vmap[vtarget[g.adj[f]]] for f in keep),
         inv=tuple(fmap[g.inv[f]] for f in keep),
         marked=frozenset(fmap[f] for f in marked_src if f not in drop_flags),
-        labels=tuple(g.labels[f] for f in keep) if g.labels is not None else None,
     )
 
 
@@ -613,52 +580,29 @@ def mark_flag(g: MarkedGraph, f: int) -> tuple[MarkedGraph, int] | None:
         raise ValueError(f"flag {f} is not an unmarked flag at the dv")
     if g.inv[f] != f and g.inv[f] in g.marked:
         return None
-    out = MarkedGraph(
-        nv=g.nv,
-        dv=g.dv,
-        adj=g.adj,
-        inv=g.inv,
-        marked=g.marked | {f},
-        labels=g.labels,
-    )
+    out = MarkedGraph(nv=g.nv, dv=g.dv, adj=g.adj, inv=g.inv, marked=g.marked | {f})
     below = sum(1 for m in g.marked if m < f)
     return out, -1 if below % 2 else 1
 
 
 def core(g: MarkedGraph) -> MarkedGraph:
-    """Forget leg labels and strip marked legs."""
-    drop = set(g.marked_legs())
-    kept = MarkedGraph(
-        nv=g.nv,
-        dv=g.dv,
-        adj=g.adj,
-        inv=g.inv,
-        marked=g.marked,
-        labels=None,
-    )
-    return _rebuild(kept, drop)
+    """Strip the marked legs."""
+    return _rebuild(g, set(g.marked_legs()))
 
 
 def add_marked_leg(g: MarkedGraph) -> MarkedGraph:
-    """Adjoin a marked leg labeled n+1 at the dv.  It is the last flag, so
-    the result is in its reference orientation with sign +1."""
+    """Adjoin a marked leg at the dv.  It is the last flag, so it is the
+    last leg in flag order (a labeling rho extends by n), and the result is
+    in its reference orientation with sign +1."""
     f = g.nf
-    labels = None
-    if g.labels is not None:
-        labels = g.labels + (g.n_legs + 1,)
-    out = MarkedGraph(
-        nv=g.nv,
-        dv=g.dv,
-        adj=g.adj + (g.dv,),
-        inv=g.inv + (f,),
-        marked=g.marked | {f},
-        labels=labels,
+    return MarkedGraph(
+        nv=g.nv, dv=g.dv, adj=g.adj + (g.dv,), inv=g.inv + (f,), marked=g.marked | {f}
     )
-    return out
 
 
 def cut_edge(g: MarkedGraph, e: Edge) -> MarkedGraph:
-    """Cut a non-disconnecting edge, labeling the new legs n+1 and n+2."""
+    """Cut a non-disconnecting edge into two legs, which keep the edge's
+    flags."""
     f1, f2 = e
     if g.inv[f1] != f2 or f1 == f2:
         raise ValueError(f"{e} is not an edge")
@@ -666,18 +610,7 @@ def cut_edge(g: MarkedGraph, e: Edge) -> MarkedGraph:
         raise ValueError("cutting requires genus >= 2")
     inv = list(g.inv)
     inv[f1], inv[f2] = f1, f2
-    labels = list(g.labels) if g.labels is not None else None
-    if labels is not None:
-        labels[f1] = g.n_legs + 1
-        labels[f2] = g.n_legs + 2
-    out = MarkedGraph(
-        nv=g.nv,
-        dv=g.dv,
-        adj=g.adj,
-        inv=tuple(inv),
-        marked=g.marked,
-        labels=tuple(labels) if labels is not None else None,
-    )
+    out = MarkedGraph(nv=g.nv, dv=g.dv, adj=g.adj, inv=tuple(inv), marked=g.marked)
     if not out.is_connected():
         raise ValueError(f"edge {e} disconnects the graph")
     return out
@@ -742,7 +675,6 @@ def build_theta(g: int, ell: int, p: int) -> MarkedGraph:
         adj=tuple(adj),
         inv=tuple(inv),
         marked=frozenset(marked),
-        labels=None,
     )
 
 
@@ -757,13 +689,17 @@ def encode_graph(g: MarkedGraph) -> str:
         ",".join(map(str, g.adj)),
         ",".join(map(str, g.inv)),
         ",".join(map(str, sorted(g.marked))),
-        ",".join(map(str, g.labels)) if g.labels is not None else "*",
+        "*",  # the leg-label field, kept so the cache format is unchanged
     ]
     return "|".join(parts)
 
 
 def decode_graph(text: str) -> MarkedGraph:
-    nv, dv, adj, inv, marked, labels = text.strip().split("|")
+    """The graph `encode_graph` wrote; a leg-label field other than ``*``
+    raises ValueError."""
+    nv, dv, adj, inv, marked, leg_field = text.strip().split("|")
+    if leg_field != "*":
+        raise ValueError(f"a graph line with a leg labeling: {text.strip()!r}")
 
     def ints(s: str) -> tuple[int, ...]:
         return tuple(int(x) for x in s.split(",")) if s else ()
@@ -774,5 +710,4 @@ def decode_graph(text: str) -> MarkedGraph:
         adj=ints(adj),
         inv=ints(inv),
         marked=frozenset(ints(marked)),
-        labels=None if labels == "*" else ints(labels),
     )

@@ -449,7 +449,7 @@ def verify_core_bounds(g: int, ell_max: int) -> list[str]:
 def verify_edge_cut_rows(g: int, ell_max: int) -> list[str]:
     """Row monotonicity under edge cutting: for every core class at this
     genus and every non-disconnecting edge, rho of the graph is at most
-    rho of the cut graph (two new labeled legs)."""
+    rho of the cut graph, which has two more legs."""
     if g < 2:
         raise ValueError("edge cutting requires genus >= 2")
     violations: list[str] = []

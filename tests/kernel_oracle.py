@@ -4,15 +4,34 @@ vertex's next flag by `min` over its remaining keys, `_vertex_invariant`
 makes five passes over a vertex's flags, `_orientation_sign` looks the
 mapped edges and marks up in the class graph's orders, and `coset_min`
 selection-sorts within twin blocks, its `labelings` running a full
-`coset_min` on every candidate."""
+`coset_min` on every candidate.
+
+The search kernels read leg labels from a labeling ``rho`` beside the
+graph (leg k, in flag order, labeled rho[k] + 1; None for no labels), and
+`labeled_canonical_form` is the labeled canonical form built on them, the
+tests' oracle for a basis element [xi, rho] as a labeled graph.  It shares
+no search code with `graphs`."""
+
+from itertools import permutations, product
 
 from markedgc.graphs import LegGroup, MarkedGraph
 from markedgc.reptheory import Permutation, perm_sign
 
 
-def _vertex_invariant(g: MarkedGraph, v: int):
+def label_table(g: MarkedGraph, rho: Permutation | None) -> tuple[int, ...]:
+    """flag -> label: rho[k] + 1 on the k-th leg, 0 on every other flag
+    and on every flag when ``rho`` is None."""
+    table = [0] * g.nf
+    if rho is not None:
+        for k, f in enumerate(g.legs):
+            table[f] = rho[k] + 1
+    return tuple(table)
+
+
+def _vertex_invariant(g: MarkedGraph, rho: Permutation | None, v: int):
+    labels = label_table(g, rho)
     flags = g.flags_at(v)
-    leg_labels = sorted(g.label_of(f) for f in flags if g.inv[f] == f)
+    leg_labels = sorted(labels[f] for f in flags if g.inv[f] == f)
     return (
         v != g.dv,
         len(flags),
@@ -24,11 +43,15 @@ def _vertex_invariant(g: MarkedGraph, v: int):
     )
 
 
-def _flag_assignment(g: MarkedGraph, vorder: tuple[int, ...]):
+def _flag_assignment(
+    g: MarkedGraph, rho: Permutation | None, vorder: tuple[int, ...]
+):
     """Deterministic flag numbering for a given vertex ordering.
 
-    Returns (encoding, phi) with phi the map old flag -> new index.
+    Returns (encoding, phi) with phi the map old flag -> new index.  The
+    encoding's last slot is the label table, None when ``rho`` is.
     """
+    labels = label_table(g, rho)
     vindex = {v: i for i, v in enumerate(vorder)}
     phi = [-1] * g.nf
     next_index = 0
@@ -41,7 +64,7 @@ def _flag_assignment(g: MarkedGraph, vorder: tuple[int, ...]):
         for f in g.flags_at(v):
             partner = g.inv[f]
             if partner == f:
-                keys[f] = (1, int(f in g.marked), g.label_of(f), 0, f)
+                keys[f] = (1, int(f in g.marked), labels[f], 0, f)
             elif phi[partner] != -1:
                 keys[f] = (0, phi[partner], 0, 0, f)
             else:
@@ -67,7 +90,7 @@ def _flag_assignment(g: MarkedGraph, vorder: tuple[int, ...]):
     for f in range(g.nf):
         new_adj[phi[f]] = vindex[g.adj[f]]
         new_inv[phi[f]] = phi[g.inv[f]]
-        new_leg_labels[phi[f]] = g.label_of(f)
+        new_leg_labels[phi[f]] = labels[f]
     new_marked = tuple(sorted(phi[f] for f in g.marked))
     encoding = (
         g.nv,
@@ -75,9 +98,45 @@ def _flag_assignment(g: MarkedGraph, vorder: tuple[int, ...]):
         tuple(new_adj),
         tuple(new_inv),
         new_marked,
-        tuple(new_leg_labels) if g.labels is not None else None,
+        tuple(new_leg_labels) if rho is not None else None,
     )
     return encoding, tuple(phi)
+
+
+def _orderings(g: MarkedGraph, rho: Permutation | None):
+    """Vertex orderings, dv first, that keep the neutral vertices sorted
+    by invariant."""
+    pools: dict[tuple, list[int]] = {}
+    for v in range(g.nv):
+        if v != g.dv:
+            pools.setdefault(_vertex_invariant(g, rho, v), []).append(v)
+    for parts in product(*(permutations(pools[k]) for k in sorted(pools))):
+        yield (g.dv,) + sum(parts, ())
+
+
+def labeled_graph_of(key: tuple) -> tuple[MarkedGraph, Permutation | None]:
+    """The canonical graph and labeling that the key of
+    `labeled_canonical_form` encodes."""
+    nv, _, adj, inv, marked, labels = key
+    graph = MarkedGraph(nv=nv, dv=0, adj=adj, inv=inv, marked=frozenset(marked))
+    if labels is None:
+        return graph, None
+    return graph, tuple(labels[f] - 1 for f in graph.legs)
+
+
+def labeled_canonical_form(
+    g: MarkedGraph, rho: Permutation | None
+) -> tuple[tuple, int]:
+    """(key, sign) of the graph ``g`` with its legs labeled by ``rho``: the
+    least encoding over `_orderings`, and the sign relating g's reference
+    orientation to the class graph's under the first ordering reaching it.
+    Isomorphic labeled graphs, and only they, share a key; the sign is
+    well defined unless an odd automorphism fixes every label."""
+    key, phi = min(
+        (_flag_assignment(g, rho, vorder) for vorder in _orderings(g, rho)),
+        key=lambda assignment: assignment[0],
+    )
+    return key, _orientation_sign(g, labeled_graph_of(key)[0], phi)
 
 
 def _orientation_sign(

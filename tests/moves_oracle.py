@@ -15,7 +15,6 @@ def _rebuild(
     drop_flags: set[int],
     merge: dict[int, int] | None = None,
     new_marked: set[int] | None = None,
-    new_labels: dict[int, int] | None = None,
 ):
     """Delete flags, optionally merge vertices, and re-index densely.
 
@@ -28,23 +27,12 @@ def _rebuild(
     vkeep = sorted(set(vtarget))
     vmap = {v: i for i, v in enumerate(vkeep)}
     marked_src = g.marked if new_marked is None else new_marked
-    labels = None
-    if g.labels is not None:
-        labels = [0] * len(keep)
-        for f in keep:
-            lbl = g.labels[f]
-            if new_labels and f in new_labels:
-                lbl = new_labels[f]
-            labels[fmap[f]] = lbl
-    elif new_labels:
-        raise ValueError("cannot label flags of an unlabeled graph")
     out = MarkedGraph(
         nv=len(vkeep),
         dv=vmap[vtarget[g.dv]],
         adj=tuple(vmap[vtarget[g.adj[f]]] for f in keep),
         inv=tuple(fmap[g.inv[f]] for f in keep),
         marked=frozenset(fmap[f] for f in marked_src if f not in drop_flags),
-        labels=tuple(labels) if labels is not None else None,
     )
     return out, fmap, vmap
 
@@ -121,14 +109,7 @@ def mark_flag(
         raise ValueError(f"flag {f} is not an unmarked flag at the dv")
     if g.inv[f] != f and g.inv[f] in g.marked:
         return None
-    out = MarkedGraph(
-        nv=g.nv,
-        dv=g.dv,
-        adj=g.adj,
-        inv=g.inv,
-        marked=g.marked | {f},
-        labels=g.labels,
-    )
+    out = MarkedGraph(nv=g.nv, dv=g.dv, adj=g.adj, inv=g.inv, marked=g.marked | {f})
     return out, edge_order, (f,) + d_order, 1
 
 
@@ -137,17 +118,13 @@ def add_marked_leg(
     edge_order: tuple[Edge, ...],
     d_order: tuple[int, ...],
 ):
-    """Adjoin a marked leg labeled n+1 at the dv, last in the marked order."""
+    """Adjoin a marked leg at the dv, last in the marked order."""
     f = g.nf
-    labels = None
-    if g.labels is not None:
-        labels = g.labels + (g.n_legs + 1,)
     out = MarkedGraph(
         nv=g.nv,
         dv=g.dv,
         adj=g.adj + (g.dv,),
         inv=g.inv + (f,),
         marked=g.marked | {f},
-        labels=labels,
     )
     return out, edge_order, d_order + (f,)

@@ -2,15 +2,22 @@
 orderings of `canonical_form`'s search replaced, kept as the tests'
 independent oracle for automorphisms and their det-signs."""
 
+from kernel_oracle import label_table
 from markedgc.graphs import MarkedGraph
-from markedgc.reptheory import perm_sign
+from markedgc.reptheory import Permutation, perm_sign
 
 
-def isomorphisms(g1: MarkedGraph, g2: MarkedGraph, respect_labels: bool = True):
+def isomorphisms(
+    g1: MarkedGraph,
+    rho1: Permutation | None,
+    g2: MarkedGraph,
+    rho2: Permutation | None,
+):
     """Yield all flag bijections realizing an isomorphism g1 -> g2.
 
-    Isomorphisms fix the distinguished vertex, the marked set and, when
-    ``respect_labels`` is set, every leg label.
+    Isomorphisms fix the distinguished vertex and the marked set and, when
+    the labelings ``rho1`` and ``rho2`` are given, every leg label (leg k
+    in flag order labeled rho[k] + 1).
     """
     if g1 is not g2 and (  # a graph agrees with itself
         g1.nv != g2.nv
@@ -32,6 +39,7 @@ def isomorphisms(g1: MarkedGraph, g2: MarkedGraph, respect_labels: bool = True):
     inv1, inv2 = g1.inv, g2.inv
     adj1, adj2 = g1.adj, g2.adj
     m1, m2 = g1.marked, g2.marked
+    labels1, labels2 = label_table(g1, rho1), label_table(g2, rho2)
 
     def compatible(f, f2) -> bool:
         if (f in m1) != (f2 in m2):
@@ -39,7 +47,7 @@ def isomorphisms(g1: MarkedGraph, g2: MarkedGraph, respect_labels: bool = True):
         leg1, leg2 = inv1[f] == f, inv2[f2] == f2
         if leg1 != leg2:
             return False
-        if leg1 and respect_labels and g1.label_of(f) != g2.label_of(f2):
+        if leg1 and labels1[f] != labels2[f2]:
             return False
         return True
 
@@ -107,5 +115,5 @@ def iso_det_sign(g1: MarkedGraph, g2: MarkedGraph, phi: tuple[int, ...]) -> int:
     return perm_sign(eperm) * perm_sign(dperm)
 
 
-def automorphisms(g: MarkedGraph, respect_labels: bool = True):
-    return isomorphisms(g, g, respect_labels=respect_labels)
+def automorphisms(g: MarkedGraph, rho: Permutation | None):
+    return isomorphisms(g, rho, g, rho)

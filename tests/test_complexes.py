@@ -37,12 +37,12 @@ from markedgc.graphs import (
     canonical_form,
     contract_edge,
     core,
+    decode_graph,
     degree,
     encode_graph,
     mark_flag,
     validate,
 )
-from markedgc.homology import homology_decomposition
 from markedgc.partitions import cycle_types
 from markedgc.reptheory import (
     ClassFunction,
@@ -53,7 +53,8 @@ from markedgc.reptheory import (
 import enumeration_oracle
 import moves_oracle
 from enumeration_oracle import _edge_multisets
-from perms import basis_elements, compose, label_legs, labeled, relabel_legs
+from kernel_oracle import label_table, labeled_canonical_form, labeled_graph_of
+from perms import basis_elements, compose
 from search_oracle import automorphisms, iso_det_sign
 from test_stability import CORE_CASES
 
@@ -64,15 +65,23 @@ from test_stability import CORE_CASES
 _VANISHES: dict[tuple, bool] = {}
 
 
-def oracle_vanishes(cls):
-    """Whether an automorphism of the class (leg labels respected) reverses
-    its orientation, by full search; memoised per class key."""
-    if cls.key not in _VANISHES:
-        g = cls.graph
-        _VANISHES[cls.key] = any(
-            iso_det_sign(g, g, phi) == -1 for phi in automorphisms(g)
+def oracle_vanishes(key):
+    """Whether an automorphism of the labeled class ``key`` (a key of
+    `labeled_canonical_form`) that fixes its labels reverses its
+    orientation, by full search; memoised per key."""
+    if key not in _VANISHES:
+        g, rho = labeled_graph_of(key)
+        _VANISHES[key] = any(
+            iso_det_sign(g, g, phi) == -1 for phi in automorphisms(g, rho)
         )
-    return _VANISHES[cls.key]
+    return _VANISHES[key]
+
+
+def encode_labeled(g, rho) -> str:
+    """`encode_graph`'s line for ``g`` with the labeling ``rho`` written
+    into its leg-label field, as format-1 cache files held it."""
+    head, _, _ = encode_graph(g).rpartition("|")
+    return f"{head}|{','.join(map(str, label_table(g, rho)))}"
 
 
 # Dimension tables computed once by this engine and frozen; the genus-1
@@ -96,13 +105,14 @@ def test_complex_dimensions(key):
 
 def test_enumeration_sorted_and_typed():
     g, n, r = 2, 3, 3
-    classes = [labeled(xi, rho) for xi, rho in enumerate_marked_graphs(g, n, r, None)]
-    degrees = [degree(graph) for graph in classes]
+    classes = enumerate_marked_graphs(g, n, r, None)
+    degrees = [degree(xi.graph) for xi, _ in classes]
     assert degrees == sorted(degrees)
-    for graph in classes:
+    for xi, rho in classes:
+        graph = xi.graph
         assert graph.genus == g and graph.n_legs == n
         assert graph.n_marked >= r
-        assert not oracle_vanishes(canonical_form(graph)[0])
+        assert not oracle_vanishes(labeled_canonical_form(graph, rho)[0])
 
 
 def test_unlabeled_enumeration_no_duplicates():
@@ -280,7 +290,7 @@ def test_d_squared_failure_names_the_element(key):
     ][-1]
     diff = {k: [dict(col) for col in cols] for k, cols in c.diff.items()}
     diff[i][pos][row] += 1
-    xi, rho, _ = list(basis_elements(c, i))[pos]
+    xi, rho = list(basis_elements(c, i))[pos]
     with pytest.raises(AssertionError) as failure:
         _check_d_squared(replace(c, diff=diff))
     assert (
@@ -360,27 +370,27 @@ def test_chain_character_constant_on_class():
 
 
 # Oracles: the group action by re-canonicalizing every relabeled basis
-# graph, and labelings by comparing each assignment with its whole orbit.
+# element as a labeled graph, and labelings by comparing each labeling with
+# its whole orbit.  Relabeling [xi, rho] by sigma gives [xi, sigma∘rho].
 
 
 def labeled_index(c, i):
     """Labeled canonical key -> (position, sign) with [basis element] =
     sign·[labeled canonical class], over degree ``i``."""
     index = {}
-    for pos, (_, _, graph) in enumerate(basis_elements(c, i)):
-        target, sign = canonical_form(graph)
-        assert target.key not in index
-        index[target.key] = (pos, sign)
+    for pos, (xi, rho) in enumerate(basis_elements(c, i)):
+        key, sign = labeled_canonical_form(xi.graph, rho)
+        assert key not in index
+        index[key] = (pos, sign)
     return index
 
 
 def oracle_group_action_matrix(c, i, sigma):
-    lut = {k + 1: sigma[k] + 1 for k in range(len(sigma))}
     index = labeled_index(c, i)
     action = []
-    for _, _, graph in basis_elements(c, i):
-        target, sign = canonical_form(relabel_legs(graph, lut))
-        pos, sign2 = index[target.key]
+    for xi, rho in basis_elements(c, i):
+        key, sign = labeled_canonical_form(xi.graph, compose(sigma, rho))
+        pos, sign2 = index[key]
         action.append((pos, sign * sign2))
     return action
 
@@ -388,27 +398,28 @@ def oracle_group_action_matrix(c, i, sigma):
 def oracle_chain_character(c, i):
     values = {}
     for mu in cycle_types(c.n):
-        lut = {k + 1: v + 1 for k, v in enumerate(cycle_type_representative(mu))}
+        sigma = cycle_type_representative(mu)
         trace = 0
-        for _, _, graph in basis_elements(c, i):
-            source, sign = canonical_form(graph)
-            target, sign2 = canonical_form(relabel_legs(graph, lut))
-            if target.key == source.key:
+        for xi, rho in basis_elements(c, i):
+            source, sign = labeled_canonical_form(xi.graph, rho)
+            target, sign2 = labeled_canonical_form(xi.graph, compose(sigma, rho))
+            if target == source:
                 trace += sign * sign2
         values[mu] = Fraction(trace)
     return ClassFunction(c.n, values)
 
 
 def oracle_labelings(g, n):
+    """Each labeling rho that is lex-least among rho∘p over the leg
+    permutations p of g's automorphisms, by full search."""
     legs = g.legs
     index = {f: i for i, f in enumerate(legs)}
-    leg_perms = {tuple(index[phi[f]] for f in legs) for phi in automorphisms(g)}
-    for assignment in permutations(range(1, n + 1)):
-        if all(
-            assignment <= tuple(assignment[p[i]] for i in range(n))
-            for p in leg_perms
-        ):
-            yield {legs[i]: assignment[i] for i in range(n)}
+    leg_perms = {
+        tuple(index[phi[f]] for f in legs) for phi in automorphisms(g, None)
+    }
+    for rho in permutations(range(n)):
+        if all(rho <= compose(rho, p) for p in leg_perms):
+            yield rho
 
 
 def coset_representatives(n):
@@ -463,14 +474,11 @@ def test_labelings_match_oracle(key):
         if group is None:
             # an odd automorphism fixes every leg: all labelings vanish
             assert all(
-                oracle_vanishes(canonical_form(label_legs(unl.graph, a))[0])
-                for a in expected
+                oracle_vanishes(labeled_canonical_form(unl.graph, rho)[0])
+                for rho in expected
             )
         else:
-            legs = unl.graph.legs
-            assert list(group.labelings()) == [
-                tuple(a[f] - 1 for f in legs) for a in expected
-            ]
+            assert list(group.labelings()) == expected
 
 
 def _leg_groups(key):
@@ -553,62 +561,60 @@ def reference_sign(h, edge_order, d_order):
 @pytest.mark.parametrize("key", d2_grid_cases(), ids=str)
 def test_moves_match_order_taking_oracle(key):
     for cls in enumerate_unlabeled_classes(*key):
-        legs = cls.graph.legs
-        labeled = label_legs(cls.graph, {f: k + 1 for k, f in enumerate(legs)})
-        for g in (cls.graph, labeled):
-            eo, do = g.edges, tuple(sorted(g.marked))
-            for e in g.edges:
-                got = contract_edge(g, e)
-                expected = [
-                    (h, s * reference_sign(h, eo2, do2))
-                    for h, eo2, do2, s in moves_oracle.contract_edge(g, e, eo, do)
-                ]
-                assert got == expected
-            for f in range(g.nf):
-                if g.adj[f] == g.dv and f not in g.marked:
-                    got = mark_flag(g, f)
-                    old = moves_oracle.mark_flag(g, f, eo, do)
-                    if old is None:
-                        assert got is None
-                    else:
-                        h, eo2, do2, s = old
-                        assert got == (h, s * reference_sign(h, eo2, do2))
-            h, eo2, do2 = moves_oracle.add_marked_leg(g, eo, do)
-            assert add_marked_leg(g) == h
-            assert reference_sign(h, eo2, do2) == 1
+        g = cls.graph
+        eo, do = g.edges, tuple(sorted(g.marked))
+        for e in g.edges:
+            got = contract_edge(g, e)
+            expected = [
+                (h, s * reference_sign(h, eo2, do2))
+                for h, eo2, do2, s in moves_oracle.contract_edge(g, e, eo, do)
+            ]
+            assert got == expected
+        for f in range(g.nf):
+            if g.adj[f] == g.dv and f not in g.marked:
+                got = mark_flag(g, f)
+                old = moves_oracle.mark_flag(g, f, eo, do)
+                if old is None:
+                    assert got is None
+                else:
+                    h, eo2, do2, s = old
+                    assert got == (h, s * reference_sign(h, eo2, do2))
+        h, eo2, do2 = moves_oracle.add_marked_leg(g, eo, do)
+        assert add_marked_leg(g) == h
+        assert reference_sign(h, eo2, do2) == 1
 
 
 # ---------------------------------------------------------------------------
 # the labeled path, kept as an oracle: every labeled class is canonicalized
-# as a labeled graph, and the boundary and the stabilization map are taken
-# class by class
+# as a labeled graph by `labeled_canonical_form`, and the boundary and the
+# stabilization map are taken class by class.  A labeled class is its key.
+# The moves keep the legs in flag order, so a labeling carries through
+# them unchanged, and adjoining a leg appends n to it.
 
 
 def oracle_enumerate_marked_graphs(g, n, r):
-    out = {}
+    out = set()
     for unl in enumerate_unlabeled_classes(g, n, r):
         group = unl.leg_group
         if group is None:
             continue
-        legs = unl.graph.legs
         for rho in group.labelings():
-            assignment = {f: rho[k] + 1 for k, f in enumerate(legs)}
-            cls, _ = canonical_form(label_legs(unl.graph, assignment))
-            assert not oracle_vanishes(cls)
-            out.setdefault(cls.key, cls)
-    return sorted(out.values(), key=lambda c: (degree(c.graph), c.key))
+            key, _ = labeled_canonical_form(unl.graph, rho)
+            assert not oracle_vanishes(key)
+            out.add(key)
+    return sorted(out, key=lambda key: (degree(labeled_graph_of(key)[0]), key))
 
 
-def oracle_boundary_terms(cls):
-    g = cls.graph
+def oracle_boundary_terms(key):
+    g, rho = labeled_graph_of(key)
     out = {}
 
     def accumulate(result, factor):
         h, s = result
         assert not validate(h)
-        c, s2 = canonical_form(h)
-        if not oracle_vanishes(c):
-            out[c] = out.get(c, 0) + factor * s * s2
+        target, s2 = labeled_canonical_form(h, rho)
+        if not oracle_vanishes(target):
+            out[target] = out.get(target, 0) + factor * s * s2
 
     for e in g.edges:
         for result in contract_edge(g, e):
@@ -626,18 +632,16 @@ def oracle_boundary_terms(cls):
 def oracle_build_complex(g, n, r):
     """(basis, index, diff) of the labeled path."""
     basis = {}
-    for cls in oracle_enumerate_marked_graphs(g, n, r):
-        basis.setdefault(degree(cls.graph), []).append(cls)
-    index = {
-        cls.key: (i, pos) for i, b in basis.items() for pos, cls in enumerate(b)
-    }
+    for key in oracle_enumerate_marked_graphs(g, n, r):
+        basis.setdefault(degree(labeled_graph_of(key)[0]), []).append(key)
+    index = {key: (i, pos) for i, b in basis.items() for pos, key in enumerate(b)}
     diff = {}
     for i in sorted(basis):
         cols = []
-        for cls in basis[i]:
+        for key in basis[i]:
             col = {}
-            for target, coeff in oracle_boundary_terms(cls).items():
-                deg, pos = index[target.key]
+            for target, coeff in oracle_boundary_terms(key).items():
+                deg, pos = index[target]
                 assert deg == i - 1
                 col[pos] = coeff
             cols.append(col)
@@ -650,14 +654,15 @@ def oracle_stabilization_cols(key):
     basis, _, _ = oracle_build_complex(g, n, r)
     _, index, _ = oracle_build_complex(g, n + 1, r + 1)
     cols = {}
-    for i, classes in basis.items():
+    for i, sources in basis.items():
         cols[i] = []
-        for cls in classes:
-            target, sign = canonical_form(add_marked_leg(cls.graph))
+        for source in sources:
+            graph, rho = labeled_graph_of(source)
+            target, sign = labeled_canonical_form(add_marked_leg(graph), rho + (n,))
             if oracle_vanishes(target):
                 cols[i].append({})
                 continue
-            deg, pos = index[target.key]
+            deg, pos = index[target]
             assert deg == i
             cols[i].append({pos: sign})
     return cols
@@ -672,9 +677,9 @@ def basis_permutation(c):
     perm = {}
     for i in c.degrees():
         perm[i] = []
-        for _, _, graph in basis_elements(c, i):
-            target, sign = canonical_form(graph)
-            deg, pos = index[target.key]
+        for xi, rho in basis_elements(c, i):
+            target, sign = labeled_canonical_form(xi.graph, rho)
+            deg, pos = index[target]
             assert deg == i
             perm[i].append((pos, sign))
         assert sorted(q for q, _ in perm[i]) == list(range(len(basis[i])))
@@ -732,17 +737,6 @@ def test_cached_differential_matches_labeled_oracle(tmp_path):
     assert_differential_matches_oracle(build_complex(2, 4, 3, cache_dir=tmp_path))
 
 
-def test_production_path_canonicalizes_no_labeled_graph():
-    markedgc.graphs._class_cache.clear()
-    homology_decomposition(build_complex(3, 6, 7))
-    source = build_complex(2, 5, 5)
-    homology_decomposition(source)
-    stabilization_map(source, build_complex(2, 6, 6))
-    assert markedgc.graphs._class_cache
-    # the key's last slot holds the leg labels
-    assert all(key[5] is None for key in markedgc.graphs._class_cache)
-
-
 def test_one_search_per_canonical_form(tmp_path, monkeypatch):
     counts = {"canonical_form": 0, "search": 0}
     search = markedgc.graphs._least_encoding
@@ -775,19 +769,14 @@ def test_one_search_per_canonical_form(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("key", [(2, 4, 3), (2, 3, 3)], ids=str)
 def test_a_labeled_class_has_a_leg_group_unless_it_vanishes(key):
-    # a labeled class's group holds the automorphisms that fix its labels,
-    # which fix every leg: the identity alone, or none when one is odd
+    # the automorphisms that fix the labels of [xi, rho] fix every leg, so
+    # it vanishes, under every rho alike, exactly when xi has no leg group
     n = key[1]
-    identity = tuple(range(n))
     outcomes = set()
     for unl in enumerate_unlabeled_classes(*key):
-        legs = unl.graph.legs
-        for labels in permutations(range(1, n + 1)):
-            cls = canonical_form(label_legs(unl.graph, dict(zip(legs, labels))))[0]
-            vanishes = oracle_vanishes(cls)
-            assert (cls.leg_group is None) == vanishes
-            if not vanishes:
-                assert cls.leg_group.elements() == {identity: 1}
+        for rho in permutations(range(n)):
+            vanishes = oracle_vanishes(labeled_canonical_form(unl.graph, rho)[0])
+            assert (unl.leg_group is None) == vanishes
             outcomes.add(vanishes)
     assert outcomes == {False, True}
 
@@ -866,8 +855,8 @@ def test_partial_temp_file_is_never_read(tmp_path, monkeypatch):
 
 
 def test_format_1_cache_is_recomputed_and_rewritten(tmp_path, capsys):
-    classes = oracle_enumerate_marked_graphs(1, 3, 2)
-    body = "".join(f"{degree(c.graph)}|{encode_graph(c.graph)}\n" for c in classes)
+    classes = [labeled_graph_of(key) for key in oracle_enumerate_marked_graphs(1, 3, 2)]
+    body = "".join(f"{degree(g)}|{encode_labeled(g, rho)}\n" for g, rho in classes)
     header = {
         "format": 1,
         "g": 1,
@@ -885,3 +874,44 @@ def test_format_1_cache_is_recomputed_and_rewritten(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == expected
     assert json.loads(path.read_text().partition("\n")[0])["format"] == 2
     assert load_enumeration(tmp_path, 1, 3, 2) is not None
+
+
+# The cache file of B(1,3,2), byte for byte: the format-2 layout, each
+# class's line with its leg-label field ``*``.
+B_1_3_2_CACHE = (
+    '{"format": 2, "g": 1, "n": 3, "r": 2, "count": 7, "checksum": '
+    '"88c8bce9976493ce05ea3cf7e479c7650121c4c45255aa396f134e7ba7c36596"}\n'
+    "0|1|0|0,0,0|0,1,2|0,1,2|*\n"
+    "1|1|0|0,0,0|0,1,2|1,2|*\n"
+    "2|2|0|0,0,1,1,1|0,2,1,3,4|0,1|*\n"
+)
+
+
+def test_cache_format_2_bytes_are_pinned(tmp_path):
+    enumerate_marked_graphs(1, 3, 2, cache_dir=tmp_path)
+    path = cache_path(tmp_path, 1, 3, 2)
+    assert path.read_text() == B_1_3_2_CACHE
+    path.write_text(B_1_3_2_CACHE)
+    assert load_enumeration(tmp_path, 1, 3, 2) == enumerate_marked_graphs(1, 3, 2, None)
+
+
+def test_cache_lines_with_leg_labels_are_recomputed_and_rewritten(tmp_path, capsys):
+    # a well-formed format-2 file (header, count and checksum all agree)
+    # whose lines carry leg labels, as format 1 wrote them, is a miss
+    lines = B_1_3_2_CACHE.splitlines()[1:]
+    body = ""
+    for line in lines:
+        deg, _, text = line.partition("|")
+        g = decode_graph(text)
+        body += f"{deg}|{encode_labeled(g, tuple(range(g.n_legs)))}\n"
+    header = json.loads(B_1_3_2_CACHE.partition("\n")[0])
+    header["checksum"] = hashlib.sha256(body.encode()).hexdigest()
+    path = cache_path(tmp_path, 1, 3, 2)
+    path.write_text(json.dumps(header) + "\n" + body)
+    assert load_enumeration(tmp_path, 1, 3, 2) is None
+    argv = ["complex", "--g", "1", "--n", "3", "--r", "2", "--format", "json"]
+    assert main(argv) == EXIT_OK
+    expected = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--cache-dir", str(tmp_path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == expected
+    assert path.read_text() == B_1_3_2_CACHE

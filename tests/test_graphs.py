@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,15 +26,13 @@ from markedgc.graphs import (
 )
 import markedgc.graphs
 from markedgc.reptheory import perm_sign
-from perms import label_legs, labeled, relabel_legs
+from perms import inverse
 from search_oracle import automorphisms, iso_det_sign, isomorphisms
 
 
 def tadpole_at_dv():
     """One vertex (the dv) with a single tadpole, one flag marked."""
-    return MarkedGraph(
-        nv=1, dv=0, adj=(0, 0), inv=(1, 0), marked=frozenset({0}), labels=(0, 0)
-    )
+    return MarkedGraph(nv=1, dv=0, adj=(0, 0), inv=(1, 0), marked=frozenset({0}))
 
 
 def theta_graph():
@@ -44,27 +43,14 @@ def theta_graph():
         adj=(0, 1, 0, 1, 0, 1),
         inv=(1, 0, 3, 2, 5, 4),
         marked=frozenset(),
-        labels=None,
     )
 
 
-def labeled_tripod():
-    """dv with three labeled legs and one marked tadpole-free structure:
-    a single vertex with 3 legs is inadmissible (valence), so use a
-    genus-1 tadpole with one marked flag plus a leg."""
+def tadpole_and_leg():
+    """The dv with a tadpole, one of its flags marked, and one leg."""
     return MarkedGraph(
-        nv=1,
-        dv=0,
-        adj=(0, 0, 0),
-        inv=(1, 0, 2),
-        marked=frozenset({0}),
-        labels=(0, 0, 1),
+        nv=1, dv=0, adj=(0, 0, 0), inv=(1, 0, 2), marked=frozenset({0})
     )
-
-
-def in_flag_order(g: MarkedGraph) -> MarkedGraph:
-    """``g`` with its legs labeled 1..n in flag order."""
-    return label_legs(g, {f: k + 1 for k, f in enumerate(g.legs)})
 
 
 def shuffled_copy(g: MarkedGraph, rng: random.Random) -> MarkedGraph:
@@ -80,19 +66,15 @@ def shuffled_copy(g: MarkedGraph, rng: random.Random) -> MarkedGraph:
     rng.shuffle(fperm)  # fperm[old] = new
     inv = [0] * g.nf
     adj = [0] * g.nf
-    labels = [0] * g.nf if g.labels is not None else None
     for f in range(g.nf):
         adj[fperm[f]] = vmap[g.adj[f]]
         inv[fperm[f]] = fperm[g.inv[f]]
-        if labels is not None:
-            labels[fperm[f]] = g.labels[f]
     return MarkedGraph(
         nv=g.nv,
         dv=vmap[g.dv],
         adj=tuple(adj),
         inv=tuple(inv),
         marked=frozenset(fperm[f] for f in g.marked),
-        labels=tuple(labels) if labels is not None else None,
     )
 
 
@@ -113,7 +95,6 @@ def test_neutral_valence_violation():
         adj=(0, 1, 0, 1),
         inv=(1, 0, 3, 2),
         marked=frozenset(),
-        labels=None,
     )
     assert validate(g)
 
@@ -125,28 +106,13 @@ def test_tadpole_at_neutral_vertex_rejected():
         adj=(0, 1, 1, 1, 0, 1),
         inv=(1, 0, 3, 2, 5, 4),
         marked=frozenset(),
-        labels=None,
     )
     assert any("tadpole" in p for p in validate(g))
 
 
 def test_double_marked_edge_rejected():
-    g = MarkedGraph(
-        nv=1, dv=0, adj=(0, 0), inv=(1, 0), marked=frozenset({0, 1}), labels=None
-    )
+    g = MarkedGraph(nv=1, dv=0, adj=(0, 0), inv=(1, 0), marked=frozenset({0, 1}))
     assert validate(g)
-
-
-def test_label_bijectivity_enforced():
-    g = MarkedGraph(
-        nv=1,
-        dv=0,
-        adj=(0, 0, 0, 0),
-        inv=(1, 0, 2, 3),
-        marked=frozenset({0}),
-        labels=(0, 0, 1, 1),
-    )
-    assert any("label" in p.lower() for p in validate(g))
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +143,6 @@ def oracle_validate(g):
     for f in g.marked:
         if g.adj[f] != g.dv:
             problems.append(f"marked flag {f} not at the distinguished vertex")
-    if g.labels is not None:
-        if len(g.labels) != nf:
-            problems.append("label table length differs from flag count")
-            return problems
-        got = sorted(g.labels[f] for f in g.legs)
-        if got != list(range(1, g.n_legs + 1)):
-            problems.append("leg labels are not a bijection to 1..n")
-        if any(g.labels[f] != 0 for f in range(nf) if g.inv[f] != f):
-            problems.append("non-leg flag carries a label")
     return problems
 
 
@@ -193,8 +150,7 @@ def oracle_validate(g):
 def flag_structures(draw):
     """Flag structures that are mostly well formed: random involutions
     (or, sometimes, arbitrary maps with out-of-range entries), adjacency
-    occasionally out of range, any marked set, and labels that are absent,
-    a bijection on the legs, or arbitrary."""
+    occasionally out of range, and any marked set."""
     nv = draw(st.integers(0, 5))
     nf = draw(st.integers(0, 9))
     dv = draw(st.integers(-1, nv)) if draw(st.integers(0, 9)) == 0 else 0
@@ -214,18 +170,7 @@ def flag_structures(draw):
             inv[a], inv[b] = b, a
         inv = tuple(inv)
     marked = frozenset(draw(st.sets(st.integers(0, max(nf - 1, 0)), max_size=nf)))
-    kind = draw(st.sampled_from(["none", "bijection", "arbitrary"]))
-    labels = None
-    if kind == "bijection":
-        legs = [f for f in range(nf) if f < len(inv) and inv[f] == f]
-        order = draw(st.permutations(legs))
-        table = [0] * nf
-        for k, f in enumerate(order):
-            table[f] = k + 1
-        labels = tuple(table)
-    elif kind == "arbitrary":
-        labels = tuple(draw(st.lists(st.integers(0, 3), max_size=nf + 1)))
-    return MarkedGraph(nv=nv, dv=dv, adj=adj, inv=inv, marked=marked, labels=labels)
+    return MarkedGraph(nv=nv, dv=dv, adj=adj, inv=inv, marked=marked)
 
 
 def _outcome(check, g):
@@ -246,15 +191,12 @@ def test_validate_matches_rescanning_oracle_on_enumerated_graphs():
     # disconnected or low-valence structure)
     for key in [(2, 4, 3), (3, 4, 5)]:
         for unl in enumerate_unlabeled_classes(*key):
-            g = in_flag_order(unl.graph)
+            g = unl.graph
             assert validate(g) == oracle_validate(g) == []
             for f1, f2 in g.edges:
                 inv = list(g.inv)
                 inv[f1], inv[f2] = f1, f2
-                cut = MarkedGraph(
-                    nv=g.nv, dv=g.dv, adj=g.adj, inv=tuple(inv),
-                    marked=g.marked, labels=None,
-                )
+                cut = replace(g, inv=tuple(inv))
                 assert validate(cut) == oracle_validate(cut)
 
 
@@ -287,7 +229,7 @@ def test_theta_family_types():
 @pytest.mark.parametrize("seed", range(25))
 def test_canonical_form_isomorphism_invariant(seed):
     rng = random.Random(seed)
-    for base in (tadpole_at_dv(), theta_graph(), labeled_tripod(),
+    for base in (tadpole_at_dv(), theta_graph(), tadpole_and_leg(),
                  build_theta(2, 1, 1), build_theta(3, 0, 0)):
         cls, _ = canonical_form(base)
         other = shuffled_copy(base, rng)
@@ -311,7 +253,7 @@ def test_canonical_sign_tracks_edge_order():
         inv[pi[f]] = pi[g.inv[f]]
     h = MarkedGraph(
         nv=g.nv, dv=g.dv, adj=tuple(adj), inv=tuple(inv),
-        marked=frozenset(pi[f] for f in g.marked), labels=None,
+        marked=frozenset(pi[f] for f in g.marked),
     )
     # h's sorted orders, pulled back to g, against g's sorted orders
     pulled_edges = [tuple(sorted((pi[x], pi[y]))) for x, y in h.edges]
@@ -342,7 +284,7 @@ def test_nonvanishing_example():
 
 def test_automorphism_count_theta():
     # dv is fixed, so only the 3! edge arrangements remain
-    assert len(list(automorphisms(theta_graph()))) == 6
+    assert len(list(automorphisms(theta_graph(), ()))) == 6
 
 
 def test_iso_det_sign_identity():
@@ -352,16 +294,23 @@ def test_iso_det_sign_identity():
 
 
 def test_isomorphisms_respect_labels():
-    g = labeled_tripod()
-    h = relabel_legs(g, {1: 1})
-    assert list(isomorphisms(g, h))
-    assert g.n_legs == 1
+    # the automorphisms that fix a labeling fix every leg, and an
+    # automorphism's leg permutation p is an isomorphism rho -> rho∘p^-1
+    g = build_theta(3, 0, 0)
+    identity = tuple(range(g.n_legs))
+    unlabeled = list(automorphisms(g, None))
+    fixing = [phi for phi in unlabeled if all(phi[f] == f for f in g.legs)]
+    assert list(automorphisms(g, identity)) == fixing
+    assert 0 < len(fixing) < len(unlabeled)
+    index = {f: k for k, f in enumerate(g.legs)}
+    for phi in unlabeled:
+        p = tuple(index[phi[f]] for f in g.legs)
+        assert phi in list(isomorphisms(g, identity, g, inverse(p)))
 
 
 @pytest.mark.parametrize("key", [(2, 4, 3), (3, 4, 5)])
 def test_flags_at_matches_rescan(key):
-    for xi, rho in enumerate_marked_graphs(*key, None):
-        g = labeled(xi, rho)
+    for g in {xi.graph for xi, _ in enumerate_marked_graphs(*key, None)}:
         for v in range(g.nv):
             assert g.flags_at(v) == tuple(f for f in range(g.nf) if g.adj[f] == v)
 
@@ -371,10 +320,13 @@ def test_automorphisms_match_isomorphisms_onto_a_copy(key):
     # `isomorphisms` skips its invariant checks when both graphs are one
     # object; onto an equal copy it runs them and must find the same maps
     for unl in enumerate_unlabeled_classes(*key):
-        g = in_flag_order(unl.graph)
-        copy = relabel_legs(g, {k: k for k in range(1, g.n_legs + 1)})
+        g = unl.graph
+        identity = tuple(range(g.n_legs))
+        copy = replace(g)
         assert copy == g and copy is not g
-        assert list(automorphisms(g)) == list(isomorphisms(g, copy))
+        assert list(automorphisms(g, identity)) == list(
+            isomorphisms(g, identity, copy, identity)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +352,7 @@ def test_contract_tadpole_gives_nothing():
 
 
 def test_mark_flag_creates_marked_leg_degree_drop():
-    g = labeled_tripod()
+    g = tadpole_and_leg()
     unmarked_dv_legs = [
         f for f in g.legs if f not in g.marked and g.adj[f] == g.dv
     ]
@@ -430,28 +382,22 @@ def test_core_strips_marked_legs():
         adj=(0, 0, 0, 0),
         inv=(1, 0, 2, 3),
         marked=frozenset({0, 2}),
-        labels=(0, 0, 1, 2),
     )
     assert validate(g) == []
     c = core(g)
     assert c.n_legs == 1
-    assert c.labels is None
     assert c.n_marked == 1
 
 
 def test_cut_then_glue_roundtrip():
-    g = in_flag_order(build_theta(3, 1, 0))
+    g = build_theta(3, 1, 0)
     e = g.edges[0]
     cut = cut_edge(g, e)
     assert cut.n_legs == g.n_legs + 2
-    # glue the two new legs back into an edge, dropping their labels
-    inv, labels = list(cut.inv), list(cut.labels)
+    # glue the two new legs back into an edge
+    inv = list(cut.inv)
     inv[e[0]], inv[e[1]] = e[1], e[0]
-    labels[e[0]] = labels[e[1]] = 0
-    reglued = MarkedGraph(
-        nv=cut.nv, dv=cut.dv, adj=cut.adj, inv=tuple(inv),
-        marked=cut.marked, labels=tuple(labels),
-    )
+    reglued = replace(cut, inv=tuple(inv))
     assert reglued == g
     cls1, _ = canonical_form(g)
     cls2, _ = canonical_form(reglued)
@@ -466,7 +412,6 @@ def test_cut_disconnecting_edge_raises():
         adj=(0, 0, 0, 1, 1, 1),
         inv=(1, 0, 3, 2, 5, 4),
         marked=frozenset({0, 2}),
-        labels=None,
     )
     # flags 2,3 form the bridge between vertex 0 and vertex 1
     with pytest.raises(ValueError):
@@ -474,16 +419,7 @@ def test_cut_disconnecting_edge_raises():
 
 
 # ---------------------------------------------------------------------------
-# labels and leg symmetries
-
-
-def test_label_legs_in_flag_order_and_relabel():
-    g = build_theta(2, 1, 1)
-    labeled = in_flag_order(g)
-    labels = sorted(labeled.labels[f] for f in labeled.legs)
-    assert labels == list(range(1, g.n_legs + 1))
-    swapped = relabel_legs(labeled, {i: i for i in range(1, g.n_legs + 1)})
-    assert swapped == labeled
+# leg symmetries
 
 
 def test_leg_symmetry_group_signs():
@@ -495,18 +431,19 @@ def test_leg_symmetry_group_signs():
     assert symmetry[ident] == 1
     assert all(s in (1, -1) for s in symmetry.values())
     assert len(symmetry) > 1
-    # a labeled class keeps only the automorphisms that fix its labels
-    labeled = canonical_form(in_flag_order(g))[0].leg_group
-    assert labeled.elements() == {ident: 1}
 
 
 def test_leg_symmetry_group_rejects_vanishing():
+    # the theta class has no legs, and an odd automorphism (a swap of two
+    # unmarked parallel edges) fixes all of them
     cls, _ = canonical_form(theta_graph())
-    assert canonical_form(in_flag_order(cls.graph))[0].leg_group is None
+    assert cls.leg_group is None
+    g = cls.graph
+    assert any(iso_det_sign(g, g, phi) == -1 for phi in automorphisms(g, ()))
 
 
 def test_canonical_form_flag_map_is_an_isomorphism():
-    g = in_flag_order(build_theta(3, 1, 0))
+    g = build_theta(3, 1, 0)
     form = canonical_form(g)
     canon = form[0].graph
     vmap = {}
@@ -515,7 +452,6 @@ def test_canonical_form_flag_map_is_an_isomorphism():
         assert vmap.setdefault(g.adj[f], canon.adj[f2]) == canon.adj[f2]
         assert form.phi[g.inv[f]] == canon.inv[f2]
         assert (f in g.marked) == (f2 in canon.marked)
-        assert g.label_of(f) == canon.label_of(f2)
     assert sorted(form.phi) == list(range(g.nf))
 
 
@@ -531,7 +467,7 @@ def oracle_flag_assignment(g, vorder):
             if partner != f and phi[partner] != -1:
                 return (0, phi[partner], 0, 0)
             if partner == f:
-                return (1, int(f in g.marked), g.label_of(f), 0)
+                return (1, int(f in g.marked), 0, 0)
             return (
                 2,
                 vindex[g.adj[partner]],
@@ -547,18 +483,15 @@ def oracle_flag_assignment(g, vorder):
             remaining.remove(f)
     new_adj = [0] * g.nf
     new_inv = [0] * g.nf
-    new_labels = [0] * g.nf
     for f in range(g.nf):
         new_adj[phi[f]] = vindex[g.adj[f]]
         new_inv[phi[f]] = phi[g.inv[f]]
-        new_labels[phi[f]] = g.label_of(f)
     encoding = (
         g.nv,
         g.nf,
         tuple(new_adj),
         tuple(new_inv),
         tuple(sorted(phi[f] for f in g.marked)),
-        tuple(new_labels) if g.labels is not None else None,
     )
     return encoding, tuple(phi)
 
@@ -571,7 +504,7 @@ def oracle_canonical_form(g, edge_order, d_order):
         if best is None or candidate[0] < best[0]:
             best = candidate
     encoding, phi = best
-    _, nf, _, inv, marked, _ = encoding
+    _, nf, _, inv, marked = encoding
     ref_edges = [(f, inv[f]) for f in range(nf) if f < inv[f]]
     mapped = [tuple(sorted((phi[f1], phi[f2]))) for f1, f2 in edge_order]
     sign = perm_sign([ref_edges.index(e) for e in mapped])
@@ -583,10 +516,10 @@ REKEYING_CASES = [(2, 3, 3), (2, 4, 3), (3, 4, 5), (2, 5, 5), (3, 3, 4), (1, 4, 
 
 
 def rekeying_inputs(key):
-    """Shuffled copies of every basis element of B(key) and of every
-    unlabeled class behind them."""
+    """Shuffled copies of every unlabeled class of B(key), and one more of
+    its class for every basis element."""
     rng = random.Random(hash(key))
-    graphs = [labeled(xi, rho) for xi, rho in enumerate_marked_graphs(*key, None)]
+    graphs = [xi.graph for xi, _ in enumerate_marked_graphs(*key, None)]
     graphs += [cls.graph for cls in enumerate_unlabeled_classes(*key)]
     return [shuffled_copy(graph, rng) for graph in graphs]
 
@@ -607,7 +540,7 @@ def oracle_leg_symmetry_group(g):
     permutation differ in sign."""
     index = {f: k for k, f in enumerate(g.legs)}
     out = {}
-    for phi in automorphisms(g, respect_labels=False):
+    for phi in automorphisms(g, None):
         sigma = tuple(index[phi[f]] for f in g.legs)
         sign = iso_det_sign(g, g, phi)
         if out.setdefault(sigma, sign) != sign:
@@ -666,9 +599,17 @@ def test_leg_group_matches_full_search_on_shuffled_classes(key):
 
 
 def test_encode_decode_roundtrip():
-    for g in (tadpole_at_dv(), theta_graph(), labeled_tripod(),
+    for g in (tadpole_at_dv(), theta_graph(), tadpole_and_leg(),
               build_theta(3, 1, 0)):
         assert decode_graph(encode_graph(g)) == g
+
+
+def test_decode_rejects_a_line_with_leg_labels():
+    # cache format 2 keeps the leg-label field, always ``*``
+    line = encode_graph(tadpole_and_leg())
+    assert line == "1|0|0,0,0|1,0,2|0|*"
+    with pytest.raises(ValueError):
+        decode_graph("1|0|0,0,0|1,0,2|0|0,0,1")
 
 
 def test_oriented_class_identity():

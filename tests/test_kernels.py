@@ -10,6 +10,7 @@ from itertools import permutations
 import pytest
 
 import kernel_oracle
+from kernel_oracle import labeled_canonical_form
 from markedgc.complexes import enumerate_unlabeled_classes
 from markedgc.graphs import (
     _flag_assignment,
@@ -41,12 +42,17 @@ def search_inputs(key):
 
 
 def assert_search_matches_oracle(g):
+    # without a labeling, the oracle's invariants hold n zero labels and
+    # its encodings a None label table; the kernels of `graphs` drop both
     for v in range(g.nv):
-        assert _vertex_invariant(g, v) == kernel_oracle._vertex_invariant(g, v)
+        oracle = kernel_oracle._vertex_invariant(g, None, v)
+        assert oracle[3] == (0,) * oracle[2]
+        assert _vertex_invariant(g, v) == oracle[:3] + oracle[4:]
     best, ties = None, []
     for vorder in _neutral_orderings(g):
         got = _flag_assignment(g, vorder)
-        assert got == kernel_oracle._flag_assignment(g, vorder)
+        encoding, phi = kernel_oracle._flag_assignment(g, None, vorder)
+        assert got == (encoding[:5], phi) and encoding[5] is None
         if best is None or got[0] < best:
             best, ties = got[0], [got[1]]
         elif got[0] == best:
@@ -63,6 +69,7 @@ def assert_search_matches_oracle(g):
         ties[0],
         kernel_oracle._orientation_sign(g, canon, ties[0]),
     )
+    assert labeled_canonical_form(g, None) == (best + (None,), form[1])
 
 
 @pytest.mark.parametrize("key", CASES, ids=str)

@@ -115,7 +115,6 @@ def oracle_enumerate_core_graphs(g, n, r, validated, canonicalized):
                         adj=base.adj,
                         inv=base.inv,
                         marked=frozenset(picked),
-                        labels=None,
                     )
                     if not marked_any:
                         validated.append(base)
