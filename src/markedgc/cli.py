@@ -153,7 +153,8 @@ def _cmd_stability(args) -> int:
         f"detected sharp point   {report.detected}",
     ]
     _emit(payload, args.format, lines)
-    if report.detected is not None and report.detected > report.predicted:
+    failing = [n for n, flags in report.conditions.items() if not all(flags)]
+    if any(n >= report.predicted for n in failing):
         return EXIT_VIOLATION
     return EXIT_OK
 

@@ -55,12 +55,8 @@ def erase_first_column(lam: Partition) -> Partition:
 
 
 @cache
-def enumerate_partitions(n: int, even_only: bool = False) -> tuple[Partition, ...]:
-    """All partitions of ``n`` in reverse lexicographic order.
-
-    With ``even_only`` only partitions all of whose parts are even are
-    returned; these are exactly the doubles 2*tau for tau a partition of n/2.
-    """
+def enumerate_partitions(n: int) -> tuple[Partition, ...]:
+    """All partitions of ``n`` in reverse lexicographic order."""
     if n < 0:
         raise ValueError("n must be non-negative")
     out: list[Partition] = []
@@ -69,11 +65,7 @@ def enumerate_partitions(n: int, even_only: bool = False) -> tuple[Partition, ..
         if remaining == 0:
             out.append(prefix)
             return
-        step = 2 if even_only else 1
-        start = min(maxpart, remaining)
-        if even_only and start % 2:
-            start -= 1
-        for part in range(start, 0, -step):
+        for part in range(min(maxpart, remaining), 0, -1):
             rec(remaining - part, part, prefix + (part,))
 
     rec(n, n, ())

@@ -16,6 +16,20 @@ the class's leg group (`xi.leg_group`, listed by `LegGroup.elements`) by
 `reptheory.induce_from_subgroup`, which counts the group's elements of
 each cycle type rather than summing over S_n.  A cut graph is
 canonicalized first, so its module is its class's too.
+
+Conditions 1 and 2 of `check_consistent_sequence` are set checks on the
+columns of the stabilization map psi: C(n) -> C(n + 1).  psi adjoins the
+leg to one basis element [xi, rho] at a time, so a column is +-[eta, rho']
+for the class eta of xi + leg, or zero when eta vanishes.
+(1) psi is injective in degree i exactly when it hits dim C_i(n) rows:
+    nonzero columns on distinct rows are independent, a zero column is in
+    the kernel, and so is b*[first] - a*[second] for two columns a*e_r
+    and b*e_r on one row.
+(2) The S_{n+1}-orbit of the image spans C_i(n + 1) exactly when psi hits
+    a labeling of every degree-i class eta: sigma[eta, rho] = +-[eta, rho']
+    with rho' the coset minimum of sigma o rho, and S_{n+1} is transitive
+    on the cosets, so the orbit of the hit basis elements spans the
+    labelings of exactly the classes hit.
 """
 
 from __future__ import annotations
@@ -30,7 +44,6 @@ from .complexes import (
     core_types,
     enumerate_core_graphs,
     excess,
-    group_action_matrix,
     stabilization_map,
 )
 from .graphs import (
@@ -41,7 +54,6 @@ from .graphs import (
     degree,
 )
 from .homology import HomologyProfile
-from .linalg import rank
 from .partitions import (
     Partition,
     double,
@@ -165,38 +177,28 @@ def _families(dec: IrrDecomposition) -> dict[Partition, int]:
     return out
 
 
+def _hit_rows(psi: ChainMap, i: int) -> set[int]:
+    """The degree-i positions of the target that psi hits."""
+    rows: set[int] = set()
+    for col in psi.cols.get(i, []):
+        if len(col) > 1:
+            raise AssertionError(f"a degree-{i} psi column has {len(col)} entries")
+        rows.update(col)
+    return rows
+
+
 def _injective(psi: ChainMap) -> bool:
+    """Condition 1: each column has its one entry on a row of its own."""
     return all(
-        rank(psi.cols[i]) == psi.source.dim(i) for i in psi.source.degrees()
+        len(_hit_rows(psi, i)) == psi.source.dim(i) for i in psi.source.degrees()
     )
 
 
 def _generating(psi: ChainMap) -> bool:
-    """Does the S_{n+1}-orbit of the image span the target?
-
-    Coset representatives of S_{n+1}/S_n suffice: the identity and the
-    transpositions (j, n+1).
-    """
-    target = psi.target
-    n1 = target.n
-    reps = [tuple(range(n1))]
-    for j in range(n1 - 1):
-        t = list(range(n1))
-        t[j], t[n1 - 1] = t[n1 - 1], t[j]
-        reps.append(tuple(t))
-    for i in target.degrees():
-        dim = target.dim(i)
-        if not dim:
-            continue
-        psi_cols = psi.cols.get(i, [])
-        stacked = []
-        for sigma in reps:
-            action = group_action_matrix(target, i, sigma)
-            stacked += [
-                {action[row][0]: action[row][1] * v for row, v in col.items()}
-                for col in psi_cols
-            ]
-        if rank(stacked) < dim:
+    """Condition 2: psi hits some labeling of every target class."""
+    for i, table in psi.target.basis.items():
+        hit = _hit_rows(psi, i)
+        if any(hit.isdisjoint(positions.values()) for positions in table.values()):
             return False
     return True
 
@@ -271,7 +273,7 @@ def lambda_set(y: int, p: int) -> dict[Partition, int]:
     m = 2 * y + p
     rows = (m + 1) // 2
     out: dict[Partition, int] = {}
-    for eta in enumerate_partitions(2 * y, even_only=True):
+    for eta in map(double, enumerate_partitions(y)):
         padded_eta = tuple(eta) + (0,) * (y + 1 - len(eta))
 
         def compositions(i: int, left: int, acc: tuple[int, ...]):

@@ -175,6 +175,11 @@ def test_criterion_7_sharp_points():
     assert report.detected == 3
     assert report.conditions[2][2] is False
 
+    report = check_consistent_sequence(1, 2, 7, None)
+    assert report.predicted == 6
+    assert report.detected == 6
+    assert report.conditions[5][2] is False
+
 
 # ---------------------------------------------------------------------------
 # criterion 8: core-graph properties

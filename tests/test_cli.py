@@ -1,8 +1,17 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from markedgc.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, build_parser, main
+import markedgc.stability
+from markedgc.cli import (
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VIOLATION,
+    build_parser,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -60,6 +69,38 @@ def test_stability_detects_sharp_point(capsys):
     assert code == EXIT_OK
     assert payload["predicted_sharp_bound"] == 3
     assert payload["detected_sharp_point"] == 3
+
+
+@pytest.mark.parametrize("failing", [3, 4])
+def test_stability_violation_from_the_bound_on_exits_1(capsys, monkeypatch, failing):
+    # predicted 3; a failure at the top n = 4 leaves no detected point
+    generating = markedgc.stability._generating
+    monkeypatch.setattr(
+        markedgc.stability,
+        "_generating",
+        lambda psi: psi.source.n != failing and generating(psi),
+    )
+    code, payload = run_json(
+        capsys, "stability", "--g", "1", "--l", "1", "--window", "4"
+    )
+    assert payload["conditions"][str(failing)] == [True, False, True]
+    assert payload["detected_sharp_point"] == (None if failing == 4 else 4)
+    assert code == EXIT_VIOLATION
+
+
+def test_stability_column_with_two_entries_exits_3(capsys, monkeypatch):
+    stabilize = markedgc.stability.stabilization_map
+
+    def two_entries(source, target):
+        psi = stabilize(source, target)
+        i = max(psi.cols)
+        cols = [{0: 1, 1: 1}] + psi.cols[i][1:]
+        return replace(psi, cols={**psi.cols, i: cols})
+
+    monkeypatch.setattr(markedgc.stability, "stabilization_map", two_entries)
+    code = main(["stability", "--g", "2", "--l", "0", "--window", "5"])
+    assert code == EXIT_INTERNAL
+    assert "2 entries" in capsys.readouterr().err
 
 
 def test_stable_mult_value(capsys):

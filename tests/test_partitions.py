@@ -51,8 +51,11 @@ def test_enumeration_matches_brute_force(n):
 
 @pytest.mark.parametrize("n", range(9))
 def test_even_only_enumeration(n):
-    expected = {lam for lam in brute_partitions(n) if all(p % 2 == 0 for p in lam)}
-    assert set(enumerate_partitions(n, even_only=True)) == expected
+    # the doubles of the partitions of n are the even partitions of 2n,
+    # in the same reverse lexicographic order
+    even = [lam for lam in brute_partitions(2 * n) if all(p % 2 == 0 for p in lam)]
+    doubles = [double(tau) for tau in enumerate_partitions(n)]
+    assert doubles == sorted(even, reverse=True)
 
 
 def test_conjugate_examples():

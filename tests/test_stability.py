@@ -10,12 +10,15 @@ from markedgc.complexes import (
     _leg_distributions,
     build_complex,
     chain_character,
+    stabilization_map,
 )
 from markedgc.graphs import MarkedGraph, canonical_form, validate
 from markedgc.homology import homology_decomposition
 from markedgc.partitions import enumerate_partitions, size
 from markedgc.reptheory import decompose
 from markedgc.stability import (
+    _generating,
+    _injective,
     check_consistent_sequence,
     core_decomposition,
     core_module,
@@ -32,6 +35,7 @@ from markedgc.stability import (
     verify_vanishing,
 )
 from enumeration_oracle import _edge_multisets
+from stability_oracle import conditions as rank_conditions
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +218,125 @@ def test_sharp_point_genus_one_marked():
     assert report.conditions[2][2] is False
     payload = report.to_json()
     assert payload["detected_sharp_point"] == 3
+
+
+# Conditions 1-2 read off psi's columns against their rank-based oracle,
+# at every n of these windows (g, l): n_max.
+ORACLE_WINDOWS = {(2, 0): 6, (1, 1): 5, (1, 2): 6, (2, 1): 5, (3, 0): 3}
+
+
+def stabilization(g, ell, n):
+    return stabilization_map(
+        build_complex(g, n, n - ell), build_complex(g, n + 1, n + 1 - ell)
+    )
+
+
+def column_conditions(psi):
+    return _injective(psi), _generating(psi)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        (g, ell, n)
+        for (g, ell), n_max in ORACLE_WINDOWS.items()
+        for n in range(max(ell, 0), n_max + 1)
+    ],
+    ids=str,
+)
+def test_column_conditions_match_rank_oracle(case):
+    psi = stabilization(*case)
+    assert column_conditions(psi) == rank_conditions(psi)
+
+
+# Synthetic maps derived from psi for (g, l, n) = (2, 0, 5).  The rank
+# oracle's condition 2 stacks the coset translates of psi's columns, which
+# spans the S_{n+1}-orbit only when the hit rows are S_n-stable, so every
+# edit below changes whole source classes: a class with one labeling is an
+# S_n-fixed basis element up to sign.
+
+
+def edit_columns(psi, i, edit):
+    cols = [dict(col) for col in psi.cols[i]]
+    edit(cols)
+    return replace(psi, cols={**psi.cols, i: cols})
+
+
+def one_labeling_class(psi, i):
+    """The position of a degree-i source class with a single labeling."""
+    return next(
+        p
+        for positions in psi.source.basis[i].values()
+        if len(positions) == 1
+        for p in positions.values()
+    )
+
+
+def two_columns_on_one_row(psi, i):
+    single = one_labeling_class(psi, i)
+    other = next(
+        positions
+        for positions in psi.source.basis[i].values()
+        if single not in positions.values()
+    )
+
+    def onto_single(cols):
+        for p in other.values():
+            cols[p] = dict(cols[single])
+
+    return edit_columns(psi, i, onto_single)
+
+
+def emptied_column(psi, i):
+    single = one_labeling_class(psi, i)
+    return edit_columns(psi, i, lambda cols: cols.__setitem__(single, {}))
+
+
+def class_dropped(psi, i):
+    """psi without a one-labeling source class and its column, so every
+    column into the class's target is gone."""
+    single = one_labeling_class(psi, i)
+    table = {
+        xi: {rho: p - (p > single) for rho, p in positions.items()}
+        for xi, positions in psi.source.basis[i].items()
+        if single not in positions.values()
+    }
+    source = replace(psi.source, basis={**psi.source.basis, i: table})
+    cols = psi.cols[i][:single] + psi.cols[i][single + 1 :]
+    return replace(psi, source=source, cols={**psi.cols, i: cols})
+
+
+# (edit, degree, expected (condition 1, condition 2)); degrees 0 and 1 of
+# psi for (2, 0, 5) each hold a class with one labeling, degree 1 two more.
+SYNTHETIC_CASES = [
+    (two_columns_on_one_row, 1, (False, False)),
+    (emptied_column, 0, (False, False)),
+    (emptied_column, 1, (False, False)),
+    (class_dropped, 0, (True, False)),
+    (class_dropped, 1, (True, False)),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, i, expected",
+    SYNTHETIC_CASES,
+    ids=[f"{edit.__name__}-{i}" for edit, i, _ in SYNTHETIC_CASES],
+)
+def test_synthetic_chain_maps_match_rank_oracle(edit, i, expected):
+    psi = stabilization(2, 0, 5)
+    assert column_conditions(psi) == rank_conditions(psi) == (True, True)
+    broken = edit(psi, i)
+    assert column_conditions(broken) == rank_conditions(broken) == expected
+
+
+def test_column_with_two_entries_is_a_broken_invariant():
+    psi = stabilization(2, 0, 5)
+    single = one_labeling_class(psi, 1)
+    broken = edit_columns(psi, 1, lambda cols: cols[single].update(cols[single + 1]))
+    with pytest.raises(AssertionError, match="2 entries"):
+        _injective(broken)
+    with pytest.raises(AssertionError, match="2 entries"):
+        _generating(broken)
 
 
 # ---------------------------------------------------------------------------
