@@ -145,7 +145,7 @@ def _cmd_stability(args) -> int:
         args.g, args.l, args.window, cache_dir=args.cache_dir
     )
     payload = report.to_json()
-    rows = [["n", "injective", "surjects", "multiplicities match"]]
+    rows = [["n", "injective", "generates", "multiplicities match"]]
     for n, flags in sorted(report.conditions.items()):
         rows.append([str(n)] + [str(bool(f)) for f in flags])
     lines = _aligned(rows) + [

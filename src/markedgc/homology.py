@@ -5,8 +5,13 @@ Ranks come from integer elimination; character values on homology use
 the identity chi_H(s) = chi_C(s) - tr(s|im d_{i+1}) - tr(s|im d_i),
 where traces on images follow from a one-time column factorization of
 each differential (the group acts on the columns by a signed
-permutation).  The tests recompute every image trace by direct linear
-solves and compare.
+permutation).  The factorization eliminates from the last column and
+keeps every coordinate as integers over one denominator, so a trace is a
+few integer sums, one per denominator; its pivot count must equal the
+rank, which the other elimination loop found.  Decomposition into
+irreducibles is one integer inner product per irreducible.  The tests
+recompute every image trace by direct linear solves and by the
+input-order `Fraction` factorization, and compare.
 """
 
 from __future__ import annotations
@@ -71,16 +76,24 @@ def homology_dimensions(c: EquivariantComplex, ranks: dict[int, int]) -> dict[in
 
 
 def homology_characters(
-    c: EquivariantComplex, degrees: list[int]
+    c: EquivariantComplex, degrees: list[int], ranks: dict[int, int]
 ) -> dict[int, ClassFunction]:
     """Characters of the S_n action on H_i for each i in ``degrees``.
 
     Each differential that a trace needs is column-factorized once, and
     the action of each cycle type on each degree is computed once: the
     action on C_i gives the chain trace and the trace on im d_i, the
-    action on C_{i+1} the trace on im d_{i+1}."""
+    action on C_{i+1} the trace on im d_{i+1}.  Each factorization's
+    pivot count must equal the differential's entry in ``ranks`` (from
+    `differential_ranks`), which the other elimination loop computed."""
     acted = sorted({k for i in degrees for k in (i, i + 1) if c.diff.get(k)})
     factorizations = {k: column_factorization(c.diff[k]) for k in acted}
+    for k, (pivots, _) in factorizations.items():
+        if len(pivots) != ranks[k]:
+            raise AssertionError(
+                f"d_{k}: column factorization has {len(pivots)} pivots, "
+                f"rank gives {ranks[k]}"
+            )
     values: dict[int, dict[Partition, Fraction]] = {i: {} for i in degrees}
     for mu in cycle_types(c.n):
         sigma = cycle_type_representative(mu)
@@ -107,7 +120,7 @@ def homology_decomposition(c: EquivariantComplex) -> HomologyProfile:
     if c.euler_characteristic() != euler_hom:
         raise AssertionError("Euler characteristic mismatch")
 
-    chars = homology_characters(c, [i for i in sorted(dims) if dims[i]])
+    chars = homology_characters(c, [i for i in sorted(dims) if dims[i]], ranks)
     characters: dict[int, ClassFunction] = {}
     decompositions: dict[int, IrrDecomposition] = {}
     for i in sorted(dims):

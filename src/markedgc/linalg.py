@@ -3,17 +3,27 @@
 Matrices are stored column-sparse: a list with one {row: value} dict per
 column.  Everything here is exact: ranks and column factorizations both
 eliminate over the integers by cross-multiplication with gcd
-normalization, and rationals (``Fraction``) appear only in the returned
-coordinates.  No floating point, no modular arithmetic.
+normalization.  A column's coordinates stay integers over one positive
+denominator, and an image trace makes one ``Fraction`` per distinct
+denominator.  No floating point, no modular arithmetic.
 
-There are two elimination loops, on purpose.  `rank` only counts, so it
-may pick each pivot Markowitz style (sparsest column, shortest row).
-`_reduce` must keep the pivot columns in input order and track each
-column's coordinates, which column factorizations and image traces need.
-Counting `_reduce` pivots in place of `rank` is slower: on the 92
-matrices one `homology` benchmark sample ranks, 0.09-0.14 s in all
-against 0.05-0.08 s, and on the largest (435 columns, 1,965 nonzeros)
-0.05-0.20 s against 0.02-0.05 s.
+`column_factorization` eliminates from the last column to the first.
+Any maximal independent set gives the same image traces, and this one
+is far cheaper on the complexes' differentials, whose columns are in
+basis order.  On d_4 and d_5 of B(4,8,10) (2-CPU host, Python 3.11)
+the first-column order grows an echelon of 1.0 and 3.7 million nonzeros
+with coefficients of up to 36 bits in 125 and 222 s; the last-column
+order grows one of 0.12 and 0.59 million with at most 6 bits in 2.6 and
+2.9 s.
+
+There are two elimination loops.  `rank` only counts, so it may pick
+each pivot Markowitz style (sparsest column, shortest row); `_reduce`
+keeps the pivot columns in elimination order and tracks each column's
+coordinates.  With the last-column order, counting pivots is no slower
+than `rank`: on the 13 matrices one `homology` benchmark sample ranks,
+0.026 s in all against 0.032 s, and on the six differentials of
+B(4,8,10) 4.7 s against 6.6 s.  `rank` stays as the independent count
+that each factorization's pivot count is checked against.
 """
 
 from __future__ import annotations
@@ -155,44 +165,54 @@ def _push(
     echelon.append((pivot_row, {i: sign * v for i, v in w.items()}, coord))
 
 
-def column_factorization(
-    cols: SparseColumns,
-) -> tuple[list[int], list[dict[int, Fraction]]]:
-    """Greedy column echelon with coordinate tracking.
+# A column factorization (pivots, coords): ``pivots`` lists a maximal
+# independent subset of the columns, and coords[j] = (acc, s) with s > 0,
+# gcd(s, acc) = 1 and s * cols[j] = sum acc[l] * cols[l] over l in pivots.
+Factorization = tuple[list[int], list[tuple[dict[int, int], int]]]
 
-    Returns (pivots, coeffs): ``pivots`` lists the indices of a maximal
-    independent subset of the columns (in order), and ``coeffs[j]``
-    expresses column j as a combination of the pivot columns,
-    cols[j] = sum coeffs[j][l] * cols[l] over l in pivots.
+
+def column_factorization(cols: SparseColumns) -> Factorization:
+    """Greedy column echelon with integer coordinate tracking.
+
+    The columns are eliminated from the last to the first, so ``pivots``
+    lists the greedy independent subset of the reversed column list, in
+    that (descending) order.  A pivot column's coordinates are
+    ({j: 1}, 1); any other column's are `_reduce`'s (acc, s).
     """
     pivots: list[int] = []
     echelon: Echelon = []
-    coeffs: list[dict[int, Fraction]] = []
-    for j, col in enumerate(cols):
-        w, acc, s = _reduce(echelon, col)
+    coords: list[tuple[dict[int, int], int]] = []
+    for j in range(len(cols) - 1, -1, -1):
+        w, acc, s = _reduce(echelon, cols[j])
         if w:
             _push(echelon, j, w, acc, s)
             pivots.append(j)
-            coeffs.append({j: Fraction(1)})
+            coords.append(({j: 1}, 1))
         else:
-            coeffs.append({l: Fraction(v, s) for l, v in acc.items()})
-    return pivots, coeffs
+            coords.append((acc, s))
+    coords.reverse()
+    return pivots, coords
 
 
 def trace_on_image(
-    action: list[tuple[int, int]],
-    factorization: tuple[list[int], list[dict[int, Fraction]]],
+    action: list[tuple[int, int]], factorization: Factorization
 ) -> Fraction:
     """Trace of an equivariant signed permutation on the column span of d.
 
     ``action`` is the signed permutation on the *source* of d, one
     (image, sign) pair per column.  Equivariance makes it permute the
-    columns of d up to sign, so the trace on the image follows from
-    ``factorization``, the `column_factorization` of d, alone.
+    columns of d up to sign, so the trace on the image is the sum over
+    pivots l of sign_l times the l-coordinate of column image_l, read off
+    ``factorization``, the `column_factorization` of d.  The integer
+    numerators are summed per denominator, and only those few sums become
+    rationals.
     """
-    pivots, coeffs = factorization
-    total = Fraction(0)
+    pivots, coords = factorization
+    sums: dict[int, int] = {}
     for l in pivots:
         img, sign = action[l]
-        total += sign * coeffs[img].get(l, Fraction(0))
-    return total
+        acc, s = coords[img]
+        v = acc.get(l)
+        if v:
+            sums[s] = sums.get(s, 0) + sign * v
+    return sum((Fraction(v, s) for s, v in sums.items()), Fraction(0))

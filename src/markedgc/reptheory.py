@@ -1,11 +1,11 @@
 """Symmetric group representation theory over the rationals.
 
 Characters are computed by the Murnaghan-Nakayama rule with memoization,
-decompositions by exact character inner products, induced products by
-Littlewood-Richardson tableau enumeration, and characters induced from
-explicit subgroups by counting each cycle type's elements in the subgroup
-(no sum over S_n).  Everything is exact: values are Python ints or
-Fractions, never floats.
+decompositions by exact character inner products over one common
+denominator, induced products by Littlewood-Richardson tableau
+enumeration, and characters induced from explicit subgroups by counting
+each cycle type's elements in the subgroup (no sum over S_n).
+Everything is exact: values are Python ints or Fractions, never floats.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, lcm
 
 from .partitions import (
     Partition,
@@ -115,15 +115,6 @@ class ClassFunction:
     def dim(self) -> Fraction:
         return self.values[(1,) * self.n] if self.n else Fraction(1)
 
-    def inner(self, other: "ClassFunction") -> Fraction:
-        if self.n != other.n:
-            raise ValueError("mismatched symmetric groups")
-        total = sum(
-            class_size(mu) * self.values[mu] * other.values[mu]
-            for mu in cycle_types(self.n)
-        )
-        return Fraction(total, factorial(self.n)) if self.n else Fraction(total)
-
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         if self.n != other.n:
             raise ValueError("mismatched symmetric groups")
@@ -148,13 +139,6 @@ class ClassFunction:
             padded = tuple(sorted(mu + (1,), reverse=True))
             vals[mu] = self.values[padded]
         return ClassFunction(self.n - 1, vals)
-
-
-def irreducible_character(lam: Partition) -> ClassFunction:
-    n = size(lam)
-    return ClassFunction(
-        n, {mu: Fraction(character_value(lam, mu)) for mu in cycle_types(n)}
-    )
 
 
 @dataclass(frozen=True)
@@ -223,14 +207,28 @@ class IrrDecomposition:
 
 
 def decompose(chi: ClassFunction) -> IrrDecomposition:
-    """Inner-product decomposition; rejects non-characters."""
+    """Inner-product decomposition; rejects non-characters.
+
+    With D the least common denominator of chi's values, the multiplicity
+    of lambda is sum_mu |class mu| chi_lambda(mu) (D chi(mu)), an integer,
+    divided exactly by n! D."""
+    values = [(mu, v) for mu, v in chi.values.items() if v]
+    denom = lcm(*(v.denominator for _, v in values))
+    weights = [
+        (mu, class_size(mu) * v.numerator * (denom // v.denominator))
+        for mu, v in values
+    ]
+    order = factorial(chi.n) * denom
     mult = {}
     for lam in enumerate_partitions(chi.n):
-        coeff = chi.inner(irreducible_character(lam))
-        if coeff.denominator != 1 or coeff < 0:
-            raise ValueError(f"not a genuine character: <chi, {lam}> = {coeff}")
+        total = sum(w * character_value(lam, mu) for mu, w in weights)
+        coeff, rest = divmod(total, order)
+        if rest or coeff < 0:
+            raise ValueError(
+                f"not a genuine character: <chi, {lam}> = {Fraction(total, order)}"
+            )
         if coeff:
-            mult[lam] = int(coeff)
+            mult[lam] = coeff
     return IrrDecomposition(chi.n, mult)
 
 

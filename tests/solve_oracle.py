@@ -38,36 +38,38 @@ def span_solver(basis: SparseColumns):
     return solve
 
 
+def trace_by_solves(cols: SparseColumns):
+    """Return a function giving the trace of a signed permutation of the
+    columns on their span: it solves for the image of each pivot column
+    in the pivot columns."""
+    pivots, _ = column_factorization(cols)
+    solve = span_solver([cols[l] for l in pivots]) if pivots else None
+
+    def trace(action) -> Fraction:
+        total = Fraction(0)
+        for pos, l in enumerate(pivots):
+            img, sign = action[l]
+            coords = solve(cols[img])
+            if coords is None:
+                raise AssertionError("action left the image subspace")
+            total += sign * coords.get(pos, Fraction(0))
+        return total
+
+    return trace
+
+
 def character_by_solves(c: EquivariantComplex, i: int) -> ClassFunction:
     """The character of H_i, with image traces by explicit linear solves
     against a pivot-column basis of each image."""
-
-    def image_trace_fn(k):
-        cols = c.diff.get(k, [])
-        if not cols:
-            return lambda sigma: Fraction(0)
-        pivots, _ = column_factorization(cols)
-        basis = [cols[l] for l in pivots]
-        solve = span_solver(basis)
-
-        def image_trace(sigma) -> Fraction:
-            action = group_action_matrix(c, k, sigma)
-            total = Fraction(0)
-            for pos, l in enumerate(pivots):
-                img, sign = action[l]
-                coords = solve(cols[img])
-                if coords is None:
-                    raise AssertionError("action left the image subspace")
-                total += sign * coords.get(pos, Fraction(0))
-            return total
-
-        return image_trace
-
-    upper = image_trace_fn(i + 1)
-    lower = image_trace_fn(i)
+    upper = trace_by_solves(c.diff.get(i + 1, []))
+    lower = trace_by_solves(c.diff.get(i, []))
     chain = chain_character(c, i)
     values = {}
     for mu in cycle_types(c.n):
         sigma = cycle_type_representative(mu)
-        values[mu] = chain(mu) - upper(sigma) - lower(sigma)
+        values[mu] = chain(mu)
+        if c.diff.get(i + 1):
+            values[mu] -= upper(group_action_matrix(c, i + 1, sigma))
+        if c.diff.get(i):
+            values[mu] -= lower(group_action_matrix(c, i, sigma))
     return ClassFunction(c.n, values)

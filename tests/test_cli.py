@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import markedgc.homology
 import markedgc.stability
 from markedgc.cli import (
     EXIT_INTERNAL,
@@ -69,6 +70,15 @@ def test_stability_detects_sharp_point(capsys):
     assert code == EXIT_OK
     assert payload["predicted_sharp_bound"] == 3
     assert payload["detected_sharp_point"] == 3
+
+
+def test_stability_table_heads_condition_two_generates(capsys):
+    # condition 2 asks whether the orbit of psi's image generates C(n + 1)
+    code, out = run(capsys, "stability", "--g", "1", "--l", "1", "--window", "4")
+    assert code == EXIT_OK
+    assert out.splitlines()[0].split() == [
+        "n", "injective", "generates", "multiplicities", "match"
+    ]
 
 
 @pytest.mark.parametrize("failing", [3, 4])
@@ -309,3 +319,16 @@ def test_internal_invariant_failure_exits_3(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == EXIT_INTERNAL
     assert err == "internal error: d^2 != 0 on a test complex\n"
+
+
+def test_pivot_count_differing_from_rank_exits_3(capsys, monkeypatch):
+    # one less than the true rank keeps every dimension non-negative and
+    # the Euler characteristic unchanged, so only the pivot count differs
+    rank = markedgc.homology.rank
+    monkeypatch.setattr(
+        markedgc.homology, "rank", lambda cols: max(rank(cols) - 1, 0)
+    )
+    code = main(["homology", "--g", "2", "--n", "5", "--r", "5"])
+    err = capsys.readouterr().err
+    assert code == EXIT_INTERNAL
+    assert err.startswith("internal error: d_") and "pivots, rank gives" in err

@@ -1,12 +1,15 @@
 import markedgc.complexes
 import markedgc.homology
-from markedgc.complexes import build_complex
+import pytest
+
+from markedgc.complexes import build_complex, chain_character
 from markedgc.homology import (
     differential_ranks,
     homology_decomposition,
     homology_dimensions,
 )
 from markedgc.reptheory import perm_cycle_type
+from fraction_oracle import assert_decompose_matches
 from solve_oracle import character_by_solves
 
 
@@ -103,3 +106,12 @@ def test_one_action_per_degree_and_cycle_type(monkeypatch):
     assert profile.nonzero_degrees() == [3, 4]
     assert acted
     assert len(set(acted)) == len(acted)
+
+
+@pytest.mark.parametrize("key", [(2, 5, 5), (2, 6, 6), (3, 6, 7)], ids=str)
+def test_decompose_matches_fraction_oracle_on_acceptance_complexes(key):
+    c = build_complex(*key)
+    profile = homology_decomposition(c)
+    for i in c.degrees():
+        assert_decompose_matches(chain_character(c, i))
+        assert_decompose_matches(profile.characters[i])

@@ -1,16 +1,24 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from markedgc.complexes import build_complex
+from markedgc.complexes import build_complex, group_action_matrix
 from markedgc.linalg import (
     column_factorization,
     rank,
     trace_on_image,
 )
-from solve_oracle import span_solver
+from markedgc.partitions import cycle_types
+from markedgc.reptheory import cycle_type_representative
+from fraction_oracle import (
+    fraction_column_factorization,
+    fraction_trace_on_image,
+    reversed_factorization,
+)
+from solve_oracle import span_solver, trace_by_solves
 
 
 def dense_rank(cols, nrows):
@@ -32,53 +40,23 @@ def dense_rank(cols, nrows):
     return r
 
 
-def fraction_column_factorization(cols):
-    """Reference greedy column echelon in Fraction arithmetic.
-
-    Same contract as ``column_factorization``: the greedy pivot columns
-    and the (unique) coordinates of every column in them.
-    """
-    pivots = []
-    echelon = []
+def as_fractions(factorization):
+    """Integer coordinates (acc, s) as the rationals acc / s, each checked
+    to be in lowest terms with s > 0."""
+    pivots, coords = factorization
     coeffs = []
-    for j, col in enumerate(cols):
-        w = {i: Fraction(v) for i, v in col.items() if v}
-        acc = {}
-        for pivot_row, vec, coord in echelon:
-            t = w.get(pivot_row)
-            if not t:
-                continue
-            for i, v in vec.items():
-                new = w.get(i, Fraction(0)) - t * v
-                if new:
-                    w[i] = new
-                elif i in w:
-                    del w[i]
-            for l, v in coord.items():
-                new = acc.get(l, Fraction(0)) + t * v
-                if new:
-                    acc[l] = new
-                elif l in acc:
-                    del acc[l]
-        if w:
-            pivot_row = min(w, key=lambda i: (len(str(w[i])), i))
-            scale = w[pivot_row]
-            vec = {i: v / scale for i, v in w.items()}
-            coord = {l: -v / scale for l, v in acc.items()}
-            coord[j] = 1 / scale
-            echelon.append((pivot_row, vec, coord))
-            pivots.append(j)
-            coeffs.append({j: Fraction(1)})
-        else:
-            coeffs.append(acc)
+    for acc, s in coords:
+        assert s > 0 and gcd(s, *acc.values()) == 1
+        coeffs.append({l: Fraction(v, s) for l, v in acc.items()})
     return pivots, coeffs
 
 
 def assert_matches_oracle(cols):
-    """The integer kernel returns exactly the Fraction oracle's output, and
-    span solves against the pivot columns return the same coordinates."""
-    pivots, coeffs = column_factorization(cols)
-    assert (pivots, coeffs) == fraction_column_factorization(cols)
+    """The integer kernel returns exactly the Fraction oracle's output on
+    the reversed columns, and span solves against the pivot columns
+    return the same coordinates."""
+    pivots, coeffs = as_fractions(column_factorization(cols))
+    assert (pivots, coeffs) == reversed_factorization(cols)
     if pivots:
         solve = span_solver([cols[l] for l in pivots])
         for j, col in enumerate(cols):
@@ -122,16 +100,17 @@ def test_column_factorization_reconstructs_columns(seed):
     nrows = rng.randint(1, 10)
     ncols = rng.randint(1, 10)
     cols = random_cols(rng, nrows, ncols)
-    pivots, coeffs = column_factorization(cols)
+    pivots, coords = column_factorization(cols)
     assert len(pivots) == dense_rank(cols, nrows)
     for j, col in enumerate(cols):
-        rebuilt: dict[int, Fraction] = {}
-        for l, c in coeffs[j].items():
+        acc, s = coords[j]
+        rebuilt: dict[int, int] = {}
+        for l, c in acc.items():
             assert l in pivots
             for i, v in cols[l].items():
-                rebuilt[i] = rebuilt.get(i, Fraction(0)) + c * v
+                rebuilt[i] = rebuilt.get(i, 0) + c * v
         assert {i: v for i, v in rebuilt.items() if v} == {
-            i: Fraction(v) for i, v in col.items() if v
+            i: s * v for i, v in col.items() if v
         }
 
 
@@ -180,13 +159,29 @@ def test_column_factorization_oracle_property(cols):
     assert_matches_oracle(cols)
 
 
-@pytest.mark.parametrize("key", [(2, 5, 5), (2, 6, 6)])
+ACCEPTANCE_COMPLEXES = [(2, 5, 5), (2, 6, 6), (3, 6, 7)]
+
+
+@pytest.mark.parametrize("key", ACCEPTANCE_COMPLEXES)
 def test_column_factorization_oracle_on_differentials(key):
+    """On every differential: the factorization is the oracle's on the
+    reversed columns, and every cycle type's image trace equals the
+    input-order oracle's and the one by linear solves."""
     c = build_complex(*key)
+    sigmas = [cycle_type_representative(mu) for mu in cycle_types(c.n)]
     for i in c.degrees():
         cols = c.diff.get(i, [])
-        expected = fraction_column_factorization(cols)
-        assert column_factorization(cols) == expected
+        factorization = column_factorization(cols)
+        assert as_fractions(factorization) == reversed_factorization(cols)
+        if not cols:
+            continue
+        oracle = fraction_column_factorization(cols)
+        by_solves = trace_by_solves(cols)
+        for sigma in sigmas:
+            action = group_action_matrix(c, i, sigma)
+            got = trace_on_image(action, factorization)
+            assert got == fraction_trace_on_image(action, oracle)
+            assert got == by_solves(action)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -222,48 +217,60 @@ def test_span_solver_requires_independence():
         span_solver([{0: 1}, {0: 2}])
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_trace_on_image_signed_permutation(seed):
-    """Build d and a signed permutation action fixing im(d); compare the
-    trace against an explicit dense projection computation."""
-    rng = random.Random(seed)
-    n = rng.randint(2, 7)
-    # signed permutation of the source that commutes with a permutation
-    # of the target: use sigma acting on coordinates and d equivariant by
-    # construction (d maps e_j -> e_{p(j)} combination pattern).
-    p = list(range(n))
-    rng.shuffle(p)
-    signs = [rng.choice([1, -1]) for _ in range(n)]
-    # d: column j encodes target vector depending only on orbit data so
-    # that action(d e_j) = sign_j * d e_{p(j)}
-    cols = []
-    for j in range(n):
-        cols.append({j: 2, p[j]: 1} if p[j] != j else {j: 3})
-    action = [(p[j], signs[j]) for j in range(n)]
-    # target action must permute rows consistently: T(e_i) = sign_i e_{p(i)}
-    # check equivariance T d = d S on each column; skip seeds where the
-    # random signs break it
-    def apply_action(vec):
-        return {p[i]: signs[i] * v for i, v in vec.items()}
+def equivariant_matrix(rng):
+    """Columns closed under a signed row permutation tau, with tau's
+    signed permutation of the columns: (cols, action).
 
-    equivariant = all(
-        apply_action(cols[j])
-        == {i: signs[j] * v for i, v in cols[p[j]].items()}
-        for j in range(n)
+    Each orbit is s_k tau^k v for k < L, with L twice the order of tau's
+    row permutation (so tau^L = 1) and random signs s_k; tau sends column
+    k of an orbit to s_k s_{k+1} times column k + 1.  Orbits of random
+    integer vectors in few rows give many dependent columns with
+    non-trivial denominators.
+    """
+    nrows = rng.randint(1, 6)
+    perm = list(range(nrows))
+    rng.shuffle(perm)
+    row_signs = [rng.choice([1, -1]) for _ in range(nrows)]
+    order = 1
+    while any(_power(perm, order, i) != i for i in range(nrows)):
+        order += 1
+    period = 2 * order
+    cols, action = [], []
+    for _ in range(rng.randint(1, 3)):
+        vec = {i: rng.randint(-4, 4) for i in range(nrows)}
+        vec = {i: v for i, v in vec.items() if v}
+        signs = [rng.choice([1, -1]) for _ in range(period)]
+        first = len(cols)
+        for k in range(period):
+            cols.append({i: signs[k] * v for i, v in vec.items()})
+            action.append((first + (k + 1) % period, signs[k] * signs[(k + 1) % period]))
+            vec = {perm[i]: row_signs[i] * v for i, v in vec.items()}
+        assert vec == {i: v * signs[0] for i, v in cols[first].items()}
+    shuffle = list(range(len(cols)))
+    rng.shuffle(shuffle)
+    where = {old: new for new, old in enumerate(shuffle)}
+    return (
+        [cols[old] for old in shuffle],
+        [(where[action[old][0]], action[old][1]) for old in shuffle],
     )
-    if not equivariant:
-        return
+
+
+def _power(perm, k, i):
+    for _ in range(k):
+        i = perm[i]
+    return i
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_trace_on_image_signed_permutation(seed):
+    """The trace equals the input-order Fraction oracle's and the one by
+    linear solves, on columns closed under a signed permutation."""
+    cols, action = equivariant_matrix(random.Random(seed))
     got = trace_on_image(action, column_factorization(cols))
-    # dense reference: trace of T restricted to im(d)
-    pivots, _ = column_factorization(cols)
-    basis = [cols[l] for l in pivots]
-    solve = span_solver(basis)
-    expected = Fraction(0)
-    for pos, l in enumerate(pivots):
-        coords = solve(apply_action(cols[l]))
-        assert coords is not None
-        expected += coords.get(pos, Fraction(0))
-    assert got == expected
+    assert got == fraction_trace_on_image(
+        action, fraction_column_factorization(cols)
+    )
+    assert got == trace_by_solves(cols)(action)
 
 
 def test_trace_on_image_identity_action():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -23,7 +24,6 @@ from markedgc.reptheory import (
     identity,
     induce_from_subgroup,
     induce_product,
-    irreducible_character,
     irreducible_dimension,
     lr_coefficient,
     perm_cycle_type,
@@ -31,6 +31,7 @@ from markedgc.reptheory import (
     sign_decomposition,
     tensor_sign,
 )
+from fraction_oracle import assert_decompose_matches, irreducible_character
 from perms import compose, generated_subgroup, inverse
 
 
@@ -114,8 +115,29 @@ def test_decompose_regular_representation():
 
 def test_decompose_rejects_non_character():
     values = {mu: Fraction(1, 2) for mu in cycle_types(3)}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"<chi, \(3,\)> = 1/2"):
         decompose(ClassFunction(3, values))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_decompose_matches_fraction_oracle(seed):
+    """Characters, virtual characters and class functions with
+    denominators decompose, or are rejected, as the oracle does."""
+    rng = random.Random(seed)
+    n = rng.randint(0, 6)
+    values = {mu: Fraction(0) for mu in cycle_types(n)}
+    for lam in enumerate_partitions(n):
+        m = rng.choice([0, 0, 1, 2, 5])
+        if m:
+            for mu in values:
+                values[mu] += m * character_value(lam, mu)
+    kind = rng.choice(["character", "virtual", "fraction"])
+    if kind != "character":
+        lam = rng.choice(enumerate_partitions(n))
+        scale = -1 if kind == "virtual" else Fraction(1, rng.choice([2, 3, 7]))
+        for mu in values:
+            values[mu] += scale * character_value(lam, mu)
+    assert_decompose_matches(ClassFunction(n, values))
 
 
 def test_decomposition_statistics():

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 import markedgc.complexes
+import markedgc.stability
 from markedgc.cli import EXIT_INTERNAL, main
 from markedgc.complexes import (
     _assemble,
@@ -35,6 +36,7 @@ from markedgc.stability import (
     verify_vanishing,
 )
 from enumeration_oracle import _edge_multisets
+from fraction_oracle import assert_decompose_matches
 from stability_oracle import conditions as rank_conditions
 
 
@@ -418,3 +420,20 @@ def test_lambda_multiset_equals_lr_formula(m):
 def test_vanishing_assertions_hold(key):
     profile = homology_decomposition(build_complex(*key))
     assert verify_vanishing(profile) == []
+
+
+def test_core_modules_of_genus_two_suites_match_fraction_oracle(monkeypatch):
+    """Every character `core_module` decomposes in the genus-2 core-bounds
+    and edge-cut-rows suites gives the Fraction oracle's decomposition."""
+    seen = []
+
+    def spy(chi):
+        seen.append(chi)
+        return decompose(chi)
+
+    monkeypatch.setattr(markedgc.stability, "decompose", spy)
+    assert verify_core_bounds(2, ell_max=2) == []
+    assert verify_edge_cut_rows(2, ell_max=1) == []
+    assert len(seen) > 100
+    for chi in seen:
+        assert_decompose_matches(chi)
