@@ -43,7 +43,7 @@ def trace_by_solves(cols: SparseColumns):
     columns on their span: it solves for the image of each pivot column
     in the pivot columns."""
     pivots, _ = column_factorization(cols)
-    solve = span_solver([cols[l] for l in pivots]) if pivots else None
+    solve = span_solver([cols[l] for l in pivots])
 
     def trace(action) -> Fraction:
         total = Fraction(0)

@@ -1,7 +1,7 @@
-import markedgc.complexes
-import markedgc.homology
 import pytest
 
+import markedgc.complexes
+import markedgc.homology
 from markedgc.complexes import build_complex, chain_character
 from markedgc.homology import (
     differential_ranks,

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +12,7 @@ from markedgc.linalg import (
     trace_on_image,
 )
 from markedgc.partitions import cycle_types
-from markedgc.reptheory import cycle_type_representative
+from markedgc.reptheory import cycle_type_representative, perm_cycles
 from fraction_oracle import (
     fraction_column_factorization,
     fraction_trace_on_image,
@@ -231,10 +231,7 @@ def equivariant_matrix(rng):
     perm = list(range(nrows))
     rng.shuffle(perm)
     row_signs = [rng.choice([1, -1]) for _ in range(nrows)]
-    order = 1
-    while any(_power(perm, order, i) != i for i in range(nrows)):
-        order += 1
-    period = 2 * order
+    period = 2 * lcm(*map(len, perm_cycles(perm)))
     cols, action = [], []
     for _ in range(rng.randint(1, 3)):
         vec = {i: rng.randint(-4, 4) for i in range(nrows)}
@@ -242,8 +239,9 @@ def equivariant_matrix(rng):
         signs = [rng.choice([1, -1]) for _ in range(period)]
         first = len(cols)
         for k in range(period):
+            nxt = (k + 1) % period
             cols.append({i: signs[k] * v for i, v in vec.items()})
-            action.append((first + (k + 1) % period, signs[k] * signs[(k + 1) % period]))
+            action.append((first + nxt, signs[k] * signs[nxt]))
             vec = {perm[i]: row_signs[i] * v for i, v in vec.items()}
         assert vec == {i: v * signs[0] for i, v in cols[first].items()}
     shuffle = list(range(len(cols)))
@@ -253,12 +251,6 @@ def equivariant_matrix(rng):
         [cols[old] for old in shuffle],
         [(where[action[old][0]], action[old][1]) for old in shuffle],
     )
-
-
-def _power(perm, k, i):
-    for _ in range(k):
-        i = perm[i]
-    return i
 
 
 @pytest.mark.parametrize("seed", range(40))
