@@ -8,10 +8,9 @@ each differential (the group acts on the columns by a signed
 permutation).  The factorization eliminates from the last column and
 keeps every coordinate as integers over one denominator, so a trace is a
 few integer sums, one per denominator; its pivot count must equal the
-rank, which the other elimination loop found.  Decomposition into
-irreducibles is one integer inner product per irreducible.  The tests
-recompute every image trace by direct linear solves and by the
-input-order `Fraction` factorization, and compare.
+rank.  Decomposition into irreducibles is one integer inner product per
+irreducible.  The tests recompute every image trace by direct linear
+solves and by the input-order `Fraction` factorization, and compare.
 """
 
 from __future__ import annotations
@@ -85,7 +84,8 @@ def homology_characters(
     action on C_i gives the chain trace and the trace on im d_i, the
     action on C_{i+1} the trace on im d_{i+1}.  Each factorization's
     pivot count must equal the differential's entry in ``ranks`` (from
-    `differential_ranks`), which the other elimination loop computed."""
+    `differential_ranks`): `rank` eliminates the rows of d_k, the
+    factorization its columns."""
     acted = sorted({k for i in degrees for k in (i, i + 1) if c.diff.get(k)})
     factorizations = {k: column_factorization(c.diff[k]) for k in acted}
     for k, (pivots, _) in factorizations.items():
@@ -116,10 +116,6 @@ def homology_decomposition(c: EquivariantComplex) -> HomologyProfile:
     nonzero homology (elsewhere the module is zero)."""
     ranks = differential_ranks(c)
     dims = homology_dimensions(c, ranks)
-    euler_hom = sum((-1) ** i * d for i, d in dims.items())
-    if c.euler_characteristic() != euler_hom:
-        raise AssertionError("Euler characteristic mismatch")
-
     chars = homology_characters(c, [i for i in sorted(dims) if dims[i]], ranks)
     characters: dict[int, ClassFunction] = {}
     decompositions: dict[int, IrrDecomposition] = {}

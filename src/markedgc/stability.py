@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import (
-    EquivariantComplex,
     ChainMap,
     build_complex,
     chain_character,
@@ -70,7 +69,6 @@ from .reptheory import (
     induce_product,
     lr_coefficient,
     sign_decomposition,
-    tensor_sign,
 )
 
 
@@ -162,18 +160,12 @@ class StabilityReport:
         }
 
 
-def conjugate_chain_decomposition(
-    c: EquivariantComplex, i: int
-) -> IrrDecomposition:
-    """Sign-tensored decomposition of C_i, the conjugate convention."""
-    return tensor_sign(decompose(chain_character(c, i)))
-
-
 def _families(dec: IrrDecomposition) -> dict[Partition, int]:
-    """Group multiplicities by the partition below the first row."""
+    """Group multiplicities by lambda with its first column erased."""
     out: dict[Partition, int] = {}
     for lam, mult in dec.items():
-        out[lam[1:]] = out.get(lam[1:], 0) + mult
+        key = erase_first_column(lam)
+        out[key] = out.get(key, 0) + mult
     return out
 
 
@@ -210,8 +202,13 @@ def check_consistent_sequence(
 
     For each n in the window: (1) the stabilization map is injective in
     every degree, (2) its S_{n+1}-orbit generates the next complex, and
-    (3) the conjugate multiplicity families agree between n and n+1.  The
-    detected sharp point is the least n from which all three hold onward.
+    (3) the chain groups' multiplicity families agree between n and n+1,
+    a family being the lambda with one erase_first_column(lambda).  That
+    is the conjugate convention's comparison, which groups the
+    sign-twisted decomposition by conj(lambda)[1:]: conj(lambda)[1:] =
+    conj(erase_first_column(lambda)), and conj is a bijection, so both
+    group the same lambda.  The detected sharp point is the least n from
+    which all three hold onward.
     """
     if excess(g, ell) < 0:
         raise ValueError("negative excess")
@@ -226,7 +223,7 @@ def check_consistent_sequence(
     }
     decs = {
         n: {
-            i: conjugate_chain_decomposition(complexes[n], i)
+            i: decompose(chain_character(complexes[n], i))
             for i in complexes[n].degrees()
         }
         for n in complexes

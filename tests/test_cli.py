@@ -322,8 +322,8 @@ def test_internal_invariant_failure_exits_3(capsys, monkeypatch):
 
 
 def test_pivot_count_differing_from_rank_exits_3(capsys, monkeypatch):
-    # one less than the true rank keeps every dimension non-negative and
-    # the Euler characteristic unchanged, so only the pivot count differs
+    # one less than the true rank keeps every dimension non-negative, so
+    # only the pivot count differs
     rank = markedgc.homology.rank
     monkeypatch.setattr(
         markedgc.homology, "rank", lambda cols: max(rank(cols) - 1, 0)

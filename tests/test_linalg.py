@@ -18,6 +18,7 @@ from fraction_oracle import (
     fraction_trace_on_image,
     reversed_factorization,
 )
+from rank_oracle import markowitz_rank
 from solve_oracle import span_solver, trace_by_solves
 
 
@@ -40,6 +41,14 @@ def dense_rank(cols, nrows):
     return r
 
 
+def transpose(cols):
+    rows = {}
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            rows.setdefault(i, {})[j] = v
+    return [rows.get(i, {}) for i in range(max(rows, default=-1) + 1)]
+
+
 def as_fractions(factorization):
     """Integer coordinates (acc, s) as the rationals acc / s, each checked
     to be in lowest terms with s > 0."""
@@ -53,10 +62,12 @@ def as_fractions(factorization):
 
 def assert_matches_oracle(cols):
     """The integer kernel returns exactly the Fraction oracle's output on
-    the reversed columns, and span solves against the pivot columns
-    return the same coordinates."""
+    the reversed columns, span solves against the pivot columns return
+    the same coordinates, and the row rank is the Markowitz oracle's and
+    the pivot count."""
     pivots, coeffs = as_fractions(column_factorization(cols))
     assert (pivots, coeffs) == reversed_factorization(cols)
+    assert rank(cols) == markowitz_rank(cols) == len(pivots)
     if pivots:
         solve = span_solver([cols[l] for l in pivots])
         for j, col in enumerate(cols):
@@ -84,14 +95,20 @@ def test_rank_matches_dense_reference(seed):
     nrows = rng.randint(1, 12)
     ncols = rng.randint(1, 12)
     cols = random_cols(rng, nrows, ncols)
-    assert rank(cols) == dense_rank(cols, nrows)
+    assert rank(cols) == markowitz_rank(cols) == dense_rank(cols, nrows)
 
 
 def test_rank_edge_cases():
-    assert rank([]) == 0
-    assert rank([{}, {}]) == 0
-    assert rank([{0: 2}, {0: -3}]) == 1
-    assert rank([{0: 1}, {1: 1}, {0: 1, 1: 1}]) == 2
+    for cols, expected in [
+        ([], 0),
+        ([{}, {}], 0),
+        ([{0: 2}, {0: -3}], 1),
+        ([{0: 1}, {1: 1}, {0: 1, 1: 1}], 2),
+        ([{0: 0, 3: 0}, {5: 7}], 1),
+        ([{0: 1, 1: 1}, {0: 1, 1: -1}], 2),
+        ([{2: 1}], 1),
+    ]:
+        assert rank(cols) == markowitz_rank(cols) == expected
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -160,6 +177,18 @@ def test_column_factorization_oracle_property(cols):
 
 
 ACCEPTANCE_COMPLEXES = [(2, 5, 5), (2, 6, 6), (3, 6, 7)]
+
+
+@pytest.mark.parametrize("key", ACCEPTANCE_COMPLEXES)
+def test_rank_matches_markowitz_oracle_on_differentials(key):
+    """Every differential and its transpose: the row rank is the
+    Markowitz oracle's, and the two ranks agree."""
+    c = build_complex(*key)
+    for i in c.degrees():
+        cols = c.diff.get(i, [])
+        expected = markowitz_rank(cols)
+        assert rank(cols) == expected
+        assert rank(transpose(cols)) == markowitz_rank(transpose(cols)) == expected
 
 
 @pytest.mark.parametrize("key", ACCEPTANCE_COMPLEXES)

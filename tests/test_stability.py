@@ -16,7 +16,7 @@ from markedgc.complexes import (
 from markedgc.graphs import MarkedGraph, canonical_form, validate
 from markedgc.homology import homology_decomposition
 from markedgc.partitions import enumerate_partitions, size
-from markedgc.reptheory import decompose
+from markedgc.reptheory import decompose, tensor_sign
 from markedgc.stability import (
     _generating,
     _injective,
@@ -220,6 +220,36 @@ def test_sharp_point_genus_one_marked():
     assert report.conditions[2][2] is False
     payload = report.to_json()
     assert payload["detected_sharp_point"] == 3
+
+
+# Condition 3 against the conjugate form it replaced, at every n of these
+# windows (g, l): n_max.  That form tensors each chain decomposition with
+# the sign and groups it by the partition below the first row.
+CONJUGATE_WINDOWS = {(2, 0): 7, (1, 1): 6, (1, 2): 7, (2, 1): 5}
+
+
+def conjugate_families(c, i):
+    out = {}
+    for lam, mult in tensor_sign(decompose(chain_character(c, i))).items():
+        out[lam[1:]] = out.get(lam[1:], 0) + mult
+    return out
+
+
+@pytest.mark.parametrize("window", CONJUGATE_WINDOWS.items(), ids=str)
+def test_condition_3_matches_conjugate_form(window):
+    (g, ell), n_max = window
+    n_min = max(ell, 0)
+    report = check_consistent_sequence(g, ell, n_max, None)
+    families = {}
+    for n in range(n_min, n_max + 2):
+        c = build_complex(g, n, n - ell)
+        families[n] = {i: conjugate_families(c, i) for i in c.degrees()}
+    for n in range(n_min, n_max + 1):
+        degrees = set(families[n]) | set(families[n + 1])
+        expected = all(
+            families[n].get(i, {}) == families[n + 1].get(i, {}) for i in degrees
+        )
+        assert report.conditions[n][2] is expected, n
 
 
 # Conditions 1-2 read off psi's columns against their rank-based oracle,
