@@ -112,7 +112,11 @@ def validate(g: MarkedGraph) -> list[str]:
     problems = []
     nf, nv, dv = g.nf, g.nv, g.dv
     adj, inv, marked = g.adj, g.inv, g.marked
-    if len(inv) != nf or not (0 <= dv < nv):
+    if (
+        len(inv) != nf
+        or not (0 <= dv < nv)
+        or any(not 0 <= f < nf for f in (*inv, *marked))
+    ):
         return ["malformed flag structure"]
     if any(not 0 <= v < nv for v in adj):
         return ["adjacency out of range"]

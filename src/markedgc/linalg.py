@@ -2,11 +2,18 @@
 
 Matrices are stored column-sparse: a list with one {row: value} dict per
 column.  Everything here is exact: one kernel, `_reduce` with `_push`,
-eliminates over the integers by cross-multiplication with gcd
-normalization, for ranks and column factorizations alike.  A column's
-coordinates stay integers over one positive denominator, and an image
-trace makes one ``Fraction`` per distinct denominator.  No floating
+eliminates integer vectors by cross-multiplication with gcd
+normalization, for ranks and column factorizations alike.  No floating
 point, no modular arithmetic.
+
+A vector is one {key: value} dict.  Keys >= 0 are rows; a column
+factorization also attaches to column j its coordinate key ~j = -1 - j
+with value 1, so a reduced vector carries its own coordinates in the
+columns, and a dependent column reduces to coordinates alone (Bareiss's
+augmented-matrix form of fraction-free elimination).  Pivots are chosen
+among the rows only.  Coordinates stay integers over one positive
+denominator, and an image trace makes one ``Fraction`` per distinct
+denominator.
 
 `column_factorization` eliminates from the last column to the first.
 Any maximal independent set gives the same image traces, and this one
@@ -17,17 +24,13 @@ with coefficients of up to 36 bits in 125 and 222 s; the last-column
 order grows one of 0.12 and 0.59 million with at most 6 bits in 2.6 and
 2.9 s.
 
-`rank` runs the same kernel on the rows, from the last to the first,
-and counts the pivots.  Rows, because each differential's factorization
+`rank` runs the same kernel on the bare rows, from the last to the
+first, and counts the pivots; it attaches no coordinate keys, since
+nothing reads them.  Rows, because each differential's factorization
 pivot count is checked against its rank: the columns would eliminate the
 very matrix the factorization saw, and the check could never fail.
 From the last, because that order is far cheaper here too: d_4 of
-B(3,6,7) takes 0.022 s, and 0.136 s from the first row.  Against the
-Markowitz loop it replaced (sparsest column, shortest row; now the
-tests' oracle) the row rank of every differential of B(4,8,10) takes
-5.9 s in all against 7.0 s, and of B(6,8,13) 9.0 s against 16.6 s
-(2-CPU host, Python 3.11).  Not every matrix gains: d_5 of B(6,8,13)
-takes 6.3 s against 5.7 s, d_4 2.6 s against 10.2 s.
+B(3,6,7) takes 0.022 s, and 0.136 s from the first row.
 """
 
 from __future__ import annotations
@@ -38,31 +41,28 @@ from math import gcd
 SparseColumns = list[dict[int, int]]
 
 
-# An echelon entry (pivot_row, vector, coords) holds an integer vector with
-# vector[pivot_row] > 0 together with its integer coordinates in the
-# pivot columns: vector = sum coords[l] * col_l.
-Echelon = list[tuple[int, dict[int, int], dict[int, int]]]
+# An echelon entry (pivot_row, vector) holds an integer vector with
+# vector[pivot_row] > 0 at a row pivot_row >= 0; in a column factorization
+# its rows are sum vector[~l] * col_l.
+Echelon = list[tuple[int, dict[int, int]]]
 
 
-def _reduce(
-    echelon: Echelon, col: dict[int, int]
-) -> tuple[dict[int, int], dict[int, int], int]:
-    """Reduce an integer column against the echelon, fraction-free.
+def _reduce(echelon: Echelon, vec: dict[int, int]) -> tuple[dict[int, int], int]:
+    """Reduce an integer vector against the echelon, fraction-free.
 
-    Returns (w, acc, s) with s > 0 and s * col = w + sum acc[l] * col_l.
-    ``w`` is zero in every pivot row; it is empty exactly when ``col``
-    lies in the span of the echelon.  Each step cross-multiplies by the
-    gcd-reduced pivot and then divides out the common content of
-    (w, acc, s), so all intermediate values stay integral and coprime.
+    Returns (w, s) with s > 0 and w = s * vec minus an integer
+    combination of the echelon's vectors; ``w`` is zero in every pivot
+    row.  Each step cross-multiplies by the gcd-reduced pivot and then
+    divides out the common content of (s, w), so all intermediate values
+    stay integral and coprime.
     """
-    w = {i: v for i, v in col.items() if v}
-    acc: dict[int, int] = {}
+    w = {i: v for i, v in vec.items() if v}
     s = 1
-    for pivot_row, vec, coord in echelon:
+    for pivot_row, piv in echelon:
         t = w.get(pivot_row)
         if not t:
             continue
-        a = vec[pivot_row]
+        a = piv[pivot_row]
         g = gcd(a, t)
         if g > 1:
             a //= g
@@ -70,41 +70,34 @@ def _reduce(
         if a != 1:
             for i in w:
                 w[i] *= a
-            for l in acc:
-                acc[l] *= a
             s *= a
-        for i, v in vec.items():
+        for i, v in piv.items():
             new = w.get(i, 0) - t * v
             if new:
                 w[i] = new
             else:
                 del w[i]
-        for l, v in coord.items():
-            new = acc.get(l, 0) + t * v
-            if new:
-                acc[l] = new
-            else:
-                del acc[l]
         if s > 1:  # the content divides s, so s == 1 means none
-            g = gcd(s, *w.values(), *acc.values())
+            g = gcd(s, *w.values())
             if g > 1:
                 s //= g
                 for i in w:
                     w[i] //= g
-                for l in acc:
-                    acc[l] //= g
-    return w, acc, s
+    return w, s
 
 
-def _push(
-    echelon: Echelon, j: int, w: dict[int, int], acc: dict[int, int], s: int
-) -> None:
-    """Append the reduced column j (from ``_reduce``) as a new pivot."""
-    pivot_row = min(w, key=lambda i: (abs(w[i]), i))
-    sign = 1 if w[pivot_row] > 0 else -1
-    coord = {l: -sign * v for l, v in acc.items()}
-    coord[j] = sign * s
-    echelon.append((pivot_row, {i: sign * v for i, v in w.items()}, coord))
+def _push(echelon: Echelon, w: dict[int, int]) -> bool:
+    """Append ``w`` (from `_reduce`) as a new pivot if it has a row entry;
+    return whether it had one."""
+    pivot_row = min(
+        (i for i in w if i >= 0), key=lambda i: (abs(w[i]), i), default=None
+    )
+    if pivot_row is None:
+        return False
+    if w[pivot_row] < 0:
+        w = {i: -v for i, v in w.items()}
+    echelon.append((pivot_row, w))
+    return True
 
 
 def rank(cols: SparseColumns) -> int:
@@ -117,9 +110,7 @@ def rank(cols: SparseColumns) -> int:
                 rows.setdefault(i, {})[j] = v
     echelon: Echelon = []
     for i in sorted(rows, reverse=True):
-        w, acc, s = _reduce(echelon, rows[i])
-        if w:
-            _push(echelon, i, w, acc, s)
+        _push(echelon, _reduce(echelon, rows[i])[0])
     return len(echelon)
 
 
@@ -134,20 +125,21 @@ def column_factorization(cols: SparseColumns) -> Factorization:
 
     The columns are eliminated from the last to the first, so ``pivots``
     lists the greedy independent subset of the reversed column list, in
-    that (descending) order.  A pivot column's coordinates are
-    ({j: 1}, 1); any other column's are `_reduce`'s (acc, s).
+    that (descending) order.  Column j is reduced with its coordinate
+    ~j: 1 attached.  A pivot column's coordinates are ({j: 1}, 1); any
+    other column reduces to s at ~j and to minus its coordinates at the
+    other ~l, with no row left.
     """
     pivots: list[int] = []
     echelon: Echelon = []
     coords: list[tuple[dict[int, int], int]] = []
     for j in range(len(cols) - 1, -1, -1):
-        w, acc, s = _reduce(echelon, cols[j])
-        if w:
-            _push(echelon, j, w, acc, s)
+        w, s = _reduce(echelon, {**cols[j], ~j: 1})
+        if _push(echelon, w):
             pivots.append(j)
             coords.append(({j: 1}, 1))
         else:
-            coords.append((acc, s))
+            coords.append(({~k: -v for k, v in w.items() if k != ~j}, s))
     coords.reverse()
     return pivots, coords
 

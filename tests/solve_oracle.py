@@ -24,16 +24,14 @@ def span_solver(basis: SparseColumns):
     """
     echelon: Echelon = []
     for j, col in enumerate(basis):
-        w, acc, s = _reduce(echelon, col)
-        if not w:
+        if not _push(echelon, _reduce(echelon, {**col, ~j: 1})[0]):
             raise ValueError("span_solver requires independent columns")
-        _push(echelon, j, w, acc, s)
 
     def solve(target) -> dict[int, Fraction] | None:
-        w, acc, s = _reduce(echelon, target)
-        if w:
+        w, s = _reduce(echelon, target)
+        if any(i >= 0 for i in w):
             return None
-        return {l: Fraction(v, s) for l, v in acc.items()}
+        return {~k: Fraction(-v, s) for k, v in w.items()}
 
     return solve
 

@@ -5,6 +5,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import markedgc.linalg
 from markedgc.complexes import build_complex, group_action_matrix
 from markedgc.linalg import (
     column_factorization,
@@ -109,6 +110,37 @@ def test_rank_edge_cases():
         ([{2: 1}], 1),
     ]:
         assert rank(cols) == markowitz_rank(cols) == expected
+
+
+def test_rank_carries_no_coordinates(monkeypatch):
+    """`rank` pushes bare rows: every echelon entry is (pivot_row, vector)
+    with only row keys, none of the coordinate keys ~l < 0."""
+    echelons = {}
+    push = markedgc.linalg._push
+
+    def spy(echelon, *args):
+        echelons[id(echelon)] = echelon
+        return push(echelon, *args)
+
+    monkeypatch.setattr(markedgc.linalg, "_push", spy)
+    cols = build_complex(3, 6, 7).diff[3]
+    assert rank(cols) == markowitz_rank(cols) > 0
+    assert echelons
+    for echelon in echelons.values():
+        for pivot_row, vec in echelon:
+            assert pivot_row in vec and min(vec) >= 0
+
+
+def test_column_factorization_fixed_case():
+    """An explicit zero entry, an empty column, and column 0 (coordinate
+    key ~0 = -1) dependent with denominator 2: 2 * col_0 = col_4 - col_2."""
+    cols = [{0: 1, 1: 0}, {}, {0: 1, 1: 1}, {1: 0}, {0: 3, 1: 1}]
+    factorization = column_factorization(cols)
+    assert factorization == (
+        [4, 2],
+        [({2: -1, 4: 1}, 2), ({}, 1), ({2: 1}, 1), ({}, 1), ({4: 1}, 1)],
+    )
+    assert as_fractions(factorization) == reversed_factorization(cols)
 
 
 @pytest.mark.parametrize("seed", range(40))
