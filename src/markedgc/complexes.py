@@ -41,6 +41,8 @@ each reduced to its coset minimum with its sign.  The stabilization map
 adjoins its leg once per xi in the same way.  The S_n action is the same
 coset arithmetic, and its one format is a signed permutation: the
 (position, sign) of sigma·[xi, rho] for each basis element in order.
+Characters need one action per cycle type; `cycle_type_actions` takes
+coset minima only for (0 1) and the n-cycle and composes the rest.
 The enumeration cache (format 2) stores only the xi; a reload accepts
 only admissible classes of the complex's type.
 """
@@ -50,11 +52,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Iterator
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cache
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from pathlib import Path
 
 from .graphs import (
@@ -531,13 +535,97 @@ def action_trace(action: SignedPermutation) -> int:
     return sum(sign for pos, (image, sign) in enumerate(action) if image == pos)
 
 
+# A signed permutation split into its positions and its signs, the form
+# `cycle_type_actions` composes in.
+SplitAction = tuple[list[int], list[int]]
+
+
+def _split(action: SignedPermutation) -> SplitAction:
+    return [pos for pos, _ in action], [sign for _, sign in action]
+
+
+def _then(first: SplitAction, second: SplitAction) -> SplitAction:
+    """The action of acting by ``first`` and then by ``second``: position
+    p goes to second's image of first's image of p, with both signs."""
+    (pos1, sign1), (pos2, sign2) = first, second
+    return (
+        list(map(pos2.__getitem__, pos1)),
+        list(map(mul, map(sign2.__getitem__, pos1), sign1)),
+    )
+
+
+def _inverse(action: SplitAction) -> SplitAction:
+    pos, sign = action
+    inv_pos, inv_sign = [0] * len(pos), [0] * len(pos)
+    for p, (q, s) in enumerate(zip(pos, sign)):
+        inv_pos[q] = p
+        inv_sign[q] = s
+    return inv_pos, inv_sign
+
+
+def cycle_type_actions(
+    c: EquivariantComplex, i: int
+) -> Iterator[tuple[Partition, SignedPermutation]]:
+    """Yield (mu, the action of ``cycle_type_representative(mu)`` on degree
+    ``i``) for every mu in ``cycle_types(c.n)``, each mu after its parent
+    (below); every action equals `group_action_matrix`'s.
+
+    Only the generators take coset minima: `group_action_matrix` runs for
+    s_0 = (0 1) and for the n-cycle kappa = (0 1 ... n-1), once each (once
+    in all when n = 2, where they agree; never when n < 2).  kappa maps x to
+    x + 1 mod n, so s_k = kappa s_{k-1} kappa^-1 = (k k+1), and each
+    further s_k is two compositions.  The action is a group action,
+    (sigma tau)·e = sigma·(tau·e), so the action of sigma∘s is s's
+    followed by sigma's: one pass over the basis, no coset minimum.
+
+    The representative of mu runs its cycles on consecutive points,
+    longest first, so it moves exactly 0..S-1, S being the sum of mu's
+    parts above 1, and its last nontrivial cycle is (a ... S-1).  A
+    mu's parent drops its last nontrivial part when that part is 2, and
+    lowers it by one otherwise; each mu thus has one parent, and (1^n),
+    the identity, is the root.  Conversely, with sigma the parent's
+    representative:
+      * sigma∘s_{S-1} sends S-1 to sigma(S) = S and S to sigma(S-1) = a,
+        and agrees with sigma elsewhere: it is sigma with its last cycle
+        (a ... S-1) extended to (a ... S), the representative of the
+        child whose last nontrivial part is one larger;
+      * sigma∘s_S is sigma with the new cycle (S S+1) on two of its
+        fixed points, the representative of the child with a new part 2.
+    So each action is that of the representative itself, not of another
+    element of its class.  The walk is depth first and takes the new
+    2-cycle child first, so at most one pending action per 2-cycle on
+    the current path is held besides the n - 1 swaps.
+    """
+    n = c.n
+    swaps: list[SplitAction] = []
+    if n >= 2:
+        s_0 = cycle_type_representative((2,) + (1,) * (n - 2))
+        swaps.append(_split(group_action_matrix(c, i, s_0)))
+    if n >= 3:
+        kappa = _split(group_action_matrix(c, i, cycle_type_representative((n,))))
+        kappa_inv = _inverse(kappa)
+        while len(swaps) < n - 1:
+            swaps.append(_then(_then(kappa_inv, swaps[-1]), kappa))
+        del kappa, kappa_inv  # the walk needs only the swaps
+    dim = c.dim(i)
+    stack: list[tuple[Partition, SplitAction]] = [((), (list(range(dim)), [1] * dim))]
+    while stack:
+        parts, action = stack.pop()
+        size = sum(parts)
+        yield parts + (1,) * (n - size), list(zip(*action))
+        children = []
+        if parts and size < n and (len(parts) == 1 or parts[-2] > parts[-1]):
+            children.append((parts[:-1] + (parts[-1] + 1,), size - 1))
+        if size + 2 <= n:
+            children.append((parts + (2,), size))
+        for child, k in children:
+            stack.append((child, _then(swaps[k], action)))
+
+
 def chain_character(c: EquivariantComplex, i: int) -> ClassFunction:
     """Character of the signed permutation action on C_i."""
-    values: dict[Partition, Fraction] = {}
-    for mu in cycle_types(c.n):
-        action = group_action_matrix(c, i, cycle_type_representative(mu))
-        values[mu] = Fraction(action_trace(action))
-    return ClassFunction(c.n, values)
+    traces = {mu: action_trace(action) for mu, action in cycle_type_actions(c, i)}
+    return ClassFunction(c.n, {mu: Fraction(traces[mu]) for mu in cycle_types(c.n)})
 
 
 # ---------------------------------------------------------------------------

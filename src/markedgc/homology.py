@@ -5,12 +5,16 @@ Ranks come from integer elimination; character values on homology use
 the identity chi_H(s) = chi_C(s) - tr(s|im d_{i+1}) - tr(s|im d_i),
 where traces on images follow from a one-time column factorization of
 each differential (the group acts on the columns by a signed
-permutation).  The factorization eliminates from the last column and
-keeps every coordinate as integers over one denominator, so a trace is a
-few integer sums, one per denominator; its pivot count must equal the
-rank.  Decomposition into irreducibles is one integer inner product per
-irreducible.  The tests recompute every image trace by direct linear
-solves and by the input-order `Fraction` factorization, and compare.
+permutation).  Each degree's actions, one per cycle type, come from
+one walk of `complexes.cycle_type_actions`, which takes coset minima
+only for (0 1) and the n-cycle and composes the others; the walk serves
+the chain trace and the image trace alike.  The factorization
+eliminates from the last column and keeps every coordinate as integers
+over one denominator, so a trace is a few integer sums, one per
+denominator; its pivot count must equal the rank.  Decomposition into
+irreducibles is one integer inner product per irreducible.  The tests
+recompute every image trace by direct linear solves and by the
+input-order `Fraction` factorization, and compare.
 """
 
 from __future__ import annotations
@@ -18,19 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import EquivariantComplex, action_trace, group_action_matrix
+from .complexes import EquivariantComplex, action_trace, cycle_type_actions
 from .linalg import (
     column_factorization,
     rank,
     trace_on_image,
 )
 from .partitions import Partition, cycle_types
-from .reptheory import (
-    ClassFunction,
-    IrrDecomposition,
-    cycle_type_representative,
-    decompose,
-)
+from .reptheory import ClassFunction, IrrDecomposition, decompose
 
 
 @dataclass(frozen=True)
@@ -74,37 +73,52 @@ def homology_dimensions(c: EquivariantComplex, ranks: dict[int, int]) -> dict[in
     return dims
 
 
+def _degree_traces(
+    c: EquivariantComplex, k: int, rank_k: int, with_chain: bool
+) -> dict[Partition, tuple[int, Fraction]]:
+    """Per cycle type, the chain trace on C_k (0 unless ``with_chain``) and
+    the trace on im d_k, from one walk of `cycle_type_actions` over C_k.
+
+    d_k is column-factorized here, and the pivot count must equal
+    ``rank_k`` (from `differential_ranks`): `rank` eliminates the rows of
+    d_k, the factorization its columns.  The factorization and the walk's
+    swap table are dropped on return."""
+    factorization = column_factorization(c.diff[k])
+    pivots, _ = factorization
+    if len(pivots) != rank_k:
+        raise AssertionError(
+            f"d_{k}: column factorization has {len(pivots)} pivots, "
+            f"rank gives {rank_k}"
+        )
+    return {
+        mu: (
+            action_trace(action) if with_chain else 0,
+            trace_on_image(action, factorization),
+        )
+        for mu, action in cycle_type_actions(c, k)
+    }
+
+
 def homology_characters(
     c: EquivariantComplex, degrees: list[int], ranks: dict[int, int]
 ) -> dict[int, ClassFunction]:
     """Characters of the S_n action on H_i for each i in ``degrees``.
 
-    Each differential that a trace needs is column-factorized once, and
-    the action of each cycle type on each degree is computed once: the
-    action on C_i gives the chain trace and the trace on im d_i, the
-    action on C_{i+1} the trace on im d_{i+1}.  Each factorization's
-    pivot count must equal the differential's entry in ``ranks`` (from
-    `differential_ranks`): `rank` eliminates the rows of d_k, the
-    factorization its columns."""
+    The acted degrees k, i and i + 1 for each i where C_k is nonzero, are
+    taken one at a time by `_degree_traces`, so only one degree's
+    factorization and swap table are alive at once.  Then
+    chi_{H_i} = chain_i - im_i - im_{i+1}."""
     acted = sorted({k for i in degrees for k in (i, i + 1) if c.diff.get(k)})
-    factorizations = {k: column_factorization(c.diff[k]) for k in acted}
-    for k, (pivots, _) in factorizations.items():
-        if len(pivots) != ranks[k]:
-            raise AssertionError(
-                f"d_{k}: column factorization has {len(pivots)} pivots, "
-                f"rank gives {ranks[k]}"
-            )
-    values: dict[int, dict[Partition, Fraction]] = {i: {} for i in degrees}
-    for mu in cycle_types(c.n):
-        sigma = cycle_type_representative(mu)
-        actions = {k: group_action_matrix(c, k, sigma) for k in acted}
-        for i in degrees:
-            total = action_trace(actions[i])
-            if i + 1 in actions:
-                total -= trace_on_image(actions[i + 1], factorizations[i + 1])
-            total -= trace_on_image(actions[i], factorizations[i])
-            values[i][mu] = Fraction(total)
-    return {i: ClassFunction(c.n, v) for i, v in values.items()}
+    traces = {k: _degree_traces(c, k, ranks[k], k in degrees) for k in acted}
+    characters = {}
+    for i in degrees:
+        above = traces.get(i + 1)
+        values = {}
+        for mu in cycle_types(c.n):
+            chain, image = traces[i][mu]
+            values[mu] = chain - image - (above[mu][1] if above else 0)
+        characters[i] = ClassFunction(c.n, values)
+    return characters
 
 
 def _zero_character(n: int) -> ClassFunction:

@@ -13,6 +13,7 @@ from markedgc.complexes import (
     build_complex,
     cache_path,
     chain_character,
+    cycle_type_actions,
     enumerate_core_graphs,
     enumerate_marked_graphs,
     enumerate_unlabeled_classes,
@@ -460,6 +461,44 @@ def test_action_matches_oracle_on_cached_basis(tmp_path):
     assert load_enumeration(tmp_path, 2, 4, 3) is not None
     c = build_complex(2, 4, 3, cache_dir=tmp_path)
     assert_action_matches_oracle(c, coset_representatives(c.n))
+
+
+def composition_parent(mu):
+    """The cycle type whose action `cycle_type_actions` composes mu's
+    from: mu with its last part above 1 dropped when that part is 2 and
+    lowered by one otherwise; None for the identity's type."""
+    parts = [p for p in mu if p > 1]
+    if not parts:
+        return None
+    if parts[-1] == 2:
+        parts.pop()
+    else:
+        parts[-1] -= 1
+    return tuple(parts) + (1,) * (sum(mu) - sum(parts))
+
+
+@pytest.mark.parametrize(
+    "key",
+    [(1, 3, 3), (2, 3, 3), (2, 4, 4), (2, 4, 3), (3, 4, 5), (1, 5, 4)]
+    + [(2, 5, 5), (2, 6, 6), (3, 6, 7)]
+    + [key for key in d2_grid_cases() if key[1] <= 2],
+    ids=str,
+)
+def test_cycle_type_actions_match_group_action_matrix(key):
+    """Every composed action is, entry for entry, the coset-minimum action
+    of the cycle type's representative, and every cycle type comes once,
+    after its parent."""
+    c = build_complex(*key)
+    assert c.degrees()
+    for i in c.degrees():
+        order = []
+        for mu, action in cycle_type_actions(c, i):
+            parent = composition_parent(mu)
+            assert parent is None or parent in order, (mu, order)
+            assert action == group_action_matrix(c, i, cycle_type_representative(mu))
+            order.append(mu)
+        assert sorted(order) == sorted(cycle_types(c.n))
+        assert len(set(order)) == len(order)
 
 
 @pytest.mark.parametrize(

@@ -91,21 +91,28 @@ def test_euler_characteristic_of_homology():
     )
 
 
-def test_one_action_per_degree_and_cycle_type(monkeypatch):
-    acted = []
+def test_coset_passes_only_for_the_generators(monkeypatch):
+    """The homology decomposition and the chain characters run
+    `group_action_matrix` only for (0 1) and the n-cycle, once each per
+    acted degree; every other cycle type's action is composed."""
+    calls = []
     act = markedgc.complexes.group_action_matrix
 
     def spy(c, i, sigma):
-        acted.append((i, perm_cycle_type(sigma)))
+        calls.append((i, perm_cycle_type(sigma)))
         return act(c, i, sigma)
 
     c = build_complex(3, 6, 7)
-    for module in (markedgc.complexes, markedgc.homology):
-        monkeypatch.setattr(module, "group_action_matrix", spy)
+    monkeypatch.setattr(markedgc.complexes, "group_action_matrix", spy)
+    generators = [(2, 1, 1, 1, 1), (6,)]
     profile = homology_decomposition(c)
     assert profile.nonzero_degrees() == [3, 4]
-    assert acted
-    assert len(set(acted)) == len(acted)
+    # H_3 and H_4 act on C_3 and C_4; C_5 is zero
+    assert sorted(calls) == [(k, mu) for k in (3, 4) for mu in generators]
+    for i in c.degrees():
+        calls.clear()
+        chain_character(c, i)
+        assert sorted(calls) == [(i, mu) for mu in generators]
 
 
 @pytest.mark.parametrize("key", [(2, 5, 5), (2, 6, 6), (3, 6, 7)], ids=str)
