@@ -19,7 +19,7 @@ from functools import cache
 from .complexes import CacheError, build_complex, enumerate_marked_graphs
 from .graphs import degree
 from .homology import homology_decomposition
-from .partitions import parse_partition
+from .partitions import parse_partition, strip_ones
 from .stability import (
     check_consistent_sequence,
     stable_multiplicity,
@@ -63,10 +63,7 @@ def _stable_notation(dec) -> str:
         return "0"
     terms = []
     for lam, mult in dec.items():
-        ones = 0
-        while ones < len(lam) and lam[len(lam) - 1 - ones] == 1:
-            ones += 1
-        head = lam[: len(lam) - ones]
+        head, ones = strip_ones(lam)
         body = ",".join(str(p) for p in head)
         if ones:
             pad = f"1^{ones}" if ones > 1 else "1"

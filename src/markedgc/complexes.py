@@ -39,10 +39,11 @@ once per xi, on [xi, id], as terms [eta, tau] that remember where each
 leg went; the column of [xi, rho] is the same terms relabeled by rho,
 each reduced to its coset minimum with its sign.  The stabilization map
 adjoins its leg once per xi in the same way.  The S_n action is the same
-coset arithmetic, and its one format is a signed permutation: the
-(position, sign) of sigma·[xi, rho] for each basis element in order.
-Characters need one action per cycle type; `cycle_type_actions` takes
-coset minima only for (0 1) and the n-cycle and composes the rest.
+coset arithmetic, and its one format is a signed permutation (images,
+signs): sigma·[xi, rho] is signs[p]·(basis element images[p]), p the
+position of [xi, rho].  Characters need one action per cycle type;
+`cycle_type_actions` takes coset minima only for (0 1) and the n-cycle
+and composes the rest.
 The enumeration cache (format 2) stores only the xi; a reload accepts
 only admissible classes of the complex's type.
 """
@@ -75,13 +76,14 @@ from .graphs import (
     mark_flag,
     validate,
 )
-from .partitions import Partition, cycle_types
+from .partitions import Partition
 from .reptheory import ClassFunction, Permutation, cycle_type_representative
 
 CACHE_FORMAT = 2
 
 SparseColumns = list[dict[int, int]]  # one {row: entry} per basis column
-SignedPermutation = list[tuple[int, int]]  # one (row, sign) per basis column
+# (images, signs): sigma·e_p = signs[p]·e_{images[p]}, one of each per basis element
+SignedPermutation = tuple[list[int], list[int]]
 BasisPairs = list[tuple[OrientedClass, Permutation]]  # one (xi, rho) per element
 
 
@@ -513,54 +515,47 @@ def group_action_matrix(
     c: EquivariantComplex, i: int, sigma: Permutation
 ) -> SignedPermutation:
     """The leg relabeling by ``sigma`` (0-indexed images) on degree ``i``:
-    the ``(position, sign)`` of sigma·[xi, rho] for each basis element.
+    the position and the sign of sigma·[xi, rho] for each basis element.
     sigma·[xi, rho] = [xi, sigma∘rho] = chi·[xi, rho'] with rho' the coset
     minimum."""
-    out = []
+    images, signs = [], []
     try:
         for xi, positions in c.basis.get(i, {}).items():
             group = xi.leg_group
             for rho in positions:
                 image, chi = group.coset_min(tuple([sigma[x] for x in rho]))
-                out.append((positions[image], chi))
+                images.append(positions[image])
+                signs.append(chi)
     except KeyError:
         raise AssertionError(
             f"relabeling left the degree-{i} basis of B({c.g},{c.n},{c.r})"
         ) from None
-    return out
+    return images, signs
 
 
 def action_trace(action: SignedPermutation) -> int:
     """Trace of a signed permutation: the signs of its fixed positions."""
-    return sum(sign for pos, (image, sign) in enumerate(action) if image == pos)
+    images, signs = action
+    return sum(signs[p] for p, image in enumerate(images) if image == p)
 
 
-# A signed permutation split into its positions and its signs, the form
-# `cycle_type_actions` composes in.
-SplitAction = tuple[list[int], list[int]]
-
-
-def _split(action: SignedPermutation) -> SplitAction:
-    return [pos for pos, _ in action], [sign for _, sign in action]
-
-
-def _then(first: SplitAction, second: SplitAction) -> SplitAction:
+def _then(first: SignedPermutation, second: SignedPermutation) -> SignedPermutation:
     """The action of acting by ``first`` and then by ``second``: position
     p goes to second's image of first's image of p, with both signs."""
-    (pos1, sign1), (pos2, sign2) = first, second
+    (images1, signs1), (images2, signs2) = first, second
     return (
-        list(map(pos2.__getitem__, pos1)),
-        list(map(mul, map(sign2.__getitem__, pos1), sign1)),
+        list(map(images2.__getitem__, images1)),
+        list(map(mul, map(signs2.__getitem__, images1), signs1)),
     )
 
 
-def _inverse(action: SplitAction) -> SplitAction:
-    pos, sign = action
-    inv_pos, inv_sign = [0] * len(pos), [0] * len(pos)
-    for p, (q, s) in enumerate(zip(pos, sign)):
-        inv_pos[q] = p
-        inv_sign[q] = s
-    return inv_pos, inv_sign
+def _inverse(action: SignedPermutation) -> SignedPermutation:
+    images, signs = action
+    inv_images, inv_signs = [0] * len(images), [0] * len(images)
+    for p, q in enumerate(images):
+        inv_images[q] = p
+        inv_signs[q] = signs[p]
+    return inv_images, inv_signs
 
 
 def cycle_type_actions(
@@ -597,22 +592,24 @@ def cycle_type_actions(
     the current path is held besides the n - 1 swaps.
     """
     n = c.n
-    swaps: list[SplitAction] = []
+    swaps: list[SignedPermutation] = []
     if n >= 2:
         s_0 = cycle_type_representative((2,) + (1,) * (n - 2))
-        swaps.append(_split(group_action_matrix(c, i, s_0)))
+        swaps.append(group_action_matrix(c, i, s_0))
     if n >= 3:
-        kappa = _split(group_action_matrix(c, i, cycle_type_representative((n,))))
+        kappa = group_action_matrix(c, i, cycle_type_representative((n,)))
         kappa_inv = _inverse(kappa)
         while len(swaps) < n - 1:
             swaps.append(_then(_then(kappa_inv, swaps[-1]), kappa))
         del kappa, kappa_inv  # the walk needs only the swaps
     dim = c.dim(i)
-    stack: list[tuple[Partition, SplitAction]] = [((), (list(range(dim)), [1] * dim))]
+    stack: list[tuple[Partition, SignedPermutation]] = [
+        ((), (list(range(dim)), [1] * dim))
+    ]
     while stack:
         parts, action = stack.pop()
         size = sum(parts)
-        yield parts + (1,) * (n - size), list(zip(*action))
+        yield parts + (1,) * (n - size), action
         children = []
         if parts and size < n and (len(parts) == 1 or parts[-2] > parts[-1]):
             children.append((parts[:-1] + (parts[-1] + 1,), size - 1))
@@ -624,8 +621,10 @@ def cycle_type_actions(
 
 def chain_character(c: EquivariantComplex, i: int) -> ClassFunction:
     """Character of the signed permutation action on C_i."""
-    traces = {mu: action_trace(action) for mu, action in cycle_type_actions(c, i)}
-    return ClassFunction(c.n, {mu: Fraction(traces[mu]) for mu in cycle_types(c.n)})
+    return ClassFunction(
+        c.n,
+        {mu: Fraction(action_trace(action)) for mu, action in cycle_type_actions(c, i)},
+    )
 
 
 # ---------------------------------------------------------------------------

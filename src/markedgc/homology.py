@@ -74,10 +74,10 @@ def homology_dimensions(c: EquivariantComplex, ranks: dict[int, int]) -> dict[in
 
 
 def _degree_traces(
-    c: EquivariantComplex, k: int, rank_k: int, with_chain: bool
+    c: EquivariantComplex, k: int, rank_k: int
 ) -> dict[Partition, tuple[int, Fraction]]:
-    """Per cycle type, the chain trace on C_k (0 unless ``with_chain``) and
-    the trace on im d_k, from one walk of `cycle_type_actions` over C_k.
+    """Per cycle type, the chain trace on C_k and the trace on im d_k, from
+    one walk of `cycle_type_actions` over C_k.
 
     d_k is column-factorized here, and the pivot count must equal
     ``rank_k`` (from `differential_ranks`): `rank` eliminates the rows of
@@ -91,10 +91,7 @@ def _degree_traces(
             f"rank gives {rank_k}"
         )
     return {
-        mu: (
-            action_trace(action) if with_chain else 0,
-            trace_on_image(action, factorization),
-        )
+        mu: (action_trace(action), trace_on_image(action, factorization))
         for mu, action in cycle_type_actions(c, k)
     }
 
@@ -109,7 +106,7 @@ def homology_characters(
     factorization and swap table are alive at once.  Then
     chi_{H_i} = chain_i - im_i - im_{i+1}."""
     acted = sorted({k for i in degrees for k in (i, i + 1) if c.diff.get(k)})
-    traces = {k: _degree_traces(c, k, ranks[k], k in degrees) for k in acted}
+    traces = {k: _degree_traces(c, k, ranks[k]) for k in acted}
     characters = {}
     for i in degrees:
         above = traces.get(i + 1)

@@ -145,24 +145,24 @@ def column_factorization(cols: SparseColumns) -> Factorization:
 
 
 def trace_on_image(
-    action: list[tuple[int, int]], factorization: Factorization
+    action: tuple[list[int], list[int]], factorization: Factorization
 ) -> Fraction:
     """Trace of an equivariant signed permutation on the column span of d.
 
-    ``action`` is the signed permutation on the *source* of d, one
-    (image, sign) pair per column.  Equivariance makes it permute the
-    columns of d up to sign, so the trace on the image is the sum over
-    pivots l of sign_l times the l-coordinate of column image_l, read off
-    ``factorization``, the `column_factorization` of d.  The integer
-    numerators are summed per denominator, and only those few sums become
-    rationals.
+    ``action`` is the signed permutation (images, signs) on the *source*
+    of d: column l goes to signs[l] times column images[l].  Equivariance
+    makes it permute the columns of d up to sign, so the trace on the
+    image is the sum over pivots l of signs[l] times the l-coordinate of
+    column images[l], read off ``factorization``, the
+    `column_factorization` of d.  The integer numerators are summed per
+    denominator, and only those few sums become rationals.
     """
+    images, signs = action
     pivots, coords = factorization
     sums: dict[int, int] = {}
     for l in pivots:
-        img, sign = action[l]
-        acc, s = coords[img]
+        acc, s = coords[images[l]]
         v = acc.get(l)
         if v:
-            sums[s] = sums.get(s, 0) + sign * v
+            sums[s] = sums.get(s, 0) + signs[l] * v
     return sum((Fraction(v, s) for s, v in sums.items()), Fraction(0))

@@ -49,6 +49,13 @@ def pad_ones(lam: Partition, j: int) -> Partition:
     return tuple(lam) + (1,) * j
 
 
+def strip_ones(lam: Partition) -> tuple[Partition, int]:
+    """Split off the trailing blocks of size 1: (head, j) with
+    ``pad_ones(head, j) == lam`` and no part of head equal to 1."""
+    ones = lam.count(1)
+    return lam[: len(lam) - ones], ones
+
+
 def erase_first_column(lam: Partition) -> Partition:
     """Remove one box from every row, dropping rows that empty out."""
     return tuple(p - 1 for p in lam if p > 1)

@@ -113,7 +113,7 @@ class ClassFunction:
 
     @property
     def dim(self) -> Fraction:
-        return self.values[(1,) * self.n] if self.n else Fraction(1)
+        return self.values[(1,) * self.n]
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         if self.n != other.n:

@@ -60,6 +60,7 @@ from .partitions import (
     erase_first_column,
     pad_ones,
     size,
+    strip_ones,
 )
 from .reptheory import (
     IrrDecomposition,
@@ -369,10 +370,7 @@ def verify_vanishing(profile: HomologyProfile) -> list[str]:
     violations = []
     for i, dec in profile.decompositions.items():
         for mu, mult in dec.items():
-            ones = 0
-            while ones < len(mu) and mu[len(mu) - 1 - ones] == 1:
-                ones += 1
-            stripped = mu[: len(mu) - ones]
+            stripped, ones = strip_ones(mu)
             if size(stripped) > bound:
                 violations.append(
                     f"degree {i}: {mu} has multiplicity {mult} but its "

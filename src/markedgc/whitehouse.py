@@ -20,7 +20,7 @@ from math import gcd, lcm
 
 from .complexes import build_complex
 from .homology import HomologyProfile, homology_decomposition
-from .partitions import Partition, cycle_types
+from .partitions import cycle_types
 from .reptheory import (
     ClassFunction,
     IrrDecomposition,
@@ -188,16 +188,13 @@ def _recursion_holds(left: HomologyProfile, lower_r: HomologyProfile,
             if left.dims.get(i, 0)
             else IrrDecomposition(n, {})
         )
-        rhs_mult: dict[Partition, int] = {}
+        rhs = IrrDecomposition(n, {})
         if lower_r.dims.get(i, 0):
-            for lam, m in decompose(lower_r.characters[i]).items():
-                rhs_mult[lam] = rhs_mult.get(lam, 0) + m
+            rhs += decompose(lower_r.characters[i])
         if same_r.dims.get(i - 2, 0):
             standard = IrrDecomposition(n, {(n - 1, 1): 1})
-            chi = same_r.characters[i - 2] * standard.character()
-            for lam, m in decompose(chi).items():
-                rhs_mult[lam] = rhs_mult.get(lam, 0) + m
-        if dict(lhs.items()) != {k: v for k, v in rhs_mult.items() if v}:
+            rhs += decompose(same_r.characters[i - 2] * standard.character())
+        if lhs != rhs:
             return False
     return True
 

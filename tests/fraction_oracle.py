@@ -80,11 +80,11 @@ def reversed_factorization(cols):
 def fraction_trace_on_image(action, factorization):
     """Trace of a signed permutation on the image, from a
     `fraction_column_factorization`, summed one Fraction at a time."""
+    images, signs = action
     pivots, coeffs = factorization
     total = Fraction(0)
     for l in pivots:
-        img, sign = action[l]
-        total += sign * coeffs[img].get(l, Fraction(0))
+        total += signs[l] * coeffs[images[l]].get(l, Fraction(0))
     return total
 
 

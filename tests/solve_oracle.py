@@ -44,13 +44,13 @@ def trace_by_solves(cols: SparseColumns):
     solve = span_solver([cols[l] for l in pivots])
 
     def trace(action) -> Fraction:
+        images, signs = action
         total = Fraction(0)
         for pos, l in enumerate(pivots):
-            img, sign = action[l]
-            coords = solve(cols[img])
+            coords = solve(cols[images[l]])
             if coords is None:
                 raise AssertionError("action left the image subspace")
-            total += sign * coords.get(pos, Fraction(0))
+            total += signs[l] * coords.get(pos, Fraction(0))
         return total
 
     return trace

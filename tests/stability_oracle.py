@@ -33,9 +33,9 @@ def _generating(psi: ChainMap) -> bool:
         psi_cols = psi.cols.get(i, [])
         stacked = []
         for sigma in reps:
-            action = group_action_matrix(target, i, sigma)
+            images, signs = group_action_matrix(target, i, sigma)
             stacked += [
-                {action[row][0]: action[row][1] * v for row, v in col.items()}
+                {images[row]: signs[row] * v for row, v in col.items()}
                 for col in psi_cols
             ]
         if rank(stacked) < dim:

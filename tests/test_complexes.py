@@ -323,16 +323,16 @@ def test_action_is_signed_permutation():
     c = build_complex(1, 3, 2)
     sigma = cycle_type_representative((2, 1))
     for i in c.degrees():
-        images = []
-        for row, sign in group_action_matrix(c, i, sigma):
-            assert sign in (1, -1)
-            images.append(row)
+        images, signs = group_action_matrix(c, i, sigma)
+        assert set(signs) <= {1, -1}
+        assert len(signs) == len(images)
         assert sorted(images) == list(range(c.dim(i)))
 
 
 def as_columns(action):
     """A signed permutation as a sparse matrix, one {row: sign} per column."""
-    return [{row: sign} for row, sign in action]
+    images, signs = action
+    return [{row: sign} for row, sign in zip(images, signs)]
 
 
 def test_action_is_homomorphism():
@@ -388,12 +388,13 @@ def labeled_index(c, i):
 
 def oracle_group_action_matrix(c, i, sigma):
     index = labeled_index(c, i)
-    action = []
+    images, signs = [], []
     for xi, rho in basis_elements(c, i):
         key, sign = labeled_canonical_form(xi.graph, compose(sigma, rho))
         pos, sign2 = index[key]
-        action.append((pos, sign * sign2))
-    return action
+        images.append(pos)
+        signs.append(sign * sign2)
+    return images, signs
 
 
 def oracle_chain_character(c, i):

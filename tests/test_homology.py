@@ -83,6 +83,21 @@ def test_characters_match_dimensions():
         assert profile.decompositions[i].dim == profile.dims[i]
 
 
+def test_character_dimension_is_checked_on_s0(monkeypatch):
+    """On S_0 too, a homology character whose dimension is not the
+    rank-nullity dimension is rejected."""
+    c = build_complex(1, 0, 0)
+    assert homology_decomposition(c).dims == {0: 1}
+    characters = markedgc.homology.homology_characters
+
+    def doubled(c, degrees, ranks):
+        return {i: chi + chi for i, chi in characters(c, degrees, ranks).items()}
+
+    monkeypatch.setattr(markedgc.homology, "homology_characters", doubled)
+    with pytest.raises(AssertionError, match="character dimension 2"):
+        homology_decomposition(c)
+
+
 def test_euler_characteristic_of_homology():
     c = build_complex(2, 4, 4)
     profile = homology_decomposition(c)

@@ -280,7 +280,7 @@ def test_span_solver_requires_independence():
 
 def equivariant_matrix(rng):
     """Columns closed under a signed row permutation tau, with tau's
-    signed permutation of the columns: (cols, action).
+    signed permutation (images, signs) of the columns: (cols, action).
 
     Each orbit is s_k tau^k v for k < L, with L twice the order of tau's
     row permutation (so tau^L = 1) and random signs s_k; tau sends column
@@ -293,24 +293,25 @@ def equivariant_matrix(rng):
     rng.shuffle(perm)
     row_signs = [rng.choice([1, -1]) for _ in range(nrows)]
     period = 2 * lcm(*map(len, perm_cycles(perm)))
-    cols, action = [], []
+    cols, images, signs = [], [], []
     for _ in range(rng.randint(1, 3)):
         vec = {i: rng.randint(-4, 4) for i in range(nrows)}
         vec = {i: v for i, v in vec.items() if v}
-        signs = [rng.choice([1, -1]) for _ in range(period)]
+        orbit_signs = [rng.choice([1, -1]) for _ in range(period)]
         first = len(cols)
         for k in range(period):
             nxt = (k + 1) % period
-            cols.append({i: signs[k] * v for i, v in vec.items()})
-            action.append((first + nxt, signs[k] * signs[nxt]))
+            cols.append({i: orbit_signs[k] * v for i, v in vec.items()})
+            images.append(first + nxt)
+            signs.append(orbit_signs[k] * orbit_signs[nxt])
             vec = {perm[i]: row_signs[i] * v for i, v in vec.items()}
-        assert vec == {i: v * signs[0] for i, v in cols[first].items()}
+        assert vec == {i: v * orbit_signs[0] for i, v in cols[first].items()}
     shuffle = list(range(len(cols)))
     rng.shuffle(shuffle)
     where = {old: new for new, old in enumerate(shuffle)}
     return (
         [cols[old] for old in shuffle],
-        [(where[action[old][0]], action[old][1]) for old in shuffle],
+        ([where[images[old]] for old in shuffle], [signs[old] for old in shuffle]),
     )
 
 
@@ -328,5 +329,5 @@ def test_trace_on_image_signed_permutation(seed):
 
 def test_trace_on_image_identity_action():
     cols = [{0: 1, 1: 2}, {1: 1}, {0: 1, 1: 3}]
-    action = [(j, 1) for j in range(3)]
+    action = ([0, 1, 2], [1, 1, 1])
     assert trace_on_image(action, column_factorization(cols)) == rank(cols)

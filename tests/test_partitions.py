@@ -12,6 +12,7 @@ from markedgc.partitions import (
     pad_ones,
     parse_partition,
     size,
+    strip_ones,
 )
 
 
@@ -75,6 +76,18 @@ def test_pad_ones_and_erase():
     assert pad_ones((2,), 0) == (2,)
     assert erase_first_column((3, 1)) == (2,)
     assert erase_first_column((1, 1)) == ()
+    assert strip_ones((3, 1, 1)) == ((3,), 2)
+    assert strip_ones((2, 2)) == ((2, 2), 0)
+    assert strip_ones((1, 1, 1)) == ((), 3)
+    assert strip_ones(()) == ((), 0)
+
+
+@given(partition_strategy, st.integers(0, 4))
+def test_strip_ones_undoes_pad_ones(lam, j):
+    head, ones = strip_ones(pad_ones(lam, j))
+    assert pad_ones(head, ones) == pad_ones(lam, j)
+    assert 1 not in head
+    assert ones == j + lam.count(1)
 
 
 @given(partition_strategy, st.integers(0, 4))

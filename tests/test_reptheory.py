@@ -102,6 +102,14 @@ def test_sign_character_is_conjugation():
 # decomposition
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_class_function_dim_is_the_identity_value(n):
+    """dim reads the value at (1^n), on S_0 too, where (1^0) = ()."""
+    for value in (0, 1, 3, Fraction(-1, 2)):
+        chi = ClassFunction(n, {mu: Fraction(value) for mu in cycle_types(n)})
+        assert chi.dim == value
+
+
 def test_decompose_regular_representation():
     n = 5
     from math import factorial
