@@ -36,8 +36,9 @@ table and nothing else: degree -> {xi: {rho: position}}.
 A graph never carries its labeling: the labeling is rho alone, and no
 graph is built or canonicalized with one.  The boundary is computed
 once per xi, on [xi, id], as terms [eta, tau] that remember where each
-leg went; the column of [xi, rho] is the same terms relabeled by rho,
-each reduced to its coset minimum with its sign.  The stabilization map
+leg went, each distinct move result canonicalized once; the column of
+[xi, rho] is the same terms relabeled by rho, each reduced to its coset
+minimum with its sign.  The stabilization map
 adjoins its leg once per xi in the same way.  The S_n action is the same
 coset arithmetic, and its one format is a signed permutation (images,
 signs): sigma·[xi, rho] is signs[p]·(basis element images[p]), p the
@@ -45,12 +46,13 @@ position of [xi, rho].  Characters need one action per cycle type;
 `cycle_type_actions` takes coset minima only for (0 1) and the n-cycle
 and composes the rest.
 The enumeration cache (format 2) stores only the xi; a reload accepts
-only admissible classes of the complex's type.
+only admissible classes of the complex's type.  Its checksum is the one
+use of `hashlib`, imported inside `_checksum`, so a run without a cache
+never loads OpenSSL.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from collections.abc import Iterator
@@ -400,30 +402,34 @@ def boundary_terms(xi: OrientedClass) -> dict[tuple[OrientedClass, Permutation],
     tau[k'] + 1 on leg k' (see `_leg_map`).
 
     The moves drop only edge flags and keep the others in order, so the
-    k-th leg of every term is the k-th leg of xi.  An eta whose every
-    labeling vanishes is kept; `build_complex` drops it.
+    k-th leg of every term is the k-th leg of xi.  Moves that give the same
+    graph (contracting parallel edges, say) are summed first, and each
+    distinct graph is validated and canonicalized once, in order of first
+    occurrence: a term first occurs with the first graph that maps to it,
+    so the terms come out in the order of the first move that reaches
+    them.  An eta whose every labeling vanishes is kept; `build_complex`
+    drops it.
     """
     g = xi.graph
-    out: dict[tuple[OrientedClass, Permutation], int] = {}
-
-    def accumulate(result, factor: int):
-        h, s = result
-        bad = validate(h)
-        if bad:
-            raise AssertionError(f"inadmissible boundary term from {encode_graph(g)}: {bad}")
-        form = canonical_form(h)
-        term = (form[0], _leg_map(h, form))
-        out[term] = out.get(term, 0) + factor * s * form[1]
-
+    moves: dict[MarkedGraph, int] = {}
     for e in g.edges:
-        for result in contract_edge(g, e):
-            accumulate(result, 1)
+        for h, s in contract_edge(g, e):
+            moves[h] = moves.get(h, 0) + s
     mark_sign = -1 if g.n_edges % 2 else 1
     for f in range(g.nf):
         if g.adj[f] == g.dv and f not in g.marked:
             result = mark_flag(g, f)
             if result is not None:
-                accumulate(result, mark_sign)
+                h, s = result
+                moves[h] = moves.get(h, 0) + mark_sign * s
+    out: dict[tuple[OrientedClass, Permutation], int] = {}
+    for h, coeff in moves.items():
+        bad = validate(h)
+        if bad:
+            raise AssertionError(f"inadmissible boundary term from {encode_graph(g)}: {bad}")
+        form = canonical_form(h)
+        term = (form[0], _leg_map(h, form))
+        out[term] = out.get(term, 0) + coeff * form[1]
     return {t: v for t, v in out.items() if v}
 
 
@@ -701,6 +707,15 @@ def cache_path(cache_dir: str | Path, g: int, n: int, r: int) -> Path:
     return Path(cache_dir) / f"basis-{g}-{n}-{r}.txt"
 
 
+def _checksum(body: str) -> str:
+    """The cache body's SHA-256 hex digest.  `hashlib` is imported here,
+    not at module level: it loads OpenSSL (about 3.5 MB of resident memory),
+    which only cache I/O needs."""
+    import hashlib
+
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
 def save_enumeration(
     cache_dir: str | Path, g: int, n: int, r: int, classes: BasisPairs
 ) -> Path:
@@ -716,7 +731,7 @@ def save_enumeration(
         "n": n,
         "r": r,
         "count": len(classes),
-        "checksum": hashlib.sha256(body.encode()).hexdigest(),
+        "checksum": _checksum(body),
     }
     path = cache_path(cache_dir, g, n, r)
     # write a sibling temp file and rename it over the cache, so an
@@ -752,7 +767,7 @@ def load_enumeration(
             header.get("g"), header.get("n"), header.get("r")
         ) != (g, n, r):
             return None
-        if hashlib.sha256(body.encode()).hexdigest() != header["checksum"]:
+        if _checksum(body) != header["checksum"]:
             return None
         xis = []
         last = None

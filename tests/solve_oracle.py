@@ -22,7 +22,7 @@ def span_solver(basis: SparseColumns):
     maps a sparse target vector to its coordinate dict, or None when the
     target lies outside the span.
     """
-    echelon: Echelon = []
+    echelon: Echelon = {}
     for j, col in enumerate(basis):
         if not _push(echelon, _reduce(echelon, {**col, ~j: 1})[0]):
             raise ValueError("span_solver requires independent columns")

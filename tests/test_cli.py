@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import markedgc
 import markedgc.homology
 import markedgc.stability
 from markedgc.cli import (
@@ -246,6 +251,41 @@ def test_cache_dir_roundtrip(capsys, tmp_path):
     )
     assert code1 == code2 == EXIT_OK
     assert payload1 == payload2
+
+
+FOOTPRINT = """
+import contextlib, io, sys
+from markedgc.cli import main
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0, argv
+    return out.getvalue()
+
+run("homology", "--g", "2", "--n", "3", "--r", "3")
+run("stability", "--g", "1", "--l", "1", "--window", "4")
+loaded = {"hashlib", "_hashlib"} & set(sys.modules)
+assert not loaded, f"loaded without cache I/O: {sorted(loaded)}"
+cache = ["complex", "--g", "2", "--n", "3", "--r", "3", "--cache-dir", sys.argv[1]]
+first = run(*cache)
+assert "hashlib" in sys.modules
+assert run(*cache) == first
+"""
+
+
+def test_only_cache_io_loads_hashlib(tmp_path):
+    # in a fresh interpreter: pytest and the tests import hashlib themselves
+    src = str(Path(markedgc.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "basis-2-3-3.txt").exists()
 
 
 @pytest.mark.parametrize("blocker", ["directory at the cache file", "file as cache dir"])

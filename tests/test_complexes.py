@@ -26,6 +26,7 @@ from markedgc.complexes import (
     _compose_sparse,
     _core_classes,
     _leg_distributions,
+    _leg_map,
     _skeletons,
     core_types,
 )
@@ -622,6 +623,50 @@ def test_moves_match_order_taking_oracle(key):
         h, eo2, do2 = moves_oracle.add_marked_leg(g, eo, do)
         assert add_marked_leg(g) == h
         assert reference_sign(h, eo2, do2) == 1
+
+
+def per_move_boundary_terms(xi):
+    """`boundary_terms` as it was before moves were summed per result
+    graph: every move is validated and canonicalized on its own."""
+    g = xi.graph
+    out = {}
+
+    def accumulate(result, factor):
+        h, s = result
+        bad = validate(h)
+        if bad:
+            raise AssertionError(f"inadmissible boundary term from {encode_graph(g)}: {bad}")
+        form = canonical_form(h)
+        term = (form[0], _leg_map(h, form))
+        out[term] = out.get(term, 0) + factor * s * form[1]
+
+    for e in g.edges:
+        for result in contract_edge(g, e):
+            accumulate(result, 1)
+    mark_sign = -1 if g.n_edges % 2 else 1
+    for f in range(g.nf):
+        if g.adj[f] == g.dv and f not in g.marked:
+            result = mark_flag(g, f)
+            if result is not None:
+                accumulate(result, mark_sign)
+    return {t: v for t, v in out.items() if v}
+
+
+@pytest.mark.parametrize(
+    "key", d2_grid_cases() + [(2, 5, 5), (2, 6, 6), (3, 6, 7)], ids=str
+)
+def test_boundary_terms_match_per_move_oracle(key):
+    """Same terms, coefficients and term order as canonicalizing every
+    move on its own, or the same error where a move is inadmissible."""
+    for xi in enumerate_unlabeled_classes(*key):
+        try:
+            expected = list(per_move_boundary_terms(xi).items())
+        except AssertionError as failure:
+            with pytest.raises(AssertionError) as got:
+                boundary_terms(xi)
+            assert str(got.value) == str(failure)
+        else:
+            assert list(boundary_terms(xi).items()) == expected
 
 
 # ---------------------------------------------------------------------------

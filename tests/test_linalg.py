@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import markedgc.linalg
+import solve_oracle
 from markedgc.complexes import build_complex, group_action_matrix
 from markedgc.linalg import (
     column_factorization,
@@ -20,6 +21,7 @@ from fraction_oracle import (
     reversed_factorization,
 )
 from rank_oracle import markowitz_rank
+from scan_oracle import scan_reduce
 from solve_oracle import span_solver, trace_by_solves
 
 
@@ -113,8 +115,8 @@ def test_rank_edge_cases():
 
 
 def test_rank_carries_no_coordinates(monkeypatch):
-    """`rank` pushes bare rows: every echelon entry is (pivot_row, vector)
-    with only row keys, none of the coordinate keys ~l < 0."""
+    """`rank` pushes bare rows: every echelon entry pivot_row: (position,
+    vector) has only row keys, none of the coordinate keys ~l < 0."""
     echelons = {}
     push = markedgc.linalg._push
 
@@ -127,8 +129,53 @@ def test_rank_carries_no_coordinates(monkeypatch):
     assert rank(cols) == markowitz_rank(cols) > 0
     assert echelons
     for echelon in echelons.values():
-        for pivot_row, vec in echelon:
+        for pivot_row, (_, vec) in echelon.items():
             assert pivot_row in vec and min(vec) >= 0
+
+
+def assert_matches_scan(monkeypatch, cols):
+    """`rank`, `column_factorization` and `span_solver` give exactly what
+    they give on the full-scan `_reduce`: every reduction returns the
+    scan's (w, s) with w in the same key order, and so do the results."""
+
+    def checked(echelon, vec):
+        got = reduce(echelon, vec)
+        expected = scan_reduce(echelon, vec)
+        assert list(got[0].items()) == list(expected[0].items())
+        assert got[1] == expected[1]
+        return got
+
+    def results():
+        factorization = column_factorization(cols)
+        solved = []
+        if factorization[0]:
+            solve = span_solver([cols[l] for l in factorization[0]])
+            solved = [solve(col) for col in cols]
+        return rank(cols), rank(transpose(cols)), factorization, solved
+
+    reduce = markedgc.linalg._reduce
+    with monkeypatch.context() as m:
+        m.setattr(markedgc.linalg, "_reduce", scan_reduce)
+        m.setattr(solve_oracle, "_reduce", scan_reduce)
+        expected = results()
+    with monkeypatch.context() as m:
+        m.setattr(markedgc.linalg, "_reduce", checked)
+        m.setattr(solve_oracle, "_reduce", checked)
+        got = results()
+    assert repr(got) == repr(expected)  # dict orders too
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_reduce_matches_full_scan(monkeypatch, seed):
+    rng = random.Random(seed)
+    bound = rng.choice([5, 1000])
+    nrows = rng.randint(1, 16)
+    cols = random_cols(
+        rng, nrows, rng.randint(1, 16), rng.uniform(0.1, 0.7), -bound, bound
+    )
+    for _ in range(rng.randint(0, 6)):
+        cols.insert(rng.randint(0, len(cols)), combine(rng, cols, -3, 3))
+    assert_matches_scan(monkeypatch, cols)
 
 
 def test_column_factorization_fixed_case():
@@ -221,6 +268,13 @@ def test_rank_matches_markowitz_oracle_on_differentials(key):
         expected = markowitz_rank(cols)
         assert rank(cols) == expected
         assert rank(transpose(cols)) == markowitz_rank(transpose(cols)) == expected
+
+
+@pytest.mark.parametrize("key", ACCEPTANCE_COMPLEXES)
+def test_reduce_matches_full_scan_on_differentials(monkeypatch, key):
+    c = build_complex(*key)
+    for i in c.degrees():
+        assert_matches_scan(monkeypatch, c.diff.get(i, []))
 
 
 @pytest.mark.parametrize("key", ACCEPTANCE_COMPLEXES)
