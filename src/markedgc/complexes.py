@@ -46,9 +46,9 @@ position of [xi, rho].  Characters need one action per cycle type;
 `cycle_type_actions` takes coset minima only for (0 1) and the n-cycle
 and composes the rest.
 The enumeration cache (format 2) stores only the xi; a reload accepts
-only admissible classes of the complex's type.  Its checksum is the one
-use of `hashlib`, imported inside `_checksum`, so a run without a cache
-never loads OpenSSL.
+only admissible classes of the complex's type.  Its SHA-256 checksum
+comes from the interpreter's built-in module; `hashlib`, whose OpenSSL
+costs about 3.5 MB of resident memory, is only the fallback.
 """
 
 from __future__ import annotations
@@ -707,13 +707,23 @@ def cache_path(cache_dir: str | Path, g: int, n: int, r: int) -> Path:
     return Path(cache_dir) / f"basis-{g}-{n}-{r}.txt"
 
 
-def _checksum(body: str) -> str:
-    """The cache body's SHA-256 hex digest.  `hashlib` is imported here,
-    not at module level: it loads OpenSSL (about 3.5 MB of resident memory),
-    which only cache I/O needs."""
-    import hashlib
+@cache
+def _lean_sha256():
+    """`sha256` from the built-in `_sha2` (3.12+) or `_sha256`, as `random`
+    takes its `sha512`; `hashlib` is the fallback.  Imported on first use."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
 
-    return hashlib.sha256(body.encode()).hexdigest()
+
+def _checksum(body: str) -> str:
+    """The cache body's SHA-256 hex digest."""
+    return _lean_sha256()(body.encode()).hexdigest()
 
 
 def save_enumeration(

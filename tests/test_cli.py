@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ from markedgc.cli import (
     build_parser,
     main,
 )
+from markedgc.complexes import cache_path, enumerate_marked_graphs, load_enumeration
 
 
 def run(capsys, *argv):
@@ -253,39 +255,80 @@ def test_cache_dir_roundtrip(capsys, tmp_path):
     assert payload1 == payload2
 
 
-FOOTPRINT = """
-import contextlib, io, sys
-from markedgc.cli import main
-
-def run(*argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(list(argv)) == 0, argv
-    return out.getvalue()
-
-run("homology", "--g", "2", "--n", "3", "--r", "3")
-run("stability", "--g", "1", "--l", "1", "--window", "4")
-loaded = {"hashlib", "_hashlib"} & set(sys.modules)
-assert not loaded, f"loaded without cache I/O: {sorted(loaded)}"
-cache = ["complex", "--g", "2", "--n", "3", "--r", "3", "--cache-dir", sys.argv[1]]
-first = run(*cache)
-assert "hashlib" in sys.modules
-assert run(*cache) == first
-"""
-
-
-def test_only_cache_io_loads_hashlib(tmp_path):
-    # in a fresh interpreter: pytest and the tests import hashlib themselves
+def run_fresh(script, *args):
+    """Run ``script`` in a fresh interpreter that imports this tree's
+    `markedgc`; pytest and the tests import hashlib themselves."""
     src = str(Path(markedgc.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT, str(tmp_path)],
+        [sys.executable, "-c", script, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "basis-2-3-3.txt").exists()
+    return proc.stdout
+
+
+FOOTPRINT = """
+import contextlib, io, sys
+from markedgc.cli import main
+from markedgc.complexes import load_enumeration
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0, argv
+    loaded = {"hashlib", "_hashlib"} & set(sys.modules)
+    assert not loaded, f"{argv[0]} loaded {sorted(loaded)}"
+    return out.getvalue()
+
+run("homology", "--g", "2", "--n", "3", "--r", "3")
+run("stability", "--g", "1", "--l", "1", "--window", "4")
+for command in ("enumerate", "complex"):
+    cache_dir = f"{sys.argv[1]}/{command}"
+    cache = [command, "--g", "2", "--n", "3", "--r", "3", "--cache-dir", cache_dir]
+    first = run(*cache)
+    assert run(*cache) == first
+    assert load_enumeration(cache_dir, 2, 3, 3) is not None
+"""
+
+
+def test_no_command_loads_openssl(tmp_path):
+    # with and without a cache, no command imports hashlib or _hashlib
+    run_fresh(FOOTPRINT, str(tmp_path))
+    for command in ("enumerate", "complex"):
+        assert (tmp_path / command / "basis-2-3-3.txt").exists()
+
+
+FALLBACK = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import contextlib, io, json
+from markedgc.cli import main
+from markedgc.complexes import _checksum, load_enumeration
+
+argv = ["complex", "--g", "2", "--n", "3", "--r", "3", "--cache-dir", sys.argv[1]]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(argv) == 0
+assert "hashlib" in sys.modules
+assert load_enumeration(sys.argv[1], 2, 3, 3) is not None
+print(json.dumps([_checksum(body) for body in json.loads(sys.argv[2])]))
+"""
+
+
+def test_checksum_falls_back_to_hashlib(tmp_path):
+    # without the interpreter's built-in SHA-256 modules the checksum
+    # comes from hashlib: same digests, the same cache bytes, reread
+    lean, fallback = tmp_path / "lean", tmp_path / "fallback"
+    assert enumerate_marked_graphs(2, 3, 3, cache_dir=lean)
+    written = cache_path(lean, 2, 3, 3).read_text()
+    bodies = ["", "0|1|0|0,0,0|0,1,2|0,1,2|*\n", written.partition("\n")[2]]
+    digests = json.loads(run_fresh(FALLBACK, str(fallback), json.dumps(bodies)))
+    assert digests == [hashlib.sha256(b.encode()).hexdigest() for b in bodies]
+    assert cache_path(fallback, 2, 3, 3).read_text() == written
+    reread = load_enumeration(fallback, 2, 3, 3)
+    assert reread == enumerate_marked_graphs(2, 3, 3, None)
 
 
 @pytest.mark.parametrize("blocker", ["directory at the cache file", "file as cache dir"])

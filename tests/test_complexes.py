@@ -22,6 +22,7 @@ from markedgc.complexes import (
     save_enumeration,
     stabilization_map,
     _assemble,
+    _checksum,
     _check_d_squared,
     _compose_sparse,
     _core_classes,
@@ -978,6 +979,15 @@ def test_cache_format_2_bytes_are_pinned(tmp_path):
     assert path.read_text() == B_1_3_2_CACHE
     path.write_text(B_1_3_2_CACHE)
     assert load_enumeration(tmp_path, 1, 3, 2) == enumerate_marked_graphs(1, 3, 2, None)
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["", "0|1|0|0,0,0|0,1,2|0,1,2|*\n", B_1_3_2_CACHE.partition("\n")[2]],
+    ids=["empty", "one line", "cache body"],
+)
+def test_checksum_is_hashlib_sha256(body):
+    assert _checksum(body) == hashlib.sha256(body.encode()).hexdigest()
 
 
 def test_cache_lines_with_leg_labels_are_recomputed_and_rewritten(tmp_path, capsys):

@@ -216,6 +216,24 @@ def test_validate_matches_rescanning_oracle_on_enumerated_graphs():
                 assert validate(cut) == oracle_validate(cut)
 
 
+def test_validate_reports_every_clause_in_order():
+    # flag 0 is a leg at dv; vertex 1 carries a tadpole marked on both
+    # flags; flag 3 is a leg at vertex 2, which nothing joins
+    g = MarkedGraph(
+        nv=3, dv=0, adj=(0, 1, 1, 2), inv=(0, 2, 1, 3), marked=frozenset({1, 2})
+    )
+    expected = [
+        "graph is not connected",
+        "neutral vertex 1 has valence < 3",
+        "neutral vertex 2 has valence < 3",
+        "tadpole at neutral vertex 1",
+        "edge (1,2) marked on both flags",
+        "marked flag 1 not at the distinguished vertex",
+        "marked flag 2 not at the distinguished vertex",
+    ]
+    assert validate(g) == oracle_validate(g) == expected
+
+
 def graph_type(g):
     return g.genus, g.n_legs, g.n_marked
 
