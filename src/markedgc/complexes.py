@@ -35,10 +35,10 @@ every labeling and is left out.  `EquivariantComplex.basis` is this
 table and nothing else: degree -> {xi: {rho: position}}.
 A graph never carries its labeling: the labeling is rho alone, and no
 graph is built or canonicalized with one.  The boundary is computed
-once per xi, on [xi, id], as terms [eta, tau] that remember where each
-leg went, each distinct move result canonicalized once; the column of
-[xi, rho] is the same terms relabeled by rho, each reduced to its coset
-minimum with its sign.  The stabilization map
+once per xi per process, on [xi, id], as terms [eta, tau] that remember
+where each leg went, each distinct move result canonicalized once; the
+column of [xi, rho] is the same terms relabeled by rho, each reduced to
+its coset minimum with its sign.  The stabilization map
 adjoins its leg once per xi in the same way.  The S_n action is the same
 coset arithmetic, and its one format is a signed permutation (images,
 signs): sigma·[xi, rho] is signs[p]·(basis element images[p]), p the
@@ -393,9 +393,14 @@ def _leg_map(h: MarkedGraph, form) -> Permutation:
     tau = [0] * len(index)
     for k, f in enumerate(h.legs):
         tau[index[form.phi[f]]] = k
-    return tuple(tau)
+    tau = tuple(tau)
+    return _leg_maps.setdefault(tau, tau)
 
 
+_leg_maps: dict[Permutation, Permutation] = {}  # one tuple per distinct tau
+
+
+@cache
 def boundary_terms(xi: OrientedClass) -> dict[tuple[OrientedClass, Permutation], int]:
     """The differential of [xi, id] as {(eta, tau): coefficient}, where the
     term (eta, tau) is eta in its reference orientation with label
@@ -408,7 +413,7 @@ def boundary_terms(xi: OrientedClass) -> dict[tuple[OrientedClass, Permutation],
     occurrence: a term first occurs with the first graph that maps to it,
     so the terms come out in the order of the first move that reaches
     them.  An eta whose every labeling vanishes is kept; `build_complex`
-    drops it.
+    drops it.  Computed once per class and process; callers only read it.
     """
     g = xi.graph
     moves: dict[MarkedGraph, int] = {}

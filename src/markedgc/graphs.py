@@ -17,21 +17,25 @@ class's.
 
 There is one graph search, `canonical_form`'s: it tries the vertex
 orderings that vertex invariants allow and keeps the least encoding, and
-the orderings that tie for it are the graph's automorphisms.  A class
-carries its leg group, the action of its automorphisms on its legs with
-their det-signs, read from the ties of the search that created the class;
-it decides both whether the class vanishes under every labeling and how
-S_n acts on its labelings.  It is kept as the search finds it, twin
-blocks times the leg actions of the ties, and only `LegGroup.elements`
-lists it: `LegGroup.coset_min` sorts a labeling within each block, once
-per tie, and takes the sort's sign on marked blocks.
+the orderings that tie for it are the graph's automorphisms.  It reads
+the flags once for the invariants, tries one ordering when they tell
+every neutral vertex apart, and signs a flag map by counting inversions.
+A class carries its leg group, the action of its automorphisms on its
+legs with their det-signs, read from the ties of the search that created
+the class; it decides both whether the class vanishes under every
+labeling and how S_n acts on its labelings.  It is kept as the search
+finds it, twin blocks times the leg actions of the ties, and only
+`LegGroup.elements` lists it: `LegGroup.coset_min` sorts a labeling
+within each block, once per tie, and takes the sort's sign on marked
+blocks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect, insort
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 from .reptheory import Permutation, perm_sign
 
@@ -339,104 +343,6 @@ class OrientedClass:
         return hash(self.key)
 
 
-def _vertex_invariant(g: MarkedGraph, v: int):
-    inv, adj, dv, marked = g.inv, g.adj, g.dv, g.marked
-    flags = g.flags_at(v)
-    n_legs = n_marked = to_dv = here = 0
-    for f in flags:
-        if f in marked:
-            n_marked += 1
-        partner = inv[f]
-        if partner == f:
-            n_legs += 1
-            here += 1
-        else:
-            if adj[partner] == dv:
-                to_dv += 1
-            if adj[partner] == v:
-                here += 1
-    return (
-        v != dv,
-        len(flags),
-        n_legs,
-        n_marked,
-        to_dv,
-        here,  # flags whose partner is at v: legs and tadpole flags
-    )
-
-
-def _neutral_orderings(g: MarkedGraph):
-    """Vertex orderings (dv first) compatible with invariant classes."""
-    classes: dict[tuple, list[int]] = {}
-    for v in range(g.nv):
-        if v == g.dv:
-            continue
-        classes.setdefault(_vertex_invariant(g, v), []).append(v)
-    keys = sorted(classes)
-    pools = [classes[k] for k in keys]
-
-    def rec(i: int, prefix: tuple[int, ...]):
-        if i == len(pools):
-            yield prefix
-            return
-        for perm in permutations(pools[i]):
-            yield from rec(i + 1, prefix + perm)
-
-    yield from rec(0, (g.dv,))
-
-
-def _flag_assignment(g: MarkedGraph, vorder: tuple[int, ...]):
-    """Deterministic flag numbering for a given vertex ordering.
-
-    Returns (encoding, phi) with phi the map old flag -> new index.
-    """
-    adj, inv, marked = g.adj, g.inv, g.marked
-    nf = len(adj)
-    vindex = [0] * g.nv
-    for i, v in enumerate(vorder):
-        vindex[v] = i
-    phi = [-1] * nf
-    new_adj = [0] * nf
-    new_inv = [0] * nf
-    new_marked = []
-    n = 0
-    for i, v in enumerate(vorder):
-        # Each vertex's keys are sorted once.  Numbering a flag changes
-        # only its partner's key, and only while that partner waits here
-        # (a tadpole): it then becomes the least key, so the partner is
-        # numbered next, and tadpole and parallel-edge pairings do not
-        # depend on input flag ids.
-        keys = []
-        for f in g.flags_at(v):
-            partner = inv[f]
-            if partner == f:
-                keys.append((1, f in marked, f))
-            elif phi[partner] != -1:
-                keys.append((0, phi[partner], f))
-            else:
-                keys.append(
-                    (2, vindex[adj[partner]], f in marked, partner in marked, f)
-                )
-        keys.sort()
-        for key in keys:
-            f = key[-1]
-            while phi[f] == -1:
-                phi[f] = n
-                new_adj[n] = i
-                if f in marked:
-                    new_marked.append(n)
-                partner = inv[f]
-                if partner == f:
-                    new_inv[n] = n
-                elif phi[partner] != -1:
-                    new_inv[n], new_inv[phi[partner]] = phi[partner], n
-                elif adj[partner] == v:
-                    f = partner  # the tadpole's other flag, numbered next
-                n += 1
-    encoding = (g.nv, nf, tuple(new_adj), tuple(new_inv), tuple(new_marked))
-    return encoding, tuple(phi)
-
-
 class CanonicalForm(tuple):
     """The ``(class, sign)`` pair returned by `canonical_form`.
 
@@ -469,16 +375,89 @@ def canonical_form(g: MarkedGraph) -> tuple[OrientedClass, int]:
 
 
 def _least_encoding(g: MarkedGraph) -> tuple[tuple, list[tuple[int, ...]]]:
-    """The least encoding over the vertex orderings `_neutral_orderings`
-    allows, with the flag map of every ordering that reaches it, in the
-    order they are found."""
+    """The least encoding (nv, nf, adj, inv, marked) over the vertex
+    orderings that vertex invariants allow, with the flag map of every
+    ordering that reaches it, in the order they are found.
+
+    One pass over the flags lists each vertex's flags and counts its
+    invariant: flags, legs, marks, edge flags to dv, and flags whose
+    partner is here.  An ordering is dv, then the pools of equal
+    invariant in increasing order, each permuted; a discrete partition
+    leaves one.  Each vertex's keys are sorted once.  Numbering a flag
+    changes only its partner's key, and only while that partner waits
+    here (a tadpole): it then becomes the least key, so the partner is
+    numbered next, and tadpole and parallel-edge pairings do not depend
+    on input flag ids.
+    """
+    nv, dv, adj, inv, marked = g.nv, g.dv, g.adj, g.inv, g.marked
+    nf = len(adj)
+    flags: list[list[int]] = [[] for _ in range(nv)]
+    counts = [[0, 0, 0, 0, 0] for _ in range(nv)]
+    for f, v in enumerate(adj):
+        flags[v].append(f)
+        partner = inv[f]
+        w = adj[partner]
+        count = counts[v]
+        count[0] += 1
+        count[1] += partner == f
+        count[2] += f in marked
+        count[3] += partner != f and w == dv
+        count[4] += w == v
+    pools: dict[tuple, list[int]] = {}
+    for v in range(nv):
+        if v != dv:
+            pools.setdefault(tuple(counts[v]), []).append(v)
+    invariants = sorted(pools)
+    if len(invariants) == nv - 1:
+        orderings = [(dv, *[pools[k][0] for k in invariants])]
+    else:
+        orderings = (
+            (dv, *chain.from_iterable(parts))
+            for parts in product(*[permutations(pools[k]) for k in invariants])
+        )
     best, ties = None, []
-    for vorder in _neutral_orderings(g):
-        encoding, phi = _flag_assignment(g, vorder)
+    for vorder in orderings:
+        vindex = [0] * nv
+        for i, v in enumerate(vorder):
+            vindex[v] = i
+        phi = [-1] * nf
+        new_adj = [0] * nf
+        new_inv = [0] * nf
+        new_marked = []
+        n = 0
+        for i, v in enumerate(vorder):
+            keys = []
+            for f in flags[v]:
+                partner = inv[f]
+                if partner == f:
+                    keys.append((1, f in marked, f))
+                elif phi[partner] != -1:
+                    keys.append((0, phi[partner], f))
+                else:
+                    keys.append(
+                        (2, vindex[adj[partner]], f in marked, partner in marked, f)
+                    )
+            keys.sort()
+            for key in keys:
+                f = key[-1]
+                while phi[f] == -1:
+                    phi[f] = n
+                    new_adj[n] = i
+                    if f in marked:
+                        new_marked.append(n)
+                    partner = inv[f]
+                    if partner == f:
+                        new_inv[n] = n
+                    elif phi[partner] != -1:
+                        new_inv[n], new_inv[phi[partner]] = phi[partner], n
+                    elif adj[partner] == v:
+                        f = partner  # the tadpole's other flag, numbered next
+                    n += 1
+        encoding = (nv, nf, tuple(new_adj), tuple(new_inv), tuple(new_marked))
         if best is None or encoding < best:
-            best, ties = encoding, [phi]
+            best, ties = encoding, [tuple(phi)]
         elif encoding == best:
-            ties.append(phi)
+            ties.append(tuple(phi))
     return best, ties
 
 
@@ -489,15 +468,22 @@ def _graph_of(encoding: tuple) -> MarkedGraph:
 
 def _orientation_sign(g: MarkedGraph, phi: tuple[int, ...]) -> int:
     """Sign of the flag map ``phi`` from ``g`` onto its class graph on
-    det(E) x det^{-1}(D): g's sorted orders, mapped by phi, against the
-    class graph's sorted orders.  Those sort edges by their lower flag
-    and marks by flag, so each sign is the sign of the sort of the
-    mapped lower flags, or of the mapped marks."""
-    lows = [min(phi[f1], phi[f2]) for f1, f2 in g.edges]
-    marks = [phi[f] for f in sorted(g.marked)]
-    return perm_sign(sorted(range(len(lows)), key=lows.__getitem__)) * perm_sign(
-        sorted(range(len(marks)), key=marks.__getitem__)
-    )
+    det(E) x det^{-1}(D).  The class graph sorts edges by lower flag and
+    marks by flag, so the sign is the parity of the inversions among the
+    mapped lower flags of g's sorted edges plus those among its mapped
+    sorted marks, each counted against the sorted values before it."""
+    inversions = 0
+    before: list[int] = []
+    for f, p in enumerate(g.inv):
+        if f < p:
+            low = phi[f] if phi[f] < phi[p] else phi[p]
+            inversions += len(before) - bisect(before, low)
+            insort(before, low)
+    before = []
+    for f in sorted(g.marked):
+        inversions += len(before) - bisect(before, phi[f])
+        insort(before, phi[f])
+    return -1 if inversions % 2 else 1
 
 
 # ---------------------------------------------------------------------------

@@ -358,7 +358,7 @@ def perm_cycle_type(p: Permutation) -> Partition:
 
 def perm_sign(p) -> int:
     """Sign of a 0-indexed permutation given as any sequence of images."""
-    # a bare cycle walk: canonical forms call this for every orientation
+    # a bare cycle walk: coset minima call this for every marked block they sort
     seen = [False] * len(p)
     sign = 1
     for i in range(len(p)):

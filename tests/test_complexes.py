@@ -670,6 +670,29 @@ def test_boundary_terms_match_per_move_oracle(key):
             assert list(boundary_terms(xi).items()) == expected
 
 
+def test_boundary_is_computed_once_per_class(monkeypatch):
+    """B(2,5,4) contains every class of B(2,5,5): building it next computes
+    no class's boundary twice, and gives the differential that a build
+    from an empty memo gives."""
+    requested = []
+
+    def spy(xi):
+        requested.append(xi)
+        return boundary_terms(xi)
+
+    monkeypatch.setattr(markedgc.complexes, "boundary_terms", spy)
+    boundary_terms.cache_clear()
+    build_complex(2, 5, 5)
+    first = set(requested)
+    after = build_complex(2, 5, 4)
+    assert first < set(requested)
+    info = boundary_terms.cache_info()
+    assert (info.hits, info.misses) == (len(first), len(set(requested)))
+    boundary_terms.cache_clear()
+    fresh = build_complex(2, 5, 4)
+    assert (after.basis, after.diff) == (fresh.basis, fresh.diff)
+
+
 # ---------------------------------------------------------------------------
 # the labeled path, kept as an oracle: every labeled class is canonicalized
 # as a labeled graph by `labeled_canonical_form`, and the boundary and the

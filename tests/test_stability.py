@@ -16,7 +16,7 @@ from markedgc.complexes import (
 from markedgc.graphs import MarkedGraph, canonical_form, validate
 from markedgc.homology import homology_decomposition
 from markedgc.partitions import enumerate_partitions, size
-from markedgc.reptheory import decompose, tensor_sign
+from markedgc.reptheory import decompose, induce_from_subgroup, tensor_sign
 from markedgc.stability import (
     _generating,
     _injective,
@@ -36,7 +36,7 @@ from markedgc.stability import (
     verify_vanishing,
 )
 from enumeration_oracle import _edge_multisets
-from fraction_oracle import assert_decompose_matches
+from fraction_oracle import fraction_decompose
 from stability_oracle import conditions as rank_conditions
 
 
@@ -453,17 +453,25 @@ def test_vanishing_assertions_hold(key):
 
 
 def test_core_modules_of_genus_two_suites_match_fraction_oracle(monkeypatch):
-    """Every character `core_module` decomposes in the genus-2 core-bounds
-    and edge-cut-rows suites gives the Fraction oracle's decomposition."""
+    """Every module `core_module` returns in the genus-2 core-bounds and
+    edge-cut-rows suites, memoised or not, is the Fraction oracle's
+    decomposition of the class's own induced character."""
     seen = []
 
-    def spy(chi):
-        seen.append(chi)
-        return decompose(chi)
+    def spy(xi):
+        module = core_module(xi)
+        seen.append((xi, module))
+        return module
 
-    monkeypatch.setattr(markedgc.stability, "decompose", spy)
+    monkeypatch.setattr(markedgc.stability, "core_module", spy)
     assert verify_core_bounds(2, ell_max=2) == []
     assert verify_edge_cut_rows(2, ell_max=1) == []
     assert len(seen) > 100
-    for chi in seen:
-        assert_decompose_matches(chi)
+    expected = {}
+    for xi, module in seen:
+        if xi not in expected:
+            group = xi.leg_group
+            expected[xi] = None if group is None else fraction_decompose(
+                induce_from_subgroup(group.n, group.elements())
+            )
+        assert module == expected[xi]
