@@ -3,7 +3,8 @@ chain complexes B(g, n, r).
 
 One loop, `_core_classes`, enumerates cores: classes with no marked
 legs.  Every class is, uniquely, a core with marked legs added at the
-distinguished vertex, and `enumerate_unlabeled_classes` builds it so.
+distinguished vertex, and `enumerate_unlabeled_classes` builds it so,
+with `graphs.add_marked_legs` and no search.
 A core is its skeleton, the bare edge multigraph, decorated with legs
 and marks.  `_skeletons` generates the skeletons up to isomorphism, with
 the neutral vertices in non-increasing order of (edge valence, edges to
@@ -34,12 +35,18 @@ class without one (an odd automorphism fixes every leg) vanishes under
 every labeling and is left out.  `EquivariantComplex.basis` is this
 table and nothing else: degree -> {xi: {rho: position}}.
 A graph never carries its labeling: the labeling is rho alone, and no
-graph is built or canonicalized with one.  The boundary is computed
-once per xi per process, on [xi, id], as terms [eta, tau] that remember
-where each leg went, each distinct move result canonicalized once; the
-column of [xi, rho] is the same terms relabeled by rho, each reduced to
-its coset minimum with its sign.  The stabilization map
-adjoins its leg once per xi in the same way.  The S_n action is the same
+graph is built or canonicalized with one.  The boundary of [xi, id] is
+a set of terms [eta, tau] that remember where each leg went.  The moves
+run only on cores, once per core and process, each distinct move result
+validated and canonicalized once (`_core_boundary`).  The moves never
+touch marked legs and commute with adding them, so the boundary of a
+core plus j marked legs is its core's with the legs inserted term by
+term, found with no move, `validate` or search: the legs add no neutral
+valence, edge or neutral mark, so each lifted term is admissible because
+its core term is (proved at `_core_boundary`).  The column of [xi, rho]
+is the terms relabeled by rho, each reduced to its coset minimum with
+its sign.  The stabilization map adjoins its leg once per xi, with
+`graphs.add_marked_legs`.  The S_n action is the same
 coset arithmetic, and its one format is a signed permutation (images,
 signs): sigma·[xi, rho] is signs[p]·(basis element images[p]), p the
 position of [xi, rho].  Characters need one action per cycle type;
@@ -69,12 +76,15 @@ from .graphs import (
     MarkedGraph,
     OrientedClass,
     _least_encoding,
+    add_marked_leg,
+    add_marked_legs,
     canonical_form,
     contract_edge,
-    add_marked_leg,
+    core_class,
     decode_graph,
     degree,
     encode_graph,
+    insert_marked_legs,
     mark_flag,
     validate,
 )
@@ -321,10 +331,7 @@ def enumerate_unlabeled_classes(g: int, n: int, r: int) -> list[OrientedClass]:
     seen: dict[tuple, OrientedClass] = {}
     for j, u in core_types(g, n, r):
         for xi in _core_classes(g, n - j, u):
-            graph = xi.graph
-            for _ in range(j):
-                graph = add_marked_leg(graph)
-            cls = canonical_form(graph)[0] if j else xi
+            cls = add_marked_legs(xi, j)[0]
             seen[cls.key] = cls
     return [seen[k] for k in sorted(seen)]
 
@@ -400,42 +407,123 @@ def _leg_map(h: MarkedGraph, form) -> Permutation:
 _leg_maps: dict[Permutation, Permutation] = {}  # one tuple per distinct tau
 
 
-@cache
 def boundary_terms(xi: OrientedClass) -> dict[tuple[OrientedClass, Permutation], int]:
     """The differential of [xi, id] as {(eta, tau): coefficient}, where the
     term (eta, tau) is eta in its reference orientation with label
-    tau[k'] + 1 on leg k' (see `_leg_map`).
+    tau[k'] + 1 on leg k' (see `_leg_map`), in the order of the first move
+    that reaches each term.
+
+    xi is its core kappa with j marked legs inserted after kappa's b dv
+    legs (`graphs.core_class`), and the moves run on kappa alone
+    (`_core_boundary`, once per core and process).  Each term of xi is
+    the matching term of kappa with the j legs inserted where the move
+    loop on xi has them: after the term's marked dv legs that came from
+    kappa's dv legs (tau[k'] < b), before those that a marked-edge
+    contraction brought from a neutral vertex.  Its coefficient is
+    kappa's, times (-1)^j for a mark on an edge flag.  An eta whose
+    every labeling vanishes is kept; `build_complex` drops it.
+    """
+    kappa, j, b = core_class(xi)
+    records, bad = _core_boundary(kappa)
+    if bad:
+        raise AssertionError(f"inadmissible boundary term from {encode_graph(xi.graph)}: {bad}")
+    if not j:
+        return {(eta, tau): coeff for eta, tau, coeff, _, _ in records}
+    flip = -1 if j % 2 else 1
+    new = list(range(b, b + j))
+    out: dict[tuple[OrientedClass, Permutation], int] = {}
+    for eta, tau, coeff, edge_mark, at in records:
+        shifted = [k + j if k >= b else k for k in tau]
+        tau = tuple(shifted[:at] + new + shifted[at:])
+        term = (insert_marked_legs(eta, j, at), _leg_maps.setdefault(tau, tau))
+        out[term] = flip * coeff if edge_mark else coeff
+    return out
+
+
+@cache
+def _core_boundary(kappa: OrientedClass) -> tuple[tuple, list[str]]:
+    """The move loop on a class with no marked legs: ``(records,
+    problems)``, with one record ``(eta, tau, coefficient, edge_mark,
+    at)`` per nonzero term in order of first occurrence, or no records and
+    the `validate` problems of the first inadmissible move result.
 
     The moves drop only edge flags and keep the others in order, so the
-    k-th leg of every term is the k-th leg of xi.  Moves that give the same
-    graph (contracting parallel edges, say) are summed first, and each
-    distinct graph is validated and canonicalized once, in order of first
-    occurrence: a term first occurs with the first graph that maps to it,
-    so the terms come out in the order of the first move that reaches
-    them.  An eta whose every labeling vanishes is kept; `build_complex`
-    drops it.  Computed once per class and process; callers only read it.
+    k-th leg of every term is the k-th leg of kappa.  Moves that give the
+    same graph (contracting parallel edges, say) are summed first, and each
+    distinct graph is validated and canonicalized once.  ``edge_mark``
+    says that the term comes from marking an edge flag, and ``at`` is
+    where `boundary_terms` inserts a class's marked legs: after eta's
+    unmarked dv legs and its marked dv legs with tau[k'] < b, b being
+    kappa's dv legs.
+
+    Why the terms of kappa give those of xi = kappa + j marked legs: xi's
+    graph is kappa's with the legs inserted as flags b..b+j-1, before
+    every edge flag, so the edges, the marking moves and their order are
+    kappa's.  A move keeps the legs at the dv and in flag order, does not
+    renumber vertices, and its results, equal or not, are kappa's with
+    the legs inserted; its sign counts marks only between a marked dv
+    edge flag and a flag of a neutral vertex (contraction) or below an
+    unmarked dv flag (marking), so the legs change only a mark on an
+    edge flag, by (-1)^j.  The legs add no neutral valence, edge or
+    neutral mark, so a result of xi is admissible exactly when kappa's
+    is, with the same problems: only the neutral-tadpole clause can
+    fail, and its message names a vertex.  Canonicalizing, the new legs
+    keep their place among the dv's marked legs by flag id, the place
+    ``at`` names, so the class is `graphs.insert_marked_legs` (its
+    proof, for an insertion among the marked dv legs) and the sign is
+    kappa's: the legs' marks come in order and, in the sorted marks,
+    after every mark whose image lies before them.  Distinct terms stay
+    distinct, and each term comes from one kind of move (contractions
+    lose an edge; a mark on a leg adds a marked leg, on an edge flag a
+    marked edge flag), so a coefficient never cancels.
     """
-    g = xi.graph
+    g = kappa.graph
+    b = sum(1 for f in g.legs if g.adj[f] == g.dv)
     moves: dict[MarkedGraph, int] = {}
     for e in g.edges:
         for h, s in contract_edge(g, e):
             moves[h] = moves.get(h, 0) + s
     mark_sign = -1 if g.n_edges % 2 else 1
+    edge_marks = set()
     for f in range(g.nf):
         if g.adj[f] == g.dv and f not in g.marked:
             result = mark_flag(g, f)
             if result is not None:
                 h, s = result
                 moves[h] = moves.get(h, 0) + mark_sign * s
+                if g.inv[f] != f:
+                    edge_marks.add(h)
     out: dict[tuple[OrientedClass, Permutation], int] = {}
+    kinds: dict[tuple[OrientedClass, Permutation], bool] = {}
     for h, coeff in moves.items():
         bad = validate(h)
         if bad:
-            raise AssertionError(f"inadmissible boundary term from {encode_graph(g)}: {bad}")
+            return (), bad
         form = canonical_form(h)
         term = (form[0], _leg_map(h, form))
         out[term] = out.get(term, 0) + coeff * form[1]
-    return {t: v for t, v in out.items() if v}
+        kinds[term] = h in edge_marks
+    return tuple(
+        (eta, tau, v, kinds[eta, tau], _insertion_point(eta, tau, b))
+        for (eta, tau), v in out.items()
+        if v
+    ), []
+
+
+def _insertion_point(eta: OrientedClass, tau: Permutation, b: int) -> int:
+    """The leading legs of eta that are dv legs, unmarked or with
+    tau[k'] < b: the dv legs are eta's first flags and legs, unmarked
+    ones first, then marked ones by the flag order of the move result."""
+    adj, inv, marked = eta.graph.adj, eta.graph.inv, eta.graph.marked
+    at = 0
+    while (
+        at < len(tau)
+        and inv[at] == at
+        and adj[at] == 0
+        and (at not in marked or tau[at] < b)
+    ):
+        at += 1
+    return at
 
 
 def _targets(
@@ -655,15 +743,16 @@ def stabilization_map(
     """The chain map adjoining a marked leg with label n+1 (degree 0).
 
     The leg is adjoined once per unlabeled class xi, last in flag order and
-    in the marked order; [xi, rho] then maps like [xi, id] relabeled by rho
-    extended by n -> n.
+    in the marked order, and `graphs.add_marked_legs` gives its canonical
+    form with no search; [xi, rho] then maps like [xi, id] relabeled by
+    rho extended by n -> n.
     """
     cols: dict[int, SparseColumns] = {}
     for i in source.degrees():
         cols_i: SparseColumns = []
         for xi, positions in source.basis[i].items():
             h = add_marked_leg(xi.graph)
-            form = canonical_form(h)
+            form = add_marked_legs(xi, 1)
             targets = _targets(
                 {(form[0], _leg_map(h, form)): form[1]},
                 target.basis.get(i, {}),

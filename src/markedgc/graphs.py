@@ -28,11 +28,22 @@ finds it, twin blocks times the leg actions of the ties, and only
 `LegGroup.elements` lists it: `LegGroup.coset_min` sorts a labeling
 within each block, once per tie, and takes the sort's sign on marked
 blocks.
+
+Marked legs at the distinguished vertex ride along with no search.
+Every ordering the search tries numbers the dv's legs first, so marked
+dv legs added to a graph sit at one fixed place in every ordering's
+encoding, and the least encoding, its ties and their flag maps carry
+over (the insertion lemma, proved at `insert_marked_legs`).  So
+`insert_marked_legs` gives a class with more marked legs, its leg group
+included, from the class without them; `add_marked_legs` is
+`canonical_form` of a class graph after `add_marked_leg` calls, and
+`core_class` reads a class's core back off its encoding.  A class is a
+core plus marked legs, so only cores cost a search.
 """
 
 from __future__ import annotations
 
-from bisect import bisect, insort
+from bisect import bisect, bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, permutations, product
@@ -186,6 +197,7 @@ class LegGroup:
 
     def __init__(self, n: int, blocks: tuple, ordered: tuple):
         self.n, self.blocks, self.ordered = n, blocks, ordered
+        self._labelings: tuple[Permutation, ...] | None = None
 
     @classmethod
     def of(
@@ -223,19 +235,31 @@ class LegGroup:
             back[image] = f
         legs = canon.legs
         index = {f: k for k, f in enumerate(legs)}
-        twins: dict[tuple[int, bool], list[int]] = {}
-        for k, f in enumerate(legs):
-            twins.setdefault((canon.adj[f], f in canon.marked), []).append(k)
         ordered: dict[Permutation, int] = {tuple(range(len(legs))): 1}
         for phi in ties[1:]:
             sign = sign0 * _orientation_sign(g, phi)
             sigma = tuple([index[phi[back[f]]] for f in legs])
             if ordered.setdefault(sigma, sign) != sign:
                 return None  # the two differ by an odd leg-fixing automorphism
-        blocks = tuple(
-            (tuple(ks), marked) for (_, marked), ks in twins.items() if len(ks) > 1
-        )
-        return cls(len(legs), blocks, tuple(ordered.items()))
+        return cls(len(legs), _twin_blocks(canon), tuple(ordered.items()))
+
+    def with_new_legs(self, canon: MarkedGraph, j: int, at: int) -> LegGroup:
+        """This group on ``canon``, its class graph with ``j`` marked legs
+        inserted as legs at..at+j-1 (see `insert_marked_legs`).
+
+        Every tie numbers the new legs alike, so each tie's leg action
+        fixes them: sigma gains them as fixed points and keeps its chi.
+        The new legs join the marked twin block at the distinguished
+        vertex, and the blocks are read off ``canon`` as `LegGroup.of`
+        reads them.
+        """
+
+        def lift(sigma: Permutation) -> Permutation:
+            shifted = [k + j if k >= at else k for k in sigma]
+            return tuple(shifted[:at] + list(range(at, at + j)) + shifted[at:])
+
+        ordered = tuple((lift(sigma), chi) for sigma, chi in self.ordered)
+        return LegGroup(self.n + j, _twin_blocks(canon), ordered)
 
     def elements(self) -> dict[Permutation, int]:
         """Every element with its det-sign."""
@@ -280,15 +304,21 @@ class LegGroup:
                 best, best_chi = image, chi
         return tuple(best), best_chi
 
-    def labelings(self):
+    def labelings(self) -> tuple[Permutation, ...]:
         """One leg labeling per coset: each permutation rho of 0..n-1 that
-        is its coset's minimum, in increasing order.
+        is its coset's minimum, in increasing order, listed once per group
+        and process.
 
         Values are chosen position by position, each above the value at
         the previous position of its block.  A candidate is then sorted
         within its blocks, so the identity tie leaves it as it is, and it
         is kept unless another tie sorts to a lex-smaller labeling.
         """
+        if self._labelings is None:
+            self._labelings = tuple(self._list_labelings())
+        return self._labelings
+
+    def _list_labelings(self):
         n = self.n
         others = [sigma for sigma, _ in self.ordered[1:]]
         previous = [None] * n
@@ -316,6 +346,18 @@ class LegGroup:
                     used[v] = False
 
         yield from extend(0)
+
+
+def _twin_blocks(canon: MarkedGraph) -> tuple:
+    """``(positions, marked)`` for each twin class of two or more legs of
+    ``canon`` (legs at one vertex with one marked status), in order of
+    each class's first leg."""
+    twins: dict[tuple[int, bool], list[int]] = {}
+    for k, f in enumerate(canon.legs):
+        twins.setdefault((canon.adj[f], f in canon.marked), []).append(k)
+    return tuple(
+        (tuple(ks), marked) for (_, marked), ks in twins.items() if len(ks) > 1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +526,106 @@ def _orientation_sign(g: MarkedGraph, phi: tuple[int, ...]) -> int:
         inversions += len(before) - bisect(before, phi[f])
         insort(before, phi[f])
     return -1 if inversions % 2 else 1
+
+
+# ---------------------------------------------------------------------------
+# marked legs ride along
+
+
+def _dv_legs(encoding: tuple) -> int:
+    """The number of legs at the dv of a class graph: they are its first
+    flags, unmarked before marked."""
+    _, nf, adj, inv, _ = encoding
+    end = 0
+    while end < nf and inv[end] == end and adj[end] == 0:
+        end += 1
+    return end
+
+
+def _edit_dv_legs(encoding: tuple, at: int, j: int) -> tuple:
+    """``encoding`` with j marked dv legs inserted as flags at..at+j-1,
+    or, when j < 0, with its flags at..at-j-1 removed."""
+    nv, nf, adj, inv, marked = encoding
+    end = at - min(j, 0)
+    new = tuple(range(at, at + j))
+    return (
+        nv,
+        nf + j,
+        adj[:at] + (0,) * j + adj[end:],
+        inv[:at] + new + tuple([f + j for f in inv[end:]]),
+        marked[: bisect_left(marked, at)]
+        + new
+        + tuple([f + j for f in marked[bisect_left(marked, end) :]]),
+    )
+
+
+def insert_marked_legs(cls: OrientedClass, j: int, at: int) -> OrientedClass:
+    """The class of ``cls.graph`` with ``j`` marked legs inserted at the
+    distinguished vertex as flags at..at+j-1, found with no search.
+    ``at`` lies between the graph's unmarked dv legs and the end of its
+    dv legs; flag ``at`` is then leg ``at``.
+
+    The insertion lemma.  Every ordering `_least_encoding` tries puts the
+    dv first and numbers its legs first, unmarked then marked, each by
+    flag id, and a leg at the dv changes no neutral vertex's invariant,
+    so the inserted graph has the same orderings.  Each of them numbers
+    the new legs at..at+j-1 and every other flag as before, shifted by j
+    from ``at`` on, because a flag's key at a neutral vertex compares
+    only numbers that the shift keeps in order.  So its encoding is the
+    old one with j marked-leg flags inserted at ``at``.  That edit is
+    injective and keeps the order of encodings: the flags before ``at``
+    are dv legs in every ordering, and the shift is increasing.  The
+    least encoding and its ties therefore carry over, with the flag maps
+    shifted alike.  ``cls.graph`` is its own least encoding, reached
+    first by the identity, so the inserted graph is its class graph in
+    the same way, with sign +1.  Its leg group is
+    `LegGroup.with_new_legs`.  The ties and their signs are those of
+    ``cls``, and parallel unmarked edges are unchanged, so an odd
+    automorphism fixing every leg exists exactly when it does for
+    ``cls``: the class vanishes exactly when ``cls`` does.
+    """
+    key = _edit_dv_legs(cls.key, at, j)
+    out = _class_cache.get(key)
+    if out is None:
+        canon = _graph_of(key)
+        group = cls.leg_group
+        group = None if group is None else group.with_new_legs(canon, j, at)
+        out = OrientedClass(canon, key, group)
+        _class_cache[key] = out
+    return out
+
+
+def add_marked_legs(cls: OrientedClass, j: int) -> CanonicalForm:
+    """`canonical_form` of ``cls.graph`` after ``j`` `add_marked_leg`
+    calls, flag map included, with no search.
+
+    The appended legs are the last flags, so every ordering numbers them
+    after the dv's other legs: the class is `insert_marked_legs` at the
+    end of the dv legs.  Their marks come last in the graph's sorted
+    marks and land before its u marked edge flags, so the sign is
+    (-1)^(j·u).
+    """
+    _, nf, _, _, marked = cls.key
+    at = _dv_legs(cls.key)
+    u = len(marked) - bisect_left(marked, at)
+    out = CanonicalForm((insert_marked_legs(cls, j, at), -1 if j * u % 2 else 1))
+    out.phi = (*range(at), *range(at + j, nf + j), *range(at, at + j))
+    return out
+
+
+def core_class(cls: OrientedClass) -> tuple[OrientedClass, int, int]:
+    """``(core, j, at)`` with ``cls`` = `insert_marked_legs` ``(core, j,
+    at)``: the class of ``cls.graph`` without its j marked legs, which
+    are its flags at..at+j-1.  The core's encoding is ``cls``'s with
+    those flags removed (the insertion lemma read backwards); a core not
+    yet in the class cache costs one search."""
+    end = _dv_legs(cls.key)
+    j = bisect_left(cls.key[4], end)
+    key = _edit_dv_legs(cls.key, end - j, -j)
+    core = _class_cache.get(key)
+    if core is None:
+        core = canonical_form(_graph_of(key))[0]
+    return core, j, end - j
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from markedgc.complexes import (
     _checksum,
     _check_d_squared,
     _compose_sparse,
+    _core_boundary,
     _core_classes,
     _leg_distributions,
     _leg_map,
@@ -35,14 +36,21 @@ import markedgc.graphs
 import markedgc.stability
 from markedgc.cli import EXIT_OK, main
 from markedgc.graphs import (
+    LegGroup,
+    _graph_of,
+    _least_encoding,
+    _orientation_sign,
     add_marked_leg,
+    add_marked_legs,
     build_theta,
     canonical_form,
     contract_edge,
     core,
+    core_class,
     decode_graph,
     degree,
     encode_graph,
+    insert_marked_legs,
     mark_flag,
     validate,
 )
@@ -258,6 +266,81 @@ def test_class_is_a_core_plus_marked_legs(key):
         assert xi.key in cores[j, u]
         assert (xi.key, j) not in seen
         seen.add((xi.key, j))
+
+
+# The lift of a class by marked legs, against the search it replaces.
+LIFT_CASES = d2_grid_cases() + [(2, 5, 5), (2, 6, 6), (3, 6, 7)]
+
+
+@cache
+def lift_classes():
+    """Every class of the lift cases, once each."""
+    seen = {}
+    for key in LIFT_CASES:
+        for cls in enumerate_unlabeled_classes(*key):
+            seen.setdefault(cls.key, cls)
+    return tuple(seen.values())
+
+
+def group_form(group):
+    return None if group is None else (group.n, group.blocks, group.ordered)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_add_marked_legs_matches_the_search(j):
+    """Adding j marked legs to a class with no search gives the class
+    object, sign, flag map, leg map and leg group that canonicalizing the
+    graph after j `add_marked_leg` calls gives; the leg group is read
+    again from that search's ties."""
+    classes = lift_classes()
+    assert len(classes) > 1000
+    assert any(cls.leg_group is None for cls in classes)
+    for cls in classes:
+        h = cls.graph
+        for _ in range(j):
+            h = add_marked_leg(h)
+        lifted = add_marked_legs(cls, j)
+        encoding, ties = _least_encoding(h)
+        form = canonical_form(h)
+        assert lifted[0] is form[0]
+        assert lifted[0].key == encoding
+        assert (lifted[1], lifted.phi) == (form[1], form.phi)
+        assert _leg_map(h, lifted) == _leg_map(h, form)
+        searched = LegGroup.of(h, _graph_of(encoding), ties, form[1])
+        assert group_form(lifted[0].leg_group) == group_form(searched)
+
+
+def test_inserted_marked_legs_give_a_class_graph():
+    """Marked legs inserted at any place among a class graph's marked dv
+    legs give a graph that is its own least encoding, reached first by
+    the identity with sign +1, and the lifted leg group is the one that
+    search's ties give."""
+    places = 0
+    for cls in lift_classes():
+        g = cls.graph
+        dv_legs = [f for f in g.legs if g.adj[f] == g.dv]
+        first = len([f for f in dv_legs if f not in g.marked])
+        for at in range(first, len(dv_legs) + 1):
+            places += at > first
+            for j in (1, 2):
+                lifted = insert_marked_legs(cls, j, at)
+                h = lifted.graph
+                encoding, ties = _least_encoding(h)
+                assert encoding == lifted.key
+                assert ties[0] == tuple(range(h.nf))
+                assert _orientation_sign(h, ties[0]) == 1
+                searched = LegGroup.of(h, h, ties, 1)
+                assert group_form(lifted.leg_group) == group_form(searched)
+    assert places > 100
+
+
+def test_core_class_inverts_the_insertion():
+    for cls in lift_classes():
+        kappa, j, at = core_class(cls)
+        assert kappa is canonical_form(core(cls.graph))[0]
+        assert j == len(cls.graph.marked_legs())
+        assert not kappa.graph.marked_legs()
+        assert insert_marked_legs(kappa, j, at) is cls
 
 
 def test_trivial_complex():
@@ -671,24 +754,35 @@ def test_boundary_terms_match_per_move_oracle(key):
 
 
 def test_boundary_is_computed_once_per_class(monkeypatch):
-    """B(2,5,4) contains every class of B(2,5,5): building it next computes
-    no class's boundary twice, and gives the differential that a build
-    from an empty memo gives."""
+    """The move loop runs once per core: building B(2,5,5) and then
+    B(2,5,4) runs it once for each core of their classes, and every other
+    class's boundary is lifted from its core's.  A build from an empty
+    memo gives the same differential."""
+
+    def cores(key):
+        return {
+            canonical_form(core(xi.graph))[0]
+            for xi in enumerate_unlabeled_classes(*key)
+            if xi.leg_group is not None
+        }
+
     requested = []
 
     def spy(xi):
         requested.append(xi)
         return boundary_terms(xi)
 
+    first, second = cores((2, 5, 5)), cores((2, 5, 4))
+    assert first < second
     monkeypatch.setattr(markedgc.complexes, "boundary_terms", spy)
-    boundary_terms.cache_clear()
+    _core_boundary.cache_clear()
     build_complex(2, 5, 5)
-    first = set(requested)
+    assert _core_boundary.cache_info().misses == len(first)
     after = build_complex(2, 5, 4)
-    assert first < set(requested)
-    info = boundary_terms.cache_info()
-    assert (info.hits, info.misses) == (len(first), len(set(requested)))
-    boundary_terms.cache_clear()
+    info = _core_boundary.cache_info()
+    assert info.misses == len(second)
+    assert info.hits + info.misses == len(requested) > len(second)
+    _core_boundary.cache_clear()
     fresh = build_complex(2, 5, 4)
     assert (after.basis, after.diff) == (fresh.basis, fresh.diff)
 
