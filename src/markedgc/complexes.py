@@ -40,14 +40,15 @@ a set of terms [eta, tau] that remember where each leg went.  The moves
 run only on cores, once per core and process, each distinct move result
 validated and canonicalized once (`_core_boundary`).  The moves never
 touch marked legs and commute with adding them, so the boundary of a
-core plus j marked legs is its core's with the legs inserted term by
-term, found with no move, `validate` or search: the legs add no neutral
-valence, edge or neutral mark, so each lifted term is admissible because
-its core term is (proved at `_core_boundary`).  The column of [xi, rho]
-is the terms relabeled by rho, each reduced to its coset minimum with
-its sign.  The stabilization map adjoins its leg once per xi, with
-`graphs.add_marked_legs`.  The S_n action is the same
-coset arithmetic, and its one format is a signed permutation (images,
+core plus j marked legs is its core's with the legs added term by term
+(`graphs.add_marked_legs`), found with no move, `validate` or search:
+the legs add no neutral valence, edge or neutral mark, so each lifted
+term is admissible because its core term is (proved at
+`_core_boundary`).  The column of [xi, rho] is the terms relabeled by
+rho, each reduced to its coset minimum with its sign.  The
+stabilization map adds its leg once per xi through the same function,
+as the enumeration does.  The S_n action is the same coset
+arithmetic, and its one format is a signed permutation (images,
 signs): sigma·[xi, rho] is signs[p]·(basis element images[p]), p the
 position of [xi, rho].  Characters need one action per cycle type;
 `cycle_type_actions` takes coset minima only for (0 1) and the n-cycle
@@ -76,7 +77,6 @@ from .graphs import (
     MarkedGraph,
     OrientedClass,
     _least_encoding,
-    add_marked_leg,
     add_marked_legs,
     canonical_form,
     contract_edge,
@@ -84,7 +84,6 @@ from .graphs import (
     decode_graph,
     degree,
     encode_graph,
-    insert_marked_legs,
     mark_flag,
     validate,
 )
@@ -331,7 +330,7 @@ def enumerate_unlabeled_classes(g: int, n: int, r: int) -> list[OrientedClass]:
     seen: dict[tuple, OrientedClass] = {}
     for j, u in core_types(g, n, r):
         for xi in _core_classes(g, n - j, u):
-            cls = add_marked_legs(xi, j)[0]
+            cls = add_marked_legs(xi, tuple(range(n - j)), n - j, j)[0]
             seen[cls.key] = cls
     return [seen[k] for k in sorted(seen)]
 
@@ -416,69 +415,58 @@ def boundary_terms(xi: OrientedClass) -> dict[tuple[OrientedClass, Permutation],
     xi is its core kappa with j marked legs inserted after kappa's b dv
     legs (`graphs.core_class`), and the moves run on kappa alone
     (`_core_boundary`, once per core and process).  Each term of xi is
-    the matching term of kappa with the j legs inserted where the move
-    loop on xi has them: after the term's marked dv legs that came from
-    kappa's dv legs (tau[k'] < b), before those that a marked-edge
-    contraction brought from a neutral vertex.  Its coefficient is
-    kappa's, times (-1)^j for a mark on an edge flag.  An eta whose
-    every labeling vanishes is kept; `build_complex` drops it.
+    the matching term of kappa with the j legs, labelled b..b+j-1, added
+    by `graphs.add_marked_legs`.  Its coefficient is kappa's, times
+    (-1)^j for a mark on an edge flag.  An eta whose every labeling
+    vanishes is kept; `build_complex` drops it.
     """
     kappa, j, b = core_class(xi)
     records, bad = _core_boundary(kappa)
     if bad:
         raise AssertionError(f"inadmissible boundary term from {encode_graph(xi.graph)}: {bad}")
     if not j:
-        return {(eta, tau): coeff for eta, tau, coeff, _, _ in records}
+        return {(eta, tau): coeff for eta, tau, coeff, _ in records}
     flip = -1 if j % 2 else 1
-    new = list(range(b, b + j))
-    out: dict[tuple[OrientedClass, Permutation], int] = {}
-    for eta, tau, coeff, edge_mark, at in records:
-        shifted = [k + j if k >= b else k for k in tau]
-        tau = tuple(shifted[:at] + new + shifted[at:])
-        term = (insert_marked_legs(eta, j, at), _leg_maps.setdefault(tau, tau))
-        out[term] = flip * coeff if edge_mark else coeff
-    return out
+    return {
+        add_marked_legs(eta, tau, b, j): flip * coeff if edge_mark else coeff
+        for eta, tau, coeff, edge_mark in records
+    }
 
 
 @cache
 def _core_boundary(kappa: OrientedClass) -> tuple[tuple, list[str]]:
     """The move loop on a class with no marked legs: ``(records,
-    problems)``, with one record ``(eta, tau, coefficient, edge_mark,
-    at)`` per nonzero term in order of first occurrence, or no records and
-    the `validate` problems of the first inadmissible move result.
+    problems)``, with one record ``(eta, tau, coefficient, edge_mark)``
+    per nonzero term in order of first occurrence, or no records and the
+    `validate` problems of the first inadmissible move result.
 
     The moves drop only edge flags and keep the others in order, so the
     k-th leg of every term is the k-th leg of kappa.  Moves that give the
     same graph (contracting parallel edges, say) are summed first, and each
     distinct graph is validated and canonicalized once.  ``edge_mark``
-    says that the term comes from marking an edge flag, and ``at`` is
-    where `boundary_terms` inserts a class's marked legs: after eta's
-    unmarked dv legs and its marked dv legs with tau[k'] < b, b being
-    kappa's dv legs.
+    says that the term comes from marking an edge flag.
 
     Why the terms of kappa give those of xi = kappa + j marked legs: xi's
-    graph is kappa's with the legs inserted as flags b..b+j-1, before
-    every edge flag, so the edges, the marking moves and their order are
-    kappa's.  A move keeps the legs at the dv and in flag order, does not
-    renumber vertices, and its results, equal or not, are kappa's with
-    the legs inserted; its sign counts marks only between a marked dv
-    edge flag and a flag of a neutral vertex (contraction) or below an
-    unmarked dv flag (marking), so the legs change only a mark on an
-    edge flag, by (-1)^j.  The legs add no neutral valence, edge or
-    neutral mark, so a result of xi is admissible exactly when kappa's
-    is, with the same problems: only the neutral-tadpole clause can
-    fail, and its message names a vertex.  Canonicalizing, the new legs
-    keep their place among the dv's marked legs by flag id, the place
-    ``at`` names, so the class is `graphs.insert_marked_legs` (its
-    proof, for an insertion among the marked dv legs) and the sign is
-    kappa's: the legs' marks come in order and, in the sorted marks,
-    after every mark whose image lies before them.  Distinct terms stay
-    distinct, and each term comes from one kind of move (contractions
-    lose an edge; a mark on a leg adds a marked leg, on an edge flag a
-    marked edge flag), so a coefficient never cancels.
+    graph is kappa's with the legs inserted as flags b..b+j-1, b being
+    kappa's dv legs, before every edge flag, so the edges, the marking
+    moves and their order are kappa's.  A move keeps the legs at the dv
+    and in flag order, does not renumber vertices, and its results, equal
+    or not, are kappa's with the legs inserted; its sign counts marks only
+    between a marked dv edge flag and a flag of a neutral vertex
+    (contraction) or below an unmarked dv flag (marking), so the legs
+    change only a mark on an edge flag, by (-1)^j.  The legs add no
+    neutral valence, edge or neutral mark, so a result of xi is
+    admissible exactly when kappa's is, with the same problems: only the
+    neutral-tadpole clause can fail, and its message names a vertex.
+    Canonicalizing, the result is `graphs.add_marked_legs` of kappa's
+    term (its proof: the legs are the result's legs b..b+j-1 in flag
+    order), and the sign is kappa's: the legs' marks come in order and,
+    in the sorted marks, after every mark whose image lies before them.
+    Distinct terms stay distinct, and each term comes from one kind of
+    move (contractions lose an edge; a mark on a leg adds a marked leg,
+    on an edge flag a marked edge flag), so a coefficient never cancels.
     """
     g = kappa.graph
-    b = sum(1 for f in g.legs if g.adj[f] == g.dv)
     moves: dict[MarkedGraph, int] = {}
     for e in g.edges:
         for h, s in contract_edge(g, e):
@@ -504,26 +492,8 @@ def _core_boundary(kappa: OrientedClass) -> tuple[tuple, list[str]]:
         out[term] = out.get(term, 0) + coeff * form[1]
         kinds[term] = h in edge_marks
     return tuple(
-        (eta, tau, v, kinds[eta, tau], _insertion_point(eta, tau, b))
-        for (eta, tau), v in out.items()
-        if v
+        (eta, tau, v, kinds[eta, tau]) for (eta, tau), v in out.items() if v
     ), []
-
-
-def _insertion_point(eta: OrientedClass, tau: Permutation, b: int) -> int:
-    """The leading legs of eta that are dv legs, unmarked or with
-    tau[k'] < b: the dv legs are eta's first flags and legs, unmarked
-    ones first, then marked ones by the flag order of the move result."""
-    adj, inv, marked = eta.graph.adj, eta.graph.inv, eta.graph.marked
-    at = 0
-    while (
-        at < len(tau)
-        and inv[at] == at
-        and adj[at] == 0
-        and (at not in marked or tau[at] < b)
-    ):
-        at += 1
-    return at
 
 
 def _targets(
@@ -742,19 +712,23 @@ def stabilization_map(
 ) -> ChainMap:
     """The chain map adjoining a marked leg with label n+1 (degree 0).
 
-    The leg is adjoined once per unlabeled class xi, last in flag order and
-    in the marked order, and `graphs.add_marked_legs` gives its canonical
-    form with no search; [xi, rho] then maps like [xi, id] relabeled by
-    rho extended by n -> n.
+    The leg is adjoined once per unlabeled class xi, as `add_marked_leg`
+    does, last in flag order and in the marked order, and
+    `graphs.add_marked_legs` (b = n) gives its class and leg map with no
+    search.  Appended last, its mark passes the u marked edge flags of
+    xi on the way to its place among the marked legs, so the sign is
+    (-1)^u.  [xi, rho] then maps like [xi, id] relabeled by rho extended
+    by n -> n.
     """
+    identity = tuple(range(source.n))
     cols: dict[int, SparseColumns] = {}
     for i in source.degrees():
         cols_i: SparseColumns = []
         for xi, positions in source.basis[i].items():
-            h = add_marked_leg(xi.graph)
-            form = add_marked_legs(xi, 1)
+            u = xi.graph.n_marked - len(xi.graph.marked_legs())
+            term = add_marked_legs(xi, identity, source.n, 1)
             targets = _targets(
-                {(form[0], _leg_map(h, form)): form[1]},
+                {term: -1 if u % 2 else 1},
                 target.basis.get(i, {}),
                 f"stabilization of a degree-{i} class",
             )

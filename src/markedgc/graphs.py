@@ -35,10 +35,12 @@ dv legs added to a graph sit at one fixed place in every ordering's
 encoding, and the least encoding, its ties and their flag maps carry
 over (the insertion lemma, proved at `insert_marked_legs`).  So
 `insert_marked_legs` gives a class with more marked legs, its leg group
-included, from the class without them; `add_marked_legs` is
-`canonical_form` of a class graph after `add_marked_leg` calls, and
-`core_class` reads a class's core back off its encoding.  A class is a
-core plus marked legs, so only cores cost a search.
+included, from the class without them, and `core_class` reads a class's
+core back off its encoding.  One rule places new legs in a labelled
+term [cls, tau]: `add_marked_legs` puts them right after the marked dv
+legs labelled below theirs.  The enumeration, the boundary lift and the
+stabilization map all add legs through it.  A class is a core plus
+marked legs, so only cores cost a search.
 """
 
 from __future__ import annotations
@@ -242,24 +244,6 @@ class LegGroup:
             if ordered.setdefault(sigma, sign) != sign:
                 return None  # the two differ by an odd leg-fixing automorphism
         return cls(len(legs), _twin_blocks(canon), tuple(ordered.items()))
-
-    def with_new_legs(self, canon: MarkedGraph, j: int, at: int) -> LegGroup:
-        """This group on ``canon``, its class graph with ``j`` marked legs
-        inserted as legs at..at+j-1 (see `insert_marked_legs`).
-
-        Every tie numbers the new legs alike, so each tie's leg action
-        fixes them: sigma gains them as fixed points and keeps its chi.
-        The new legs join the marked twin block at the distinguished
-        vertex, and the blocks are read off ``canon`` as `LegGroup.of`
-        reads them.
-        """
-
-        def lift(sigma: Permutation) -> Permutation:
-            shifted = [k + j if k >= at else k for k in sigma]
-            return tuple(shifted[:at] + list(range(at, at + j)) + shifted[at:])
-
-        ordered = tuple((lift(sigma), chi) for sigma, chi in self.ordered)
-        return LegGroup(self.n + j, _twin_blocks(canon), ordered)
 
     def elements(self) -> dict[Permutation, int]:
         """Every element with its det-sign."""
@@ -532,14 +516,15 @@ def _orientation_sign(g: MarkedGraph, phi: tuple[int, ...]) -> int:
 # marked legs ride along
 
 
-def _dv_legs(encoding: tuple) -> int:
-    """The number of legs at the dv of a class graph: they are its first
-    flags, unmarked before marked."""
-    _, nf, adj, inv, _ = encoding
+def _marked_dv_legs(encoding: tuple) -> tuple[int, int]:
+    """``(start, end)``: the marked dv legs of a class graph are its flags
+    start..end-1.  The dv legs are its first flags, unmarked before
+    marked, so flag k < end is also leg k."""
+    _, nf, adj, inv, marked = encoding
     end = 0
     while end < nf and inv[end] == end and adj[end] == 0:
         end += 1
-    return end
+    return end - bisect_left(marked, end), end
 
 
 def _edit_dv_legs(encoding: tuple, at: int, j: int) -> tuple:
@@ -557,6 +542,13 @@ def _edit_dv_legs(encoding: tuple, at: int, j: int) -> tuple:
         + new
         + tuple([f + j for f in marked[bisect_left(marked, end) :]]),
     )
+
+
+def _insert_labels(tau: Permutation, at: int, b: int, j: int) -> Permutation:
+    """``tau`` with its labels >= b raised by j and the labels b..b+j-1
+    inserted at positions at..at+j-1."""
+    shifted = [k + j if k >= b else k for k in tau]
+    return tuple(shifted[:at] + list(range(b, b + j)) + shifted[at:])
 
 
 def insert_marked_legs(cls: OrientedClass, j: int, at: int) -> OrientedClass:
@@ -578,10 +570,15 @@ def insert_marked_legs(cls: OrientedClass, j: int, at: int) -> OrientedClass:
     least encoding and its ties therefore carry over, with the flag maps
     shifted alike.  ``cls.graph`` is its own least encoding, reached
     first by the identity, so the inserted graph is its class graph in
-    the same way, with sign +1.  Its leg group is
-    `LegGroup.with_new_legs`.  The ties and their signs are those of
-    ``cls``, and parallel unmarked edges are unchanged, so an odd
-    automorphism fixing every leg exists exactly when it does for
+    the same way, with sign +1.
+
+    Its leg group: every tie numbers the new legs alike, so each tie's
+    leg action fixes them, and sigma gains them as fixed points (the
+    label insertion with b = at) and keeps its chi.  The new legs join
+    the marked twin block at the dv, and the blocks are read off the new
+    graph as `LegGroup.of` reads them.  The ties and their signs are
+    those of ``cls``, and parallel unmarked edges are unchanged, so an
+    odd automorphism fixing every leg exists exactly when it does for
     ``cls``: the class vanishes exactly when ``cls`` does.
     """
     key = _edit_dv_legs(cls.key, at, j)
@@ -589,43 +586,61 @@ def insert_marked_legs(cls: OrientedClass, j: int, at: int) -> OrientedClass:
     if out is None:
         canon = _graph_of(key)
         group = cls.leg_group
-        group = None if group is None else group.with_new_legs(canon, j, at)
+        if group is not None:
+            ordered = tuple(
+                (_insert_labels(sigma, at, at, j), chi) for sigma, chi in group.ordered
+            )
+            group = LegGroup(group.n + j, _twin_blocks(canon), ordered)
         out = OrientedClass(canon, key, group)
         _class_cache[key] = out
     return out
 
 
-def add_marked_legs(cls: OrientedClass, j: int) -> CanonicalForm:
-    """`canonical_form` of ``cls.graph`` after ``j`` `add_marked_leg`
-    calls, flag map included, with no search.
+def add_marked_legs(
+    cls: OrientedClass, tau: Permutation, b: int, j: int
+) -> tuple[OrientedClass, Permutation]:
+    """The labelled term [cls, tau] with ``j`` marked legs added at the
+    distinguished vertex, labelled b..b+j-1, labels >= b raised by j: the
+    class and its leg map (see `complexes._leg_map`), found with no
+    search.
 
-    The appended legs are the last flags, so every ordering numbers them
-    after the dv's other legs: the class is `insert_marked_legs` at the
-    end of the dv legs.  Their marks come last in the graph's sorted
-    marks and land before its u marked edge flags, so the sign is
-    (-1)^(j·u).
+    The one rule: the new legs join the class's marked dv legs in label
+    order, right after those with tau < b.  The class is then
+    `insert_marked_legs` there, and the labels go in at the same place.
+
+    Why.  Let [cls, tau] be the canonical form of a graph h whose leg k
+    has label k, and h' be h with the new legs added as marked dv legs
+    in label order: its legs b..b+j-1, the labels still following the
+    flag order.  The search numbers a graph's marked dv legs by flag id,
+    and so by label, so along the class's marked dv legs tau increases
+    (the scan below relies on it), and the new legs land right after
+    those with label < b.  Every other flag is numbered as for h, by the
+    insertion lemma, so [class, tau'] is the canonical form of h'.  This
+    covers j `add_marked_leg` calls (b = n) and a move result of a core
+    with legs inserted after its b dv legs, since the moves keep flag
+    order (`complexes._core_boundary`).  The lifted tau' again increases
+    along the marked dv legs.
     """
-    _, nf, _, _, marked = cls.key
-    at = _dv_legs(cls.key)
-    u = len(marked) - bisect_left(marked, at)
-    out = CanonicalForm((insert_marked_legs(cls, j, at), -1 if j * u % 2 else 1))
-    out.phi = (*range(at), *range(at + j, nf + j), *range(at, at + j))
-    return out
+    start, end = _marked_dv_legs(cls.key)
+    at = start
+    while at < end and tau[at] < b:
+        at += 1
+    return insert_marked_legs(cls, j, at), _insert_labels(tau, at, b, j)
 
 
 def core_class(cls: OrientedClass) -> tuple[OrientedClass, int, int]:
-    """``(core, j, at)`` with ``cls`` = `insert_marked_legs` ``(core, j,
-    at)``: the class of ``cls.graph`` without its j marked legs, which
-    are its flags at..at+j-1.  The core's encoding is ``cls``'s with
-    those flags removed (the insertion lemma read backwards); a core not
-    yet in the class cache costs one search."""
-    end = _dv_legs(cls.key)
-    j = bisect_left(cls.key[4], end)
-    key = _edit_dv_legs(cls.key, end - j, -j)
+    """``(core, j, b)`` with ``cls`` = `insert_marked_legs` ``(core, j,
+    b)``: the class of ``cls.graph`` without its j marked legs, which
+    are its flags b..b+j-1 after the core's b dv legs.  The core's
+    encoding is ``cls``'s with those flags removed (the insertion lemma
+    read backwards); a core not yet in the class cache costs one
+    search."""
+    start, end = _marked_dv_legs(cls.key)
+    key = _edit_dv_legs(cls.key, start, start - end)
     core = _class_cache.get(key)
     if core is None:
         core = canonical_form(_graph_of(key))[0]
-    return core, j, end - j
+    return core, end - start, start
 
 
 # ---------------------------------------------------------------------------

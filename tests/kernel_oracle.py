@@ -1,25 +1,15 @@
-"""Two generations of kernels that `graphs` replaced, kept as the tests'
-oracles.
-
-The min()-selection kernels came first: `_flag_assignment` picks each
-vertex's next flag by `min` over its remaining keys, `_vertex_invariant`
-makes five passes over a vertex's flags, `_orientation_sign` looks the
-mapped edges and marks up in the class graph's orders, and `coset_min`
-selection-sorts within twin blocks, its `labelings` running a full
-`coset_min` on every candidate.
+"""The min()-selection kernels that `graphs` replaced, kept as the tests'
+oracles: `_flag_assignment` picks each vertex's next flag by `min` over
+its remaining keys, `_vertex_invariant` makes five passes over a
+vertex's flags, `_orientation_sign` looks the mapped edges and marks up
+in the class graph's orders, and `coset_min` selection-sorts within twin
+blocks, its `labelings` running a full `coset_min` on every candidate.
 
 The search kernels read leg labels from a labeling ``rho`` beside the
 graph (leg k, in flag order, labeled rho[k] + 1; None for no labels), and
 `labeled_canonical_form` is the labeled canonical form built on them, the
 tests' oracle for a basis element [xi, rho] as a labeled graph.  It shares
-no search code with `graphs`.
-
-The sort-based search kernels (``sort_*``) came next, verbatim but for
-their names: an invariant per vertex read through ``flags_at``, the tied
-orderings from a recursive generator, one flag assignment per ordering
-that sorts each vertex's keys once, and the orientation sign as the signs
-of two sorts.  The one-pass `graphs._least_encoding` and
-`graphs._orientation_sign` replaced them."""
+no search code with `graphs`."""
 
 from itertools import permutations, product
 
@@ -227,128 +217,3 @@ def labelings(group: LegGroup):
                 used[v] = False
 
     yield from extend(0)
-
-
-def sort_vertex_invariant(g: MarkedGraph, v: int):
-    inv, adj, dv, marked = g.inv, g.adj, g.dv, g.marked
-    flags = g.flags_at(v)
-    n_legs = n_marked = to_dv = here = 0
-    for f in flags:
-        if f in marked:
-            n_marked += 1
-        partner = inv[f]
-        if partner == f:
-            n_legs += 1
-            here += 1
-        else:
-            if adj[partner] == dv:
-                to_dv += 1
-            if adj[partner] == v:
-                here += 1
-    return (
-        v != dv,
-        len(flags),
-        n_legs,
-        n_marked,
-        to_dv,
-        here,  # flags whose partner is at v: legs and tadpole flags
-    )
-
-
-def sort_neutral_orderings(g: MarkedGraph):
-    """Vertex orderings (dv first) compatible with invariant classes."""
-    classes: dict[tuple, list[int]] = {}
-    for v in range(g.nv):
-        if v == g.dv:
-            continue
-        classes.setdefault(sort_vertex_invariant(g, v), []).append(v)
-    keys = sorted(classes)
-    pools = [classes[k] for k in keys]
-
-    def rec(i: int, prefix: tuple[int, ...]):
-        if i == len(pools):
-            yield prefix
-            return
-        for perm in permutations(pools[i]):
-            yield from rec(i + 1, prefix + perm)
-
-    yield from rec(0, (g.dv,))
-
-
-def sort_flag_assignment(g: MarkedGraph, vorder: tuple[int, ...]):
-    """Deterministic flag numbering for a given vertex ordering.
-
-    Returns (encoding, phi) with phi the map old flag -> new index.
-    """
-    adj, inv, marked = g.adj, g.inv, g.marked
-    nf = len(adj)
-    vindex = [0] * g.nv
-    for i, v in enumerate(vorder):
-        vindex[v] = i
-    phi = [-1] * nf
-    new_adj = [0] * nf
-    new_inv = [0] * nf
-    new_marked = []
-    n = 0
-    for i, v in enumerate(vorder):
-        # Each vertex's keys are sorted once.  Numbering a flag changes
-        # only its partner's key, and only while that partner waits here
-        # (a tadpole): it then becomes the least key, so the partner is
-        # numbered next, and tadpole and parallel-edge pairings do not
-        # depend on input flag ids.
-        keys = []
-        for f in g.flags_at(v):
-            partner = inv[f]
-            if partner == f:
-                keys.append((1, f in marked, f))
-            elif phi[partner] != -1:
-                keys.append((0, phi[partner], f))
-            else:
-                keys.append(
-                    (2, vindex[adj[partner]], f in marked, partner in marked, f)
-                )
-        keys.sort()
-        for key in keys:
-            f = key[-1]
-            while phi[f] == -1:
-                phi[f] = n
-                new_adj[n] = i
-                if f in marked:
-                    new_marked.append(n)
-                partner = inv[f]
-                if partner == f:
-                    new_inv[n] = n
-                elif phi[partner] != -1:
-                    new_inv[n], new_inv[phi[partner]] = phi[partner], n
-                elif adj[partner] == v:
-                    f = partner  # the tadpole's other flag, numbered next
-                n += 1
-    encoding = (g.nv, nf, tuple(new_adj), tuple(new_inv), tuple(new_marked))
-    return encoding, tuple(phi)
-
-
-def sort_least_encoding(g: MarkedGraph) -> tuple[tuple, list[tuple[int, ...]]]:
-    """The least encoding over the vertex orderings `sort_neutral_orderings`
-    allows, with the flag map of every ordering that reaches it, in the
-    order they are found."""
-    best, ties = None, []
-    for vorder in sort_neutral_orderings(g):
-        encoding, phi = sort_flag_assignment(g, vorder)
-        if best is None or encoding < best:
-            best, ties = encoding, [phi]
-        elif encoding == best:
-            ties.append(phi)
-    return best, ties
-
-
-def sort_orientation_sign(g: MarkedGraph, phi: tuple[int, ...]) -> int:
-    """Sign of the flag map ``phi`` from ``g`` onto its class graph on
-    det(E) x det^{-1}(D): g's sorted orders, mapped by phi, against the
-    class graph's sorted orders.  Those sort edges by their lower flag
-    and marks by flag, so each sign is the sign of the sort of the
-    mapped lower flags, or of the mapped marks."""
-    lows = [min(phi[f1], phi[f2]) for f1, f2 in g.edges]
-    marks = [phi[f] for f in sorted(g.marked)]
-    return perm_sign(sorted(range(len(lows)), key=lows.__getitem__)) * perm_sign(
-        sorted(range(len(marks)), key=marks.__getitem__)
-    )

@@ -288,10 +288,11 @@ def group_form(group):
 
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_add_marked_legs_matches_the_search(j):
-    """Adding j marked legs to a class with no search gives the class
-    object, sign, flag map, leg map and leg group that canonicalizing the
-    graph after j `add_marked_leg` calls gives; the leg group is read
-    again from that search's ties."""
+    """Adding j marked legs, labelled n..n+j-1, to [cls, id] with no
+    search gives the class object and leg map that canonicalizing the
+    graph after j `add_marked_leg` calls gives, whose sign is (-1)^(j·u)
+    for u marked edge flags; the leg group is read again from that
+    search's ties."""
     classes = lift_classes()
     assert len(classes) > 1000
     assert any(cls.leg_group is None for cls in classes)
@@ -299,15 +300,45 @@ def test_add_marked_legs_matches_the_search(j):
         h = cls.graph
         for _ in range(j):
             h = add_marked_leg(h)
-        lifted = add_marked_legs(cls, j)
+        n = cls.graph.n_legs
+        lifted, tau = add_marked_legs(cls, tuple(range(n)), n, j)
         encoding, ties = _least_encoding(h)
         form = canonical_form(h)
-        assert lifted[0] is form[0]
-        assert lifted[0].key == encoding
-        assert (lifted[1], lifted.phi) == (form[1], form.phi)
-        assert _leg_map(h, lifted) == _leg_map(h, form)
+        assert lifted is form[0]
+        assert lifted.key == encoding
+        assert tau == _leg_map(h, form)
+        u = cls.graph.n_marked - len(cls.graph.marked_legs())
+        assert form[1] == (-1) ** (j * u)
         searched = LegGroup.of(h, _graph_of(encoding), ties, form[1])
-        assert group_form(lifted[0].leg_group) == group_form(searched)
+        assert group_form(lifted.leg_group) == group_form(searched)
+
+
+def marked_dv_labels(eta, tau):
+    h = eta.graph
+    return [tau[k] for k, f in enumerate(h.legs) if h.adj[f] == h.dv and f in h.marked]
+
+
+def test_terms_increase_along_marked_dv_legs():
+    """The one fact the lift's insertion point rests on: along the marked
+    dv legs of every core boundary term, tau increases.  A core term has
+    at most one marked dv leg, as one move marks one flag; the lift keeps
+    the fact on the terms of every class."""
+    cores = {core_class(cls)[0] for cls in lift_classes()}
+    terms = 0
+    for kappa in cores:
+        for eta, tau, _, _ in _core_boundary(kappa)[0]:
+            assert len(marked_dv_labels(eta, tau)) <= 1
+            terms += 1
+    assert len(cores) > 300 and terms > 1000
+    ordered = 0
+    for cls in lift_classes():
+        if _core_boundary(core_class(cls)[0])[1]:
+            continue  # an inadmissible move result: no terms
+        for eta, tau in boundary_terms(cls):
+            labels = marked_dv_labels(eta, tau)
+            assert labels == sorted(labels), (encode_graph(eta.graph), tau)
+            ordered += len(labels) > 1
+    assert ordered > 500
 
 
 def test_inserted_marked_legs_give_a_class_graph():
@@ -352,7 +383,7 @@ def test_trivial_complex():
 # the differential
 
 
-@pytest.mark.parametrize("key", [(1, 3, 2), (2, 3, 3), (1, 4, 2)])
+@pytest.mark.parametrize("key", [(1, 3, 2), (2, 3, 3), (1, 4, 2), (3, 1, 1)])
 def test_d_squared_is_zero(key):
     c = build_complex(*key)
     for i in c.degrees():

@@ -25,7 +25,7 @@ from markedgc.graphs import (
 )
 import markedgc.graphs
 from markedgc.reptheory import perm_sign
-from kernel_oracle import sort_neutral_orderings
+import kernel_oracle
 from perms import inverse
 from search_oracle import automorphisms, iso_det_sign, isomorphisms
 
@@ -533,7 +533,7 @@ def oracle_flag_assignment(g, vorder):
 def oracle_canonical_form(g, edge_order, d_order):
     """(class key, sign, phi) from the re-keying flag assignment."""
     best = None
-    for vorder in sort_neutral_orderings(g):
+    for vorder in kernel_oracle._orderings(g, None):
         candidate = oracle_flag_assignment(g, vorder)
         if best is None or candidate[0] < best[0]:
             best = candidate

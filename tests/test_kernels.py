@@ -1,11 +1,9 @@
-"""The search and coset kernels of `graphs` against the kernels they
-replaced, kept in `kernel_oracle`.  The one-pass `_least_encoding` gives
-the sort-based search's encoding and ties, in order, and
-`_orientation_sign` its sign on the flag map of every ordering; the
-sort-based kernels in turn give the min()-selection kernels' vertex
-invariants, flag assignments and signs.  Coset minima and labelings of
-every leg group agree exactly with the min()-selection kernels, the order
-of labelings included."""
+"""The search and coset kernels of `graphs` against the min()-selection
+kernels they replaced, kept in `kernel_oracle`.  The one-pass
+`_least_encoding` gives the oracle's least encoding and ties, in order,
+over the oracle's vertex orderings, and `_orientation_sign` its sign on
+the flag map of every ordering.  Coset minima and labelings of every leg
+group agree exactly with the oracle's, the order of labelings included."""
 
 import random
 from itertools import permutations
@@ -13,14 +11,7 @@ from itertools import permutations
 import pytest
 
 import kernel_oracle
-from kernel_oracle import (
-    labeled_canonical_form,
-    sort_flag_assignment,
-    sort_least_encoding,
-    sort_neutral_orderings,
-    sort_orientation_sign,
-    sort_vertex_invariant,
-)
+from kernel_oracle import labeled_canonical_form
 from markedgc.complexes import enumerate_unlabeled_classes
 from markedgc.graphs import (
     _graph_of,
@@ -49,34 +40,26 @@ def search_inputs(key):
 
 
 def assert_search_matches_oracle(g):
-    # without a labeling, the oracle's invariants hold n zero labels and
-    # its encodings a None label table; the sort-based kernels drop both
-    for v in range(g.nv):
-        oracle = kernel_oracle._vertex_invariant(g, None, v)
-        assert oracle[3] == (0,) * oracle[2]
-        assert sort_vertex_invariant(g, v) == oracle[:3] + oracle[4:]
+    # without a labeling, the oracle's encodings end in a None label table
     best, ties = None, []
-    for vorder in sort_neutral_orderings(g):
-        got = sort_flag_assignment(g, vorder)
+    for vorder in kernel_oracle._orderings(g, None):
         encoding, phi = kernel_oracle._flag_assignment(g, None, vorder)
-        assert got == (encoding[:5], phi) and encoding[5] is None
+        assert encoding[5] is None
+        encoding = encoding[:5]
         # every ordering's flag map, tied or not, is signed alike
-        assert (
-            _orientation_sign(g, phi)
-            == sort_orientation_sign(g, phi)
-            == kernel_oracle._orientation_sign(g, _graph_of(got[0]), phi)
+        assert _orientation_sign(g, phi) == kernel_oracle._orientation_sign(
+            g, _graph_of(encoding), phi
         )
-        if best is None or got[0] < best:
-            best, ties = got[0], [got[1]]
-        elif got[0] == best:
-            ties.append(got[1])
-    assert sort_least_encoding(g) == (best, ties)
+        if best is None or encoding < best:
+            best, ties = encoding, [phi]
+        elif encoding == best:
+            ties.append(phi)
     assert _least_encoding(g) == (best, ties)
     form = canonical_form(g)
     assert (form[0].key, form.phi, form[1]) == (
         best,
         ties[0],
-        sort_orientation_sign(g, ties[0]),
+        kernel_oracle._orientation_sign(g, _graph_of(best), ties[0]),
     )
     assert labeled_canonical_form(g, None) == (best + (None,), form[1])
 
