@@ -3,10 +3,10 @@ stable multiplicities, genus-1 checks, and aggregated verification.
 
 Exit codes: 0 on success, 1 when a verification finds a violation, 2 on
 usage errors and unwritable caches, 3 when an internal invariant check
-(d^2 = 0, a factorization's pivot count against the rank, character
-dimension, admissibility of enumerated cores) fails.  Output is JSON
-(machine-readable, schema version 1) or aligned text tables; both are
-deterministic for a fixed invocation.
+(d^2 = 0, a factorized differential's pivot count against the rank,
+character dimension, admissibility of enumerated cores) fails.  Output
+is JSON (machine-readable, schema version 1) or aligned text tables;
+both are deterministic for a fixed invocation.
 """
 
 from __future__ import annotations

@@ -93,16 +93,6 @@ class MarkedGraph:
     def n_marked(self) -> int:
         return len(self.marked)
 
-    @cached_property
-    def _flags_by_vertex(self) -> tuple[tuple[int, ...], ...]:
-        table: list[list[int]] = [[] for _ in range(self.nv)]
-        for f, v in enumerate(self.adj):
-            table[v].append(f)
-        return tuple(map(tuple, table))
-
-    def flags_at(self, v: int) -> tuple[int, ...]:
-        return self._flags_by_vertex[v]
-
     def is_connected(self) -> bool:
         if self.nv == 0:
             return False
@@ -703,7 +693,7 @@ def contract_edge(g: MarkedGraph, e: Edge) -> list[tuple[MarkedGraph, int]]:
 
     fm = marked_flags[0]
     w = g.adj[g.inv[fm]]  # neutral endpoint absorbed into dv
-    newly_adjacent = [f for f in g.flags_at(w) if f != g.inv[fm]]
+    newly_adjacent = [f for f, v in enumerate(g.adj) if v == w and f != g.inv[fm]]
     results = []
     for fi in newly_adjacent:
         if g.inv[fi] in g.marked:

@@ -1,20 +1,21 @@
 """Exact homology of equivariant complexes, with characters and
 irreducible decompositions.
 
-Ranks come from integer elimination; character values on homology use
-the identity chi_H(s) = chi_C(s) - tr(s|im d_{i+1}) - tr(s|im d_i),
-where traces on images follow from a one-time column factorization of
-each differential (the group acts on the columns by a signed
-permutation).  Each degree's actions, one per cycle type, come from
-one walk of `complexes.cycle_type_actions`, which takes coset minima
-only for (0 1) and the n-cycle and composes the others; the walk serves
-the chain trace and the image trace alike.  The factorization
-eliminates from the last column and keeps every coordinate as integers
-over one denominator, so a trace is a few integer sums, one per
-denominator; its pivot count must equal the rank.  Decomposition into
-irreducibles is one integer inner product per irreducible.  The tests
-recompute every image trace by direct linear solves and by the
-input-order `Fraction` factorization, and compare.
+Ranks come from integer elimination.  Characters come from one pass up
+the degrees (`homology_characters`), which factorizes only a d_{i+1}
+directly above a nonzero H_i: none when all homology sits in the top
+degree, as at genus 1.  A trace on im d_{i+1} is read off its column
+factorization (the group acts on the columns by a signed permutation),
+which keeps every coordinate as integers over one denominator.  Each
+walk over a degree, one action per cycle type, is one run of
+`complexes.cycle_type_actions`.  Decomposition into irreducibles is one
+integer inner product per irreducible.
+
+Checks: every degree keeps d^2 = 0 (at build time) and a non-negative
+rank-nullity dimension; a factorized d_{i+1} keeps its pivot count
+against `rank`; a nonzero H_i keeps its character's dimension against
+rank-nullity (true by construction) and `decompose`'s exact integrality
+and non-negativity.  The tests recompute the characters by linear solves.
 """
 
 from __future__ import annotations
@@ -22,12 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import EquivariantComplex, action_trace, cycle_type_actions
-from .linalg import (
-    column_factorization,
-    rank,
-    trace_on_image,
-)
+from .complexes import EquivariantComplex, chain_character, cycle_type_actions
+from .linalg import column_factorization, rank, trace_on_image
 from .partitions import Partition, cycle_types
 from .reptheory import ClassFunction, IrrDecomposition, decompose
 
@@ -53,7 +50,9 @@ class HomologyProfile:
             {
                 "degree": i,
                 "dim": self.dims[i],
-                "decomposition": self.decompositions[i].to_json(),
+                "decomposition": (
+                    self.decompositions[i].to_json() if self.dims[i] else []
+                ),
             }
             for i in sorted(self.dims)
         ]
@@ -73,16 +72,12 @@ def homology_dimensions(c: EquivariantComplex, ranks: dict[int, int]) -> dict[in
     return dims
 
 
-def _degree_traces(
+def _image_traces(
     c: EquivariantComplex, k: int, rank_k: int
-) -> dict[Partition, tuple[int, Fraction]]:
-    """Per cycle type, the chain trace on C_k and the trace on im d_k, from
-    one walk of `cycle_type_actions` over C_k.
-
-    d_k is column-factorized here, and the pivot count must equal
-    ``rank_k`` (from `differential_ranks`): `rank` eliminates the rows of
-    d_k, the factorization its columns.  The factorization and the walk's
-    swap table are dropped on return."""
+) -> dict[Partition, Fraction]:
+    """Per cycle type, the trace on im d_k, from one walk of
+    `cycle_type_actions` over C_k.  The column factorization's pivot count
+    must equal ``rank_k``, the row rank from `differential_ranks`."""
     factorization = column_factorization(c.diff[k])
     pivots, _ = factorization
     if len(pivots) != rank_k:
@@ -91,59 +86,56 @@ def _degree_traces(
             f"rank gives {rank_k}"
         )
     return {
-        mu: (action_trace(action), trace_on_image(action, factorization))
+        mu: trace_on_image(action, factorization)
         for mu, action in cycle_type_actions(c, k)
     }
 
 
 def homology_characters(
-    c: EquivariantComplex, degrees: list[int], ranks: dict[int, int]
+    c: EquivariantComplex, dims: dict[int, int], ranks: dict[int, int]
 ) -> dict[int, ClassFunction]:
-    """Characters of the S_n action on H_i for each i in ``degrees``.
+    """Characters of the S_n action on H_i wherever ``dims[i]`` is nonzero.
 
-    The acted degrees k, i and i + 1 for each i where C_k is nonzero, are
-    taken one at a time by `_degree_traces`, so only one degree's
-    factorization and swap table are alive at once.  Then
-    chi_{H_i} = chain_i - im_i - im_{i+1}."""
-    acted = sorted({k for i in degrees for k in (i, i + 1) if c.diff.get(k)})
-    traces = {k: _degree_traces(c, k, ranks[k]) for k in acted}
+    With Z_i = ker d_i and B_i = im d_{i+1}, the equivariant exact
+    sequences 0 -> Z_i -> C_i -> B_{i-1} -> 0 and 0 -> B_i -> Z_i -> H_i
+    -> 0 split over Q, so chi(Z_i) = chi(C_i) - chi(B_{i-1}) and chi(H_i)
+    = chi(Z_i) - chi(B_i).  B is zero below the bottom degree, and
+    B_{k-1} = B_k = 0 where C_k = 0, so a missing degree is skipped.  B_i
+    = Z_i where H_i = 0, and elsewhere chi(B_i) is the trace on im d_{i+1}
+    (zero when C_{i+1} is).  The pass stops at the last nonzero H_i."""
     characters = {}
-    for i in degrees:
-        above = traces.get(i + 1)
-        values = {}
-        for mu in cycle_types(c.n):
-            chain, image = traces[i][mu]
-            values[mu] = chain - image - (above[mu][1] if above else 0)
-        characters[i] = ClassFunction(c.n, values)
+    boundaries = dict.fromkeys(cycle_types(c.n), 0)  # chi(B_{i-1})
+    top = max((i for i, d in dims.items() if d), default=-1)
+    for i in c.degrees():
+        if i > top:
+            break
+        chain = chain_character(c, i)
+        cycles = {mu: chain(mu) - boundaries[mu] for mu in boundaries}
+        if not dims[i]:
+            boundaries = cycles
+            continue
+        boundaries = (
+            _image_traces(c, i + 1, ranks[i + 1])
+            if c.diff.get(i + 1) else dict.fromkeys(cycles, 0)
+        )
+        characters[i] = ClassFunction(
+            c.n, {mu: cycles[mu] - boundaries[mu] for mu in cycles}
+        )
     return characters
 
 
-def _zero_character(n: int) -> ClassFunction:
-    return ClassFunction(n, {mu: Fraction(0) for mu in cycle_types(n)})
-
-
 def homology_decomposition(c: EquivariantComplex) -> HomologyProfile:
-    """Full homology profile; characters are computed only in degrees with
-    nonzero homology (elsewhere the module is zero)."""
+    """Full homology profile; characters and decompositions are kept only
+    in degrees with nonzero homology (elsewhere the module is zero)."""
     ranks = differential_ranks(c)
     dims = homology_dimensions(c, ranks)
-    chars = homology_characters(c, [i for i in sorted(dims) if dims[i]], ranks)
-    characters: dict[int, ClassFunction] = {}
-    decompositions: dict[int, IrrDecomposition] = {}
-    for i in sorted(dims):
-        if dims[i] == 0:
-            characters[i] = _zero_character(c.n)
-            decompositions[i] = IrrDecomposition(c.n, {})
-            continue
-        chi = chars[i]
+    characters = homology_characters(c, dims, ranks)
+    for i, chi in characters.items():
         if chi.dim != dims[i]:
             raise AssertionError(
                 f"character dimension {chi.dim} != rank-nullity {dims[i]}"
             )
-        characters[i] = chi
-        decompositions[i] = decompose(chi)
     return HomologyProfile(
-        g=c.g, n=c.n, r=c.r,
-        dims=dims, characters=characters, decompositions=decompositions,
+        g=c.g, n=c.n, r=c.r, dims=dims, characters=characters,
+        decompositions={i: decompose(chi) for i, chi in characters.items()},
     )
-

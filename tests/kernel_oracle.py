@@ -17,6 +17,11 @@ from markedgc.graphs import LegGroup, MarkedGraph
 from markedgc.reptheory import Permutation, perm_sign
 
 
+def flags_at(g: MarkedGraph, v: int) -> tuple[int, ...]:
+    """The flags at vertex ``v``, by id."""
+    return tuple(f for f, w in enumerate(g.adj) if w == v)
+
+
 def label_table(g: MarkedGraph, rho: Permutation | None) -> tuple[int, ...]:
     """flag -> label: rho[k] + 1 on the k-th leg, 0 on every other flag
     and on every flag when ``rho`` is None."""
@@ -29,7 +34,7 @@ def label_table(g: MarkedGraph, rho: Permutation | None) -> tuple[int, ...]:
 
 def _vertex_invariant(g: MarkedGraph, rho: Permutation | None, v: int):
     labels = label_table(g, rho)
-    flags = g.flags_at(v)
+    flags = flags_at(g, v)
     leg_labels = sorted(labels[f] for f in flags if g.inv[f] == f)
     return (
         v != g.dv,
@@ -60,7 +65,7 @@ def _flag_assignment(
         # tadpole): it must then sort by the assigned index, or tadpole and
         # parallel-edge pairings would depend on input flag ids.
         keys = {}
-        for f in g.flags_at(v):
+        for f in flags_at(g, v):
             partner = g.inv[f]
             if partner == f:
                 keys[f] = (1, int(f in g.marked), labels[f], 0, f)

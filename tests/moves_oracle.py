@@ -7,6 +7,7 @@ and returns them, mapped to the result, with the move's sign; the moves in
 edges, sorted marks) and fold the orders into the sign.
 """
 
+from kernel_oracle import flags_at
 from markedgc.graphs import Edge, MarkedGraph
 
 
@@ -73,7 +74,7 @@ def contract_edge(
 
     fm = marked_flags[0]
     w = g.adj[g.inv[fm]]  # neutral endpoint absorbed into dv
-    newly_adjacent = [f for f in g.flags_at(w) if f != g.inv[fm]]
+    newly_adjacent = [f for f in flags_at(g, w) if f != g.inv[fm]]
     dpos = d_order.index(fm)
     results = []
     for fi in newly_adjacent:

@@ -2,7 +2,7 @@
 orderings of `canonical_form`'s search replaced, kept as the tests'
 independent oracle for automorphisms and their det-signs."""
 
-from kernel_oracle import label_table
+from kernel_oracle import flags_at, label_table
 from markedgc.graphs import MarkedGraph
 from markedgc.reptheory import Permutation, perm_sign
 
@@ -24,8 +24,8 @@ def isomorphisms(
         or g1.nf != g2.nf
         or g1.n_marked != g2.n_marked
         or g1.n_legs != g2.n_legs
-        or sorted(map(len, map(g1.flags_at, range(g1.nv))))
-        != sorted(map(len, map(g2.flags_at, range(g2.nv))))
+        or sorted(len(flags_at(g1, v)) for v in range(g1.nv))
+        != sorted(len(flags_at(g2, v)) for v in range(g2.nv))
     ):
         return
     nf = g1.nf

@@ -51,9 +51,20 @@ def test_genus_one_concentration_with_cross_check():
 
 
 def test_genus_one_higher_window():
-    profile = profile_of(1, 5, 3)
-    assert profile.nonzero_degrees() == [4]
-    assert profile.dims[4] == 11
+    # all homology in the top degree 2(n - r), of dimension c(n - 1, r - 1),
+    # the unsigned Stirling number of the first kind
+    for key, dim in [((1, 5, 3), 11), ((1, 6, 3), 50), ((1, 6, 4), 35)]:
+        profile = cross_checked_profile(*key)
+        top = 2 * (key[1] - key[2])
+        assert profile.nonzero_degrees() == [top]
+        assert profile.dims[top] == dim
+
+
+def test_two_nonzero_degrees_with_cross_check():
+    # H_3 and H_4: d_4 is factorized for H_3, and nothing above H_4
+    profile = cross_checked_profile(3, 6, 7)
+    assert profile.nonzero_degrees() == [3, 4]
+    assert profile.dims == {0: 0, 1: 0, 2: 0, 3: 10, 4: 89}
 
 
 def test_excess_three_table_n5():
@@ -90,8 +101,8 @@ def test_character_dimension_is_checked_on_s0(monkeypatch):
     assert homology_decomposition(c).dims == {0: 1}
     characters = markedgc.homology.homology_characters
 
-    def doubled(c, degrees, ranks):
-        return {i: chi + chi for i, chi in characters(c, degrees, ranks).items()}
+    def doubled(c, dims, ranks):
+        return {i: chi + chi for i, chi in characters(c, dims, ranks).items()}
 
     monkeypatch.setattr(markedgc.homology, "homology_characters", doubled)
     with pytest.raises(AssertionError, match="character dimension 2"):
@@ -107,9 +118,9 @@ def test_euler_characteristic_of_homology():
 
 
 def test_coset_passes_only_for_the_generators(monkeypatch):
-    """The homology decomposition and the chain characters run
-    `group_action_matrix` only for (0 1) and the n-cycle, once each per
-    acted degree; every other cycle type's action is composed."""
+    """Every walk over a degree, the chain character's and the image
+    trace's alike, runs `group_action_matrix` only for (0 1) and the
+    n-cycle, once each; every other cycle type's action is composed."""
     calls = []
     act = markedgc.complexes.group_action_matrix
 
@@ -122,12 +133,53 @@ def test_coset_passes_only_for_the_generators(monkeypatch):
     generators = [(2, 1, 1, 1, 1), (6,)]
     profile = homology_decomposition(c)
     assert profile.nonzero_degrees() == [3, 4]
-    # H_3 and H_4 act on C_3 and C_4; C_5 is zero
-    assert sorted(calls) == [(k, mu) for k in (3, 4) for mu in generators]
+    # the chain characters walk C_0 ... C_4, and the trace on im d_4,
+    # under the nonzero H_3, walks C_4 once more; C_5 is zero
+    walks = [0, 1, 2, 3, 4, 4]
+    assert sorted(calls) == sorted((k, mu) for k in walks for mu in generators)
     for i in c.degrees():
         calls.clear()
         chain_character(c, i)
         assert sorted(calls) == [(i, mu) for mu in generators]
+
+
+@pytest.mark.parametrize(
+    "key, factorized",
+    [((2, 5, 5), []), ((3, 6, 7), [4]), ((1, 6, 3), [])],
+    ids=str,
+)
+def test_only_differentials_above_a_nonzero_homology_are_factorized(
+    monkeypatch, key, factorized
+):
+    """B(2,5,5) and the genus-1 B(1,6,3) have homology in their top degree
+    only, so nothing is factorized; B(3,6,7) has H_3 and H_4 nonzero and
+    C_5 zero, so only d_4 is."""
+    c = build_complex(*key)
+    seen = []
+    factorize = markedgc.homology.column_factorization
+
+    def spy(cols):
+        seen.append(next(i for i, d in c.diff.items() if d is cols))
+        return factorize(cols)
+
+    monkeypatch.setattr(markedgc.homology, "column_factorization", spy)
+    homology_decomposition(c)
+    assert seen == factorized
+
+
+def test_zero_homology_walks_no_degree(monkeypatch):
+    """B(2,3,3) has zero homology: no chain character is taken and
+    nothing is decomposed."""
+    def forbidden(*args):
+        raise AssertionError("called on a complex with zero homology")
+
+    c = build_complex(2, 3, 3)
+    for name in ("chain_character", "decompose", "column_factorization"):
+        monkeypatch.setattr(markedgc.homology, name, forbidden)
+    profile = homology_decomposition(c)
+    assert profile.nonzero_degrees() == []
+    assert profile.characters == profile.decompositions == {}
+    assert all(row["decomposition"] == [] for row in profile.to_json())
 
 
 @pytest.mark.parametrize("key", [(2, 5, 5), (2, 6, 6), (3, 6, 7)], ids=str)
@@ -136,4 +188,6 @@ def test_decompose_matches_fraction_oracle_on_acceptance_complexes(key):
     profile = homology_decomposition(c)
     for i in c.degrees():
         assert_decompose_matches(chain_character(c, i))
-        assert_decompose_matches(profile.characters[i])
+    assert list(profile.characters) == profile.nonzero_degrees()
+    for chi in profile.characters.values():
+        assert_decompose_matches(chi)
