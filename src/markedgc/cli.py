@@ -255,8 +255,12 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if not violations else EXIT_VIOLATION
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "table"], default="table")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    _add_format(p)
     p.add_argument("--cache-dir", default=None)
 
 
@@ -301,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--lambda", dest="lam", required=True)
-    _add_common(p)
+    _add_format(p)  # builds no complex, so it takes no --cache-dir
     p.set_defaults(func=_cmd_stable_mult)
 
     p = sub.add_parser("whitehouse", help="genus-1 oracle checks")

@@ -78,6 +78,7 @@ from .graphs import (
     OrientedClass,
     _least_encoding,
     add_marked_legs,
+    assemble,
     canonical_form,
     contract_edge,
     core_class,
@@ -135,7 +136,7 @@ def _skeletons(nv: int, ne: int, n: int, r: int):
                 head += ((0, v),) * a
             for joins in _realizations([val - a for val, a in invariants]):
                 chosen = head + joins
-                bare = _assemble(nv, chosen, (0,) * nv)
+                bare = assemble(nv, chosen, (0,) * nv)
                 if not bare.is_connected():
                     continue
                 encoding = _least_encoding(bare)[0]
@@ -225,22 +226,6 @@ def _leg_distributions(nv: int, n_legs: int, edge_valence: list[int]):
     yield from rec(0, spare, ())
 
 
-def _assemble(nv: int, chosen: tuple[tuple[int, int], ...], legs_at: tuple[int, ...]):
-    """Flag structure for an edge multiset plus per-vertex leg counts."""
-    adj: list[int] = []
-    inv: list[int] = []
-    for v, w in chosen:
-        adj.extend([v, w])
-        inv.extend([len(adj) - 1, len(adj) - 2])
-    for v in range(nv):
-        for _ in range(legs_at[v]):
-            adj.append(v)
-            inv.append(len(adj) - 1)
-    return MarkedGraph(
-        nv=nv, dv=0, adj=tuple(adj), inv=tuple(inv), marked=frozenset()
-    )
-
-
 @cache
 def _core_classes(g: int, n: int, r: int) -> tuple[OrientedClass, ...]:
     """Canonical core classes (no marked legs, exactly r marked flags) of
@@ -270,7 +255,7 @@ def _core_classes(g: int, n: int, r: int) -> tuple[OrientedClass, ...]:
         if nv < 1 or 2 * ne < r:
             continue
         for chosen in _skeletons(nv, ne, n, r):
-            # `_assemble` numbers edge flags before legs: flag f is end
+            # `assemble` numbers edge flags before legs: flag f is end
             # f % 2 of edge f // 2, and its partner is f ^ 1.
             internal = [f for f in range(2 * ne) if chosen[f // 2][f % 2] == 0]
             markings = []
@@ -283,7 +268,7 @@ def _core_classes(g: int, n: int, r: int) -> tuple[OrientedClass, ...]:
                 edge_valence[v] += 1
                 edge_valence[w] += 1
             for legs_at in _leg_distributions(nv, n, edge_valence):
-                base = _assemble(nv, chosen, legs_at)
+                base = assemble(nv, chosen, legs_at)
                 bad = validate(base)
                 if bad:
                     raise AssertionError(
@@ -474,7 +459,7 @@ def _core_boundary(kappa: OrientedClass) -> tuple[tuple, list[str]]:
     mark_sign = -1 if g.n_edges % 2 else 1
     edge_marks = set()
     for f in range(g.nf):
-        if g.adj[f] == g.dv and f not in g.marked:
+        if g.adj[f] == 0 and f not in g.marked:
             result = mark_flag(g, f)
             if result is not None:
                 h, s = result
@@ -712,13 +697,12 @@ def stabilization_map(
 ) -> ChainMap:
     """The chain map adjoining a marked leg with label n+1 (degree 0).
 
-    The leg is adjoined once per unlabeled class xi, as `add_marked_leg`
-    does, last in flag order and in the marked order, and
-    `graphs.add_marked_legs` (b = n) gives its class and leg map with no
-    search.  Appended last, its mark passes the u marked edge flags of
-    xi on the way to its place among the marked legs, so the sign is
-    (-1)^u.  [xi, rho] then maps like [xi, id] relabeled by rho extended
-    by n -> n.
+    The leg is adjoined once per unlabeled class xi, as its last flag and
+    last in the marked order, and `graphs.add_marked_legs` (b = n) gives
+    its class and leg map with no search.  Appended last, its mark passes
+    the u marked edge flags of xi on the way to its place among the
+    marked legs, so the sign is (-1)^u.  [xi, rho] then maps like
+    [xi, id] relabeled by rho extended by n -> n.
     """
     identity = tuple(range(source.n))
     cols: dict[int, SparseColumns] = {}

@@ -4,9 +4,11 @@ differential.
 
 A graph is a flag structure: ``adj`` sends each flag to its vertex and
 ``inv`` is an involution pairing flags into edges; fixed points are legs.
-A marking is a distinguished vertex ``dv`` plus a set ``marked`` of flags
-at ``dv``.  A graph never carries its leg labeling: that is a permutation
-rho, with label rho[k] + 1 on leg k (in flag order), kept beside it.
+Vertex 0 is the distinguished vertex (the dv), and a marking is a set
+``marked`` of flags at it.  `assemble` builds a graph from its edges and
+per-vertex leg counts.  A graph never carries its leg labeling: that is a
+permutation rho, with label rho[k] + 1 on leg k (in flag order), kept
+beside it.
 
 An orientation is an ordering of the edge set and of the marked set, and
 every graph is in its reference orientation: its sorted edge list and its
@@ -58,7 +60,6 @@ Edge = tuple[int, int]  # (flag, flag) with flag0 < flag1
 @dataclass(frozen=True)
 class MarkedGraph:
     nv: int
-    dv: int
     adj: tuple[int, ...]
     inv: tuple[int, ...]
     marked: frozenset[int]
@@ -117,11 +118,11 @@ class MarkedGraph:
 def validate(g: MarkedGraph) -> list[str]:
     """Return the list of violated admissibility clauses (empty = admissible)."""
     problems = []
-    nf, nv, dv = g.nf, g.nv, g.dv
+    nf, nv = g.nf, g.nv
     adj, inv, marked = g.adj, g.inv, g.marked
     if (
         len(inv) != nf
-        or not (0 <= dv < nv)
+        or nv < 1
         or any(not 0 <= f < nf for f in (*inv, *marked))
     ):
         return ["malformed flag structure"]
@@ -142,7 +143,7 @@ def validate(g: MarkedGraph) -> list[str]:
             continue
         w = adj[f2]
         if v == w:
-            if v != dv:
+            if v != 0:
                 edge_problems.append(f"tadpole at neutral vertex {v}")
         else:
             while parent[v] != v:
@@ -154,12 +155,12 @@ def validate(g: MarkedGraph) -> list[str]:
             edge_problems.append(f"edge ({f1},{f2}) marked on both flags")
     if sum(1 for v in range(nv) if parent[v] == v) != 1:
         problems.append("graph is not connected")
-    for v in range(nv):
-        if v != dv and valence[v] < 3:
+    for v in range(1, nv):
+        if valence[v] < 3:
             problems.append(f"neutral vertex {v} has valence < 3")
     problems.extend(edge_problems)
     for f in marked:
-        if adj[f] != dv:
+        if adj[f] != 0:
             problems.append(f"marked flag {f} not at the distinguished vertex")
     return problems
 
@@ -396,16 +397,16 @@ def _least_encoding(g: MarkedGraph) -> tuple[tuple, list[tuple[int, ...]]]:
     ordering that reaches it, in the order they are found.
 
     One pass over the flags lists each vertex's flags and counts its
-    invariant: flags, legs, marks, edge flags to dv, and flags whose
-    partner is here.  An ordering is dv, then the pools of equal
-    invariant in increasing order, each permuted; a discrete partition
-    leaves one.  Each vertex's keys are sorted once.  Numbering a flag
+    invariant: flags, legs, marks, edge flags to the dv, and flags whose
+    partner is here.  An ordering is the dv, vertex 0, then the pools of
+    equal invariant in increasing order, each permuted; a discrete
+    partition leaves one.  Each vertex's keys are sorted once.  Numbering a flag
     changes only its partner's key, and only while that partner waits
     here (a tadpole): it then becomes the least key, so the partner is
     numbered next, and tadpole and parallel-edge pairings do not depend
     on input flag ids.
     """
-    nv, dv, adj, inv, marked = g.nv, g.dv, g.adj, g.inv, g.marked
+    nv, adj, inv, marked = g.nv, g.adj, g.inv, g.marked
     nf = len(adj)
     flags: list[list[int]] = [[] for _ in range(nv)]
     counts = [[0, 0, 0, 0, 0] for _ in range(nv)]
@@ -417,18 +418,17 @@ def _least_encoding(g: MarkedGraph) -> tuple[tuple, list[tuple[int, ...]]]:
         count[0] += 1
         count[1] += partner == f
         count[2] += f in marked
-        count[3] += partner != f and w == dv
+        count[3] += partner != f and w == 0
         count[4] += w == v
     pools: dict[tuple, list[int]] = {}
-    for v in range(nv):
-        if v != dv:
-            pools.setdefault(tuple(counts[v]), []).append(v)
+    for v in range(1, nv):
+        pools.setdefault(tuple(counts[v]), []).append(v)
     invariants = sorted(pools)
     if len(invariants) == nv - 1:
-        orderings = [(dv, *[pools[k][0] for k in invariants])]
+        orderings = [(0, *[pools[k][0] for k in invariants])]
     else:
         orderings = (
-            (dv, *chain.from_iterable(parts))
+            (0, *chain.from_iterable(parts))
             for parts in product(*[permutations(pools[k]) for k in invariants])
         )
     best, ties = None, []
@@ -479,7 +479,7 @@ def _least_encoding(g: MarkedGraph) -> tuple[tuple, list[tuple[int, ...]]]:
 
 def _graph_of(encoding: tuple) -> MarkedGraph:
     nv, _, adj, inv, marked = encoding
-    return MarkedGraph(nv=nv, dv=0, adj=adj, inv=inv, marked=frozenset(marked))
+    return MarkedGraph(nv=nv, adj=adj, inv=inv, marked=frozenset(marked))
 
 
 def _orientation_sign(g: MarkedGraph, phi: tuple[int, ...]) -> int:
@@ -606,10 +606,10 @@ def add_marked_legs(
     (the scan below relies on it), and the new legs land right after
     those with label < b.  Every other flag is numbered as for h, by the
     insertion lemma, so [class, tau'] is the canonical form of h'.  This
-    covers j `add_marked_leg` calls (b = n) and a move result of a core
-    with legs inserted after its b dv legs, since the moves keep flag
-    order (`complexes._core_boundary`).  The lifted tau' again increases
-    along the marked dv legs.
+    covers j marked legs appended as the last flags (b = n) and a move
+    result of a core with legs inserted after its b dv legs, since the
+    moves keep flag order (`complexes._core_boundary`).  The lifted tau'
+    again increases along the marked dv legs.
     """
     start, end = _marked_dv_legs(cls.key)
     at = start
@@ -646,7 +646,8 @@ def _rebuild(
     """Delete flags, optionally merge vertices, and re-index densely.
 
     The remaining flags keep their order, so the remaining edges and marks
-    stay sorted.
+    stay sorted.  A vertex merges into a smaller one, so vertex 0 stays
+    the dv.
     """
     merge = merge or {}
     keep = [f for f in range(g.nf) if f not in drop_flags]
@@ -657,7 +658,6 @@ def _rebuild(
     marked_src = g.marked if new_marked is None else new_marked
     return MarkedGraph(
         nv=len(vkeep),
-        dv=vmap[vtarget[g.dv]],
         adj=tuple(vmap[vtarget[g.adj[f]]] for f in keep),
         inv=tuple(fmap[g.inv[f]] for f in keep),
         marked=frozenset(fmap[f] for f in marked_src if f not in drop_flags),
@@ -686,10 +686,8 @@ def contract_edge(g: MarkedGraph, e: Edge) -> list[tuple[MarkedGraph, int]]:
 
     marked_flags = [f for f in e if f in g.marked]
     if not marked_flags:
-        # keep dv; otherwise keep the smaller index
-        if v2 == g.dv or (v1 != g.dv and v2 < v1):
-            v1, v2 = v2, v1
-        return [(_rebuild(g, {f1, f2}, merge={v2: v1}), move_sign)]
+        # keep the smaller index, so the dv, vertex 0, stays
+        return [(_rebuild(g, {f1, f2}, merge={max(v1, v2): min(v1, v2)}), move_sign)]
 
     fm = marked_flags[0]
     w = g.adj[g.inv[fm]]  # neutral endpoint absorbed into dv
@@ -701,7 +699,7 @@ def contract_edge(g: MarkedGraph, e: Edge) -> list[tuple[MarkedGraph, int]]:
         lo, hi = min(fm, fi), max(fm, fi)
         between = sum(1 for f in g.marked if lo < f < hi)
         new_marked = (set(g.marked) - {fm}) | {fi}
-        out = _rebuild(g, {f1, f2}, merge={w: g.dv}, new_marked=new_marked)
+        out = _rebuild(g, {f1, f2}, merge={w: 0}, new_marked=new_marked)
         results.append((out, -move_sign if between % 2 else move_sign))
     return results
 
@@ -713,11 +711,11 @@ def mark_flag(g: MarkedGraph, f: int) -> tuple[MarkedGraph, int] | None:
     graph's reference orientation, or None when marking would create a
     double-marked tadpole.
     """
-    if g.adj[f] != g.dv or f in g.marked:
+    if g.adj[f] != 0 or f in g.marked:
         raise ValueError(f"flag {f} is not an unmarked flag at the dv")
     if g.inv[f] != f and g.inv[f] in g.marked:
         return None
-    out = MarkedGraph(nv=g.nv, dv=g.dv, adj=g.adj, inv=g.inv, marked=g.marked | {f})
+    out = MarkedGraph(nv=g.nv, adj=g.adj, inv=g.inv, marked=g.marked | {f})
     below = sum(1 for m in g.marked if m < f)
     return out, -1 if below % 2 else 1
 
@@ -725,16 +723,6 @@ def mark_flag(g: MarkedGraph, f: int) -> tuple[MarkedGraph, int] | None:
 def core(g: MarkedGraph) -> MarkedGraph:
     """Strip the marked legs."""
     return _rebuild(g, set(g.marked_legs()))
-
-
-def add_marked_leg(g: MarkedGraph) -> MarkedGraph:
-    """Adjoin a marked leg at the dv.  It is the last flag, so it is the
-    last leg in flag order (a labeling rho extends by n), and the result is
-    in its reference orientation with sign +1."""
-    f = g.nf
-    return MarkedGraph(
-        nv=g.nv, dv=g.dv, adj=g.adj + (g.dv,), inv=g.inv + (f,), marked=g.marked | {f}
-    )
 
 
 def cut_edge(g: MarkedGraph, e: Edge) -> MarkedGraph:
@@ -747,14 +735,33 @@ def cut_edge(g: MarkedGraph, e: Edge) -> MarkedGraph:
         raise ValueError("cutting requires genus >= 2")
     inv = list(g.inv)
     inv[f1], inv[f2] = f1, f2
-    out = MarkedGraph(nv=g.nv, dv=g.dv, adj=g.adj, inv=tuple(inv), marked=g.marked)
+    out = MarkedGraph(nv=g.nv, adj=g.adj, inv=tuple(inv), marked=g.marked)
     if not out.is_connected():
         raise ValueError(f"edge {e} disconnects the graph")
     return out
 
 
 # ---------------------------------------------------------------------------
-# the extremal core family
+# assembly
+
+
+def assemble(
+    nv: int,
+    edges: tuple[tuple[int, int], ...],
+    legs_at: tuple[int, ...],
+    marked: frozenset[int] = frozenset(),
+) -> MarkedGraph:
+    """The graph on the vertices 0..nv-1 with the edges ``edges``, as
+    vertex pairs, and ``legs_at[v]`` legs at each vertex v.  Edge flags
+    come first: edge k is the flags 2k at its first vertex and 2k + 1 at
+    its second, so flag f's partner is f ^ 1.  The legs follow, in vertex
+    order."""
+    adj = [v for pair in edges for v in pair]
+    inv = [f ^ 1 for f in range(len(adj))]
+    for v, count in enumerate(legs_at):
+        adj.extend([v] * count)
+    inv.extend(range(len(inv), len(adj)))
+    return MarkedGraph(nv=nv, adj=tuple(adj), inv=tuple(inv), marked=marked)
 
 
 def build_theta(g: int, ell: int, p: int) -> MarkedGraph:
@@ -763,56 +770,19 @@ def build_theta(g: int, ell: int, p: int) -> MarkedGraph:
     Built at the excess of (g, ell): a dv joined to p vertices by marked
     parallel edge pairs (one leg each), to (g-1-p)/2 vertices by marked
     triples, and to (m-p)/2 vertices by single marked edges (two legs each).
+    Every edge is marked at its dv flag.
     """
     m = 3 * (g - 1) + 2 * ell
     if m < 0:
         raise ValueError("negative excess")
     if p < 0 or p >= g or p > m or (g - p) % 2 == 0:
         raise ValueError(f"invalid parameter p={p} for (g, ell)=({g}, {ell})")
-    t = (g - 1 - p) // 2
-    y = (m - p) // 2
-
-    adj: list[int] = []
-    inv: list[int] = []
-    marked: set[int] = set()
-
-    def new_flag(v: int) -> int:
-        adj.append(v)
-        inv.append(len(adj) - 1)
-        return len(adj) - 1
-
-    def edge(v: int, w: int, mark_at_v: bool):
-        a, b = new_flag(v), new_flag(w)
-        inv[a], inv[b] = b, a
-        if mark_at_v:
-            marked.add(a)
-
-    def leg(v: int):
-        new_flag(v)
-
-    vertex = 1
-    for _ in range(p):
-        edge(0, vertex, True)
-        edge(0, vertex, True)
-        leg(vertex)
-        vertex += 1
-    for _ in range(t):
-        for _ in range(3):
-            edge(0, vertex, True)
-        vertex += 1
-    for _ in range(y):
-        edge(0, vertex, True)
-        leg(vertex)
-        leg(vertex)
-        vertex += 1
-
-    return MarkedGraph(
-        nv=vertex,
-        dv=0,
-        adj=tuple(adj),
-        inv=tuple(inv),
-        marked=frozenset(marked),
-    )
+    # (edges to the dv, legs) per neutral vertex
+    shapes = [(2, 1)] * p + [(3, 0)] * ((g - 1 - p) // 2) + [(1, 2)] * ((m - p) // 2)
+    edges = tuple((0, v) for v, (k, _) in enumerate(shapes, 1) for _ in range(k))
+    legs_at = (0, *[legs for _, legs in shapes])
+    marked = frozenset(range(0, 2 * len(edges), 2))  # flag 2k, edge k's at the dv
+    return assemble(len(legs_at), edges, legs_at, marked)
 
 
 # ---------------------------------------------------------------------------
@@ -822,7 +792,7 @@ def build_theta(g: int, ell: int, p: int) -> MarkedGraph:
 def encode_graph(g: MarkedGraph) -> str:
     parts = [
         str(g.nv),
-        str(g.dv),
+        "0",  # the dv field: the dv is vertex 0
         ",".join(map(str, g.adj)),
         ",".join(map(str, g.inv)),
         ",".join(map(str, sorted(g.marked))),
@@ -832,9 +802,11 @@ def encode_graph(g: MarkedGraph) -> str:
 
 
 def decode_graph(text: str) -> MarkedGraph:
-    """The graph `encode_graph` wrote; a leg-label field other than ``*``
-    raises ValueError."""
+    """The graph `encode_graph` wrote; a dv field other than ``0`` or a
+    leg-label field other than ``*`` raises ValueError."""
     nv, dv, adj, inv, marked, leg_field = text.strip().split("|")
+    if dv != "0":
+        raise ValueError(f"a graph line with its dv at vertex {dv}: {text.strip()!r}")
     if leg_field != "*":
         raise ValueError(f"a graph line with a leg labeling: {text.strip()!r}")
 
@@ -843,7 +815,6 @@ def decode_graph(text: str) -> MarkedGraph:
 
     return MarkedGraph(
         nv=int(nv),
-        dv=int(dv),
         adj=ints(adj),
         inv=ints(inv),
         marked=frozenset(ints(marked)),

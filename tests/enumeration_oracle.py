@@ -11,14 +11,15 @@ from dataclasses import replace
 from functools import cache
 from itertools import combinations, combinations_with_replacement
 
-from markedgc.complexes import _assemble, _leg_distributions, core_types
+from markedgc.complexes import _leg_distributions, core_types
 from markedgc.graphs import (
     OrientedClass,
-    add_marked_leg,
+    assemble,
     canonical_form,
     encode_graph,
     validate,
 )
+from moves_oracle import add_marked_leg
 
 
 @cache
@@ -73,7 +74,7 @@ def _core_classes(g: int, n: int, r: int) -> tuple[OrientedClass, ...]:
         if nv < 1 or 2 * ne < r:
             continue
         for chosen in _edge_multisets(nv, ne):
-            # `_assemble` numbers edge flags before legs: flag f is end
+            # `assemble` numbers edge flags before legs: flag f is end
             # f % 2 of edge f // 2, and its partner is f ^ 1.
             internal = [f for f in range(2 * ne) if chosen[f // 2][f % 2] == 0]
             markings = []
@@ -88,7 +89,7 @@ def _core_classes(g: int, n: int, r: int) -> tuple[OrientedClass, ...]:
                 edge_valence[v] += 1
                 edge_valence[w] += 1
             for legs_at in _leg_distributions(nv, n, edge_valence):
-                base = _assemble(nv, chosen, legs_at)
+                base = assemble(nv, chosen, legs_at)
                 bad = validate(base)
                 if bad:
                     raise AssertionError(
@@ -108,7 +109,7 @@ def unlabeled_classes(g: int, n: int, r: int) -> list[OrientedClass]:
         for xi in _core_classes(g, n - j, u):
             graph = xi.graph
             for _ in range(j):
-                graph = add_marked_leg(graph)
+                graph = add_marked_leg(graph, (), ())[0]
             cls = canonical_form(graph)[0]
             seen[cls.key] = cls
     return [seen[k] for k in sorted(seen)]

@@ -37,12 +37,12 @@ def _vertex_invariant(g: MarkedGraph, rho: Permutation | None, v: int):
     flags = flags_at(g, v)
     leg_labels = sorted(labels[f] for f in flags if g.inv[f] == f)
     return (
-        v != g.dv,
+        v != 0,
         len(flags),
         len(leg_labels),
         tuple(leg_labels),
         sum(1 for f in flags if f in g.marked),
-        sum(1 for f in flags if g.inv[f] != f and g.adj[g.inv[f]] == g.dv),
+        sum(1 for f in flags if g.inv[f] != f and g.adj[g.inv[f]] == 0),
         sum(1 for f in flags if g.adj[g.inv[f]] == v),  # tadpole flags
     )
 
@@ -111,18 +111,17 @@ def _orderings(g: MarkedGraph, rho: Permutation | None):
     """Vertex orderings, dv first, that keep the neutral vertices sorted
     by invariant."""
     pools: dict[tuple, list[int]] = {}
-    for v in range(g.nv):
-        if v != g.dv:
-            pools.setdefault(_vertex_invariant(g, rho, v), []).append(v)
+    for v in range(1, g.nv):
+        pools.setdefault(_vertex_invariant(g, rho, v), []).append(v)
     for parts in product(*(permutations(pools[k]) for k in sorted(pools))):
-        yield (g.dv,) + sum(parts, ())
+        yield (0,) + sum(parts, ())
 
 
 def labeled_graph_of(key: tuple) -> tuple[MarkedGraph, Permutation | None]:
     """The canonical graph and labeling that the key of
     `labeled_canonical_form` encodes."""
     nv, _, adj, inv, marked, labels = key
-    graph = MarkedGraph(nv=nv, dv=0, adj=adj, inv=inv, marked=frozenset(marked))
+    graph = MarkedGraph(nv=nv, adj=adj, inv=inv, marked=frozenset(marked))
     if labels is None:
         return graph, None
     return graph, tuple(labels[f] - 1 for f in graph.legs)

@@ -1,5 +1,8 @@
-"""The order-taking moves that `contract_edge`, `mark_flag` and
-`add_marked_leg` replaced, kept as the tests' oracle for move signs.
+"""The order-taking moves that `contract_edge` and `mark_flag` replaced,
+kept as the tests' oracle for move signs, and `add_marked_leg`, the only
+function that adjoins a marked leg to a graph: the package adds marked
+legs to classes with `graphs.add_marked_legs`, which the tests check
+against this one.
 
 Each move here carries an edge order and a marked order beside the graph
 and returns them, mapped to the result, with the move's sign; the moves in
@@ -30,7 +33,6 @@ def _rebuild(
     marked_src = g.marked if new_marked is None else new_marked
     out = MarkedGraph(
         nv=len(vkeep),
-        dv=vmap[vtarget[g.dv]],
         adj=tuple(vmap[vtarget[g.adj[f]]] for f in keep),
         inv=tuple(fmap[g.inv[f]] for f in keep),
         marked=frozenset(fmap[f] for f in marked_src if f not in drop_flags),
@@ -64,8 +66,8 @@ def contract_edge(
 
     marked_flags = [f for f in e if f in g.marked]
     if not marked_flags:
-        # keep dv; otherwise keep the smaller index
-        if v2 == g.dv or (v1 != g.dv and v2 < v1):
+        # keep the smaller index, so the dv, vertex 0, stays
+        if v2 < v1:
             v1, v2 = v2, v1
         out, fmap, _ = _rebuild(g, {f1, f2}, merge={v2: v1})
         new_eo = tuple(_map_edge(fmap, ed) for ed in rest_edges)
@@ -81,7 +83,7 @@ def contract_edge(
         if g.inv[fi] in g.marked:
             continue  # double-marked tadpole: zero by definition
         new_marked = (set(g.marked) - {fm}) | {fi}
-        out, fmap, _ = _rebuild(g, {f1, f2}, merge={w: g.dv}, new_marked=new_marked)
+        out, fmap, _ = _rebuild(g, {f1, f2}, merge={w: 0}, new_marked=new_marked)
         new_eo = tuple(_map_edge(fmap, ed) for ed in rest_edges)
         new_do = tuple(
             fmap[fi] if i == dpos else fmap[f] for i, f in enumerate(d_order)
@@ -106,11 +108,11 @@ def mark_flag(
     Returns (graph, edge_order, d_order, sign), or None when marking would
     create a double-marked tadpole.
     """
-    if g.adj[f] != g.dv or f in g.marked:
+    if g.adj[f] != 0 or f in g.marked:
         raise ValueError(f"flag {f} is not an unmarked flag at the dv")
     if g.inv[f] != f and g.inv[f] in g.marked:
         return None
-    out = MarkedGraph(nv=g.nv, dv=g.dv, adj=g.adj, inv=g.inv, marked=g.marked | {f})
+    out = MarkedGraph(nv=g.nv, adj=g.adj, inv=g.inv, marked=g.marked | {f})
     return out, edge_order, (f,) + d_order, 1
 
 
@@ -119,12 +121,14 @@ def add_marked_leg(
     edge_order: tuple[Edge, ...],
     d_order: tuple[int, ...],
 ):
-    """Adjoin a marked leg at the dv, last in the marked order."""
+    """Adjoin a marked leg at the dv, last in the marked order.  It is
+    the last flag, so it is the last leg in flag order (a labeling rho
+    extends by n), and with empty orders the result is in its reference
+    orientation with sign +1."""
     f = g.nf
     out = MarkedGraph(
         nv=g.nv,
-        dv=g.dv,
-        adj=g.adj + (g.dv,),
+        adj=g.adj + (0,),
         inv=g.inv + (f,),
         marked=g.marked | {f},
     )

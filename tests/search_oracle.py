@@ -33,8 +33,8 @@ def isomorphisms(
     used = [False] * nf
     vmap = [-1] * g1.nv
     vused = [False] * g2.nv
-    vmap[g1.dv] = g2.dv
-    vused[g2.dv] = True
+    vmap[0] = 0
+    vused[0] = True
 
     inv1, inv2 = g1.inv, g2.inv
     adj1, adj2 = g1.adj, g2.adj

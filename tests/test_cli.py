@@ -135,6 +135,18 @@ def test_stable_mult_size_mismatch_is_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+def test_stable_mult_rejects_cache_dir(capsys, tmp_path):
+    # stable-mult builds no complex, so a cache directory would do nothing
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "stable-mult", "--m", "4", "--g", "5", "--lambda", "[5,1]",
+            "--cache-dir", str(tmp_path),
+        ])
+    assert exc.value.code == 2
+    assert "--cache-dir" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_whitehouse_command(capsys):
     code, payload = run_json(capsys, "whitehouse", "--n", "4")
     assert code == EXIT_OK

@@ -21,7 +21,6 @@ from markedgc.complexes import (
     load_enumeration,
     save_enumeration,
     stabilization_map,
-    _assemble,
     _checksum,
     _check_d_squared,
     _compose_sparse,
@@ -40,8 +39,8 @@ from markedgc.graphs import (
     _graph_of,
     _least_encoding,
     _orientation_sign,
-    add_marked_leg,
     add_marked_legs,
+    assemble,
     build_theta,
     canonical_form,
     contract_edge,
@@ -137,7 +136,7 @@ def test_unlabeled_enumeration_no_duplicates():
 
 def _marking_choices(g, min_marked):
     """Subsets of dv-flags usable as the marked set (no double-marked edge)."""
-    dv_flags = [f for f in range(g.nf) if g.adj[f] == g.dv]
+    dv_flags = [f for f in range(g.nf) if g.adj[f] == 0]
     for s in range(max(min_marked, 0), len(dv_flags) + 1):
         for sub in combinations(dv_flags, s):
             chosen = set(sub)
@@ -159,7 +158,7 @@ def oracle_enumerate_unlabeled_classes(g, n, r):
                 edge_valence[v] += 1
                 edge_valence[w] += 1
             for legs_at in _leg_distributions(nv, n, edge_valence):
-                base = _assemble(nv, chosen, legs_at)
+                base = assemble(nv, chosen, legs_at)
                 if validate(base):
                     continue
                 for marked in _marking_choices(base, r):
@@ -221,7 +220,7 @@ def test_core_classes_match_the_labelled_oracle(key):
 
 @cache
 def _bare_encoding(nv, chosen):
-    return markedgc.graphs._least_encoding(_assemble(nv, chosen, (0,) * nv))[0]
+    return markedgc.graphs._least_encoding(assemble(nv, chosen, (0,) * nv))[0]
 
 
 @pytest.mark.parametrize(
@@ -290,7 +289,7 @@ def group_form(group):
 def test_add_marked_legs_matches_the_search(j):
     """Adding j marked legs, labelled n..n+j-1, to [cls, id] with no
     search gives the class object and leg map that canonicalizing the
-    graph after j `add_marked_leg` calls gives, whose sign is (-1)^(j·u)
+    graph after j `moves_oracle.add_marked_leg` calls gives, whose sign is (-1)^(j·u)
     for u marked edge flags; the leg group is read again from that
     search's ties."""
     classes = lift_classes()
@@ -299,7 +298,7 @@ def test_add_marked_legs_matches_the_search(j):
     for cls in classes:
         h = cls.graph
         for _ in range(j):
-            h = add_marked_leg(h)
+            h = moves_oracle.add_marked_leg(h, (), ())[0]
         n = cls.graph.n_legs
         lifted, tau = add_marked_legs(cls, tuple(range(n)), n, j)
         encoding, ties = _least_encoding(h)
@@ -315,7 +314,7 @@ def test_add_marked_legs_matches_the_search(j):
 
 def marked_dv_labels(eta, tau):
     h = eta.graph
-    return [tau[k] for k, f in enumerate(h.legs) if h.adj[f] == h.dv and f in h.marked]
+    return [tau[k] for k, f in enumerate(h.legs) if h.adj[f] == 0 and f in h.marked]
 
 
 def test_terms_increase_along_marked_dv_legs():
@@ -349,7 +348,7 @@ def test_inserted_marked_legs_give_a_class_graph():
     places = 0
     for cls in lift_classes():
         g = cls.graph
-        dv_legs = [f for f in g.legs if g.adj[f] == g.dv]
+        dv_legs = [f for f in g.legs if g.adj[f] == 0]
         first = len([f for f in dv_legs if f not in g.marked])
         for at in range(first, len(dv_legs) + 1):
             places += at > first
@@ -679,7 +678,7 @@ def test_seven_marked_legs_at_the_dv_form_one_block(u):
     for xi in cores:
         graph = xi.graph
         for _ in range(7):
-            graph = add_marked_leg(graph)
+            graph = moves_oracle.add_marked_leg(graph, (), ())[0]
         group = canonical_form(graph)[0].leg_group
         assert group.blocks == ((identity, True),)
         assert group.ordered == ((identity, 1),)
@@ -727,7 +726,7 @@ def test_moves_match_order_taking_oracle(key):
             ]
             assert got == expected
         for f in range(g.nf):
-            if g.adj[f] == g.dv and f not in g.marked:
+            if g.adj[f] == 0 and f not in g.marked:
                 got = mark_flag(g, f)
                 old = moves_oracle.mark_flag(g, f, eo, do)
                 if old is None:
@@ -736,7 +735,6 @@ def test_moves_match_order_taking_oracle(key):
                     h, eo2, do2, s = old
                     assert got == (h, s * reference_sign(h, eo2, do2))
         h, eo2, do2 = moves_oracle.add_marked_leg(g, eo, do)
-        assert add_marked_leg(g) == h
         assert reference_sign(h, eo2, do2) == 1
 
 
@@ -760,7 +758,7 @@ def per_move_boundary_terms(xi):
             accumulate(result, 1)
     mark_sign = -1 if g.n_edges % 2 else 1
     for f in range(g.nf):
-        if g.adj[f] == g.dv and f not in g.marked:
+        if g.adj[f] == 0 and f not in g.marked:
             result = mark_flag(g, f)
             if result is not None:
                 accumulate(result, mark_sign)
@@ -855,7 +853,7 @@ def oracle_boundary_terms(key):
             accumulate(result, 1)
     mark_sign = -1 if g.n_edges % 2 else 1
     for f in range(g.nf):
-        if g.adj[f] == g.dv and f not in g.marked:
+        if g.adj[f] == 0 and f not in g.marked:
             result = mark_flag(g, f)
             if result is not None:
                 accumulate(result, mark_sign)
@@ -892,7 +890,9 @@ def oracle_stabilization_cols(key):
         cols[i] = []
         for source in sources:
             graph, rho = labeled_graph_of(source)
-            target, sign = labeled_canonical_form(add_marked_leg(graph), rho + (n,))
+            target, sign = labeled_canonical_form(
+                moves_oracle.add_marked_leg(graph, (), ())[0], rho + (n,)
+            )
             if oracle_vanishes(target):
                 cols[i].append({})
                 continue
@@ -1138,15 +1138,10 @@ def test_checksum_is_hashlib_sha256(body):
     assert _checksum(body) == hashlib.sha256(body.encode()).hexdigest()
 
 
-def test_cache_lines_with_leg_labels_are_recomputed_and_rewritten(tmp_path, capsys):
-    # a well-formed format-2 file (header, count and checksum all agree)
-    # whose lines carry leg labels, as format 1 wrote them, is a miss
-    lines = B_1_3_2_CACHE.splitlines()[1:]
-    body = ""
-    for line in lines:
-        deg, _, text = line.partition("|")
-        g = decode_graph(text)
-        body += f"{deg}|{encode_labeled(g, tuple(range(g.n_legs)))}\n"
+def assert_b_1_3_2_body_is_recomputed_and_rewritten(tmp_path, capsys, body):
+    """A well-formed format-2 file of B(1,3,2) with ``body`` (header,
+    count and checksum all agree) is a miss: the CLI recomputes, prints
+    what it prints with no cache, and rewrites the file."""
     header = json.loads(B_1_3_2_CACHE.partition("\n")[0])
     header["checksum"] = hashlib.sha256(body.encode()).hexdigest()
     path = cache_path(tmp_path, 1, 3, 2)
@@ -1158,3 +1153,28 @@ def test_cache_lines_with_leg_labels_are_recomputed_and_rewritten(tmp_path, caps
     assert main(argv + ["--cache-dir", str(tmp_path)]) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == expected
     assert path.read_text() == B_1_3_2_CACHE
+
+
+def test_cache_lines_with_leg_labels_are_recomputed_and_rewritten(tmp_path, capsys):
+    # lines that carry leg labels, as format 1 wrote them
+    lines = B_1_3_2_CACHE.splitlines()[1:]
+    body = ""
+    for line in lines:
+        deg, _, text = line.partition("|")
+        g = decode_graph(text)
+        body += f"{deg}|{encode_labeled(g, tuple(range(g.n_legs)))}\n"
+    assert_b_1_3_2_body_is_recomputed_and_rewritten(tmp_path, capsys, body)
+
+
+def test_cache_line_with_its_dv_at_vertex_1_is_recomputed_and_rewritten(
+    tmp_path, capsys
+):
+    # the last line's dv field reads 1; the dv is vertex 0 by definition,
+    # so the line itself is rejected
+    lines = B_1_3_2_CACHE.splitlines(keepends=True)[1:]
+    deg, nv, dv, rest = lines[-1].split("|", 3)
+    assert (deg, nv, dv) == ("2", "2", "0")
+    lines[-1] = f"{deg}|{nv}|1|{rest}"
+    with pytest.raises(ValueError):
+        decode_graph(lines[-1].partition("|")[2])
+    assert_b_1_3_2_body_is_recomputed_and_rewritten(tmp_path, capsys, "".join(lines))

@@ -32,14 +32,13 @@ from search_oracle import automorphisms, iso_det_sign, isomorphisms
 
 def tadpole_at_dv():
     """One vertex (the dv) with a single tadpole, one flag marked."""
-    return MarkedGraph(nv=1, dv=0, adj=(0, 0), inv=(1, 0), marked=frozenset({0}))
+    return MarkedGraph(nv=1, adj=(0, 0), inv=(1, 0), marked=frozenset({0}))
 
 
 def theta_graph():
     """Two vertices joined by three parallel unmarked edges."""
     return MarkedGraph(
         nv=2,
-        dv=0,
         adj=(0, 1, 0, 1, 0, 1),
         inv=(1, 0, 3, 2, 5, 4),
         marked=frozenset(),
@@ -49,19 +48,15 @@ def theta_graph():
 def tadpole_and_leg():
     """The dv with a tadpole, one of its flags marked, and one leg."""
     return MarkedGraph(
-        nv=1, dv=0, adj=(0, 0, 0), inv=(1, 0, 2), marked=frozenset({0})
+        nv=1, adj=(0, 0, 0), inv=(1, 0, 2), marked=frozenset({0})
     )
 
 
 def shuffled_copy(g: MarkedGraph, rng: random.Random) -> MarkedGraph:
     """An isomorphic presentation with vertices and flags renamed."""
-    vperm = list(range(g.nv))
-    rest = [v for v in vperm if v != g.dv]
+    rest = list(range(1, g.nv))
     rng.shuffle(rest)
-    vmap = {}
-    vmap[g.dv] = g.dv  # keep dv fixed at its index for simplicity
-    for old, new in zip([v for v in range(g.nv) if v != g.dv], rest):
-        vmap[old] = new
+    vmap = [0, *rest]  # vmap[old] = new; the dv stays vertex 0
     fperm = list(range(g.nf))
     rng.shuffle(fperm)  # fperm[old] = new
     inv = [0] * g.nf
@@ -71,7 +66,6 @@ def shuffled_copy(g: MarkedGraph, rng: random.Random) -> MarkedGraph:
         inv[fperm[f]] = fperm[g.inv[f]]
     return MarkedGraph(
         nv=g.nv,
-        dv=vmap[g.dv],
         adj=tuple(adj),
         inv=tuple(inv),
         marked=frozenset(fperm[f] for f in g.marked),
@@ -91,7 +85,6 @@ def test_neutral_valence_violation():
     # neutral vertex of valence 2
     g = MarkedGraph(
         nv=2,
-        dv=0,
         adj=(0, 1, 0, 1),
         inv=(1, 0, 3, 2),
         marked=frozenset(),
@@ -102,7 +95,6 @@ def test_neutral_valence_violation():
 def test_tadpole_at_neutral_vertex_rejected():
     g = MarkedGraph(
         nv=2,
-        dv=0,
         adj=(0, 1, 1, 1, 0, 1),
         inv=(1, 0, 3, 2, 5, 4),
         marked=frozenset(),
@@ -111,7 +103,7 @@ def test_tadpole_at_neutral_vertex_rejected():
 
 
 def test_double_marked_edge_rejected():
-    g = MarkedGraph(nv=1, dv=0, adj=(0, 0), inv=(1, 0), marked=frozenset({0, 1}))
+    g = MarkedGraph(nv=1, adj=(0, 0), inv=(1, 0), marked=frozenset({0, 1}))
     assert validate(g)
 
 
@@ -123,7 +115,7 @@ def oracle_validate(g):
     """Admissibility by per-vertex valence rescans and a connectivity search."""
     problems = []
     nf = g.nf
-    if len(g.inv) != nf or not (0 <= g.dv < g.nv):
+    if len(g.inv) != nf or g.nv == 0:
         return ["malformed flag structure"]
     if any(f not in range(nf) for f in (*g.inv, *g.marked)):
         return ["malformed flag structure"]
@@ -134,16 +126,16 @@ def oracle_validate(g):
         return problems
     if not g.is_connected():
         problems.append("graph is not connected")
-    for v in range(g.nv):
-        if v != g.dv and sum(1 for f in range(nf) if g.adj[f] == v) < 3:
+    for v in range(1, g.nv):
+        if sum(1 for f in range(nf) if g.adj[f] == v) < 3:
             problems.append(f"neutral vertex {v} has valence < 3")
     for f1, f2 in g.edges:
-        if g.adj[f1] == g.adj[f2] and g.adj[f1] != g.dv:
+        if g.adj[f1] == g.adj[f2] and g.adj[f1] != 0:
             problems.append(f"tadpole at neutral vertex {g.adj[f1]}")
         if f1 in g.marked and f2 in g.marked:
             problems.append(f"edge ({f1},{f2}) marked on both flags")
     for f in g.marked:
-        if g.adj[f] != g.dv:
+        if g.adj[f] != 0:
             problems.append(f"marked flag {f} not at the distinguished vertex")
     return problems
 
@@ -152,10 +144,10 @@ def oracle_validate(g):
 def flag_structures(draw):
     """Flag structures that are mostly well formed: random involutions
     (or, sometimes, arbitrary maps with out-of-range entries), adjacency
-    and marked flags occasionally out of range."""
+    and marked flags occasionally out of range, and sometimes no vertex
+    at all."""
     nv = draw(st.integers(0, 5))
     nf = draw(st.integers(0, 9))
-    dv = draw(st.integers(-1, nv)) if draw(st.integers(0, 9)) == 0 else 0
     if draw(st.integers(0, 9)) == 0:
         vertex = st.integers(-1, nv)
     else:
@@ -176,7 +168,7 @@ def flag_structures(draw):
     else:
         flag = st.integers(0, max(nf - 1, 0))
     marked = frozenset(draw(st.sets(flag, max_size=nf)))
-    return MarkedGraph(nv=nv, dv=dv, adj=adj, inv=inv, marked=marked)
+    return MarkedGraph(nv=nv, adj=adj, inv=inv, marked=marked)
 
 
 @settings(max_examples=600, deadline=None)
@@ -198,7 +190,7 @@ def test_validate_never_raises(g):
     [((1, 0), {-1}), ((1, 0), {2}), ((1, 0), {5}), ((5, 1), set()), ((-1, 0), set())],
 )
 def test_validate_rejects_out_of_range_flags(inv, marked):
-    g = MarkedGraph(nv=1, dv=0, adj=(0, 0), inv=inv, marked=frozenset(marked))
+    g = MarkedGraph(nv=1, adj=(0, 0), inv=inv, marked=frozenset(marked))
     assert validate(g) == oracle_validate(g) == ["malformed flag structure"]
 
 
@@ -217,10 +209,10 @@ def test_validate_matches_rescanning_oracle_on_enumerated_graphs():
 
 
 def test_validate_reports_every_clause_in_order():
-    # flag 0 is a leg at dv; vertex 1 carries a tadpole marked on both
+    # flag 0 is a leg at the dv; vertex 1 carries a tadpole marked on both
     # flags; flag 3 is a leg at vertex 2, which nothing joins
     g = MarkedGraph(
-        nv=3, dv=0, adj=(0, 1, 1, 2), inv=(0, 2, 1, 3), marked=frozenset({1, 2})
+        nv=3, adj=(0, 1, 1, 2), inv=(0, 2, 1, 3), marked=frozenset({1, 2})
     )
     expected = [
         "graph is not connected",
@@ -286,7 +278,7 @@ def test_canonical_sign_tracks_edge_order():
         adj[pi[f]] = g.adj[f]
         inv[pi[f]] = pi[g.inv[f]]
     h = MarkedGraph(
-        nv=g.nv, dv=g.dv, adj=tuple(adj), inv=tuple(inv),
+        nv=g.nv, adj=tuple(adj), inv=tuple(inv),
         marked=frozenset(pi[f] for f in g.marked),
     )
     # h's sorted orders, pulled back to g, against g's sorted orders
@@ -381,7 +373,7 @@ def test_contract_tadpole_gives_nothing():
 def test_mark_flag_creates_marked_leg_degree_drop():
     g = tadpole_and_leg()
     unmarked_dv_legs = [
-        f for f in g.legs if f not in g.marked and g.adj[f] == g.dv
+        f for f in g.legs if f not in g.marked and g.adj[f] == 0
     ]
     assert unmarked_dv_legs
     f = unmarked_dv_legs[0]
@@ -405,7 +397,6 @@ def test_mark_flag_rejects_double_marked_tadpole():
 def test_core_strips_marked_legs():
     g = MarkedGraph(
         nv=1,
-        dv=0,
         adj=(0, 0, 0, 0),
         inv=(1, 0, 2, 3),
         marked=frozenset({0, 2}),
@@ -435,7 +426,6 @@ def test_cut_disconnecting_edge_raises():
     # two tadpole vertices joined by a bridge: bridge disconnects
     g = MarkedGraph(
         nv=2,
-        dv=0,
         adj=(0, 0, 0, 1, 1, 1),
         inv=(1, 0, 3, 2, 5, 4),
         marked=frozenset({0, 2}),
@@ -637,6 +627,14 @@ def test_decode_rejects_a_line_with_leg_labels():
     assert line == "1|0|0,0,0|1,0,2|0|*"
     with pytest.raises(ValueError):
         decode_graph("1|0|0,0,0|1,0,2|0|0,0,1")
+
+
+def test_decode_rejects_a_dv_field_other_than_0():
+    # the dv is vertex 0, and its field always reads 0
+    assert decode_graph("2|0|0,1,1,1|1,0,2,3||*").nv == 2
+    for dv in ("1", "-1", "00", ""):
+        with pytest.raises(ValueError):
+            decode_graph(f"2|{dv}|0,1,1,1|1,0,2,3||*")
 
 
 def test_oriented_class_identity():

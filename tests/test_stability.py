@@ -7,13 +7,12 @@ import markedgc.complexes
 import markedgc.stability
 from markedgc.cli import EXIT_INTERNAL, main
 from markedgc.complexes import (
-    _assemble,
     _leg_distributions,
     build_complex,
     chain_character,
     stabilization_map,
 )
-from markedgc.graphs import MarkedGraph, canonical_form, validate
+from markedgc.graphs import assemble, canonical_form, validate
 from markedgc.homology import homology_decomposition
 from markedgc.partitions import enumerate_partitions, size
 from markedgc.reptheory import decompose, induce_from_subgroup, tensor_sign
@@ -104,7 +103,7 @@ def oracle_enumerate_core_graphs(g, n, r, validated, canonicalized):
                 edge_valence[v] += 1
                 edge_valence[w] += 1
             for legs_at in _leg_distributions(nv, n, edge_valence):
-                base = _assemble(nv, chosen, legs_at)
+                base = assemble(nv, chosen, legs_at)
                 internal = [
                     f
                     for f in range(base.nf)
@@ -115,13 +114,7 @@ def oracle_enumerate_core_graphs(g, n, r, validated, canonicalized):
                     picked = set(sub)
                     if any(base.inv[f] in picked for f in sub):
                         continue
-                    graph = MarkedGraph(
-                        nv=base.nv,
-                        dv=0,
-                        adj=base.adj,
-                        inv=base.inv,
-                        marked=frozenset(picked),
-                    )
+                    graph = replace(base, marked=frozenset(picked))
                     if not marked_any:
                         validated.append(base)
                         marked_any = True
