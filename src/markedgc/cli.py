@@ -27,7 +27,6 @@ from .stability import (
     verify_edge_cut_rows,
     verify_vanishing,
 )
-from .whitehouse import whitehouse_checks
 
 JSON_SCHEMA_VERSION = 1
 
@@ -173,6 +172,8 @@ def _cmd_stable_mult(args) -> int:
 
 
 def _cmd_whitehouse(args) -> int:
+    from .whitehouse import whitehouse_checks  # only its commands load it
+
     report = whitehouse_checks(args.n, cache_dir=args.cache_dir)
     rows = [["check", "result"]]
     for entry in report.checks:
@@ -229,13 +230,14 @@ def _verify_suites(args) -> tuple[dict, list[str]]:
             )
         ),
     )
-    run(
-        "genus-one",
-        None,
-        lambda: whitehouse_checks(
-            args.n if args.n is not None else 4, cache_dir=args.cache_dir
-        ).violations,
-    )
+
+    def genus_one() -> list[str]:
+        from .whitehouse import whitehouse_checks
+
+        n = args.n if args.n is not None else 4
+        return whitehouse_checks(n, cache_dir=args.cache_dir).violations
+
+    run("genus-one", None, genus_one)
     if wanted is not None and wanted not in suites:
         raise ValueError(f"unknown or unavailable suite {wanted!r}")
     return suites, violations

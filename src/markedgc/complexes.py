@@ -65,7 +65,6 @@ import json
 import os
 from collections.abc import Iterator
 from contextlib import suppress
-from dataclasses import dataclass, replace
 from functools import cache
 from fractions import Fraction
 from itertools import combinations
@@ -85,6 +84,7 @@ from .graphs import (
     decode_graph,
     degree,
     encode_graph,
+    is_connected,
     mark_flag,
     validate,
 )
@@ -137,7 +137,7 @@ def _skeletons(nv: int, ne: int, n: int, r: int):
             for joins in _realizations([val - a for val, a in invariants]):
                 chosen = head + joins
                 bare = assemble(nv, chosen, (0,) * nv)
-                if not bare.is_connected():
+                if not is_connected(bare):
                     continue
                 encoding = _least_encoding(bare)[0]
                 if encoding not in seen:
@@ -275,7 +275,7 @@ def _core_classes(g: int, n: int, r: int) -> tuple[OrientedClass, ...]:
                         f"inadmissible core {encode_graph(base)}: {bad}"
                     )
                 for marked in markings:
-                    cls, _ = canonical_form(replace(base, marked=marked))
+                    cls, _ = canonical_form(MarkedGraph(nv, base.adj, base.inv, marked))
                     seen.setdefault(cls.key, cls)
     return tuple(seen[k] for k in sorted(seen))
 
@@ -351,13 +351,11 @@ def excess(g: int, ell: int) -> int:
     return 3 * (g - 1) + 2 * ell
 
 
-@dataclass(frozen=True)
 class EquivariantComplex:
-    g: int
-    n: int
-    r: int
-    basis: dict[int, DegreeTable]  # degree -> {xi: {rho: position}}
-    diff: dict[int, SparseColumns]  # degree i -> matrix C_i -> C_{i-1}
+    def __init__(self, g: int, n: int, r: int, basis, diff):
+        self.g, self.n, self.r = g, n, r
+        self.basis: dict[int, DegreeTable] = basis  # degree -> {xi: {rho: position}}
+        self.diff: dict[int, SparseColumns] = diff  # degree i -> matrix C_i -> C_{i-1}
 
     @property
     def excess(self) -> int:
@@ -685,11 +683,10 @@ def chain_character(c: EquivariantComplex, i: int) -> ClassFunction:
 # stabilization
 
 
-@dataclass(frozen=True)
 class ChainMap:
-    source: EquivariantComplex
-    target: EquivariantComplex
-    cols: dict[int, SparseColumns]  # degree -> matrix source_i -> target_i
+    def __init__(self, source: EquivariantComplex, target: EquivariantComplex, cols):
+        self.source, self.target = source, target
+        self.cols: dict[int, SparseColumns] = cols  # degree -> source_i -> target_i
 
 
 def stabilization_map(

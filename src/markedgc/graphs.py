@@ -48,7 +48,6 @@ marked legs, so only cores cost a search.
 from __future__ import annotations
 
 from bisect import bisect, bisect_left, insort
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, permutations, product
 
@@ -57,12 +56,29 @@ from .reptheory import Permutation, perm_sign
 Edge = tuple[int, int]  # (flag, flag) with flag0 < flag1
 
 
-@dataclass(frozen=True)
 class MarkedGraph:
-    nv: int
-    adj: tuple[int, ...]
-    inv: tuple[int, ...]
-    marked: frozenset[int]
+    """A flag structure with a marking; equal graphs compare and hash
+    equal field by field."""
+
+    def __init__(
+        self,
+        nv: int,
+        adj: tuple[int, ...],
+        inv: tuple[int, ...],
+        marked: frozenset[int],
+    ):
+        self.nv, self.adj, self.inv, self.marked = nv, adj, inv, marked
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MarkedGraph) and (
+            self.nv, self.adj, self.inv, self.marked
+        ) == (other.nv, other.adj, other.inv, other.marked)
+
+    def __hash__(self) -> int:
+        return hash((self.nv, self.adj, self.inv, self.marked))
+
+    def __repr__(self) -> str:
+        return f"MarkedGraph({self.nv}, {self.adj}, {self.inv}, {self.marked})"
 
     @property
     def nf(self) -> int:
@@ -94,23 +110,6 @@ class MarkedGraph:
     def n_marked(self) -> int:
         return len(self.marked)
 
-    def is_connected(self) -> bool:
-        if self.nv == 0:
-            return False
-        seen = {0}
-        stack = [0]
-        neighbors: dict[int, set[int]] = {v: set() for v in range(self.nv)}
-        for f1, f2 in self.edges:
-            neighbors[self.adj[f1]].add(self.adj[f2])
-            neighbors[self.adj[f2]].add(self.adj[f1])
-        while stack:
-            v = stack.pop()
-            for w in neighbors[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.nv
-
     def marked_legs(self) -> tuple[int, ...]:
         return tuple(f for f in self.legs if f in self.marked)
 
@@ -131,29 +130,20 @@ def validate(g: MarkedGraph) -> list[str]:
     if any(inv[p] != f for f, p in enumerate(inv)):
         problems.append("involution is not an involution")
         return problems
-    # One pass over the flags: valences, the edges' union-find, and the
-    # edge clauses (reported after the valence clauses, in edge order).
+    # One pass over the flags: valences and the edge clauses (reported
+    # after the valence clauses, in edge order).
     valence = [0] * nv
-    parent = list(range(nv))
     edge_problems = []
     for f1, v in enumerate(adj):
         valence[v] += 1
         f2 = inv[f1]
         if f2 <= f1:
             continue
-        w = adj[f2]
-        if v == w:
-            if v != 0:
-                edge_problems.append(f"tadpole at neutral vertex {v}")
-        else:
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            while parent[w] != w:
-                parent[w] = w = parent[parent[w]]
-            parent[v] = w
+        if v == adj[f2] != 0:
+            edge_problems.append(f"tadpole at neutral vertex {v}")
         if f1 in marked and f2 in marked:
             edge_problems.append(f"edge ({f1},{f2}) marked on both flags")
-    if sum(1 for v in range(nv) if parent[v] == v) != 1:
+    if not is_connected(g):
         problems.append("graph is not connected")
     for v in range(1, nv):
         if valence[v] < 3:
@@ -163,6 +153,21 @@ def validate(g: MarkedGraph) -> list[str]:
         if adj[f] != 0:
             problems.append(f"marked flag {f} not at the distinguished vertex")
     return problems
+
+
+def is_connected(g: MarkedGraph) -> bool:
+    """Whether the edges join all of ``g``'s vertices: a union-find over
+    the edges."""
+    adj, parent = g.adj, list(range(g.nv))
+    for f1, f2 in enumerate(g.inv):
+        if f1 < f2:
+            v, w = adj[f1], adj[f2]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            while parent[w] != w:
+                parent[w] = w = parent[parent[w]]
+            parent[v] = w
+    return sum(1 for v, p in enumerate(parent) if v == p) == 1
 
 
 def degree(g: MarkedGraph) -> int:
@@ -341,17 +346,20 @@ def _twin_blocks(canon: MarkedGraph) -> tuple:
 _class_cache: dict[tuple, "OrientedClass"] = {}
 
 
-@dataclass(frozen=True)
 class OrientedClass:
     """Canonical representative of an isomorphism class, with the reference
     orientation given by its sorted edge list and sorted marked list, and
-    its `LegGroup`, built with the class."""
+    its `LegGroup`, built with the class.  Classes compare by ``key``, the
+    least encoding."""
 
-    graph: MarkedGraph
-    key: tuple = field(repr=False)
-    # None when an odd automorphism fixes every leg: the class is zero
-    # under every labeling
-    leg_group: LegGroup | None = field(repr=False)
+    def __init__(self, graph: MarkedGraph, key: tuple, leg_group: LegGroup | None):
+        self.graph, self.key = graph, key
+        # None when an odd automorphism fixes every leg: the class is zero
+        # under every labeling
+        self.leg_group = leg_group
+
+    def __repr__(self) -> str:
+        return f"OrientedClass(graph={self.graph!r})"
 
     def __eq__(self, other) -> bool:
         return isinstance(other, OrientedClass) and self.key == other.key
@@ -720,11 +728,6 @@ def mark_flag(g: MarkedGraph, f: int) -> tuple[MarkedGraph, int] | None:
     return out, -1 if below % 2 else 1
 
 
-def core(g: MarkedGraph) -> MarkedGraph:
-    """Strip the marked legs."""
-    return _rebuild(g, set(g.marked_legs()))
-
-
 def cut_edge(g: MarkedGraph, e: Edge) -> MarkedGraph:
     """Cut a non-disconnecting edge into two legs, which keep the edge's
     flags."""
@@ -736,7 +739,7 @@ def cut_edge(g: MarkedGraph, e: Edge) -> MarkedGraph:
     inv = list(g.inv)
     inv[f1], inv[f2] = f1, f2
     out = MarkedGraph(nv=g.nv, adj=g.adj, inv=tuple(inv), marked=g.marked)
-    if not out.is_connected():
+    if not is_connected(out):
         raise ValueError(f"edge {e} disconnects the graph")
     return out
 

@@ -20,7 +20,6 @@ and non-negativity.  The tests recompute the characters by linear solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import EquivariantComplex, chain_character, cycle_type_actions
@@ -29,14 +28,12 @@ from .partitions import Partition, cycle_types
 from .reptheory import ClassFunction, IrrDecomposition, decompose
 
 
-@dataclass(frozen=True)
 class HomologyProfile:
-    g: int
-    n: int
-    r: int
-    dims: dict[int, int]
-    characters: dict[int, ClassFunction]
-    decompositions: dict[int, IrrDecomposition]
+    def __init__(self, g: int, n: int, r: int, dims, characters, decompositions):
+        self.g, self.n, self.r = g, n, r
+        self.dims: dict[int, int] = dims
+        self.characters: dict[int, ClassFunction] = characters
+        self.decompositions: dict[int, IrrDecomposition] = decompositions
 
     def nonzero_degrees(self) -> list[int]:
         return sorted(i for i, d in self.dims.items() if d)

@@ -10,7 +10,6 @@ Everything is exact: values are Python ints or Fractions, never floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm
@@ -89,17 +88,13 @@ def irreducible_dimension(lam: Partition) -> int:
     return character_value(lam, (1,) * size(lam)) if lam else 1
 
 
-@dataclass(frozen=True)
 class ClassFunction:
     """A rational class function on S_n, one value per cycle type."""
 
-    n: int
-    values: dict[Partition, Fraction] = field(compare=False)
-
-    def __post_init__(self):
-        expected = cycle_types(self.n)
-        if set(self.values) != set(expected):
+    def __init__(self, n: int, values: dict[Partition, Fraction]):
+        if set(values) != set(cycle_types(n)):
             raise ValueError("class function must assign a value to every cycle type")
+        self.n, self.values = n, values
 
     def __eq__(self, other) -> bool:
         return (
@@ -141,19 +136,15 @@ class ClassFunction:
         return ClassFunction(self.n - 1, vals)
 
 
-@dataclass(frozen=True)
 class IrrDecomposition:
     """Multiplicities of irreducibles of S_n; zero entries are omitted."""
 
-    n: int
-    mult: dict[Partition, int] = field(compare=False)
-
-    def __post_init__(self):
-        clean = {lam: m for lam, m in self.mult.items() if m}
+    def __init__(self, n: int, mult: dict[Partition, int]):
+        clean = {lam: m for lam, m in mult.items() if m}
         for lam, m in clean.items():
-            if size(lam) != self.n or m < 0:
+            if size(lam) != n or m < 0:
                 raise ValueError(f"bad multiplicity entry {lam}: {m}")
-        object.__setattr__(self, "mult", clean)
+        self.n, self.mult = n, clean
 
     def __eq__(self, other) -> bool:
         return (

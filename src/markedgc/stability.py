@@ -34,8 +34,6 @@ for the class eta of xi + leg, or zero when eta vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .complexes import (
     ChainMap,
     build_complex,
@@ -146,14 +144,12 @@ def core_decomposition(
 # sharp-point detection
 
 
-@dataclass(frozen=True)
 class StabilityReport:
-    g: int
-    ell: int
-    predicted: int
-    window: tuple[int, int]
-    conditions: dict[int, tuple[bool, bool, bool]]
-    detected: int | None
+    def __init__(self, g: int, ell: int, predicted: int, window, conditions, detected):
+        self.g, self.ell, self.predicted = g, ell, predicted
+        self.window: tuple[int, int] = window
+        self.conditions: dict[int, tuple[bool, bool, bool]] = conditions
+        self.detected: int | None = detected
 
     def to_json(self) -> dict:
         return {

@@ -12,7 +12,6 @@ those three oracles independently of the chain complexes and compares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
@@ -154,10 +153,9 @@ def config_restriction_character(n: int, r: int) -> ClassFunction:
     return total
 
 
-@dataclass(frozen=True)
 class GenusOneReport:
-    checks: list[dict]
-    violations: list[str]
+    def __init__(self, checks: list[dict], violations: list[str]):
+        self.checks, self.violations = checks, violations
 
     @property
     def ok(self) -> bool:

@@ -7,12 +7,12 @@ and canonicalizes every decoration; `unlabeled_classes` adds marked legs
 to those cores.
 """
 
-from dataclasses import replace
 from functools import cache
 from itertools import combinations, combinations_with_replacement
 
 from markedgc.complexes import _leg_distributions, core_types
 from markedgc.graphs import (
+    MarkedGraph,
     OrientedClass,
     assemble,
     canonical_form,
@@ -96,7 +96,7 @@ def _core_classes(g: int, n: int, r: int) -> tuple[OrientedClass, ...]:
                         f"inadmissible core {encode_graph(base)}: {bad}"
                     )
                 for marked in markings:
-                    cls, _ = canonical_form(replace(base, marked=marked))
+                    cls, _ = canonical_form(MarkedGraph(base.nv, base.adj, base.inv, marked))
                     seen.setdefault(cls.key, cls)
     return tuple(seen[k] for k in sorted(seen))
 

@@ -1,8 +1,9 @@
 """The order-taking moves that `contract_edge` and `mark_flag` replaced,
-kept as the tests' oracle for move signs, and `add_marked_leg`, the only
+kept as the tests' oracle for move signs; `add_marked_leg`, the only
 function that adjoins a marked leg to a graph: the package adds marked
 legs to classes with `graphs.add_marked_legs`, which the tests check
-against this one.
+against this one; and `core`, which strips a graph's marked legs (the
+package reads a class's core off its encoding with `graphs.core_class`).
 
 Each move here carries an edge order and a marked order beside the graph
 and returns them, mapped to the result, with the move's sign; the moves in
@@ -133,3 +134,8 @@ def add_marked_leg(
         marked=g.marked | {f},
     )
     return out, edge_order, d_order + (f,)
+
+
+def core(g: MarkedGraph) -> MarkedGraph:
+    """Strip the marked legs."""
+    return _rebuild(g, set(g.marked_legs()))[0]

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +18,12 @@ from markedgc.cli import (
     build_parser,
     main,
 )
-from markedgc.complexes import cache_path, enumerate_marked_graphs, load_enumeration
+from markedgc.complexes import (
+    ChainMap,
+    cache_path,
+    enumerate_marked_graphs,
+    load_enumeration,
+)
 
 
 def run(capsys, *argv):
@@ -112,7 +116,7 @@ def test_stability_column_with_two_entries_exits_3(capsys, monkeypatch):
         psi = stabilize(source, target)
         i = max(psi.cols)
         cols = [{0: 1, 1: 1}] + psi.cols[i][1:]
-        return replace(psi, cols={**psi.cols, i: cols})
+        return ChainMap(psi.source, psi.target, {**psi.cols, i: cols})
 
     monkeypatch.setattr(markedgc.stability, "stabilization_map", two_entries)
     code = main(["stability", "--g", "2", "--l", "0", "--window", "5"])
@@ -291,12 +295,14 @@ def run(*argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(list(argv)) == 0, argv
-    loaded = {"hashlib", "_hashlib"} & set(sys.modules)
+    unwanted = {"hashlib", "_hashlib", "dataclasses", "inspect", "markedgc.whitehouse"}
+    loaded = unwanted & set(sys.modules)
     assert not loaded, f"{argv[0]} loaded {sorted(loaded)}"
     return out.getvalue()
 
 run("homology", "--g", "2", "--n", "3", "--r", "3")
 run("stability", "--g", "1", "--l", "1", "--window", "4")
+run("verify", "--suite", "core-bounds", "--g", "2")
 for command in ("enumerate", "complex"):
     cache_dir = f"{sys.argv[1]}/{command}"
     cache = [command, "--g", "2", "--n", "3", "--r", "3", "--cache-dir", cache_dir]
@@ -307,10 +313,30 @@ for command in ("enumerate", "complex"):
 
 
 def test_no_command_loads_openssl(tmp_path):
-    # with and without a cache, no command imports hashlib or _hashlib
+    # with and without a cache, no command imports hashlib or _hashlib,
+    # dataclasses or inspect, and none but the genus-1 checks imports
+    # markedgc.whitehouse
     run_fresh(FOOTPRINT, str(tmp_path))
     for command in ("enumerate", "complex"):
         assert (tmp_path / command / "basis-2-3-3.txt").exists()
+
+
+GENUS_ONE = """
+import contextlib, io, sys
+from markedgc.cli import main
+
+assert "markedgc.whitehouse" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(sys.argv[1:]) == 0
+assert "markedgc.whitehouse" in sys.modules
+"""
+
+
+@pytest.mark.parametrize(
+    "argv", [("verify", "--suite", "genus-one", "--n", "3"), ("whitehouse", "--n", "3")]
+)
+def test_genus_one_commands_load_whitehouse(argv):
+    run_fresh(GENUS_ONE, *argv)
 
 
 FALLBACK = """

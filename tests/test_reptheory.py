@@ -127,6 +127,29 @@ def test_decompose_rejects_non_character():
         decompose(ClassFunction(3, values))
 
 
+def test_class_function_needs_every_cycle_type():
+    values = {mu: Fraction(1) for mu in cycle_types(4)}
+    del values[(2, 2)]
+    with pytest.raises(ValueError, match="every cycle type"):
+        ClassFunction(4, values)
+
+
+@pytest.mark.parametrize(
+    "mult", [{(2, 1): -1}, {(2, 2): 1}, {(3,): 1, (2,): 1}],
+    ids=["negative", "partition of 4", "partition of 2"],
+)
+def test_irr_decomposition_rejects_bad_entries(mult):
+    with pytest.raises(ValueError, match="bad multiplicity entry"):
+        IrrDecomposition(3, mult)
+
+
+def test_irr_decomposition_drops_zero_entries():
+    dec = IrrDecomposition(3, {(3,): 2, (2, 1): 0, (1, 1, 1): 0})
+    assert dec.mult == {(3,): 2}
+    assert dec == IrrDecomposition(3, {(3,): 2})
+    assert str(dec) == "2(3)"
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_decompose_matches_fraction_oracle(seed):
     """Characters, virtual characters and class functions with

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -7,12 +6,14 @@ import markedgc.complexes
 import markedgc.stability
 from markedgc.cli import EXIT_INTERNAL, main
 from markedgc.complexes import (
+    ChainMap,
+    EquivariantComplex,
     _leg_distributions,
     build_complex,
     chain_character,
     stabilization_map,
 )
-from markedgc.graphs import assemble, canonical_form, validate
+from markedgc.graphs import MarkedGraph, assemble, canonical_form, validate
 from markedgc.homology import homology_decomposition
 from markedgc.partitions import enumerate_partitions, size
 from markedgc.reptheory import decompose, induce_from_subgroup, tensor_sign
@@ -114,7 +115,7 @@ def oracle_enumerate_core_graphs(g, n, r, validated, canonicalized):
                     picked = set(sub)
                     if any(base.inv[f] in picked for f in sub):
                         continue
-                    graph = replace(base, marked=frozenset(picked))
+                    graph = MarkedGraph(base.nv, base.adj, base.inv, frozenset(picked))
                     if not marked_any:
                         validated.append(base)
                         marked_any = True
@@ -155,7 +156,10 @@ def test_enumerate_core_graphs_matches_per_placement_markings(key, monkeypatch):
     # one skeleton per class, so fewer decorations than the oracle's
     # labelled multisets; each is admissible and has its placement validated
     assert all(validate(graph) == [] for graph in canonicalized)
-    bases = {replace(graph, marked=frozenset()) for graph in canonicalized}
+    bases = {
+        MarkedGraph(graph.nv, graph.adj, graph.inv, frozenset())
+        for graph in canonicalized
+    }
     assert all(graph in bases for graph in validated)
     assert len(canonicalized) <= len(expected_canonicalized)
 
@@ -284,7 +288,7 @@ def test_column_conditions_match_rank_oracle(case):
 def edit_columns(psi, i, edit):
     cols = [dict(col) for col in psi.cols[i]]
     edit(cols)
-    return replace(psi, cols={**psi.cols, i: cols})
+    return ChainMap(psi.source, psi.target, {**psi.cols, i: cols})
 
 
 def one_labeling_class(psi, i):
@@ -326,9 +330,10 @@ def class_dropped(psi, i):
         for xi, positions in psi.source.basis[i].items()
         if single not in positions.values()
     }
-    source = replace(psi.source, basis={**psi.source.basis, i: table})
+    c = psi.source
+    source = EquivariantComplex(c.g, c.n, c.r, {**c.basis, i: table}, c.diff)
     cols = psi.cols[i][:single] + psi.cols[i][single + 1 :]
-    return replace(psi, source=source, cols={**psi.cols, i: cols})
+    return ChainMap(source, psi.target, {**psi.cols, i: cols})
 
 
 # (edit, degree, expected (condition 1, condition 2)); degrees 0 and 1 of
