@@ -6,7 +6,8 @@ usage errors and unwritable caches, 3 when an internal invariant check
 (d^2 = 0, a factorized differential's pivot count against the rank,
 character dimension, admissibility of enumerated cores) fails.  Output
 is JSON (machine-readable, schema version 1) or aligned text tables;
-both are deterministic for a fixed invocation.
+both are deterministic for a fixed invocation.  Only `enumerate` and
+`complex` take `--cache-dir`.
 """
 
 from __future__ import annotations
@@ -114,8 +115,7 @@ def _cmd_complex(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    c = build_complex(args.g, args.n, args.r, cache_dir=args.cache_dir)
-    profile = homology_decomposition(c)
+    profile = homology_decomposition(build_complex(args.g, args.n, args.r))
     payload = {
         "g": args.g,
         "n": args.n,
@@ -138,9 +138,7 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    report = check_consistent_sequence(
-        args.g, args.l, args.window, cache_dir=args.cache_dir
-    )
+    report = check_consistent_sequence(args.g, args.l, args.window)
     payload = report.to_json()
     rows = [["n", "injective", "generates", "multiplicities match"]]
     for n, flags in sorted(report.conditions.items()):
@@ -158,13 +156,6 @@ def _cmd_stability(args) -> int:
 
 def _cmd_stable_mult(args) -> int:
     lam = parse_partition(args.lam)
-    if args.m is not None and sum(lam) != (3 * args.m + 1) // 2:
-        print(
-            f"error: |lambda| = {sum(lam)} but excess {args.m} "
-            f"requires {(3 * args.m + 1) // 2}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     mult = stable_multiplicity(lam, args.g)
     payload = {"lambda": list(lam), "g": args.g, "multiplicity": mult}
     _emit(payload, args.format, [str(mult)])
@@ -174,7 +165,7 @@ def _cmd_stable_mult(args) -> int:
 def _cmd_whitehouse(args) -> int:
     from .whitehouse import whitehouse_checks  # only its commands load it
 
-    report = whitehouse_checks(args.n, cache_dir=args.cache_dir)
+    report = whitehouse_checks(args.n)
     rows = [["check", "result"]]
     for entry in report.checks:
         if "recursion" in entry:
@@ -225,9 +216,7 @@ def _verify_suites(args) -> tuple[dict, list[str]]:
         "vanishing",
         more if None in (g, args.n, args.r) else None,
         lambda: verify_vanishing(
-            homology_decomposition(
-                build_complex(g, args.n, args.r, cache_dir=args.cache_dir)
-            )
+            homology_decomposition(build_complex(g, args.n, args.r))
         ),
     )
 
@@ -235,7 +224,7 @@ def _verify_suites(args) -> tuple[dict, list[str]]:
         from .whitehouse import whitehouse_checks
 
         n = args.n if args.n is not None else 4
-        return whitehouse_checks(n, cache_dir=args.cache_dir).violations
+        return whitehouse_checks(n).violations
 
     run("genus-one", None, genus_one)
     if wanted is not None and wanted not in suites:
@@ -293,26 +282,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homology", help="homology decomposition")
     for flag in ("--g", "--n", "--r"):
         p.add_argument(flag, type=int, required=True)
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_homology)
 
     p = sub.add_parser("stability", help="sharp stabilization detection")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--window", type=int, required=True)
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_stability)
 
     p = sub.add_parser("stable-mult", help="stable multiplicity of a partition")
     p.add_argument("--g", type=int, required=True)
-    p.add_argument("--m", type=int, default=None)
     p.add_argument("--lambda", dest="lam", required=True)
-    _add_format(p)  # builds no complex, so it takes no --cache-dir
+    _add_format(p)
     p.set_defaults(func=_cmd_stable_mult)
 
     p = sub.add_parser("whitehouse", help="genus-1 oracle checks")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_whitehouse)
 
     p = sub.add_parser("verify", help="run verification suites")
@@ -320,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--r", type=int, default=None)
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -648,16 +648,15 @@ def core_class(cls: OrientedClass) -> tuple[OrientedClass, int, int]:
 def _rebuild(
     g: MarkedGraph,
     drop_flags: set[int],
-    merge: dict[int, int] | None = None,
+    merge: dict[int, int],
     new_marked: set[int] | None = None,
 ) -> MarkedGraph:
-    """Delete flags, optionally merge vertices, and re-index densely.
+    """Delete flags, merge vertices, and re-index densely.
 
     The remaining flags keep their order, so the remaining edges and marks
     stay sorted.  A vertex merges into a smaller one, so vertex 0 stays
     the dv.
     """
-    merge = merge or {}
     keep = [f for f in range(g.nf) if f not in drop_flags]
     fmap = {f: i for i, f in enumerate(keep)}
     vtarget = [merge.get(v, v) for v in range(g.nv)]

@@ -199,9 +199,7 @@ def _generating(psi: ChainMap) -> bool:
     return True
 
 
-def check_consistent_sequence(
-    g: int, ell: int, n_max: int, cache_dir
-) -> StabilityReport:
+def check_consistent_sequence(g: int, ell: int, n_max: int) -> StabilityReport:
     """Test the three stability conditions along B(g, n, n - l).
 
     For each n in the window: (1) the stabilization map is injective in
@@ -221,10 +219,7 @@ def check_consistent_sequence(
         raise ValueError(
             f"window {n_max} ends below the first n = max(l, 0) = {n_min}"
         )
-    complexes = {
-        n: build_complex(g, n, n - ell, cache_dir=cache_dir)
-        for n in range(n_min, n_max + 2)
-    }
+    complexes = {n: build_complex(g, n, n - ell) for n in range(n_min, n_max + 2)}
     decs = {
         n: {
             i: decompose(chain_character(complexes[n], i))

@@ -165,12 +165,10 @@ class GenusOneReport:
         return {"ok": self.ok, "checks": self.checks, "violations": self.violations}
 
 
-def _profile(g: int, n: int, r: int, cache_dir, store: dict) -> HomologyProfile:
+def _profile(g: int, n: int, r: int, store: dict) -> HomologyProfile:
     """The homology of B(g, n, r), computed once per ``store``."""
     if (g, n, r) not in store:
-        store[g, n, r] = homology_decomposition(
-            build_complex(g, n, r, cache_dir=cache_dir)
-        )
+        store[g, n, r] = homology_decomposition(build_complex(g, n, r))
     return store[g, n, r]
 
 
@@ -197,7 +195,7 @@ def _recursion_holds(left: HomologyProfile, lower_r: HomologyProfile,
     return True
 
 
-def whitehouse_checks(n_max: int, cache_dir) -> GenusOneReport:
+def whitehouse_checks(n_max: int) -> GenusOneReport:
     """Verify the four genus-1 identities for 2 <= r <= n <= n_max:
     concentration, Stirling dimension, restriction character, recursion.
 
@@ -209,7 +207,7 @@ def whitehouse_checks(n_max: int, cache_dir) -> GenusOneReport:
     profiles: dict = {}
     pairs = [(n, r) for n in range(2, n_max + 1) for r in range(2, n + 1)]
     for n, r in pairs:
-        profile = _profile(1, n, r, cache_dir, profiles)
+        profile = _profile(1, n, r, profiles)
         entry: dict = {"n": n, "r": r}
         top = 2 * (n - r)
         concentrated = profile.nonzero_degrees() in ([top], [])
@@ -240,8 +238,8 @@ def whitehouse_checks(n_max: int, cache_dir) -> GenusOneReport:
         # recursion instance: all three constituents inside the window
         if n + 1 > n_max or r - 1 < 1 or (1, n, r) not in profiles:
             continue
-        left = _profile(1, n + 1, r, cache_dir, profiles)
-        lower_r = _profile(1, n, r - 1, cache_dir, profiles)
+        left = _profile(1, n + 1, r, profiles)
+        lower_r = _profile(1, n, r - 1, profiles)
         same_r = profiles[(1, n, r)]
         holds = _recursion_holds(left, lower_r, same_r, n)
         checks.append({"recursion": [n + 1, r], "holds": holds})

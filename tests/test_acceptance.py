@@ -117,7 +117,7 @@ def test_criterion_2_point_homology():
 def test_criterion_3_genus_one_suite():
     """Concentration, Stirling dimensions, restriction characters, and
     the two-step recursion for 2 <= r <= n <= 6."""
-    report = whitehouse_checks(6, None)
+    report = whitehouse_checks(6)
     assert report.ok, report.violations
     entries = {(e["n"], e["r"]): e for e in report.checks if "n" in e}
     assert entries[(4, 3)]["dim"] == 3
@@ -165,17 +165,17 @@ def test_criterion_6_vanishing(profiles):
 
 
 def test_criterion_7_sharp_points():
-    report = check_consistent_sequence(2, 0, 6, None)
+    report = check_consistent_sequence(2, 0, 6)
     assert report.predicted == 5
     assert report.detected == 5
     assert report.conditions[4][2] is False  # sharpness one below
 
-    report = check_consistent_sequence(1, 1, 5, None)
+    report = check_consistent_sequence(1, 1, 5)
     assert report.predicted == 3
     assert report.detected == 3
     assert report.conditions[2][2] is False
 
-    report = check_consistent_sequence(1, 2, 7, None)
+    report = check_consistent_sequence(1, 2, 7)
     assert report.predicted == 6
     assert report.detected == 6
     assert report.conditions[5][2] is False

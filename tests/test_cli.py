@@ -125,29 +125,43 @@ def test_stability_column_with_two_entries_exits_3(capsys, monkeypatch):
 
 
 def test_stable_mult_value(capsys):
-    code, out = run(
-        capsys, "stable-mult", "--m", "4", "--g", "5", "--lambda", "[5,1]"
-    )
+    code, out = run(capsys, "stable-mult", "--g", "5", "--lambda", "[5,1]")
     assert code == EXIT_OK
     assert out.strip() == "3"
 
 
 def test_stable_mult_size_mismatch_is_usage_error(capsys):
-    code, _ = run(
-        capsys, "stable-mult", "--m", "4", "--g", "5", "--lambda", "[3,1]"
-    )
+    # |lambda| = 4 is ceil(3m/2) for no excess m
+    code = main(["stable-mult", "--g", "5", "--lambda", "[3,1]"])
+    captured = capsys.readouterr()
     assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
 
 
-def test_stable_mult_rejects_cache_dir(capsys, tmp_path):
-    # stable-mult builds no complex, so a cache directory would do nothing
+STABLE_MULT = ("stable-mult", "--g", "5", "--lambda", "[5,1]")
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("homology", "--g", "2", "--n", "3", "--r", "3"), "--cache-dir"),
+        (("stability", "--g", "1", "--l", "1", "--window", "4"), "--cache-dir"),
+        (("whitehouse", "--n", "3"), "--cache-dir"),
+        (("verify", "--suite", "core-bounds", "--g", "2"), "--cache-dir"),
+        (STABLE_MULT, "--cache-dir"),
+        (STABLE_MULT, "--m"),
+    ],
+    ids=["homology", "stability", "whitehouse", "verify", "stable-mult", "--m"],
+)
+def test_dropped_options_are_usage_errors(capsys, tmp_path, argv, option):
+    # only enumerate and complex take --cache-dir; stable-mult reads the
+    # excess m off |lambda|
+    value = str(tmp_path) if option == "--cache-dir" else "4"
     with pytest.raises(SystemExit) as exc:
-        main([
-            "stable-mult", "--m", "4", "--g", "5", "--lambda", "[5,1]",
-            "--cache-dir", str(tmp_path),
-        ])
-    assert exc.value.code == 2
-    assert "--cache-dir" in capsys.readouterr().err
+        main([*argv, option, value])
+    assert exc.value.code == EXIT_USAGE
+    assert option in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -205,12 +205,12 @@ def test_core_decomposition_matches_chain_character():
 
 
 def test_sharp_point_trivial_sequence():
-    report = check_consistent_sequence(1, 0, 2, None)
+    report = check_consistent_sequence(1, 0, 2)
     assert report.detected == 0 == report.predicted
 
 
 def test_sharp_point_genus_one_marked():
-    report = check_consistent_sequence(1, 1, 4, None)
+    report = check_consistent_sequence(1, 1, 4)
     assert report.predicted == 3
     assert report.detected == 3
     # sharpness: the multiplicity condition fails one below the bound
@@ -236,7 +236,7 @@ def conjugate_families(c, i):
 def test_condition_3_matches_conjugate_form(window):
     (g, ell), n_max = window
     n_min = max(ell, 0)
-    report = check_consistent_sequence(g, ell, n_max, None)
+    report = check_consistent_sequence(g, ell, n_max)
     families = {}
     for n in range(n_min, n_max + 2):
         c = build_complex(g, n, n - ell)

@@ -124,7 +124,7 @@ def test_known_decomposition_4_3():
 
 
 def test_whitehouse_checks_window():
-    report = whitehouse_checks(5, None)
+    report = whitehouse_checks(5)
     assert report.ok, report.violations
     entries = {(e["n"], e["r"]): e for e in report.checks if "n" in e}
     assert entries[(4, 3)]["dim"] == 3
