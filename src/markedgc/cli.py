@@ -5,9 +5,12 @@ Exit codes: 0 on success, 1 when a verification finds a violation, 2 on
 usage errors and unwritable caches, 3 when an internal invariant check
 (d^2 = 0, a factorized differential's pivot count against the rank,
 character dimension, admissibility of enumerated cores) fails.  Output
-is JSON (machine-readable, schema version 1) or aligned text tables;
-both are deterministic for a fixed invocation.  Only `enumerate` and
-`complex` take `--cache-dir`.
+is JSON (machine-readable, schema version 1) or an aligned text table
+with footer lines; both are deterministic for a fixed invocation.  Each
+command is declared once in `build_parser`: its integer flags, then
+`--format`; only `enumerate` and `complex` add `--cache-dir`.  The
+stability facts (`stability`, the `vanishing` suite) need genus >= 1,
+and `markedgc.whitehouse` loads only for the genus-1 checks.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from functools import cache
 from .complexes import CacheError, build_complex, enumerate_marked_graphs
 from .graphs import degree
 from .homology import homology_decomposition
-from .partitions import parse_partition, strip_ones
+from .partitions import parse_partition
 from .stability import (
     check_consistent_sequence,
     stable_multiplicity,
@@ -37,40 +40,29 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def _emit(payload: dict, fmt: str, table_lines) -> None:
+def _emit(payload: dict, fmt: str, rows: list[list[str]], *footer: str) -> None:
+    """Print the payload as JSON, or the rows as an aligned table and
+    then the footer lines."""
     if fmt == "json":
-        payload = {"schema": JSON_SCHEMA_VERSION, **payload}
-        json.dump(payload, sys.stdout, indent=2)
+        json.dump({"schema": JSON_SCHEMA_VERSION, **payload}, sys.stdout, indent=2)
         sys.stdout.write("\n")
-    else:
-        for line in table_lines:
-            print(line)
+        return
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    for row in rows:
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    for line in footer:
+        print(line)
 
 
-def _aligned(rows: list[list[str]]) -> list[str]:
-    if not rows:
-        return []
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    return [
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-        for row in rows
-    ]
+def _gnr(args) -> dict:
+    """The payload header of a command on one complex B(g, n, r)."""
+    return {"g": args.g, "n": args.n, "r": args.r}
 
 
-def _stable_notation(dec) -> str:
-    """Paper-style table notation with explicit 1^k padding."""
-    if dec.is_zero():
-        return "0"
-    terms = []
-    for lam, mult in dec.items():
-        head, ones = strip_ones(lam)
-        body = ",".join(str(p) for p in head)
-        if ones:
-            pad = f"1^{ones}" if ones > 1 else "1"
-            body = f"{body},{pad}" if body else pad
-        coeff = str(mult) if mult != 1 else ""
-        terms.append(f"{coeff}({body})")
-    return " + ".join(terms)
+def _whitehouse(n: int):
+    from .whitehouse import whitehouse_checks  # only the genus-1 checks load it
+
+    return whitehouse_checks(n)
 
 
 def _cmd_enumerate(args) -> int:
@@ -79,75 +71,56 @@ def _cmd_enumerate(args) -> int:
     for xi, _ in classes:
         i = degree(xi.graph)
         by_degree[i] = by_degree.get(i, 0) + 1
+    counts = sorted(by_degree.items())
     payload = {
-        "g": args.g,
-        "n": args.n,
-        "r": args.r,
+        **_gnr(args),
         "total": len(classes),
-        "classes_by_degree": {str(i): c for i, c in sorted(by_degree.items())},
+        "classes_by_degree": {str(i): c for i, c in counts},
     }
-    rows = [["degree", "classes"]] + [
-        [str(i), str(c)] for i, c in sorted(by_degree.items())
-    ]
-    _emit(payload, args.format, _aligned(rows) + [f"total  {len(classes)}"])
+    rows = [["degree", "classes"]] + [[str(i), str(c)] for i, c in counts]
+    _emit(payload, args.format, rows, f"total  {len(classes)}")
     return EXIT_OK
 
 
 def _cmd_complex(args) -> int:
     c = build_complex(args.g, args.n, args.r, cache_dir=args.cache_dir)
+    euler = c.euler_characteristic()
     payload = {
-        "g": args.g,
-        "n": args.n,
-        "r": args.r,
+        **_gnr(args),
         "excess": c.excess,
         "dims": {str(i): c.dim(i) for i in c.degrees()},
-        "euler_characteristic": c.euler_characteristic(),
+        "euler_characteristic": euler,
         "d_squared_zero": True,
     }
     rows = [["degree", "dim"]] + [[str(i), str(c.dim(i))] for i in c.degrees()]
-    _emit(
-        payload,
-        args.format,
-        _aligned(rows)
-        + [f"euler characteristic  {c.euler_characteristic()}"],
-    )
+    _emit(payload, args.format, rows, f"euler characteristic  {euler}")
     return EXIT_OK
 
 
 def _cmd_homology(args) -> int:
     profile = homology_decomposition(build_complex(args.g, args.n, args.r))
-    payload = {
-        "g": args.g,
-        "n": args.n,
-        "r": args.r,
-        "homology": profile.to_json(),
-    }
-    rows = [["degree", "dim", "decomposition"]]
-    for i in sorted(profile.dims):
-        if not profile.dims[i]:
-            continue
-        rows.append(
-            [
-                str(i),
-                str(profile.dims[i]),
-                _stable_notation(profile.decompositions[i]),
-            ]
-        )
-    _emit(payload, args.format, _aligned(rows))
+    rows = [["degree", "dim", "decomposition"]] + [
+        [str(i), str(dim), str(profile.decompositions[i])]
+        for i, dim in sorted(profile.dims.items())
+        if dim
+    ]
+    _emit({**_gnr(args), "homology": profile.to_json()}, args.format, rows)
     return EXIT_OK
 
 
 def _cmd_stability(args) -> int:
     report = check_consistent_sequence(args.g, args.l, args.window)
-    payload = report.to_json()
-    rows = [["n", "injective", "generates", "multiplicities match"]]
-    for n, flags in sorted(report.conditions.items()):
-        rows.append([str(n)] + [str(bool(f)) for f in flags])
-    lines = _aligned(rows) + [
+    rows = [["n", "injective", "generates", "multiplicities match"]] + [
+        [str(n)] + [str(bool(f)) for f in flags]
+        for n, flags in sorted(report.conditions.items())
+    ]
+    _emit(
+        report.to_json(),
+        args.format,
+        rows,
         f"predicted sharp bound  {report.predicted}",
         f"detected sharp point   {report.detected}",
-    ]
-    _emit(payload, args.format, lines)
+    )
     failing = [n for n, flags in report.conditions.items() if not all(flags)]
     if any(n >= report.predicted for n in failing):
         return EXIT_VIOLATION
@@ -158,14 +131,12 @@ def _cmd_stable_mult(args) -> int:
     lam = parse_partition(args.lam)
     mult = stable_multiplicity(lam, args.g)
     payload = {"lambda": list(lam), "g": args.g, "multiplicity": mult}
-    _emit(payload, args.format, [str(mult)])
+    _emit(payload, args.format, [[str(mult)]])
     return EXIT_OK
 
 
 def _cmd_whitehouse(args) -> int:
-    from .whitehouse import whitehouse_checks  # only its commands load it
-
-    report = whitehouse_checks(args.n)
+    report = _whitehouse(args.n)
     rows = [["check", "result"]]
     for entry in report.checks:
         if "recursion" in entry:
@@ -178,81 +149,50 @@ def _cmd_whitehouse(args) -> int:
                     f"dim {entry['dim']} (expected {entry['stirling_dim']})",
                 ]
             )
-    lines = _aligned(rows) + [f"ok  {report.ok}"]
-    _emit(report.to_json(), args.format, lines)
+    _emit(report.to_json(), args.format, rows, f"ok  {report.ok}")
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def _verify_suites(args) -> tuple[dict, list[str]]:
-    suites = {}
-    violations: list[str] = []
-    wanted = args.suite
-
-    def run(name: str, missing: str | None, thunk) -> None:
-        """``missing`` says what the suite lacks, None when it can run."""
-        if wanted is not None and wanted != name:
-            return
-        if missing is not None:
-            if wanted == name:
-                raise ValueError(f"suite {name!r} {missing}")
-            return
-        found = thunk()
-        suites[name] = found
-        violations.extend(found)
-
-    g = args.g
-    more = "needs more parameters (see --help)"
-    run(
-        "core-bounds",
-        more if g is None else None,
-        lambda: verify_core_bounds(g, ell_max=0 if g >= 3 else 2),
-    )
-    run(
-        "edge-cut-rows",
-        more if g is None else (f"needs --g >= 2, got {g}" if g < 2 else None),
-        lambda: verify_edge_cut_rows(g, ell_max=0 if g >= 3 else 1),
-    )
-    run(
-        "vanishing",
-        more if None in (g, args.n, args.r) else None,
-        lambda: verify_vanishing(
-            homology_decomposition(build_complex(g, args.n, args.r))
-        ),
-    )
-
-    def genus_one() -> list[str]:
-        from .whitehouse import whitehouse_checks
-
-        n = args.n if args.n is not None else 4
-        return whitehouse_checks(n).violations
-
-    run("genus-one", None, genus_one)
-    if wanted is not None and wanted not in suites:
-        raise ValueError(f"unknown or unavailable suite {wanted!r}")
-    return suites, violations
-
-
 def _cmd_verify(args) -> int:
-    suites, violations = _verify_suites(args)
+    g, n, r, wanted = args.g, args.n, args.r, args.suite
+    more = "needs more parameters (see --help)"
+    # name -> (what the suite lacks, None when it can run; its run)
+    table = {
+        "core-bounds": (
+            more if g is None else None,
+            lambda: verify_core_bounds(g, ell_max=0 if g >= 3 else 2),
+        ),
+        "edge-cut-rows": (
+            more if g is None else (f"needs --g >= 2, got {g}" if g < 2 else None),
+            lambda: verify_edge_cut_rows(g, ell_max=0 if g >= 3 else 1),
+        ),
+        "vanishing": (
+            more if None in (g, n, r) else None,
+            lambda: verify_vanishing(homology_decomposition(build_complex(g, n, r))),
+        ),
+        "genus-one": (None, lambda: _whitehouse(4 if n is None else n).violations),
+    }
+    if wanted is not None:
+        if wanted not in table:
+            raise ValueError(f"unknown or unavailable suite {wanted!r}")
+        if table[wanted][0] is not None:
+            raise ValueError(f"suite {wanted!r} {table[wanted][0]}")
+    suites = {
+        name: run()
+        for name, (missing, run) in table.items()
+        if missing is None and wanted in (None, name)
+    }
+    violations = [v for found in suites.values() for v in found]
     payload = {
-        "suites": {name: found for name, found in sorted(suites.items())},
+        "suites": dict(sorted(suites.items())),
         "violations": violations,
         "ok": not violations,
     }
     rows = [["suite", "violations"]] + [
         [name, str(len(found))] for name, found in sorted(suites.items())
     ]
-    _emit(payload, args.format, _aligned(rows) + [f"ok  {not violations}"])
+    _emit(payload, args.format, rows, f"ok  {not violations}")
     return EXIT_OK if not violations else EXIT_VIOLATION
-
-
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["json", "table"], default="table")
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    _add_format(p)
-    p.add_argument("--cache-dir", default=None)
 
 
 @cache
@@ -267,50 +207,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", help="count canonical classes by degree")
-    for flag in ("--g", "--n", "--r"):
-        p.add_argument(flag, type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_enumerate)
+    def command(name, about, func, *flags, required=True):
+        """Add a subcommand with ``flags`` in help order, each an integer
+        flag or a (flag, options) pair, then --format."""
+        p = sub.add_parser(name, help=about)
+        for flag in flags:
+            if isinstance(flag, str):
+                flag = (flag, {"type": int, "required": required})
+            p.add_argument(flag[0], **flag[1])
+        p.add_argument("--format", choices=["json", "table"], default="table")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("complex", help="build the chain complex (checks d^2=0)")
-    for flag in ("--g", "--n", "--r"):
-        p.add_argument(flag, type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_complex)
-
-    p = sub.add_parser("homology", help="homology decomposition")
-    for flag in ("--g", "--n", "--r"):
-        p.add_argument(flag, type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_homology)
-
-    p = sub.add_parser("stability", help="sharp stabilization detection")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--window", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_stability)
-
-    p = sub.add_parser("stable-mult", help="stable multiplicity of a partition")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_stable_mult)
-
-    p = sub.add_parser("whitehouse", help="genus-1 oracle checks")
-    p.add_argument("--n", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_whitehouse)
-
-    p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--suite", default=None)
-    p.add_argument("--g", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    _add_format(p)
-    p.set_defaults(func=_cmd_verify)
-
+    gnr = ("--g", "--n", "--r")
+    for name, about, func in (
+        ("enumerate", "count canonical classes by degree", _cmd_enumerate),
+        ("complex", "build the chain complex (checks d^2=0)", _cmd_complex),
+    ):
+        command(name, about, func, *gnr).add_argument("--cache-dir", default=None)
+    command("homology", "homology decomposition", _cmd_homology, *gnr)
+    command(
+        "stability", "sharp stabilization detection", _cmd_stability,
+        "--g", "--l", "--window",
+    )
+    command(
+        "stable-mult", "stable multiplicity of a partition", _cmd_stable_mult,
+        "--g", ("--lambda", {"dest": "lam", "required": True}),
+    )
+    command("whitehouse", "genus-1 oracle checks", _cmd_whitehouse, "--n")
+    command(
+        "verify", "run verification suites", _cmd_verify,
+        ("--suite", {}), *gnr, required=False,
+    )
     return parser
 
 

@@ -21,6 +21,7 @@ from .partitions import (
     enumerate_partitions,
     double,
     size,
+    strip_ones,
 )
 
 Permutation = tuple[int, ...]  # images of 0..n-1
@@ -188,12 +189,16 @@ class IrrDecomposition:
         ]
 
     def __str__(self) -> str:
+        """Paper-style notation, trailing ones as 1^k: (4,1^2) + 2(3,3)."""
         if not self.mult:
             return "0"
         terms = []
         for lam, m in self.items():
-            body = ",".join(str(p) for p in lam)
-            terms.append(f"{m}({body})" if m != 1 else f"({body})")
+            head, ones = strip_ones(lam)
+            body = [str(p) for p in head]
+            if ones:
+                body.append(f"1^{ones}" if ones > 1 else "1")
+            terms.append(f"{m if m != 1 else ''}({','.join(body)})")
         return " + ".join(terms)
 
 

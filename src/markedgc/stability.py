@@ -72,7 +72,10 @@ from .reptheory import (
 
 
 def predicted_sharp_bound(g: int, ell: int) -> int:
-    """ceil(3m/2) for m = 3(g-1) + 2*ell."""
+    """ceil(3m/2) for m = 3(g-1) + 2*ell.  No connected graph has genus
+    below 1, so B(0, n, r) = 0 and the stability facts need g >= 1."""
+    if g < 1:
+        raise ValueError(f"the stability facts need genus >= 1, got {g}")
     m = excess(g, ell)
     if m < 0:
         raise ValueError("negative excess has no stable range")
@@ -99,23 +102,19 @@ def core_module(xi: OrientedClass) -> IrrDecomposition | None:
     return _core_modules[form]
 
 
-def rho_of_core(xi: OrientedClass) -> int:
-    """Maximum row count over the irreducibles of A_xi."""
+def rho_of_core(xi: OrientedClass) -> int | None:
+    """Maximum row count over the irreducibles of A_xi, or None when xi
+    vanishes."""
     module = core_module(xi)
-    if module is None:
-        raise ValueError("vanishing core class has no row statistic")
-    return decomposition_rows(module)
+    return None if module is None else decomposition_rows(module)
 
 
 def theta_classes(g: int, ell: int) -> dict[int, OrientedClass]:
     """The extremal cores for (g, ell), keyed by their parameter p."""
-    m = excess(g, ell)
-    out = {}
-    for p in range(0, g):
-        if p > m or (g - p) % 2 == 0:
-            continue
-        out[p] = canonical_form(build_theta(g, ell, p))[0]
-    return out
+    return {
+        p: canonical_form(build_theta(g, ell, p))[0]
+        for p in _p_range(g, excess(g, ell))
+    }
 
 
 def core_decomposition(
@@ -212,8 +211,7 @@ def check_consistent_sequence(g: int, ell: int, n_max: int) -> StabilityReport:
     group the same lambda.  The detected sharp point is the least n from
     which all three hold onward.
     """
-    if excess(g, ell) < 0:
-        raise ValueError("negative excess")
+    predicted = predicted_sharp_bound(g, ell)
     n_min = max(ell, 0)
     if n_max < n_min:
         raise ValueError(
@@ -248,7 +246,7 @@ def check_consistent_sequence(g: int, ell: int, n_max: int) -> StabilityReport:
     return StabilityReport(
         g=g,
         ell=ell,
-        predicted=predicted_sharp_bound(g, ell),
+        predicted=predicted,
         window=(n_min, n_max),
         conditions=conditions,
         detected=detected,
@@ -327,13 +325,16 @@ def stab_module(g: int, n: int, ell: int) -> IrrDecomposition:
     return IrrDecomposition(n, mult)
 
 
+def _excess_with_bound(total: int) -> int | None:
+    """The excess m with ceil(3m/2) = total, or None when there is none."""
+    m = 2 * total // 3
+    return m if (3 * m + 1) // 2 == total else None
+
+
 def stable_multiplicity(lam: Partition, g: int) -> int:
     """The n-independent multiplicity of (lam, 1^{n - ceil(3m/2)}) in the
     top homology degree, as a sum of Littlewood-Richardson coefficients."""
-    total = size(lam)
-    m = next(
-        (mm for mm in range(2 * total + 2) if (3 * mm + 1) // 2 == total), None
-    )
+    m = _excess_with_bound(size(lam))
     if m is None or len(lam) != (m + 1) // 2:
         raise ValueError(
             f"{lam} is not a partition of ceil(3m/2) with ceil(m/2) rows"
@@ -430,10 +431,8 @@ def verify_core_bounds(g: int, ell_max: int) -> list[str]:
                     "theta family"
                 )
             for xi in cores:
-                module = core_module(xi)
-                if module is None:
-                    continue
-                if n + decomposition_rows(module) > cap + 3 * ell:
+                rho = rho_of_core(xi)
+                if rho is not None and n + rho > cap + 3 * ell:
                     violations.append(
                         f"(g={g}, n={n}, r={r}): n + rho exceeds "
                         f"{cap + 3 * ell} on {xi.key}"
@@ -455,19 +454,15 @@ def verify_edge_cut_rows(g: int, ell_max: int) -> list[str]:
             if r < 0:
                 continue
             for xi in enumerate_core_graphs(g, n, r):
-                module = core_module(xi)
-                if module is None:
+                rho = rho_of_core(xi)
+                if rho is None:
                     continue
-                rho = decomposition_rows(module)
                 for e in xi.graph.edges:
                     try:
                         cut = cut_edge(xi.graph, e)
                     except ValueError:
                         continue  # disconnecting edge
-                    cut_module = core_module(canonical_form(cut)[0])
-                    rho_c = (
-                        None if cut_module is None else decomposition_rows(cut_module)
-                    )
+                    rho_c = rho_of_core(canonical_form(cut)[0])
                     if rho_c is None or rho > rho_c:
                         violations.append(
                             f"(g={g}, n={n}, r={r}): rho {rho} not bounded "

@@ -131,12 +131,16 @@ def test_stable_mult_value(capsys):
 
 
 def test_stable_mult_size_mismatch_is_usage_error(capsys):
-    # |lambda| = 4 is ceil(3m/2) for no excess m
-    code = main(["stable-mult", "--g", "5", "--lambda", "[3,1]"])
-    captured = capsys.readouterr()
-    assert code == EXIT_USAGE
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
+    # |lambda| = 4 is ceil(3m/2) for no excess m; [4] has the one row that
+    # m = floor(2 * 4 / 3) = 2 asks for, so only the size check rejects it.
+    # The excess m = 2 * 10^9 of [3000000000] is read off |lambda| at once,
+    # and one row is not ceil(m/2)
+    for lam in ("[3,1]", "[4]", "[3000000000]"):
+        code = main(["stable-mult", "--g", "5", "--lambda", lam])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
 
 
 STABLE_MULT = ("stable-mult", "--g", "5", "--lambda", "[5,1]")
@@ -269,6 +273,23 @@ def test_stability_window_below_first_n_is_usage_error(capsys, argv, fmt):
     assert captured.out == ""
     assert captured.err.startswith("error: window ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("stability", "--g", "0", "--l", "3", "--window", "4"),
+        ("verify", "--suite", "vanishing", "--g", "0", "--n", "3", "--r", "0"),
+    ],
+)
+def test_genus_zero_stability_is_usage_error(capsys, argv, fmt):
+    # excess m = 3 >= 0, but B(0, n, r) = 0: no connected graph has genus 0
+    code = main([*argv, "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == "error: the stability facts need genus >= 1, got 0\n"
 
 
 def test_cache_dir_roundtrip(capsys, tmp_path):

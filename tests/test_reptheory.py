@@ -180,7 +180,7 @@ def test_decomposition_statistics():
 
 def test_paper_style_rendering():
     dec = IrrDecomposition(6, {(3, 3): 2, (4, 1, 1): 1})
-    assert str(dec) == "(4,1,1) + 2(3,3)"
+    assert str(dec) == "(4,1^2) + 2(3,3)"
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from markedgc.homology import homology_decomposition
 from markedgc.partitions import enumerate_partitions, size
 from markedgc.reptheory import decompose, induce_from_subgroup, tensor_sign
 from markedgc.stability import (
+    _excess_with_bound,
     _generating,
     _injective,
     check_consistent_sequence,
@@ -52,6 +53,10 @@ def test_excess_and_predicted_bound():
     assert predicted_sharp_bound(1, 0) == 0
     with pytest.raises(ValueError):
         predicted_sharp_bound(0, 0)
+    # excess 3, but no connected graph has genus 0
+    assert excess(0, 3) == 3
+    with pytest.raises(ValueError, match="genus >= 1"):
+        predicted_sharp_bound(0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +426,16 @@ def test_stable_multiplicity_paper_values():
 def test_stable_multiplicity_rejects_bad_shapes():
     with pytest.raises(ValueError):
         stable_multiplicity((2, 1), 3)  # |lam|=3 is not ceil(3m/2) shape/rows
+
+
+def test_excess_with_bound_matches_the_scan():
+    # the closed form m = floor(2 * total / 3) against the scan over every
+    # m < 2 * total + 2 that it replaced
+    for total in range(3001):
+        scanned = next(
+            (m for m in range(2 * total + 2) if (3 * m + 1) // 2 == total), None
+        )
+        assert _excess_with_bound(total) == scanned, total
 
 
 @pytest.mark.parametrize("m", range(0, 7))
