@@ -9,8 +9,9 @@ is JSON (machine-readable, schema version 1) or an aligned text table
 with footer lines; both are deterministic for a fixed invocation.  Each
 command is declared once in `build_parser`: its integer flags, then
 `--format`; only `enumerate` and `complex` add `--cache-dir`.  The
-stability facts (`stability`, the `vanishing` suite) need genus >= 1,
-and `markedgc.whitehouse` loads only for the genus-1 checks.
+stability facts (`stability`, `stable-mult`, the `core-bounds` and
+`vanishing` suites) need genus >= 1, and `markedgc.whitehouse` loads
+only for the genus-1 checks.
 """
 
 from __future__ import annotations

@@ -45,12 +45,13 @@ core plus j marked legs is its core's with the legs added term by term
 the legs add no neutral valence, edge or neutral mark, so each lifted
 term is admissible because its core term is (proved at
 `_core_boundary`).  The column of [xi, rho] is the terms relabeled by
-rho, each reduced to its coset minimum with its sign.  The
-stabilization map adds its leg once per xi through the same function,
-as the enumeration does.  The S_n action is the same coset
-arithmetic, and its one format is a signed permutation (images,
-signs): sigma·[xi, rho] is signs[p]·(basis element images[p]), p the
-position of [xi, rho].  Characters need one action per cycle type;
+rho, each reduced to its coset minimum with its sign.  The S_n action
+is the same coset arithmetic, and its one format is a signed map
+(images, signs): sigma·[xi, rho] is signs[p]·(basis element
+images[p]), p the position of [xi, rho].  The stabilization map, which
+adds its leg once per xi as the enumeration does, has that format into
+the next complex's basis, so it composes with the action by `_then`.
+Characters need one action per cycle type;
 `cycle_type_actions` takes coset minima only for (0 1) and the n-cycle
 and composes the rest.
 The enumeration cache (format 2) stores only the xi; a reload accepts
@@ -94,8 +95,8 @@ from .reptheory import ClassFunction, Permutation, cycle_type_representative
 CACHE_FORMAT = 2
 
 SparseColumns = list[dict[int, int]]  # one {row: entry} per basis column
-# (images, signs): sigma·e_p = signs[p]·e_{images[p]}, one of each per basis element
-SignedPermutation = tuple[list[int], list[int]]
+# (images, signs): e_p -> signs[p]·e_{images[p]}, one of each per source basis element
+SignedMap = tuple[list[int], list[int]]
 BasisPairs = list[tuple[OrientedClass, Permutation]]  # one (xi, rho) per element
 
 
@@ -480,19 +481,20 @@ def _core_boundary(kappa: OrientedClass) -> tuple[tuple, list[str]]:
 
 
 def _targets(
-    terms: dict[tuple[OrientedClass, Permutation], int], table: DegreeTable, where: str
+    terms: dict[tuple[OrientedClass, Permutation], int], table: DegreeTable, i: int
 ) -> list[tuple[LegGroup, dict[Permutation, int], Permutation, int]]:
-    """The terms as (leg group, positions, tau, coefficient) rows of
-    ``table``.  A term is zero exactly when its class has no leg group (an
-    odd automorphism fixes every leg); any other class must be in the
-    table."""
+    """The boundary terms of a degree-``i`` class as (leg group, positions,
+    tau, coefficient) rows of ``table``.  A term is zero exactly when its
+    class has no leg group (an odd automorphism fixes every leg); any
+    other class must be in the table."""
     out = []
     for (eta, tau), coeff in terms.items():
         positions = table.get(eta)
         if positions is None:
             if eta.leg_group is not None:
                 raise AssertionError(
-                    f"{where} left the enumerated basis: {encode_graph(eta.graph)}"
+                    f"boundary of a degree-{i} class left the enumerated basis: "
+                    f"{encode_graph(eta.graph)}"
                 )
             continue
         out.append((eta.leg_group, positions, tau, coeff))
@@ -503,9 +505,9 @@ def _column(
     targets: list[tuple[LegGroup, dict[Permutation, int], Permutation, int]],
     rho: Permutation,
 ) -> dict[int, int]:
-    """The image of [xi, rho] under a map with d[xi, id] given by
-    ``targets``: relabeling by rho sends (eta, tau) to [eta, rho∘tau],
-    which is chi·[eta, rho'] at its coset minimum rho'."""
+    """d[xi, rho] for d[xi, id] given by ``targets``: relabeling by rho
+    sends (eta, tau) to [eta, rho∘tau], which is chi·[eta, rho'] at its
+    coset minimum rho'."""
     col: dict[int, int] = {}
     try:
         for group, positions, tau, coeff in targets:
@@ -531,9 +533,7 @@ def build_complex(
         below = basis.get(i - 1, {})
         cols: SparseColumns = []
         for xi, positions in basis[i].items():
-            targets = _targets(
-                boundary_terms(xi), below, f"boundary of a degree-{i} class"
-            )
+            targets = _targets(boundary_terms(xi), below, i)
             cols.extend(_column(targets, rho) for rho in positions)
         diff[i] = cols
     complex_ = EquivariantComplex(g=g, n=n, r=r, basis=basis, diff=diff)
@@ -565,7 +565,7 @@ def _check_d_squared(c: EquivariantComplex) -> None:
 
 def group_action_matrix(
     c: EquivariantComplex, i: int, sigma: Permutation
-) -> SignedPermutation:
+) -> SignedMap:
     """The leg relabeling by ``sigma`` (0-indexed images) on degree ``i``:
     the position and the sign of sigma·[xi, rho] for each basis element.
     sigma·[xi, rho] = [xi, sigma∘rho] = chi·[xi, rho'] with rho' the coset
@@ -585,13 +585,13 @@ def group_action_matrix(
     return images, signs
 
 
-def action_trace(action: SignedPermutation) -> int:
+def action_trace(action: SignedMap) -> int:
     """Trace of a signed permutation: the signs of its fixed positions."""
     images, signs = action
     return sum(signs[p] for p, image in enumerate(images) if image == p)
 
 
-def _then(first: SignedPermutation, second: SignedPermutation) -> SignedPermutation:
+def _then(first: SignedMap, second: SignedMap) -> SignedMap:
     """The action of acting by ``first`` and then by ``second``: position
     p goes to second's image of first's image of p, with both signs."""
     (images1, signs1), (images2, signs2) = first, second
@@ -601,7 +601,7 @@ def _then(first: SignedPermutation, second: SignedPermutation) -> SignedPermutat
     )
 
 
-def _inverse(action: SignedPermutation) -> SignedPermutation:
+def _inverse(action: SignedMap) -> SignedMap:
     images, signs = action
     inv_images, inv_signs = [0] * len(images), [0] * len(images)
     for p, q in enumerate(images):
@@ -612,7 +612,7 @@ def _inverse(action: SignedPermutation) -> SignedPermutation:
 
 def cycle_type_actions(
     c: EquivariantComplex, i: int
-) -> Iterator[tuple[Partition, SignedPermutation]]:
+) -> Iterator[tuple[Partition, SignedMap]]:
     """Yield (mu, the action of ``cycle_type_representative(mu)`` on degree
     ``i``) for every mu in ``cycle_types(c.n)``, each mu after its parent
     (below); every action equals `group_action_matrix`'s.
@@ -644,7 +644,7 @@ def cycle_type_actions(
     the current path is held besides the n - 1 swaps.
     """
     n = c.n
-    swaps: list[SignedPermutation] = []
+    swaps: list[SignedMap] = []
     if n >= 2:
         s_0 = cycle_type_representative((2,) + (1,) * (n - 2))
         swaps.append(group_action_matrix(c, i, s_0))
@@ -655,7 +655,7 @@ def cycle_type_actions(
             swaps.append(_then(_then(kappa_inv, swaps[-1]), kappa))
         del kappa, kappa_inv  # the walk needs only the swaps
     dim = c.dim(i)
-    stack: list[tuple[Partition, SignedPermutation]] = [
+    stack: list[tuple[Partition, SignedMap]] = [
         ((), (list(range(dim)), [1] * dim))
     ]
     while stack:
@@ -683,53 +683,63 @@ def chain_character(c: EquivariantComplex, i: int) -> ClassFunction:
 # stabilization
 
 
-class ChainMap:
-    def __init__(self, source: EquivariantComplex, target: EquivariantComplex, cols):
-        self.source, self.target = source, target
-        self.cols: dict[int, SparseColumns] = cols  # degree -> source_i -> target_i
-
-
 def stabilization_map(
     source: EquivariantComplex, target: EquivariantComplex
-) -> ChainMap:
-    """The chain map adjoining a marked leg with label n+1 (degree 0).
+) -> dict[int, SignedMap]:
+    """The chain map adjoining a marked leg with label n+1 (degree 0), as
+    {degree: (images, signs)} into ``target``'s basis.
 
     The leg is adjoined once per unlabeled class xi, as its last flag and
     last in the marked order, and `graphs.add_marked_legs` (b = n) gives
-    its class and leg map with no search.  Appended last, its mark passes
-    the u marked edge flags of xi on the way to its place among the
-    marked legs, so the sign is (-1)^u.  [xi, rho] then maps like
-    [xi, id] relabeled by rho extended by n -> n.
+    its class eta and leg map with no search.  Appended last, its mark
+    passes the u marked edge flags of xi on the way to its place among
+    the marked legs, so the sign is (-1)^u.  [xi, rho] then maps like
+    [xi, id] relabeled by rho extended by n -> n.  eta vanishes exactly
+    when xi does (`graphs.insert_marked_legs`), so an image outside
+    ``target``'s basis is a broken invariant.
     """
     identity = tuple(range(source.n))
-    cols: dict[int, SparseColumns] = {}
+    psi: dict[int, SignedMap] = {}
     for i in source.degrees():
-        cols_i: SparseColumns = []
+        images, signs = psi[i] = [], []
+        table = target.basis.get(i, {})
         for xi, positions in source.basis[i].items():
             u = xi.graph.n_marked - len(xi.graph.marked_legs())
-            term = add_marked_legs(xi, identity, source.n, 1)
-            targets = _targets(
-                {term: -1 if u % 2 else 1},
-                target.basis.get(i, {}),
-                f"stabilization of a degree-{i} class",
-            )
-            cols_i.extend(_column(targets, rho + (source.n,)) for rho in positions)
-        cols[i] = cols_i
-    psi = ChainMap(source=source, target=target, cols=cols)
-    _check_chain_map(psi)
+            sign = -1 if u % 2 else 1
+            eta, tau = add_marked_legs(xi, identity, source.n, 1)
+            try:
+                targets = table[eta]
+                for rho in positions:
+                    labels = rho + (source.n,)
+                    image, chi = eta.leg_group.coset_min(tuple([labels[k] for k in tau]))
+                    images.append(targets[image])
+                    signs.append(sign * chi)
+            except KeyError:
+                raise AssertionError(
+                    f"stabilization of a degree-{i} class left the enumerated "
+                    f"basis: {encode_graph(eta.graph)}"
+                ) from None
+    _check_chain_map(source, target, psi)
     return psi
 
 
-def _check_chain_map(f: ChainMap) -> None:
-    for i in f.source.degrees():
-        if i - 1 not in f.source.basis:
+def _check_chain_map(
+    source: EquivariantComplex, target: EquivariantComplex, psi: dict[int, SignedMap]
+) -> None:
+    """psi d = d' psi on every basis element."""
+    for i in source.degrees():
+        if i - 1 not in source.basis:
             continue
-        lhs = _compose_sparse(f.cols.get(i - 1, []), f.source.diff.get(i, []))
-        rhs = _compose_sparse(f.target.diff.get(i, []), f.cols.get(i, []))
-        if lhs != rhs:
-            raise AssertionError(
-                f"stabilization fails to commute with d in degree {i}"
-            )
+        (images, signs), (below, below_signs) = psi[i], psi[i - 1]
+        for p, col in enumerate(source.diff[i]):
+            psi_d: dict[int, int] = {}
+            for q, v in col.items():
+                psi_d[below[q]] = psi_d.get(below[q], 0) + below_signs[q] * v
+            d_psi = {row: signs[p] * v for row, v in target.diff[i][images[p]].items()}
+            if {row: v for row, v in psi_d.items() if v} != d_psi:
+                raise AssertionError(
+                    f"stabilization fails to commute with d in degree {i}"
+                )
 
 
 def _compose_sparse(a: SparseColumns, b: SparseColumns) -> SparseColumns:

@@ -18,13 +18,11 @@ each cycle type rather than summing over S_n.  A cut graph is
 canonicalized first, so its module is its class's too.
 
 Conditions 1 and 2 of `check_consistent_sequence` are set checks on the
-columns of the stabilization map psi: C(n) -> C(n + 1).  psi adjoins the
-leg to one basis element [xi, rho] at a time, so a column is +-[eta, rho']
-for the class eta of xi + leg, or zero when eta vanishes.
-(1) psi is injective in degree i exactly when it hits dim C_i(n) rows:
-    nonzero columns on distinct rows are independent, a zero column is in
-    the kernel, and so is b*[first] - a*[second] for two columns a*e_r
-    and b*e_r on one row.
+images of the stabilization map psi: C(n) -> C(n + 1), which
+`complexes.stabilization_map` gives in the S_n action's format (images,
+signs): psi[xi, rho] = +-[eta, rho'] for the class eta of xi + leg,
+which never vanishes.
+(1) psi is injective in degree i exactly when its images are distinct.
 (2) The S_{n+1}-orbit of the image spans C_i(n + 1) exactly when psi hits
     a labeling of every degree-i class eta: sigma[eta, rho] = +-[eta, rho']
     with rho' the coset minimum of sigma o rho, and S_{n+1} is transitive
@@ -35,7 +33,8 @@ for the class eta of xi + leg, or zero when eta vanishes.
 from __future__ import annotations
 
 from .complexes import (
-    ChainMap,
+    EquivariantComplex,
+    SignedMap,
     build_complex,
     chain_character,
     core_types,
@@ -71,11 +70,16 @@ from .reptheory import (
 )
 
 
-def predicted_sharp_bound(g: int, ell: int) -> int:
-    """ceil(3m/2) for m = 3(g-1) + 2*ell.  No connected graph has genus
-    below 1, so B(0, n, r) = 0 and the stability facts need g >= 1."""
+def _require_genus(g: int) -> None:
+    """The genus rule: no connected graph has genus below 1, so
+    B(0, n, r) = 0 and the stability facts need g >= 1."""
     if g < 1:
         raise ValueError(f"the stability facts need genus >= 1, got {g}")
+
+
+def predicted_sharp_bound(g: int, ell: int) -> int:
+    """ceil(3m/2) for m = 3(g-1) + 2*ell."""
+    _require_genus(g)
     m = excess(g, ell)
     if m < 0:
         raise ValueError("negative excess has no stable range")
@@ -172,27 +176,15 @@ def _families(dec: IrrDecomposition) -> dict[Partition, int]:
     return out
 
 
-def _hit_rows(psi: ChainMap, i: int) -> set[int]:
-    """The degree-i positions of the target that psi hits."""
-    rows: set[int] = set()
-    for col in psi.cols.get(i, []):
-        if len(col) > 1:
-            raise AssertionError(f"a degree-{i} psi column has {len(col)} entries")
-        rows.update(col)
-    return rows
+def _injective(psi: dict[int, SignedMap]) -> bool:
+    """Condition 1: psi sends distinct basis elements to distinct ones."""
+    return all(len(set(images)) == len(images) for images, _ in psi.values())
 
 
-def _injective(psi: ChainMap) -> bool:
-    """Condition 1: each column has its one entry on a row of its own."""
-    return all(
-        len(_hit_rows(psi, i)) == psi.source.dim(i) for i in psi.source.degrees()
-    )
-
-
-def _generating(psi: ChainMap) -> bool:
+def _generating(psi: dict[int, SignedMap], target: EquivariantComplex) -> bool:
     """Condition 2: psi hits some labeling of every target class."""
-    for i, table in psi.target.basis.items():
-        hit = _hit_rows(psi, i)
+    for i, table in target.basis.items():
+        hit = set(psi.get(i, ([], []))[0])
         if any(hit.isdisjoint(positions.values()) for positions in table.values()):
             return False
     return True
@@ -229,7 +221,7 @@ def check_consistent_sequence(g: int, ell: int, n_max: int) -> StabilityReport:
     for n in range(n_min, n_max + 1):
         psi = stabilization_map(complexes[n], complexes[n + 1])
         cond1 = _injective(psi)
-        cond2 = _generating(psi)
+        cond2 = _generating(psi, complexes[n + 1])
         degrees = sorted(set(decs[n]) | set(decs[n + 1]))
         cond3 = all(
             _families(decs[n].get(i, IrrDecomposition(n, {})))
@@ -334,6 +326,7 @@ def _excess_with_bound(total: int) -> int | None:
 def stable_multiplicity(lam: Partition, g: int) -> int:
     """The n-independent multiplicity of (lam, 1^{n - ceil(3m/2)}) in the
     top homology degree, as a sum of Littlewood-Richardson coefficients."""
+    _require_genus(g)
     m = _excess_with_bound(size(lam))
     if m is None or len(lam) != (m + 1) // 2:
         raise ValueError(
@@ -361,10 +354,8 @@ def verify_vanishing(profile: HomologyProfile) -> list[str]:
     exactly ceil(m/2) rows.
     """
     g, n, ell = profile.g, profile.n, profile.n - profile.r
-    m = excess(g, ell)
-    if m < 0:
-        return []
     bound = predicted_sharp_bound(g, ell)
+    m = excess(g, ell)
     half = (m + 1) // 2
     violations = []
     for i, dec in profile.decompositions.items():
@@ -400,6 +391,15 @@ def verify_vanishing(profile: HomologyProfile) -> list[str]:
 CORE_BOUNDS_SLACK = 2
 
 
+def _core_sweep(g: int, ell_max: int, slack: int):
+    """(ell, m, n, r, cores) for every core type (g, n, r = n - ell) with
+    ell <= ell_max and ell <= n <= m + slack, m the excess, in that order."""
+    for ell in range(ell_max + 1):
+        m = excess(g, ell)
+        for n in range(ell, m + slack + 1):
+            yield ell, m, n, n - ell, enumerate_core_graphs(g, n, n - ell)
+
+
 def verify_core_bounds(g: int, ell_max: int) -> list[str]:
     """Exhaustive core-graph bounds at a fixed genus.
 
@@ -408,35 +408,26 @@ def verify_core_bounds(g: int, ell_max: int) -> list[str]:
     equality exactly on the extremal theta family, and each nonvanishing
     core must satisfy n + rho <= ceil(9(g-1)/2) + 3*ell.
     """
+    _require_genus(g)
     violations: list[str] = []
     cap = -(-9 * (g - 1) // 2)
-    for ell in range(ell_max + 1):
-        m = excess(g, ell)
-        if m < 0:
+    for ell, m, n, r, cores in _core_sweep(g, ell_max, CORE_BOUNDS_SLACK):
+        if n > m and cores:
+            violations.append(f"(g={g}, n={n}, r={r}): core class with n > m = {m}")
             continue
-        thetas = {cls.key for cls in theta_classes(g, ell).values()}
-        for n in range(m + CORE_BOUNDS_SLACK + 1):
-            r = n - ell
-            if r < 0:
-                continue
-            cores = enumerate_core_graphs(g, n, r)
-            if n > m and cores:
+        if n == m and {cls.key for cls in cores} != {
+            cls.key for cls in theta_classes(g, ell).values()
+        }:
+            violations.append(
+                f"(g={g}, ell={ell}): extremal cores differ from the theta family"
+            )
+        for xi in cores:
+            rho = rho_of_core(xi)
+            if rho is not None and n + rho > cap + 3 * ell:
                 violations.append(
-                    f"(g={g}, n={n}, r={r}): core class with n > m = {m}"
+                    f"(g={g}, n={n}, r={r}): n + rho exceeds "
+                    f"{cap + 3 * ell} on {xi.key}"
                 )
-                continue
-            if n == m and {cls.key for cls in cores} != thetas:
-                violations.append(
-                    f"(g={g}, ell={ell}): extremal cores differ from the "
-                    "theta family"
-                )
-            for xi in cores:
-                rho = rho_of_core(xi)
-                if rho is not None and n + rho > cap + 3 * ell:
-                    violations.append(
-                        f"(g={g}, n={n}, r={r}): n + rho exceeds "
-                        f"{cap + 3 * ell} on {xi.key}"
-                    )
     return violations
 
 
@@ -447,25 +438,20 @@ def verify_edge_cut_rows(g: int, ell_max: int) -> list[str]:
     if g < 2:
         raise ValueError("edge cutting requires genus >= 2")
     violations: list[str] = []
-    for ell in range(ell_max + 1):
-        m = excess(g, ell)
-        for n in range(m + 1):
-            r = n - ell
-            if r < 0:
+    for _, _, n, r, cores in _core_sweep(g, ell_max, 0):
+        for xi in cores:
+            rho = rho_of_core(xi)
+            if rho is None:
                 continue
-            for xi in enumerate_core_graphs(g, n, r):
-                rho = rho_of_core(xi)
-                if rho is None:
-                    continue
-                for e in xi.graph.edges:
-                    try:
-                        cut = cut_edge(xi.graph, e)
-                    except ValueError:
-                        continue  # disconnecting edge
-                    rho_c = rho_of_core(canonical_form(cut)[0])
-                    if rho_c is None or rho > rho_c:
-                        violations.append(
-                            f"(g={g}, n={n}, r={r}): rho {rho} not bounded "
-                            f"by cut rho {rho_c} at edge {e} of {xi.key}"
-                        )
+            for e in xi.graph.edges:
+                try:
+                    cut = cut_edge(xi.graph, e)
+                except ValueError:
+                    continue  # disconnecting edge
+                rho_c = rho_of_core(canonical_form(cut)[0])
+                if rho_c is None or rho > rho_c:
+                    violations.append(
+                        f"(g={g}, n={n}, r={r}): rho {rho} not bounded "
+                        f"by cut rho {rho_c} at edge {e} of {xi.key}"
+                    )
     return violations

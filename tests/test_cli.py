@@ -19,7 +19,6 @@ from markedgc.cli import (
     main,
 )
 from markedgc.complexes import (
-    ChainMap,
     cache_path,
     enumerate_marked_graphs,
     load_enumeration,
@@ -99,7 +98,7 @@ def test_stability_violation_from_the_bound_on_exits_1(capsys, monkeypatch, fail
     monkeypatch.setattr(
         markedgc.stability,
         "_generating",
-        lambda psi: psi.source.n != failing and generating(psi),
+        lambda psi, target: target.n != failing + 1 and generating(psi, target),
     )
     code, payload = run_json(
         capsys, "stability", "--g", "1", "--l", "1", "--window", "4"
@@ -109,19 +108,26 @@ def test_stability_violation_from_the_bound_on_exits_1(capsys, monkeypatch, fail
     assert code == EXIT_VIOLATION
 
 
-def test_stability_column_with_two_entries_exits_3(capsys, monkeypatch):
+def test_stability_image_outside_target_exits_3(capsys, monkeypatch):
+    # the complexes are built first; then the stabilization adds no leg,
+    # which sends each class outside the next complex's basis
     stabilize = markedgc.stability.stabilization_map
 
-    def two_entries(source, target):
-        psi = stabilize(source, target)
-        i = max(psi.cols)
-        cols = [{0: 1, 1: 1}] + psi.cols[i][1:]
-        return ChainMap(psi.source, psi.target, {**psi.cols, i: cols})
+    def without_leg(source, target):
+        monkeypatch.setattr(
+            markedgc.complexes, "add_marked_legs", lambda cls, tau, b, j: (cls, tau)
+        )
+        return stabilize(source, target)
 
-    monkeypatch.setattr(markedgc.stability, "stabilization_map", two_entries)
+    monkeypatch.setattr(markedgc.stability, "stabilization_map", without_leg)
     code = main(["stability", "--g", "2", "--l", "0", "--window", "5"])
+    captured = capsys.readouterr()
     assert code == EXIT_INTERNAL
-    assert "2 entries" in capsys.readouterr().err
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "internal error: stabilization of a degree-0 class left the enumerated basis"
+    )
+    assert captured.err.count("\n") == 1
 
 
 def test_stable_mult_value(capsys):
@@ -281,15 +287,31 @@ def test_stability_window_below_first_n_is_usage_error(capsys, argv, fmt):
     [
         ("stability", "--g", "0", "--l", "3", "--window", "4"),
         ("verify", "--suite", "vanishing", "--g", "0", "--n", "3", "--r", "0"),
+        ("stable-mult", "--g", "0", "--lambda", "[5,1]"),
+        ("verify", "--suite", "core-bounds", "--g", "0"),
+        ("verify", "--g", "0"),
+        ("verify", "--suite", "vanishing", "--g", "0", "--n", "3", "--r", "3"),
     ],
 )
 def test_genus_zero_stability_is_usage_error(capsys, argv, fmt):
-    # excess m = 3 >= 0, but B(0, n, r) = 0: no connected graph has genus 0
+    # B(0, n, r) = 0: no connected graph has genus 0, whatever the excess
+    # (m = 3 in the first two cases, -3 in the last)
     code = main([*argv, "--format", fmt])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert captured.err == "error: the stability facts need genus >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_vanishing_at_negative_excess_is_usage_error(capsys, fmt):
+    # B(1, 1, 2): l = -1, so m = -2
+    argv = ["verify", "--suite", "vanishing", "--g", "1", "--n", "1", "--r", "2"]
+    code = main([*argv, "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == "error: negative excess has no stable range\n"
 
 
 def test_cache_dir_roundtrip(capsys, tmp_path):

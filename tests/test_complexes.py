@@ -66,6 +66,7 @@ from enumeration_oracle import _edge_multisets
 from kernel_oracle import label_table, labeled_canonical_form, labeled_graph_of
 from perms import basis_elements, compose
 from search_oracle import automorphisms, iso_det_sign
+from stability_oracle import columns
 from test_stability import CORE_CASES
 
 
@@ -690,13 +691,17 @@ def test_seven_marked_legs_at_the_dv_form_one_block(u):
 
 
 def test_stabilization_is_injective_chain_map():
+    # one signed image per basis element, the images distinct; the chain
+    # map check runs inside stabilization_map
     src = build_complex(1, 3, 2)
-    psi = stabilization_map(src, build_complex(1, 4, 3))
-    assert psi.target.n == 4 and psi.target.r == 3
-    for i in src.degrees():
-        # one nonzero entry per column: induced by a basis-to-basis map
-        for col in psi.cols[i]:
-            assert len(col) <= 1
+    target = build_complex(1, 4, 3)
+    psi = stabilization_map(src, target)
+    assert sorted(psi) == src.degrees()
+    for i, (images, signs) in psi.items():
+        assert len(images) == len(signs) == src.dim(i)
+        assert len(set(images)) == len(images)
+        assert set(images) <= set(range(target.dim(i)))
+        assert set(signs) <= {1, -1}
 
 
 # ---------------------------------------------------------------------------
@@ -955,13 +960,14 @@ def test_differential_matches_labeled_oracle(key):
 def test_stabilization_matches_labeled_oracle(key):
     g, n, r = key
     src = build_complex(g, n, r)
-    psi = stabilization_map(src, build_complex(g, n + 1, r + 1))
+    target = build_complex(g, n + 1, r + 1)
+    psi = stabilization_map(src, target)
     source_perm = basis_permutation(src)
-    target_perm = basis_permutation(psi.target)
+    target_perm = basis_permutation(target)
     expected = oracle_stabilization_cols(key)
-    assert sorted(psi.cols) == sorted(expected)
-    for i, cols in psi.cols.items():
-        got = in_oracle_basis(cols, source_perm[i], target_perm.get(i, []))
+    assert sorted(psi) == sorted(expected)
+    for i, psi_i in psi.items():
+        got = in_oracle_basis(columns(psi_i), source_perm[i], target_perm.get(i, []))
         assert got == expected[i]
 
 

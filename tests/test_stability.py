@@ -6,8 +6,6 @@ import markedgc.complexes
 import markedgc.stability
 from markedgc.cli import EXIT_INTERNAL, main
 from markedgc.complexes import (
-    ChainMap,
-    EquivariantComplex,
     _leg_distributions,
     build_complex,
     chain_character,
@@ -254,19 +252,20 @@ def test_condition_3_matches_conjugate_form(window):
         assert report.conditions[n][2] is expected, n
 
 
-# Conditions 1-2 read off psi's columns against their rank-based oracle,
+# Conditions 1-2 read off psi's images against their rank-based oracle,
 # at every n of these windows (g, l): n_max.
 ORACLE_WINDOWS = {(2, 0): 6, (1, 1): 5, (1, 2): 6, (2, 1): 5, (3, 0): 3}
 
 
 def stabilization(g, ell, n):
-    return stabilization_map(
-        build_complex(g, n, n - ell), build_complex(g, n + 1, n + 1 - ell)
-    )
+    """(source, target, psi) for B(g, n, n - l) -> B(g, n + 1, n + 1 - l)."""
+    source = build_complex(g, n, n - ell)
+    target = build_complex(g, n + 1, n + 1 - ell)
+    return source, target, stabilization_map(source, target)
 
 
-def column_conditions(psi):
-    return _injective(psi), _generating(psi)
+def image_conditions(psi, target):
+    return _injective(psi), _generating(psi, target)
 
 
 @pytest.mark.parametrize(
@@ -279,74 +278,55 @@ def column_conditions(psi):
     ids=str,
 )
 def test_column_conditions_match_rank_oracle(case):
-    psi = stabilization(*case)
-    assert column_conditions(psi) == rank_conditions(psi)
+    _, target, psi = stabilization(*case)
+    assert image_conditions(psi, target) == rank_conditions(psi, target)
 
 
 # Synthetic maps derived from psi for (g, l, n) = (2, 0, 5).  The rank
-# oracle's condition 2 stacks the coset translates of psi's columns, which
-# spans the S_{n+1}-orbit only when the hit rows are S_n-stable, so every
-# edit below changes whole source classes: a class with one labeling is an
-# S_n-fixed basis element up to sign.
+# oracle's condition 2 stacks the coset translates of psi's images, which
+# spans the S_{n+1}-orbit only when the hit positions are S_n-stable, so
+# every edit below changes whole source classes: a class with one
+# labeling is an S_n-fixed basis element up to sign.
 
 
-def edit_columns(psi, i, edit):
-    cols = [dict(col) for col in psi.cols[i]]
-    edit(cols)
-    return ChainMap(psi.source, psi.target, {**psi.cols, i: cols})
-
-
-def one_labeling_class(psi, i):
+def one_labeling_class(source, i):
     """The position of a degree-i source class with a single labeling."""
     return next(
         p
-        for positions in psi.source.basis[i].values()
+        for positions in source.basis[i].values()
         if len(positions) == 1
         for p in positions.values()
     )
 
 
-def two_columns_on_one_row(psi, i):
-    single = one_labeling_class(psi, i)
+def two_columns_on_one_row(source, psi, i):
+    """psi with every labeling of another class sent where the
+    one-labeling class goes."""
+    single = one_labeling_class(source, i)
     other = next(
         positions
-        for positions in psi.source.basis[i].values()
+        for positions in source.basis[i].values()
         if single not in positions.values()
     )
-
-    def onto_single(cols):
-        for p in other.values():
-            cols[p] = dict(cols[single])
-
-    return edit_columns(psi, i, onto_single)
+    images, signs = map(list, psi[i])
+    for p in other.values():
+        images[p], signs[p] = images[single], signs[single]
+    return {**psi, i: (images, signs)}
 
 
-def emptied_column(psi, i):
-    single = one_labeling_class(psi, i)
-    return edit_columns(psi, i, lambda cols: cols.__setitem__(single, {}))
-
-
-def class_dropped(psi, i):
-    """psi without a one-labeling source class and its column, so every
-    column into the class's target is gone."""
-    single = one_labeling_class(psi, i)
-    table = {
-        xi: {rho: p - (p > single) for rho, p in positions.items()}
-        for xi, positions in psi.source.basis[i].items()
-        if single not in positions.values()
-    }
-    c = psi.source
-    source = EquivariantComplex(c.g, c.n, c.r, {**c.basis, i: table}, c.diff)
-    cols = psi.cols[i][:single] + psi.cols[i][single + 1 :]
-    return ChainMap(source, psi.target, {**psi.cols, i: cols})
+def class_dropped(source, psi, i):
+    """psi without a one-labeling source class, so the class's target is
+    hit by no image."""
+    single = one_labeling_class(source, i)
+    images, signs = psi[i]
+    kept = images[:single] + images[single + 1 :], signs[:single] + signs[single + 1 :]
+    return {**psi, i: kept}
 
 
 # (edit, degree, expected (condition 1, condition 2)); degrees 0 and 1 of
 # psi for (2, 0, 5) each hold a class with one labeling, degree 1 two more.
 SYNTHETIC_CASES = [
     (two_columns_on_one_row, 1, (False, False)),
-    (emptied_column, 0, (False, False)),
-    (emptied_column, 1, (False, False)),
     (class_dropped, 0, (True, False)),
     (class_dropped, 1, (True, False)),
 ]
@@ -358,20 +338,16 @@ SYNTHETIC_CASES = [
     ids=[f"{edit.__name__}-{i}" for edit, i, _ in SYNTHETIC_CASES],
 )
 def test_synthetic_chain_maps_match_rank_oracle(edit, i, expected):
-    psi = stabilization(2, 0, 5)
-    assert column_conditions(psi) == rank_conditions(psi) == (True, True)
-    broken = edit(psi, i)
-    assert column_conditions(broken) == rank_conditions(broken) == expected
+    source, target, psi = stabilization(2, 0, 5)
+    assert image_conditions(psi, target) == rank_conditions(psi, target) == (True, True)
+    broken = edit(source, psi, i)
+    assert image_conditions(broken, target) == rank_conditions(broken, target) == expected
 
 
-def test_column_with_two_entries_is_a_broken_invariant():
-    psi = stabilization(2, 0, 5)
-    single = one_labeling_class(psi, 1)
-    broken = edit_columns(psi, 1, lambda cols: cols[single].update(cols[single + 1]))
-    with pytest.raises(AssertionError, match="2 entries"):
-        _injective(broken)
-    with pytest.raises(AssertionError, match="2 entries"):
-        _generating(broken)
+def test_one_repeated_image_is_not_injective():
+    # the rank oracle needs S_n-stable images, so this edit is checked alone
+    assert _injective({0: ([3], [1]), 1: ([0, 2, 1], [1, -1, 1])})
+    assert not _injective({0: ([3], [1]), 1: ([0, 2, 0], [1, -1, -1])})
 
 
 # ---------------------------------------------------------------------------
