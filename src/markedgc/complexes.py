@@ -85,6 +85,7 @@ from .graphs import (
     decode_graph,
     degree,
     encode_graph,
+    excess,
     is_connected,
     mark_flag,
     validate,
@@ -345,11 +346,6 @@ def enumerate_marked_graphs(
 
 # xi -> {rho: position of [xi, rho] in xi's degree}, in basis order
 DegreeTable = dict[OrientedClass, dict[Permutation, int]]
-
-
-def excess(g: int, ell: int) -> int:
-    """The excess m = 3(g - 1) + 2l of B(g, n, n - l)."""
-    return 3 * (g - 1) + 2 * ell
 
 
 class EquivariantComplex:

@@ -21,7 +21,7 @@ There is one graph search, `canonical_form`'s: it tries the vertex
 orderings that vertex invariants allow and keeps the least encoding, and
 the orderings that tie for it are the graph's automorphisms.  It reads
 the flags once for the invariants, tries one ordering when they tell
-every neutral vertex apart, and signs a flag map by counting inversions.
+every neutral vertex apart, and signs a flag map by `perm_sign`.
 A class carries its leg group, the action of its automorphisms on its
 legs with their det-signs, read from the ties of the search that created
 the class; it decides both whether the class vanishes under every
@@ -47,7 +47,7 @@ marked legs, so only cores cost a search.
 
 from __future__ import annotations
 
-from bisect import bisect, bisect_left, insort
+from bisect import bisect_left
 from functools import cached_property
 from itertools import chain, permutations, product
 
@@ -251,7 +251,7 @@ class LegGroup:
                 for a, b in zip(ks, images):
                     tau[a] = b
                 if marked:
-                    twin_sign *= perm_sign([ks.index(b) for b in images])
+                    twin_sign *= perm_sign(images)
             for sigma, sign in self.ordered:
                 out[tuple([sigma[t] for t in tau])] = sign * twin_sign
         return out
@@ -267,7 +267,7 @@ class LegGroup:
                 for k, x in zip(ks, ordered):
                     image[k] = x
                 if marked:
-                    sign *= perm_sign(sorted(range(len(ks)), key=values.__getitem__))
+                    sign *= perm_sign(values)
         return sign
 
     def coset_min(self, rho: Permutation) -> tuple[Permutation, int]:
@@ -493,21 +493,11 @@ def _graph_of(encoding: tuple) -> MarkedGraph:
 def _orientation_sign(g: MarkedGraph, phi: tuple[int, ...]) -> int:
     """Sign of the flag map ``phi`` from ``g`` onto its class graph on
     det(E) x det^{-1}(D).  The class graph sorts edges by lower flag and
-    marks by flag, so the sign is the parity of the inversions among the
-    mapped lower flags of g's sorted edges plus those among its mapped
-    sorted marks, each counted against the sorted values before it."""
-    inversions = 0
-    before: list[int] = []
-    for f, p in enumerate(g.inv):
-        if f < p:
-            low = phi[f] if phi[f] < phi[p] else phi[p]
-            inversions += len(before) - bisect(before, low)
-            insort(before, low)
-    before = []
-    for f in sorted(g.marked):
-        inversions += len(before) - bisect(before, phi[f])
-        insort(before, phi[f])
-    return -1 if inversions % 2 else 1
+    marks by flag, so the sign is that of the sort of the mapped lower
+    flags of g's sorted edges times that of the sort of its mapped sorted
+    marks."""
+    lows = [phi[f] if phi[f] < phi[p] else phi[p] for f, p in enumerate(g.inv) if f < p]
+    return perm_sign(lows) * perm_sign([phi[f] for f in sorted(g.marked)])
 
 
 # ---------------------------------------------------------------------------
@@ -733,8 +723,6 @@ def cut_edge(g: MarkedGraph, e: Edge) -> MarkedGraph:
     f1, f2 = e
     if g.inv[f1] != f2 or f1 == f2:
         raise ValueError(f"{e} is not an edge")
-    if g.genus < 2:
-        raise ValueError("cutting requires genus >= 2")
     inv = list(g.inv)
     inv[f1], inv[f2] = f1, f2
     out = MarkedGraph(nv=g.nv, adj=g.adj, inv=tuple(inv), marked=g.marked)
@@ -766,6 +754,11 @@ def assemble(
     return MarkedGraph(nv=nv, adj=tuple(adj), inv=tuple(inv), marked=marked)
 
 
+def excess(g: int, ell: int) -> int:
+    """The excess m = 3(g - 1) + 2l of B(g, n, n - l)."""
+    return 3 * (g - 1) + 2 * ell
+
+
 def build_theta(g: int, ell: int, p: int) -> MarkedGraph:
     """The extremal core graph with ``p`` double-edge neutral vertices.
 
@@ -774,7 +767,7 @@ def build_theta(g: int, ell: int, p: int) -> MarkedGraph:
     triples, and to (m-p)/2 vertices by single marked edges (two legs each).
     Every edge is marked at its dv flag.
     """
-    m = 3 * (g - 1) + 2 * ell
+    m = excess(g, ell)
     if m < 0:
         raise ValueError("negative excess")
     if p < 0 or p >= g or p > m or (g - p) % 2 == 0:

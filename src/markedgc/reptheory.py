@@ -10,6 +10,7 @@ Everything is exact: values are Python ints or Fractions, never floats.
 
 from __future__ import annotations
 
+from bisect import bisect, insort
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm
@@ -352,22 +353,16 @@ def perm_cycle_type(p: Permutation) -> Partition:
     return tuple(sorted(map(len, perm_cycles(p)), reverse=True))
 
 
-def perm_sign(p) -> int:
-    """Sign of a 0-indexed permutation given as any sequence of images."""
-    # a bare cycle walk: coset minima call this for every marked block they sort
-    seen = [False] * len(p)
-    sign = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
+def perm_sign(seq) -> int:
+    """Sign of the permutation that sorts ``seq``, a sequence of distinct
+    values: the parity of its inversions, each value counted against the
+    greater values before it.  A permutation given by its images is its
+    own sequence."""
+    inversions, before = 0, []
+    for x in seq:
+        inversions += len(before) - bisect(before, x)
+        insort(before, x)
+    return -1 if inversions % 2 else 1
 
 
 def cycle_type_representative(mu: Partition) -> Permutation:

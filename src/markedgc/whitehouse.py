@@ -118,10 +118,7 @@ class _CentralizerCharacter:
             # rotation part: zeta_k * (-1)^(k-1) raised to the shift
             exponent += shift * (Fraction(1, k) + Fraction(k - 1, 2))
         for k, mapping in by_length.items():
-            indices = sorted(mapping)
-            relabel = {ci: pos for pos, ci in enumerate(indices)}
-            pi = [relabel[mapping[ci]] for ci in indices]
-            if k % 2 == 1 and perm_sign(pi) == -1:
+            if k % 2 == 1 and perm_sign([mapping[ci] for ci in sorted(mapping)]) == -1:
                 exponent += Fraction(1, 2)
         return _rational_average(exponent)
 

@@ -7,6 +7,8 @@ rational inner product per irreducible.  `linalg.column_factorization`
 eliminates from the last column and keeps integer coordinates, so it
 equals `reversed_factorization`; `linalg.trace_on_image` and
 `reptheory.decompose` must equal the other two exactly.
+`lr_by_characters` is the Littlewood–Richardson coefficient by the
+character inner-product sum that `reptheory.lr_coefficient` must equal.
 """
 
 from fractions import Fraction
@@ -16,6 +18,7 @@ from markedgc.partitions import cycle_types, enumerate_partitions, size
 from markedgc.reptheory import (
     ClassFunction,
     IrrDecomposition,
+    centralizer_order,
     character_value,
     class_size,
     decompose,
@@ -130,3 +133,21 @@ def assert_decompose_matches(chi: ClassFunction) -> None:
             raise AssertionError(f"accepted a non-character: {err}")
         return
     assert decompose(chi) == expected
+
+
+def lr_by_characters(lam, mu, nu):
+    """Independent oracle: c^lam_{mu,nu} by the classical inner-product
+    sum over pairs of cycle types."""
+    a, b = size(mu), size(nu)
+    total = Fraction(0)
+    for alpha in cycle_types(a):
+        for beta in cycle_types(b):
+            joint = tuple(sorted(alpha + beta, reverse=True))
+            total += Fraction(
+                character_value(mu, alpha)
+                * character_value(nu, beta)
+                * character_value(lam, joint),
+                centralizer_order(alpha) * centralizer_order(beta),
+            )
+    assert total.denominator == 1
+    return int(total)

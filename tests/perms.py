@@ -1,6 +1,7 @@
 """Permutation helpers that only the tests need: composition, inverses,
-the subgroup a set of permutations generates, and a complex's basis
-elements (xi, rho) in position order."""
+the sign by a cycle walk (`reptheory.perm_sign`'s oracle), the subgroup
+a set of permutations generates, and a complex's basis elements
+(xi, rho) in position order."""
 
 from markedgc.reptheory import Permutation, identity
 
@@ -15,6 +16,24 @@ def inverse(p: Permutation) -> Permutation:
     for i, img in enumerate(p):
         out[img] = i
     return tuple(out)
+
+
+def cycle_walk_sign(p: Permutation) -> int:
+    """Sign of a 0-indexed permutation given by its images: -1 to the
+    number of its cycles of even length."""
+    seen = [False] * len(p)
+    sign = 1
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        j, clen = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            clen += 1
+        if clen % 2 == 0:
+            sign = -sign
+    return sign
 
 
 def generated_subgroup(n: int, generators) -> frozenset[Permutation]:

@@ -1,12 +1,14 @@
 """The rank-based stability conditions 1 and 2 that `stability` replaced
 by set checks on psi's images, kept as the tests' oracle: condition 1 is
 the rank of the stabilization map psi in each degree, condition 2 the
-rank of psi stacked over the n + 1 coset representatives of S_{n+1}/S_n.
-psi and the S_{n+1} action are signed maps (images, signs); each is read
-as its columns, one {row: sign} per source basis element."""
+rank of the closure of psi's image under S_{n+1}, which judges any map,
+not only one whose image is S_n-stable.  psi and the S_{n+1} action are
+signed maps (images, signs); each is read as its columns, one
+{row: sign} per source basis element."""
 
-from markedgc.complexes import _then, group_action_matrix
-from markedgc.linalg import rank
+from markedgc.complexes import group_action_matrix
+from markedgc.linalg import _push, _reduce, rank
+from markedgc.reptheory import cycle_type_representative
 
 
 def columns(signed_map):
@@ -21,21 +23,26 @@ def _injective(psi) -> bool:
 def _generating(psi, target) -> bool:
     """Does the S_{n+1}-orbit of the image span the target?
 
-    Coset representatives of S_{n+1}/S_n suffice: the identity and the
-    transpositions (j, n+1).  sigma·psi is psi followed by sigma's action.
+    The orbit spans the least subspace that holds the image and is stable
+    under (0 1) and the (n+1)-cycle, which generate S_{n+1}.  Every
+    vector that enlarges the span so far is pushed through both
+    generators, until no translate enlarges it.
     """
     n1 = target.n
-    reps = [tuple(range(n1))]
-    for j in range(n1 - 1):
-        t = list(range(n1))
-        t[j], t[n1 - 1] = t[n1 - 1], t[j]
-        reps.append(tuple(t))
+    generator_types = [(k,) + (1,) * (n1 - k) for k in (2, n1)] if n1 >= 2 else []
     for i in target.degrees():
-        psi_i = psi.get(i, ([], []))
-        stacked = []
-        for sigma in reps:
-            stacked += columns(_then(psi_i, group_action_matrix(target, i, sigma)))
-        if rank(stacked) < target.dim(i):
+        generators = [
+            group_action_matrix(target, i, cycle_type_representative(mu))
+            for mu in generator_types
+        ]
+        echelon = {}
+        pending = columns(psi.get(i, ([], [])))
+        while pending:
+            vec = pending.pop()
+            if _push(echelon, _reduce(echelon, vec)[0]):
+                for images, signs in generators:
+                    pending.append({images[p]: signs[p] * v for p, v in vec.items()})
+        if len(echelon) < target.dim(i):
             return False
     return True
 

@@ -21,7 +21,7 @@ from markedgc.homology import (
     homology_decomposition,
     homology_dimensions,
 )
-from markedgc.partitions import cycle_types, enumerate_partitions, size
+from markedgc.partitions import cycle_types, enumerate_partitions
 from markedgc.reptheory import (
     IrrDecomposition,
     centralizer_order,
@@ -46,6 +46,7 @@ from markedgc.stability import (
 )
 from markedgc.whitehouse import whitehouse_checks
 import enumeration_oracle
+from fraction_oracle import lr_by_characters
 from perms import generated_subgroup
 
 
@@ -255,22 +256,6 @@ def test_criterion_9_large_case_prediction():
 
 # ---------------------------------------------------------------------------
 # criterion 10: representation-theory backend
-
-
-def lr_by_characters(lam, mu, nu):
-    a, b = size(mu), size(nu)
-    total = Fraction(0)
-    for alpha in cycle_types(a):
-        for beta in cycle_types(b):
-            joint = tuple(sorted(alpha + beta, reverse=True))
-            total += Fraction(
-                character_value(mu, alpha)
-                * character_value(nu, beta)
-                * character_value(lam, joint),
-                centralizer_order(alpha) * centralizer_order(beta),
-            )
-    assert total.denominator == 1
-    return int(total)
 
 
 def test_criterion_10_lr_coefficients():

@@ -448,6 +448,19 @@ def test_cut_disconnecting_edge_raises():
         cut_edge(g, (2, 3))
 
 
+def test_cutting_a_genus_one_core_raises():
+    # a connected graph of genus 1 is a tree: every edge disconnects it
+    edges = 0
+    for n in range(6):
+        for r in range(n + 1):
+            for xi in enumerate_core_graphs(1, n, r):
+                for e in xi.graph.edges:
+                    edges += 1
+                    with pytest.raises(ValueError, match="disconnects"):
+                        cut_edge(xi.graph, e)
+    assert edges > 100
+
+
 # ---------------------------------------------------------------------------
 # leg symmetries
 

@@ -31,8 +31,12 @@ from markedgc.reptheory import (
     sign_decomposition,
     tensor_sign,
 )
-from fraction_oracle import assert_decompose_matches, irreducible_character
-from perms import compose, generated_subgroup, inverse
+from fraction_oracle import (
+    assert_decompose_matches,
+    irreducible_character,
+    lr_by_characters,
+)
+from perms import compose, cycle_walk_sign, generated_subgroup, inverse
 
 
 # ---------------------------------------------------------------------------
@@ -187,24 +191,6 @@ def test_paper_style_rendering():
 # Littlewood-Richardson
 
 
-def lr_by_characters(lam, mu, nu):
-    """Independent oracle: c^lam_{mu,nu} by the classical inner-product
-    sum over pairs of cycle types."""
-    a, b = size(mu), size(nu)
-    total = Fraction(0)
-    for alpha in cycle_types(a):
-        for beta in cycle_types(b):
-            joint = tuple(sorted(alpha + beta, reverse=True))
-            total += Fraction(
-                character_value(mu, alpha)
-                * character_value(nu, beta)
-                * character_value(lam, joint),
-                centralizer_order(alpha) * centralizer_order(beta),
-            )
-    assert total.denominator == 1
-    return int(total)
-
-
 @pytest.mark.parametrize("n", range(2, 9))
 def test_lr_against_character_inner_products(n):
     for lam in enumerate_partitions(n):
@@ -323,6 +309,18 @@ def test_cycle_type_is_partition_of_n(p):
 def test_sign_multiplicative(p, q):
     p, q = tuple(p), tuple(q)
     assert perm_sign(compose(p, q)) == perm_sign(p) * perm_sign(q)
+
+
+def test_perm_sign_matches_cycle_walk_on_every_small_permutation():
+    for n in range(7):
+        for p in permutations(range(n)):
+            assert perm_sign(p) == cycle_walk_sign(p), p
+
+
+@given(st.lists(st.integers(-50, 50), max_size=12, unique=True))
+def test_perm_sign_is_the_parity_of_the_argsort(seq):
+    argsort = tuple(sorted(range(len(seq)), key=seq.__getitem__))
+    assert perm_sign(seq) == cycle_walk_sign(argsort)
 
 
 def test_induce_from_subgroup_rejects_a_set_that_is_not_closed():

@@ -36,7 +36,7 @@ from markedgc.stability import (
 )
 from enumeration_oracle import _edge_multisets
 from fraction_oracle import fraction_decompose
-from stability_oracle import conditions as rank_conditions
+from stability_oracle import _injective as rank_injective, conditions as rank_conditions
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +283,8 @@ def test_column_conditions_match_rank_oracle(case):
 
 
 # Synthetic maps derived from psi for (g, l, n) = (2, 0, 5).  The rank
-# oracle's condition 2 stacks the coset translates of psi's images, which
-# spans the S_{n+1}-orbit only when the hit positions are S_n-stable, so
-# every edit below changes whole source classes: a class with one
-# labeling is an S_n-fixed basis element up to sign.
+# oracle's condition 2 closes psi's image under S_{n+1}, so it judges
+# edits of single labelings as well as of whole source classes.
 
 
 def one_labeling_class(source, i):
@@ -314,6 +312,22 @@ def two_columns_on_one_row(source, psi, i):
     return {**psi, i: (images, signs)}
 
 
+def one_labeling_moved(source, psi, i):
+    """psi with one labeling of a five-labeling class sent where the
+    one-labeling class goes; the other four still hit their class's
+    target, and their S_{n+1}-orbit spans it."""
+    single = one_labeling_class(source, i)
+    moved = next(
+        p
+        for positions in source.basis[i].values()
+        if len(positions) == 5
+        for p in positions.values()
+    )
+    images, signs = map(list, psi[i])
+    images[moved], signs[moved] = images[single], signs[single]
+    return {**psi, i: (images, signs)}
+
+
 def class_dropped(source, psi, i):
     """psi without a one-labeling source class, so the class's target is
     hit by no image."""
@@ -324,9 +338,11 @@ def class_dropped(source, psi, i):
 
 
 # (edit, degree, expected (condition 1, condition 2)); degrees 0 and 1 of
-# psi for (2, 0, 5) each hold a class with one labeling, degree 1 two more.
+# psi for (2, 0, 5) each hold a class with one labeling, degree 1 two more
+# with five labelings each.
 SYNTHETIC_CASES = [
     (two_columns_on_one_row, 1, (False, False)),
+    (one_labeling_moved, 1, (False, True)),
     (class_dropped, 0, (True, False)),
     (class_dropped, 1, (True, False)),
 ]
@@ -345,9 +361,10 @@ def test_synthetic_chain_maps_match_rank_oracle(edit, i, expected):
 
 
 def test_one_repeated_image_is_not_injective():
-    # the rank oracle needs S_n-stable images, so this edit is checked alone
-    assert _injective({0: ([3], [1]), 1: ([0, 2, 1], [1, -1, 1])})
-    assert not _injective({0: ([3], [1]), 1: ([0, 2, 0], [1, -1, -1])})
+    distinct = {0: ([3], [1]), 1: ([0, 2, 1], [1, -1, 1])}
+    repeated = {0: ([3], [1]), 1: ([0, 2, 0], [1, -1, -1])}
+    assert _injective(distinct) and rank_injective(distinct)
+    assert not _injective(repeated) and not rank_injective(repeated)
 
 
 # ---------------------------------------------------------------------------
