@@ -44,15 +44,22 @@ core plus j marked legs is its core's with the legs added term by term
 (`graphs.add_marked_legs`), found with no move, `validate` or search:
 the legs add no neutral valence, edge or neutral mark, so each lifted
 term is admissible because its core term is (proved at
-`_core_boundary`).  The column of [xi, rho] is the terms relabeled by
-rho, each reduced to its coset minimum with its sign.  The S_n action
-is the same coset arithmetic, and its one format is a signed map
-(images, signs): sigma·[xi, rho] is signs[p]·(basis element
-images[p]), p the position of [xi, rho].  The stabilization map, which
-adds its leg once per xi as the enumeration does, has that format into
-the next complex's basis, so it composes with the action by `_then`.
-Characters need one action per cycle type;
-`cycle_type_actions` takes coset minima only for (0 1) and the n-cycle
+`_core_boundary`).  The column of [xi, id] is those terms, each
+reduced to its coset minimum with its sign.  The S_n action has one
+format, a signed map (images, signs): sigma·[xi, rho] is
+signs[p]·(basis element images[p]), p the position of [xi, rho].  The
+actions of the generators (0 1) and the n-cycle take no coset minimum:
+each class's orbit walk (`graphs.LegGroup.orbit`, once per leg-group
+structure) holds their actions on its labelings, offset here by the
+class's first position; any other sigma takes one coset pass.  Every
+other column follows by the S_n-equivariance of d: when a generator s
+takes [xi, rho] to chi·[xi, rho'], d[xi, rho'] = chi·s·d[xi, rho], so
+the column of rho' is that of its parent in the walk's tree, moved by
+s's action on the degree below and times chi (`_columns`).  The
+stabilization map, which adds its leg once per xi as the enumeration
+does, has the signed-map format into the next complex's basis, so it
+composes with the action by `_then`.  Characters need one action per
+cycle type; `cycle_type_actions` asks only for (0 1) and the n-cycle
 and composes the rest.
 The enumeration cache (format 2) stores only the xi; a reload accepts
 only admissible classes of the complex's type.  Its SHA-256 checksum
@@ -75,6 +82,7 @@ from pathlib import Path
 from .graphs import (
     LegGroup,
     MarkedGraph,
+    Orbit,
     OrientedClass,
     _least_encoding,
     add_marked_legs,
@@ -86,12 +94,13 @@ from .graphs import (
     degree,
     encode_graph,
     excess,
+    generators,
     is_connected,
     mark_flag,
     validate,
 )
 from .partitions import Partition
-from .reptheory import ClassFunction, Permutation, cycle_type_representative
+from .reptheory import ClassFunction, Permutation
 
 CACHE_FORMAT = 2
 
@@ -499,20 +508,35 @@ def _targets(
 
 def _column(
     targets: list[tuple[LegGroup, dict[Permutation, int], Permutation, int]],
-    rho: Permutation,
 ) -> dict[int, int]:
-    """d[xi, rho] for d[xi, id] given by ``targets``: relabeling by rho
-    sends (eta, tau) to [eta, rho∘tau], which is chi·[eta, rho'] at its
-    coset minimum rho'."""
+    """d[xi, id] for the boundary ``targets`` of xi: the term (eta, tau)
+    is [eta, tau], which is chi·[eta, tau'] at its coset minimum tau'."""
     col: dict[int, int] = {}
     try:
         for group, positions, tau, coeff in targets:
-            image, chi = group.coset_min(tuple([rho[k] for k in tau]))
+            image, chi = group.coset_min(tau)
             pos = positions[image]
             col[pos] = col.get(pos, 0) + coeff * chi
     except KeyError:
         raise AssertionError("a coset minimum left the enumerated basis") from None
     return {pos: v for pos, v in col.items() if v}
+
+
+def _columns(
+    first: dict[int, int], orbit: Orbit, moves: list[SignedMap]
+) -> SparseColumns:
+    """d[xi, rho] for every labeling rho of xi, in labeling order, from
+    ``first`` = d[xi, id] along the walk's tree.  When generator s takes
+    [xi, rho] to chi·[xi, rho'], then [xi, rho'] = chi·s·[xi, rho], and
+    d commutes with S_n, so d[xi, rho'] = chi·s·d[xi, rho], s acting on
+    the degree below by ``moves[k]``: a signed map, so the column keeps
+    its entries up to sign, at their images."""
+    cols = [first] * len(orbit.labelings)
+    for p, parent, k in orbit.tree:
+        images, signs = moves[k]
+        chi = orbit.actions[k][1][parent]
+        cols[p] = {images[q]: chi * signs[q] * v for q, v in cols[parent].items()}
+    return cols
 
 
 def build_complex(
@@ -527,10 +551,11 @@ def build_complex(
     diff: dict[int, SparseColumns] = {}
     for i in sorted(basis):
         below = basis.get(i - 1, {})
+        moves = [_generator_action(below, k) for k in range(len(generators(n)))]
         cols: SparseColumns = []
-        for xi, positions in basis[i].items():
+        for xi in basis[i]:
             targets = _targets(boundary_terms(xi), below, i)
-            cols.extend(_column(targets, rho) for rho in positions)
+            cols.extend(_columns(_column(targets), xi.leg_group.orbit(), moves))
         diff[i] = cols
     complex_ = EquivariantComplex(g=g, n=n, r=r, basis=basis, diff=diff)
     _check_d_squared(complex_)
@@ -565,7 +590,11 @@ def group_action_matrix(
     """The leg relabeling by ``sigma`` (0-indexed images) on degree ``i``:
     the position and the sign of sigma·[xi, rho] for each basis element.
     sigma·[xi, rho] = [xi, sigma∘rho] = chi·[xi, rho'] with rho' the coset
-    minimum."""
+    minimum.  The `generators` read their orbits' actions; any other
+    sigma takes one coset pass."""
+    gens = generators(c.n)
+    if sigma in gens:
+        return _generator_action(c.basis.get(i, {}), gens.index(sigma))
     images, signs = [], []
     try:
         for xi, positions in c.basis.get(i, {}).items():
@@ -578,6 +607,21 @@ def group_action_matrix(
         raise AssertionError(
             f"relabeling left the degree-{i} basis of B({c.g},{c.n},{c.r})"
         ) from None
+    return images, signs
+
+
+def _generator_action(table: DegreeTable, k: int) -> SignedMap:
+    """The action of generator k of `generators` on a degree with no
+    coset pass: each class's orbit action, offset by the class's first
+    position (a class's labelings hold consecutive positions, in the
+    orbit's order)."""
+    images: list[int] = []
+    signs: list[int] = []
+    for xi, positions in table.items():
+        offset = next(iter(positions.values()))
+        local, local_signs = xi.leg_group.orbit().actions[k]
+        images.extend([offset + q for q in local])
+        signs.extend(local_signs)
     return images, signs
 
 
@@ -613,9 +657,10 @@ def cycle_type_actions(
     ``i``) for every mu in ``cycle_types(c.n)``, each mu after its parent
     (below); every action equals `group_action_matrix`'s.
 
-    Only the generators take coset minima: `group_action_matrix` runs for
-    s_0 = (0 1) and for the n-cycle kappa = (0 1 ... n-1), once each (once
-    in all when n = 2, where they agree; never when n < 2).  kappa maps x to
+    Only the generators' actions are asked for: `group_action_matrix`
+    runs for s_0 = (0 1) and for the n-cycle kappa = (0 1 ... n-1), the
+    `generators`, once each (once in all when n = 2, where they agree;
+    never when n < 2), and reads them off the orbit walks.  kappa maps x to
     x + 1 mod n, so s_k = kappa s_{k-1} kappa^-1 = (k k+1), and each
     further s_k is two compositions.  The action is a group action,
     (sigma tau)·e = sigma·(tau·e), so the action of sigma∘s is s's
@@ -639,13 +684,12 @@ def cycle_type_actions(
     2-cycle child first, so at most one pending action per 2-cycle on
     the current path is held besides the n - 1 swaps.
     """
-    n = c.n
+    n, gens = c.n, generators(c.n)
     swaps: list[SignedMap] = []
     if n >= 2:
-        s_0 = cycle_type_representative((2,) + (1,) * (n - 2))
-        swaps.append(group_action_matrix(c, i, s_0))
+        swaps.append(group_action_matrix(c, i, gens[0]))
     if n >= 3:
-        kappa = group_action_matrix(c, i, cycle_type_representative((n,)))
+        kappa = group_action_matrix(c, i, gens[1])
         kappa_inv = _inverse(kappa)
         while len(swaps) < n - 1:
             swaps.append(_then(_then(kappa_inv, swaps[-1]), kappa))

@@ -29,7 +29,13 @@ labeling and how S_n acts on its labelings.  It is kept as the search
 finds it, twin blocks times the leg actions of the ties, and only
 `LegGroup.elements` lists it: `LegGroup.coset_min` sorts a labeling
 within each block, once per tie, and takes the sort's sign on marked
-blocks.
+blocks.  The labelings, one coset minimum per coset, are an orbit walk:
+`LegGroup.orbit` walks the cosets from the identity's under the
+`generators` (0 1) and the n-cycle, each image reduced by `coset_min`,
+once per `LegGroup.structure` (n, blocks, ordered) and process.  The
+`Orbit` keeps each generator's signed action on the labelings and the
+walk's tree, from which `complexes` reads the generators' actions and
+carries the differential's columns, with no further coset minimum.
 
 Marked legs at the distinguished vertex ride along with no search.
 Every ordering the search tries numbers the dv's legs first, so marked
@@ -195,7 +201,7 @@ class LegGroup:
 
     def __init__(self, n: int, blocks: tuple, ordered: tuple):
         self.n, self.blocks, self.ordered = n, blocks, ordered
-        self._labelings: tuple[Permutation, ...] | None = None
+        self._orbit: Orbit | None = None
 
     @classmethod
     def of(
@@ -284,48 +290,88 @@ class LegGroup:
                 best, best_chi = image, chi
         return tuple(best), best_chi
 
+    @property
+    def structure(self) -> tuple:
+        """``(n, blocks, ordered)``: groups of equal structure are one
+        group, with one orbit walk and one induced module."""
+        return self.n, self.blocks, self.ordered
+
+    def orbit(self) -> Orbit:
+        """The `Orbit` of the cosets, walked once per structure and
+        process."""
+        if self._orbit is None:
+            key = self.structure
+            self._orbit = _orbits.get(key)
+            if self._orbit is None:
+                self._orbit = _orbits[key] = self._walk()
+        return self._orbit
+
     def labelings(self) -> tuple[Permutation, ...]:
         """One leg labeling per coset: each permutation rho of 0..n-1 that
-        is its coset's minimum, in increasing order, listed once per group
-        and process.
+        is its coset's minimum, in increasing order."""
+        return self.orbit().labelings
 
-        Values are chosen position by position, each above the value at
-        the previous position of its block.  A candidate is then sorted
-        within its blocks, so the identity tie leaves it as it is, and it
-        is kept unless another tie sorts to a lex-smaller labeling.
-        """
-        if self._labelings is None:
-            self._labelings = tuple(self._list_labelings())
-        return self._labelings
+    def _walk(self) -> Orbit:
+        """The orbit of the identity's coset under `generators`, breadth
+        first.  Each generator s takes the coset of rho to that of s∘rho,
+        reduced by `coset_min`; S_n is generated by them and acts on the
+        cosets transitively, so the walk meets every coset minimum."""
+        gens = generators(self.n)
+        walk = [tuple(range(self.n))]  # the identity is its coset's minimum
+        found = {walk[0]: 0}
+        tree = []  # (walk index, its parent's, generator) but for the identity
+        moves = [([], []) for _ in gens]  # (images, signs) in walk indices
+        p = 0
+        while p < len(walk):
+            for k, s in enumerate(gens):
+                moved = tuple([s[x] for x in walk[p]])
+                image, chi = self.coset_min(moved)
+                q = found.setdefault(image, len(walk))
+                if q == len(walk):
+                    walk.append(image)
+                    tree.append((q, p, k))
+                moves[k][0].append(q)
+                moves[k][1].append(chi)
+            p += 1
+        order = sorted(range(len(walk)), key=walk.__getitem__)
+        local = [0] * len(walk)
+        for index, p in enumerate(order):
+            local[p] = index
+        return Orbit(
+            tuple([walk[p] for p in order]),
+            [([local[images[p]] for p in order], [signs[p] for p in order])
+             for images, signs in moves],
+            [(local[q], local[p], k) for q, p, k in tree],
+        )
 
-    def _list_labelings(self):
-        n = self.n
-        others = [sigma for sigma, _ in self.ordered[1:]]
-        previous = [None] * n
-        for ks, _ in self.blocks:
-            for a, b in zip(ks, ks[1:]):
-                previous[b] = a
-        rho = [0] * n
-        used = [False] * n
 
-        def extend(p: int):
-            if p == n:
-                for sigma in others:
-                    image = [rho[x] for x in sigma]
-                    self._sort_blocks(image)
-                    if image < rho:
-                        return
-                yield tuple(rho)
-                return
-            least = 0 if previous[p] is None else rho[previous[p]] + 1
-            for v in range(least, n):
-                if not used[v]:
-                    used[v] = True
-                    rho[p] = v
-                    yield from extend(p + 1)
-                    used[v] = False
+_orbits: dict[tuple, Orbit] = {}  # LegGroup.structure -> its orbit
 
-        yield from extend(0)
+
+class Orbit:
+    """The cosets of a leg group H, walked by `LegGroup._walk`.
+
+    ``labelings`` are their minima in increasing order; a labeling's
+    index there is its local position.  ``actions`` holds one signed map
+    ``(images, signs)`` per generator s of `generators`, in local
+    positions: s·[xi, rho_p] = signs[p]·[xi, rho_images[p]].  ``tree``
+    lists ``(p, parent, k)`` in walk order, the identity (position 0)
+    left out: rho_p is reached from rho_parent, walked before it, by
+    generator k.
+    """
+
+    def __init__(self, labelings: tuple, actions: list, tree: list):
+        self.labelings, self.actions, self.tree = labelings, actions, tree
+
+
+def generators(n: int) -> tuple[Permutation, ...]:
+    """The generators of S_n that the orbit walk and the composed actions
+    use: s_0 = (0 1) and the n-cycle x -> x + 1 mod n, which is s_0 when
+    n = 2; none when n < 2."""
+    if n < 2:
+        return ()
+    s_0 = (1, 0, *range(2, n))
+    return (s_0,) if n == 2 else (s_0, (*range(1, n), 0))
 
 
 def _twin_blocks(canon: MarkedGraph) -> tuple:

@@ -90,20 +90,20 @@ def predicted_sharp_bound(g: int, ell: int) -> int:
 # core graphs
 
 
-_core_modules: dict[tuple, IrrDecomposition] = {}  # (n, blocks, ordered) -> module
+_core_modules: dict[tuple, IrrDecomposition] = {}  # LegGroup.structure -> module
 
 
 def core_module(xi: OrientedClass) -> IrrDecomposition | None:
     """A_xi: the module induced from xi's leg group (legs in flag order)
     acting by its det-signs, or None when xi vanishes.  Induced once per
-    form of the group and shared, so callers only read it."""
+    structure of the group and shared, so callers only read it."""
     group = xi.leg_group
     if group is None:
         return None
-    form = (group.n, group.blocks, group.ordered)
-    if form not in _core_modules:
-        _core_modules[form] = decompose(induce_from_subgroup(group.n, group.elements()))
-    return _core_modules[form]
+    key = group.structure
+    if key not in _core_modules:
+        _core_modules[key] = decompose(induce_from_subgroup(group.n, group.elements()))
+    return _core_modules[key]
 
 
 def rho_of_core(xi: OrientedClass) -> int | None:

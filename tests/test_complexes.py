@@ -23,6 +23,7 @@ from markedgc.complexes import (
     stabilization_map,
     _checksum,
     _check_d_squared,
+    _column,
     _compose_sparse,
     _core_boundary,
     _core_classes,
@@ -49,6 +50,7 @@ from markedgc.graphs import (
     decode_graph,
     degree,
     encode_graph,
+    generators,
     insert_marked_legs,
     mark_flag,
     validate,
@@ -60,6 +62,7 @@ from markedgc.reptheory import (
     perm_cycle_type,
     perm_sign,
 )
+import coset_oracle
 import enumeration_oracle
 import moves_oracle
 from enumeration_oracle import _edge_multisets
@@ -416,6 +419,41 @@ def test_d_squared_failure_names_the_element(key):
     )
 
 
+# the acceptance complexes and the criterion-1 grid (n <= 4)
+ORBIT_CASES = sorted(set(d2_grid_cases()) | {(2, 5, 5), (2, 6, 6), (3, 6, 7)})
+
+
+@pytest.mark.parametrize("key", ORBIT_CASES, ids=str)
+def test_columns_match_the_per_labeling_oracle(key):
+    """Each column carried from the identity column by equivariance is,
+    as a dict, the one its own labeling's coset arithmetic gives."""
+    c = build_complex(*key)
+    for i in c.degrees():
+        assert c.diff[i] == coset_oracle.differential(c, i)
+
+
+@pytest.mark.parametrize("key", ORBIT_CASES, ids=str)
+def test_generator_actions_match_the_coset_pass(key):
+    """The actions of (0 1) and the n-cycle read off the orbits are the
+    coset pass's and the labeled oracle's, in every degree."""
+    c = build_complex(*key)
+    for i in c.degrees():
+        for sigma in generators(c.n):
+            action = group_action_matrix(c, i, sigma)
+            assert action == coset_oracle.group_action(c, i, sigma)
+            assert action == oracle_group_action_matrix(c, i, sigma)
+
+
+def test_generators_are_the_composed_actions_representatives():
+    assert generators(0) == generators(1) == ()
+    assert generators(2) == (cycle_type_representative((2,)),)
+    for n in range(3, 9):
+        assert generators(n) == (
+            cycle_type_representative((2,) + (1,) * (n - 2)),
+            cycle_type_representative((n,)),
+        )
+
+
 def test_boundary_drops_degree_by_one():
     for xi in {xi for xi, _ in enumerate_marked_graphs(2, 2, 2, None)}:
         for (eta, tau), coeff in boundary_terms(xi).items():
@@ -669,6 +707,50 @@ def test_coset_min_is_brute_force_min(data):
     rho = tuple(data.draw(st.permutations(range(group.n))))
     best = min(elements, key=lambda h: compose(rho, h))
     assert group.coset_min(rho) == (compose(rho, best), elements[best])
+
+
+def test_identity_column_reduces_each_term_with_its_sign():
+    """`_column` reduces each term [eta, tau] to chi·[eta, tau'] at its
+    coset minimum, sums the terms and drops zeros.  In every complex
+    tried, the boundary terms arrive at their minima with chi = +1, so
+    this needs terms that do not: an odd swap of two marked twins."""
+    group = next(
+        group
+        for group in LEG_GROUPS
+        if len(group.ordered) == 1 and any(marked for _, marked in group.blocks)
+    )
+    (a, b, *_), _ = next(block for block in group.blocks if block[1])
+    positions = {rho: p for p, rho in enumerate(group.labelings())}
+    identity = tuple(range(group.n))
+    swapped = list(identity)
+    swapped[a], swapped[b] = b, a
+    swapped = tuple(swapped)
+    assert group.coset_min(swapped) == (identity, -1)
+    assert _column([(group, positions, swapped, 3)]) == {positions[identity]: -3}
+    assert _column([(group, positions, identity, 2), (group, positions, swapped, 2)]) == {}
+
+
+def test_orbit_walk_reaches_each_labeling_from_its_parent():
+    """The walk's actions are the coset pass's on every labeling, and its
+    tree reaches each labeling but the identity once, from a parent
+    reached before it, by the generator that takes the parent there."""
+    for group in LEG_GROUPS:
+        orbit = group.orbit()
+        labelings = orbit.labelings
+        assert labelings[0] == tuple(range(group.n))
+        index = {rho: p for p, rho in enumerate(labelings)}
+        assert len(orbit.actions) == len(generators(group.n))
+        for s, (images, signs) in zip(generators(group.n), orbit.actions):
+            assert [
+                (index[image], chi)
+                for image, chi in (group.coset_min(compose(s, rho)) for rho in labelings)
+            ] == list(zip(images, signs))
+        reached = {0}
+        for p, parent, k in orbit.tree:
+            assert parent in reached and p not in reached
+            assert orbit.actions[k][0][parent] == p
+            reached.add(p)
+        assert reached == set(range(len(labelings)))
 
 
 @pytest.mark.parametrize("u", [0, 1])

@@ -1,8 +1,10 @@
 import pytest
 
 import markedgc.complexes
+import markedgc.graphs
 import markedgc.homology
-from markedgc.complexes import build_complex, chain_character
+from markedgc.complexes import _targets, boundary_terms, build_complex, chain_character
+from markedgc.graphs import LegGroup
 from markedgc.homology import (
     differential_ranks,
     homology_decomposition,
@@ -120,27 +122,78 @@ def test_euler_characteristic_of_homology():
 def test_coset_passes_only_for_the_generators(monkeypatch):
     """Every walk over a degree, the chain character's and the image
     trace's alike, runs `group_action_matrix` only for (0 1) and the
-    n-cycle, once each; every other cycle type's action is composed."""
-    calls = []
+    n-cycle, once each; every other cycle type's action is composed.
+    Those two read the orbits' actions, so homology takes no coset
+    minimum.  Built again, the complex takes one coset minimum per term
+    of each class's identity column and walks no orbit."""
+    calls, minima, walks = [], [], []
     act = markedgc.complexes.group_action_matrix
+    coset_min, walk = LegGroup.coset_min, LegGroup._walk
 
     def spy(c, i, sigma):
         calls.append((i, perm_cycle_type(sigma)))
         return act(c, i, sigma)
 
+    def spy_coset_min(group, rho):
+        minima.append(rho)
+        return coset_min(group, rho)
+
+    def spy_walk(group):
+        walks.append(group.structure)
+        return walk(group)
+
     c = build_complex(3, 6, 7)
     monkeypatch.setattr(markedgc.complexes, "group_action_matrix", spy)
+    monkeypatch.setattr(LegGroup, "coset_min", spy_coset_min)
+    monkeypatch.setattr(LegGroup, "_walk", spy_walk)
     generators = [(2, 1, 1, 1, 1), (6,)]
     profile = homology_decomposition(c)
     assert profile.nonzero_degrees() == [3, 4]
     # the chain characters walk C_0 ... C_4, and the trace on im d_4,
     # under the nonzero H_3, walks C_4 once more; C_5 is zero
-    walks = [0, 1, 2, 3, 4, 4]
-    assert sorted(calls) == sorted((k, mu) for k in walks for mu in generators)
+    walks_over = [0, 1, 2, 3, 4, 4]
+    assert sorted(calls) == sorted((k, mu) for k in walks_over for mu in generators)
     for i in c.degrees():
         calls.clear()
         chain_character(c, i)
         assert sorted(calls) == [(i, mu) for mu in generators]
+    assert minima == []
+
+    again = build_complex(3, 6, 7)
+    assert walks == []
+    assert minima == [
+        tau
+        for i in again.degrees()
+        for xi in again.basis[i]
+        for _, _, tau, _ in _targets(boundary_terms(xi), again.basis.get(i - 1, {}), i)
+    ]
+
+
+def test_groups_of_one_structure_share_one_walk(monkeypatch):
+    """Leg groups with equal (n, blocks, ordered) share one orbit, walked
+    once, whichever of them asks first."""
+    walks = []
+    walk = LegGroup._walk
+
+    def spy_walk(group):
+        walks.append(group.structure)
+        return walk(group)
+
+    monkeypatch.setattr(markedgc.graphs, "_orbits", {})
+    monkeypatch.setattr(LegGroup, "_walk", spy_walk)
+    # twins {1, 2} and {3, 4}, and a tie that swaps the two pairs
+    blocks = (((1, 2), True), ((3, 4), True))
+    swap = ((0, 1, 2, 3, 4), 1), ((0, 3, 4, 1, 2), 1)
+    first = LegGroup(5, blocks, swap)
+    second = LegGroup(5, tuple(list(blocks)), tuple(list(swap)))
+    assert first is not second and first.structure == second.structure
+    assert first.orbit() is second.orbit()
+    assert len(second.labelings()) == 15  # 5! / 8
+    assert walks == [first.structure]
+    # a structure that differs in blocks or in ordered has its own walk
+    others = [LegGroup(5, blocks[:1], swap[:1]), LegGroup(5, blocks, swap[:1])]
+    assert [len(group.labelings()) for group in others] == [60, 30]
+    assert walks == [group.structure for group in [first, *others]]
 
 
 @pytest.mark.parametrize(
